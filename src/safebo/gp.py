@@ -5,27 +5,39 @@ inputs, so they share one Gram matrix, one Cholesky factor, and one
 posterior standard deviation; only the posterior means differ.  Models
 are persistent: appending an observation returns a new model and leaves
 the old one untouched, so snapshots can be queried concurrently.
+
+A model can be bound to a fixed query grid.  It then carries the
+projection ``P = L^{-1} K(X, grid)`` and ``z = L^{-1} y`` of its
+Cholesky factor ``L``; an append adds one row to each (rank-1 bordering,
+Rasmussen & Williams 2006, Alg. 2.1), so the grid posterior costs
+``O(t n)`` per step instead of a triangular solve against the grid.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cholesky, solve_triangular
 
 from .kernels import Kernel, pairwise
 
 __all__ = ["SurrogateModel"]
 
 # Full refactorization cadence for the incrementally updated Cholesky
-# factor, bounding accumulated drift on long runs.
+# factor and grid projection, bounding accumulated drift on long runs.
 _REFACTOR_EVERY = 64
 
-# Dense eigensolver is deterministic and cheap up to this history size;
-# beyond it, power iteration takes over.
-_DENSE_EIG_MAX = 256
-
-_POWER_MAX_ITERATIONS = 10_000
+# Power iteration stops once the Kato-Temple bound certifies the Rayleigh
+# quotient to this relative accuracy.  A run that converges without a
+# certifiable gap, or takes more steps than this, is settled by a dense
+# eigensolver.
 _POWER_RTOL = 1e-12
+_POWER_MAX_ITERATIONS = 64
+
+# A spectral gap below this share of the top eigenvalue is too small to
+# trust a certificate built on it under roundoff.
+_GAP_RTOL = 1e-8
 
 
 class SurrogateModel:
@@ -42,6 +54,9 @@ class SurrogateModel:
     inputs, targets : ndarray, optional
         Existing history: ``inputs`` is ``(t, d)``, ``targets`` is
         ``(n_outputs, t)``.  Omit both for an empty model.
+    grid : ndarray, optional
+        ``(n, d)`` query points the model is bound to; :meth:`posterior`
+        without arguments evaluates there from carried state.
     """
 
     def __init__(
@@ -51,9 +66,9 @@ class SurrogateModel:
         n_outputs: int,
         inputs: np.ndarray | None = None,
         targets: np.ndarray | None = None,
+        grid: np.ndarray | None = None,
         _gram: np.ndarray | None = None,
-        _chol: np.ndarray | None = None,
-        _appends: int = 0,
+        _carried: tuple | None = None,
     ):
         if not 0.0 < regularization <= 1.0:
             raise ValueError("regularization must lie in (0, 1]")
@@ -74,35 +89,55 @@ class SurrogateModel:
             raise ValueError("targets must be finite")
         self.inputs = inputs
         self.targets = targets
+        if grid is not None:
+            grid = np.asarray(grid, dtype=float)
+            if grid.ndim != 2:
+                raise ValueError("grid must be an (n, d) array")
+        self.grid = grid
 
-        if self.t == 0:
-            self._gram = np.zeros((0, 0))
-            self._chol = np.zeros((0, 0))
-            self._appends = 0
+        # Top Gram eigenpair with its certified upper bound, computed on
+        # first use; a start vector and second-eigenvalue bound handed
+        # down by the parent model warm-start that computation.
+        self._eigen: tuple[float, np.ndarray, float] | None = None
+        self._warm: tuple[np.ndarray, float] | None = None
+
+        if _carried is None:
+            self._refactor(_gram)
         else:
-            self._gram = pairwise(kernel, inputs) if _gram is None else _gram
-            if _chol is None:
-                self._chol = self._factorize(self._gram)
-                self._appends = 0
-            else:
-                self._chol = _chol
-                self._appends = _appends
+            self._gram = _gram
+            self._chol, self._z, self._proj, self._appends = _carried
 
     @property
     def t(self) -> int:
         """Number of stored observations."""
         return self.inputs.shape[0]
 
-    def _factorize(self, gram: np.ndarray) -> np.ndarray:
-        shifted = gram + self.regularization * np.eye(gram.shape[0])
-        return cholesky(shifted, lower=True)
+    def _refactor(self, gram: np.ndarray | None) -> None:
+        """Factorize from scratch and recompute the carried solves."""
+        self._appends = 0
+        if self.t == 0:
+            self._gram = self._chol = np.zeros((0, 0))
+            self._z = np.zeros((0, self.n_outputs))
+            self._proj = None if self.grid is None else np.zeros((0, self.grid.shape[0]))
+            return
+        self._gram = pairwise(self.kernel, self.inputs) if gram is None else gram
+        shifted = self._gram + self.regularization * np.eye(self.t)
+        self._chol = cholesky(shifted, lower=True)
+        self._z = solve_triangular(self._chol, self.targets.T, lower=True)
+        self._proj = None if self.grid is None else self._project(self.grid)
+
+    def _project(self, queries: np.ndarray) -> np.ndarray:
+        """``L^{-1} K(X, queries)``, the ``(t, m)`` solve behind the posterior."""
+        cross = pairwise(self.kernel, self.inputs, queries)
+        return solve_triangular(self._chol, cross, lower=True)
 
     def with_observation(self, point: np.ndarray, values: np.ndarray) -> "SurrogateModel":
         """New model with one more evaluation appended.
 
         ``values`` holds one observation per output.  The cached Cholesky
-        factor is extended by a rank-1 border; a full refactorization runs
-        every 64 appends to bound numerical drift.
+        factor is extended by a rank-1 border, and the carried solves
+        by the matching row; a full refactorization runs every 64
+        appends to bound numerical drift.
         """
         point = np.asarray(point, dtype=float).ravel()
         values = np.asarray(values, dtype=float).ravel()
@@ -112,10 +147,13 @@ class SurrogateModel:
             raise ValueError("targets must be finite")
 
         if self.t == 0:
-            inputs = point[None, :]
-            targets = values[:, None]
             return SurrogateModel(
-                self.kernel, self.regularization, self.n_outputs, inputs, targets
+                self.kernel,
+                self.regularization,
+                self.n_outputs,
+                point[None, :],
+                values[:, None],
+                grid=self.grid,
             )
 
         if point.shape[0] != self.inputs.shape[1]:
@@ -133,38 +171,59 @@ class SurrogateModel:
 
         appends = self._appends + 1
         if appends >= _REFACTOR_EVERY:
-            chol = None
-            appends = 0
+            carried = None
         else:
             w = solve_triangular(self._chol, cross, lower=True)
             # The bordered pivot equals posterior variance plus the
             # regularizer, so it stays strictly positive.
-            pivot = diag + self.regularization - float(w @ w)
+            pivot = np.sqrt(
+                max(diag + self.regularization - float(w @ w), self.regularization * 1e-12)
+            )
             chol = np.zeros((self.t + 1, self.t + 1))
             chol[: self.t, : self.t] = self._chol
             chol[self.t, : self.t] = w
-            chol[self.t, self.t] = np.sqrt(max(pivot, self.regularization * 1e-12))
+            chol[self.t, self.t] = pivot
+            z = np.vstack([self._z, ((values - w @ self._z) / pivot)[None, :]])
+            proj = None
+            if self.grid is not None:
+                row = pairwise(self.kernel, point[None, :], self.grid)[0]
+                proj = np.vstack([self._proj, ((row - w @ self._proj) / pivot)[None, :]])
+            carried = (chol, z, proj, appends)
 
-        return SurrogateModel(
+        child = SurrogateModel(
             self.kernel,
             self.regularization,
             self.n_outputs,
             inputs,
             targets,
+            grid=self.grid,
             _gram=gram,
-            _chol=chol,
-            _appends=appends,
+            _carried=carried,
         )
+        if self._eigen is not None:
+            # Cauchy interlacing: the child's second eigenvalue is at most
+            # this model's top one.
+            _, vec, upper = self._eigen
+            child._warm = (np.append(vec, 0.0), upper * (1.0 + _POWER_RTOL))
+        return child
 
-    def posterior(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def posterior(self, queries: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and shared standard deviation at query points.
 
         For a ``(m, d)`` query array, returns ``(means, std)`` with shapes
         ``(n_outputs, m)`` and ``(m,)``.  A single point returns the
-        ``(n_outputs,)`` mean vector and a scalar.  With no observations
+        ``(n_outputs,)`` mean vector and a scalar.  Without queries, the
+        posterior on the bound grid comes from the carried projection;
+        other queries are projected on the fly.  With no observations
         the prior is returned: zero mean and ``sqrt(k(a, a))``.
         """
-        queries = np.asarray(queries, dtype=float)
+        if queries is None:
+            if self.grid is None:
+                raise ValueError("model is not bound to a grid; pass query points")
+            queries, proj = self.grid, self._proj
+        else:
+            queries = np.asarray(queries, dtype=float)
+            proj = None
         single = queries.ndim == 1
         if single:
             queries = queries[None, :]
@@ -175,11 +234,10 @@ class SurrogateModel:
             means = np.zeros((self.n_outputs, m))
             std = np.full(m, np.sqrt(prior_var))
         else:
-            cross = pairwise(self.kernel, self.inputs, queries)  # (t, m)
-            alpha = cho_solve((self._chol, True), self.targets.T)  # (t, n_outputs)
-            means = alpha.T @ cross  # (n_outputs, m)
-            half = solve_triangular(self._chol, cross, lower=True)  # (t, m)
-            var = prior_var - np.einsum("ij,ij->j", half, half)
+            if proj is None:
+                proj = self._project(queries)
+            means = self._z.T @ proj  # (n_outputs, m)
+            var = prior_var - np.einsum("ij,ij->j", proj, proj)
             std = np.sqrt(np.maximum(var, 0.0))
         if single:
             return means[:, 0], float(std[0])
@@ -191,17 +249,18 @@ class SurrogateModel:
         Computed through the closed form ``lam / (lam + reg)`` where
         ``lam`` is the top eigenvalue of the Gram matrix; both matrices
         share eigenvectors, so the spectra map through that scalar
-        function.  Returns 0 with an empty history.
+        function.  ``lam`` comes from power iteration, warm-started at
+        the parent model's top eigenvector when the parent computed it.
+        Returns 0 with an empty history.
         """
         if self.t == 0:
             return 0.0
-        lam = self._gram_lambda_max()
+        if self._eigen is None:
+            start, second = self._warm if self._warm is not None else (None, math.inf)
+            self._eigen = _top_eigenpair(self._gram, start, second)
+            self._warm = None
+        lam = self._eigen[0]
         return lam / (lam + self.regularization)
-
-    def _gram_lambda_max(self) -> float:
-        if self.t <= _DENSE_EIG_MAX:
-            return float(np.linalg.eigvalsh(self._gram)[-1])
-        return _power_iteration(self._gram)
 
     def log_det_information_gain(self) -> float:
         """Half log-determinant of ``I + K / reg``, zero on empty history."""
@@ -212,21 +271,49 @@ class SurrogateModel:
         return 0.5 * (log_det - self.t * np.log(self.regularization))
 
 
-def _power_iteration(matrix: np.ndarray) -> float:
-    """Top eigenvalue of a symmetric PSD matrix, deterministic all-ones seed."""
+def _power_iteration(matrix: np.ndarray, start: np.ndarray | None = None) -> float:
+    """Top eigenvalue of a symmetric PSD matrix; see :func:`_top_eigenpair`."""
+    return _top_eigenpair(matrix, start)[0]
+
+
+def _top_eigenpair(
+    matrix: np.ndarray, start: np.ndarray | None = None, second: float = math.inf
+) -> tuple[float, np.ndarray, float]:
+    """Top eigenvalue, a unit eigenvector, and a certified upper bound.
+
+    Power iteration from ``start`` (all-ones by default) until the
+    Kato-Temple bound ``lam <= theta + |r|^2 / (theta - mu)`` pins the
+    Rayleigh quotient ``theta`` to ``_POWER_RTOL``.  ``mu`` bounds the
+    second eigenvalue: the smaller of ``second``, a bound the caller
+    knows (by interlacing, say), and ``sqrt(||A||_F^2 - theta^2)``, which
+    holds because ``theta`` never exceeds the top eigenvalue.  Without
+    such a bound no start vector
+    can rule out a larger eigenvalue it is blind to (a disjoint cluster
+    of evaluations, say), so an uncertified run falls back to a dense
+    eigensolver.
+    """
     n = matrix.shape[0]
-    vec = np.ones(n) / np.sqrt(n)
-    lam = 0.0
+    vec = np.ones(n) if start is None else np.asarray(start, dtype=float)
+    vec = vec / np.linalg.norm(vec)
+    # einsum keeps these small products off threaded BLAS, whose thread
+    # wake-ups cost more than the arithmetic at the sizes a run reaches.
+    fro_sq = float(np.einsum("ij,ij->", matrix, matrix))
+    last = -math.inf
     for _ in range(_POWER_MAX_ITERATIONS):
-        nxt = matrix @ vec
-        norm = float(np.linalg.norm(nxt))
+        image = np.einsum("ij,j->i", matrix, vec)
+        lam = float(vec @ image)
+        residual = image - lam * vec
+        res_sq = float(residual @ residual)
+        gap = lam - min(second, math.sqrt(max(fro_sq - lam * lam, 0.0)))
+        if gap > _GAP_RTOL * lam:
+            if res_sq <= _POWER_RTOL * lam * gap:
+                return lam, vec, lam + res_sq / gap
+        elif lam - last <= _POWER_RTOL * lam:
+            break  # converged, but with no gap to certify it by
+        norm = float(np.linalg.norm(image))
         if norm == 0.0:
-            return 0.0
-        vec = nxt / norm
-        new_lam = float(vec @ (matrix @ vec))
-        if abs(new_lam - lam) <= _POWER_RTOL * max(abs(new_lam), 1e-300):
-            return new_lam
-        lam = new_lam
-    raise RuntimeError(
-        f"power iteration did not converge within {_POWER_MAX_ITERATIONS} iterations"
-    )
+            return 0.0, vec, 0.0
+        last = lam
+        vec = image / norm
+    values, vectors = np.linalg.eigh(matrix)
+    return float(values[-1]), vectors[:, -1], float(values[-1])

@@ -15,6 +15,7 @@ simultaneously, with confidence ``1 - kappa``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -211,6 +212,7 @@ def _log_binomial_tail(m: int, violation_prob: float, n_terms: int) -> float:
     return float(logsumexp(log_terms))
 
 
+@functools.lru_cache(maxsize=4096)
 def min_scenarios(schedule: ScenarioSchedule, adjusted_confidence: float) -> int:
     """Smallest scenario count whose binomial tail meets the confidence.
 
@@ -218,6 +220,8 @@ def min_scenarios(schedule: ScenarioSchedule, adjusted_confidence: float) -> int
     ``ceil(log(kappa_t) / log(1 - nu))``, which is a valid lower bound for
     any output count, then gallops and bisects upward.  The returned
     count is exactly minimal: the tail inequality fails one below it.
+    Pure in its arguments, so results are memoized: every run of a
+    battery asks for the same counts at the same iterations.
     """
     if not 0.0 < adjusted_confidence < 1.0:
         raise ValueError("adjusted confidence must lie strictly inside (0, 1)")

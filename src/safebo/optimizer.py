@@ -308,7 +308,9 @@ class SafeOptimizer:
         safe = np.zeros(n, dtype=bool)
         safe[list(self.config.initial_safe)] = True
         return OptimizerState(
-            model=SurrogateModel(self.kernel, self.config.regularization, k),
+            model=SurrogateModel(
+                self.kernel, self.config.regularization, k, grid=self.domain.points
+            ),
             confidence=ConfidenceState.unbounded(k, n),
             safe=safe,
             maximizer_set=np.zeros(n, dtype=bool),
@@ -366,10 +368,14 @@ class SafeOptimizer:
             return state
         cfg = self.config
 
-        means, std = state.model.posterior(self.domain.points)
-        # The top Gram eigenvalue only grows as evaluations accumulate;
-        # keeping the running max shields against eigensolver jitter.
-        xi_lambda = max(state.xi_lambda, state.model.xi_lambda_max())
+        means, std = state.model.posterior()
+        if cfg.beta_mode == "scenario":
+            # The top Gram eigenvalue only grows as evaluations accumulate;
+            # keeping the running max shields against eigensolver jitter.
+            xi_lambda = max(state.xi_lambda, state.model.xi_lambda_max())
+        else:
+            # Only the scenario multiplier reads the spectral ratio.
+            xi_lambda = state.xi_lambda
         betas = self._beta_vector(state, xi_lambda)
         conf = update_intervals(
             state.confidence, means, std, betas, on_collapse=cfg.on_collapse
@@ -405,13 +411,13 @@ class SafeOptimizer:
             xi_lambda=xi_lambda,
         )
 
+        widths = conf.widths()
         try:
-            chosen = acquire(conf.widths(), std, maxim | expand)
+            chosen = acquire(widths, std, maxim | expand)
         except EmptyAcquisitionSet:
             return replace(state, terminated=True, termination_reason="stalled")
 
-        widths = conf.widths()[:, chosen]
-        acq_width = float(widths.max())
+        acq_width = float(widths[:, chosen].max())
         if acq_width < cfg.exploration_threshold:
             return replace(
                 state,

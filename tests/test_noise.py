@@ -78,6 +78,14 @@ class TestMinScenarios:
         assert min_scenarios(schedule, 1e-3) == 89
         assert min_scenarios_oracle(0.1, 1e-3, 2, start=80) == 89
 
+    def test_repeated_queries_are_memoized(self):
+        adjusted = iteration_confidence(1e-3, 7)
+        first = min_scenarios(ScenarioSchedule(0.1, 1e-3, 2), adjusted)
+        hits = min_scenarios.cache_info().hits
+        # An equal schedule built separately hits the same entry.
+        assert min_scenarios(ScenarioSchedule(0.1, 1e-3, 2), adjusted) == first
+        assert min_scenarios.cache_info().hits == hits + 1
+
     @pytest.mark.parametrize(
         "nu,adjusted,k",
         [

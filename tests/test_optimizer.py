@@ -439,6 +439,25 @@ class TestStep:
         again = optimizer.step(state, oracle, noise, np.random.default_rng(1))
         assert again is state
 
+    def test_classic_mode_skips_the_spectral_ratio(self, monkeypatch):
+        from safebo.gp import SurrogateModel
+
+        def unused(self):
+            raise AssertionError("classic multiplier does not read the spectral ratio")
+
+        monkeypatch.setattr(SurrogateModel, "xi_lambda_max", unused)
+        optimizer, oracle, noise = toy_setup(max_iterations=15, beta_mode="classic_subgaussian")
+        state = optimizer.run(oracle, noise, np.random.default_rng(0))
+        assert state.records and state.xi_lambda == 0.0
+
+    def test_posterior_is_carried_on_the_grid(self):
+        optimizer, oracle, noise = toy_setup(max_iterations=20)
+        state = optimizer.run(oracle, noise, np.random.default_rng(2))
+        means, std = state.model.posterior()
+        ad_hoc_means, ad_hoc_std = state.model.posterior(optimizer.domain.points)
+        assert means == pytest.approx(ad_hoc_means, abs=1e-10)
+        assert std == pytest.approx(ad_hoc_std, abs=1e-10)
+
 
 class TestBestParameter:
     def test_singleton_safe_set(self):
