@@ -9,12 +9,11 @@ scenario bounds and for model complexity through the kernel norm.
 import numpy as np
 
 from safebo import (
-    BetaInputs,
     ConfidenceState,
     Kernel,
     ScenarioSchedule,
     SurrogateModel,
-    beta_vector,
+    beta_from_squares,
     scenario_bound,
     uniform,
     update_intervals,
@@ -31,17 +30,11 @@ grid = np.linspace(0, 1, 9)[:, None]
 state = ConfidenceState.unbounded(1, len(grid))
 truth = lambda x: 0.4 * np.sin(6 * x)
 
-bounds_so_far = []
+bound_sq_sum = 0.0  # squared noise bounds, accumulated as the loop does
 print("t | beta    | width at x=0.5 | interval at x=0.5")
 for t in range(1, 9):
     means, std = model.posterior(grid)
-    inputs = BetaInputs(
-        norm_bounds=np.array([1.0]),
-        regularization=reg,
-        xi_lambda_max=model.xi_lambda_max(),
-        noise_bounds=np.array([bounds_so_far]).reshape(1, -1),
-    )
-    betas = beta_vector(inputs)
+    betas = np.array([beta_from_squares(1.0, reg, model.xi_lambda_max(), bound_sq_sum)])
     state = update_intervals(state, means, std, betas)
     mid = 4
     print(f"{t} | {betas[0]:.5f} | {state.width(0, mid):14.4f} |"
@@ -49,7 +42,7 @@ for t in range(1, 9):
 
     x = rng.uniform(0.35, 0.65)
     bound = scenario_bound(noise, schedule, t, np.array([x]), rng)
-    bounds_so_far.append(float(bound.magnitudes[0]))
+    bound_sq_sum += float(bound.magnitudes[0] * bound.magnitudes[0])
     y = truth(x) + noise.sample(np.array([x]), 0, rng, 1)[0]
     model = model.with_observation([x], [y])
 

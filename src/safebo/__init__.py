@@ -9,11 +9,9 @@ usable under uniform, Gaussian, or heteroscedastic heavy-tailed noise.
 """
 
 from .confidence import (
-    BetaInputs,
     ConfidenceCollapse,
     ConfidenceState,
-    beta,
-    beta_vector,
+    beta_from_squares,
     update_intervals,
 )
 from .domain import Domain
@@ -70,7 +68,6 @@ from .synthetic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetaInputs",
     "ConfidenceCollapse",
     "ConfidenceState",
     "ConfigError",
@@ -92,9 +89,8 @@ __all__ = [
     "StepRecord",
     "SurrogateModel",
     "acquire",
-    "beta",
+    "beta_from_squares",
     "beta_growth_report",
-    "beta_vector",
     "builtin_models",
     "build_synthetic_problem",
     "classic_beta",

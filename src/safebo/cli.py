@@ -27,6 +27,7 @@ from .harness import (
     run_experiment,
     scaling_study,
 )
+from .optimizer import BETA_MODES
 
 log = logging.getLogger("safebo")
 
@@ -65,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--mode",
         action="append",
-        choices=["scenario", "classic_subgaussian"],
+        choices=BETA_MODES,
         help="safety-multiplier mode to run (repeatable; overrides the config)",
     )
     run.add_argument(

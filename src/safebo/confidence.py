@@ -20,12 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "BetaInputs",
     "ConfidenceCollapse",
     "ConfidenceState",
-    "beta",
     "beta_from_squares",
-    "beta_vector",
     "update_intervals",
 ]
 
@@ -48,34 +45,6 @@ class ConfidenceCollapse(RuntimeError):
         self.gap = gap
 
 
-@dataclass(frozen=True)
-class BetaInputs:
-    """Ingredients of the safety multiplier for every output.
-
-    ``noise_bounds`` holds the per-iteration noise magnitude bounds as an
-    ``(n_outputs, t)`` array; ``t = 0`` is a valid empty history.
-    """
-
-    norm_bounds: np.ndarray
-    regularization: float
-    xi_lambda_max: float
-    noise_bounds: np.ndarray
-
-    def __post_init__(self) -> None:
-        norm_bounds = np.atleast_1d(np.asarray(self.norm_bounds, dtype=float))
-        bounds = np.asarray(self.noise_bounds, dtype=float)
-        if bounds.ndim == 1:
-            bounds = bounds[None, :]
-        if bounds.shape[0] != norm_bounds.shape[0]:
-            raise ValueError("noise-bound history must have one row per output")
-        if np.any(norm_bounds <= 0):
-            raise ValueError("norm bounds must be positive")
-        if self.regularization <= 0:
-            raise ValueError("regularization must be positive")
-        object.__setattr__(self, "norm_bounds", norm_bounds)
-        object.__setattr__(self, "noise_bounds", bounds)
-
-
 def beta_from_squares(
     norm_bound: float, regularization: float, xi_lambda_max: float, bound_sq_sum: float
 ) -> float:
@@ -85,22 +54,6 @@ def beta_from_squares(
     non-decreasing across iterations even in floating point.
     """
     return norm_bound + math.sqrt(xi_lambda_max / regularization) * math.sqrt(bound_sq_sum)
-
-
-def beta(inputs: BetaInputs, output: int) -> float:
-    """Safety multiplier for one output; the norm bound alone when t = 0."""
-    history = inputs.noise_bounds[output]
-    return beta_from_squares(
-        float(inputs.norm_bounds[output]),
-        inputs.regularization,
-        inputs.xi_lambda_max,
-        float(np.sum(history * history)),
-    )
-
-
-def beta_vector(inputs: BetaInputs) -> np.ndarray:
-    """Safety multipliers for all outputs."""
-    return np.array([beta(inputs, i) for i in range(inputs.norm_bounds.shape[0])])
 
 
 @dataclass(frozen=True)
@@ -160,10 +113,6 @@ class ConfidenceState:
     def lower_filled(self, fill: float = -np.inf) -> np.ndarray:
         """Lower endpoints with unbounded entries replaced by ``fill``."""
         return np.where(self.bounded, self.lower, fill)
-
-    def upper_filled(self, fill: float = np.inf) -> np.ndarray:
-        """Upper endpoints with unbounded entries replaced by ``fill``."""
-        return np.where(self.bounded, self.upper, fill)
 
 
 def update_intervals(

@@ -78,6 +78,3 @@ class Domain:
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=1)
         return cls(points=points, bounds=bounds)
-
-    def to_config(self) -> dict:
-        return {"bounds": [list(b) for b in self.bounds], "n_points": self.n_points}

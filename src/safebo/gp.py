@@ -271,11 +271,6 @@ class SurrogateModel:
         return 0.5 * (log_det - self.t * np.log(self.regularization))
 
 
-def _power_iteration(matrix: np.ndarray, start: np.ndarray | None = None) -> float:
-    """Top eigenvalue of a symmetric PSD matrix; see :func:`_top_eigenpair`."""
-    return _top_eigenpair(matrix, start)[0]
-
-
 def _top_eigenpair(
     matrix: np.ndarray, start: np.ndarray | None = None, second: float = math.inf
 ) -> tuple[float, np.ndarray, float]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import jsonschema
@@ -22,10 +22,11 @@ import numpy as np
 from .domain import Domain
 from .kernels import Kernel
 from .noise import ScenarioSchedule, iteration_confidence, min_scenarios, model_from_config
-from .optimizer import OptimizerConfig, SafeOptimizer, StepRecord
+from .optimizer import BETA_MODES, OptimizerConfig, SafeOptimizer, StepRecord
 from .synthetic import sample_rkhs_function, shift_to_quantile
 
 __all__ = [
+    "CONFIG_DEFAULTS",
     "CONFIG_SCHEMA",
     "ConfigError",
     "ExperimentConfig",
@@ -42,8 +43,6 @@ __all__ = [
     "trace_csv_lines",
     "validate_config",
 ]
-
-_BETA_MODES = ["scenario", "classic_subgaussian"]
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -114,7 +113,7 @@ CONFIG_SCHEMA = {
         "beta_modes": {
             "type": "array",
             "minItems": 1,
-            "items": {"enum": _BETA_MODES},
+            "items": {"enum": list(BETA_MODES)},
         },
         "seeds": {"type": "array", "items": {"type": "integer", "minimum": 0}},
         "max_iterations": {"type": "integer", "minimum": 0},
@@ -133,6 +132,19 @@ CONFIG_SCHEMA = {
         "n_centers": {"type": "integer", "minimum": 1},
         "collapse_policy": {"enum": ["error", "reset"]},
     },
+}
+
+# Values of the optional keys when a document leaves them out; a partial
+# ``constraint`` is completed key by key.  ``n_centers`` unset means 40
+# centers in 1-D and 200 otherwise.
+CONFIG_DEFAULTS = {
+    "name": "custom",
+    "subgaussian_scale": 0.0,
+    "norm_bound": 1.0,
+    "beta_modes": ["scenario"],
+    "constraint": {"kind": "self", "quantile": 0.4},
+    "n_centers": None,
+    "collapse_policy": "reset",
 }
 
 PRESETS: dict[str, dict] = {
@@ -217,11 +229,10 @@ def validate_config(document: dict) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated, immutable view of a config document."""
+    """Validated, immutable view of a config document, one field per key."""
 
     name: str
-    domain_bounds: tuple[tuple[float, float], ...]
-    domain_resolution: tuple[int, ...]
+    domain: dict
     kernel: dict
     noise: dict
     violation_prob: float
@@ -233,37 +244,32 @@ class ExperimentConfig:
     beta_modes: tuple[str, ...]
     seeds: tuple[int, ...]
     max_iterations: int
-    constraint_kind: str
-    constraint_quantile: float
+    constraint: dict
     n_centers: int | None
     collapse_policy: str
 
     @classmethod
     def from_dict(cls, document: dict) -> "ExperimentConfig":
         validate_config(document)
-        constraint = document.get("constraint", {})
-        return cls(
-            name=document.get("name", "custom"),
-            domain_bounds=tuple(
-                (float(lo), float(hi)) for lo, hi in document["domain"]["bounds"]
-            ),
-            domain_resolution=tuple(int(r) for r in document["domain"]["resolution"]),
-            kernel=dict(document["kernel"]),
-            noise=dict(document["noise"]),
-            violation_prob=float(document["violation_prob"]),
-            confidence_level=float(document["confidence_level"]),
-            regularization=float(document["regularization"]),
-            exploration_threshold=float(document["exploration_threshold"]),
-            subgaussian_scale=float(document.get("subgaussian_scale", 0.0)),
-            norm_bound=float(document.get("norm_bound", 1.0)),
-            beta_modes=tuple(document.get("beta_modes", ["scenario"])),
-            seeds=tuple(int(s) for s in document.get("seeds", [])),
-            max_iterations=int(document["max_iterations"]),
-            constraint_kind=constraint.get("kind", "self"),
-            constraint_quantile=float(constraint.get("quantile", 0.4)),
-            n_centers=int(document["n_centers"]) if "n_centers" in document else None,
-            collapse_policy=document.get("collapse_policy", "reset"),
-        )
+        values = {**CONFIG_DEFAULTS, **document}
+        del values["spec"]
+        values["domain"] = {
+            "bounds": tuple((float(lo), float(hi)) for lo, hi in values["domain"]["bounds"]),
+            "resolution": tuple(int(r) for r in values["domain"]["resolution"]),
+        }
+        constraint = {**CONFIG_DEFAULTS["constraint"], **values["constraint"]}
+        values["constraint"] = {**constraint, "quantile": float(constraint["quantile"])}
+        values["kernel"] = dict(values["kernel"])
+        values["noise"] = dict(values["noise"])
+        for key in ("violation_prob", "confidence_level", "regularization",
+                    "exploration_threshold", "subgaussian_scale", "norm_bound"):
+            values[key] = float(values[key])
+        values["beta_modes"] = tuple(values["beta_modes"])
+        values["seeds"] = tuple(int(s) for s in values["seeds"])
+        values["max_iterations"] = int(values["max_iterations"])
+        if values["n_centers"] is not None:
+            values["n_centers"] = int(values["n_centers"])
+        return cls(**values)
 
     @classmethod
     def from_preset(cls, name: str, overrides: dict | None = None) -> "ExperimentConfig":
@@ -277,44 +283,23 @@ class ExperimentConfig:
         return cls.from_dict(document)
 
     def to_dict(self) -> dict:
-        document = {
-            "spec": 1,
-            "name": self.name,
-            "domain": {
-                "bounds": [list(b) for b in self.domain_bounds],
-                "resolution": list(self.domain_resolution),
-            },
-            "kernel": dict(self.kernel),
-            "noise": dict(self.noise),
-            "violation_prob": self.violation_prob,
-            "confidence_level": self.confidence_level,
-            "regularization": self.regularization,
-            "exploration_threshold": self.exploration_threshold,
-            "subgaussian_scale": self.subgaussian_scale,
-            "norm_bound": self.norm_bound,
-            "beta_modes": list(self.beta_modes),
-            "seeds": list(self.seeds),
-            "max_iterations": self.max_iterations,
-            "constraint": {
-                "kind": self.constraint_kind,
-                "quantile": self.constraint_quantile,
-            },
-            "collapse_policy": self.collapse_policy,
-        }
-        if self.n_centers is not None:
-            document["n_centers"] = self.n_centers
+        """The JSON document this config was read from, defaults filled in."""
+        # The JSON round trip turns the tuples back into lists.
+        document = {"spec": 1, **json.loads(json.dumps(asdict(self)))}
+        if self.n_centers is None:
+            del document["n_centers"]
         return document
 
     @property
     def dim(self) -> int:
-        return len(self.domain_bounds)
+        return len(self.domain["bounds"])
 
     @property
     def n_outputs(self) -> int:
-        return 1 if self.constraint_kind == "self" else 2
+        return 1 if self.constraint["kind"] == "self" else 2
 
     def build_domain(self) -> Domain:
-        return Domain.grid(self.domain_bounds, self.domain_resolution)
+        return Domain.grid(self.domain["bounds"], self.domain["resolution"])
 
     def build_kernel(self) -> Kernel:
         return Kernel.from_config(self.kernel)
@@ -365,13 +350,14 @@ def build_synthetic_problem(
     n_centers = config.centers()
 
     reward = sample_rkhs_function(kernel, domain, n_centers, rng)
-    if config.constraint_kind == "self":
-        shifted = shift_to_quantile(reward, domain, config.constraint_quantile)
+    quantile = config.constraint["quantile"]
+    if config.constraint["kind"] == "self":
+        shifted = shift_to_quantile(reward, domain, quantile)
         functions: tuple = (shifted,)
         constraint_indices: tuple[int, ...] = (0,)
     else:
         other = sample_rkhs_function(kernel, domain, n_centers, rng)
-        constraint = shift_to_quantile(other, domain, config.constraint_quantile)
+        constraint = shift_to_quantile(other, domain, quantile)
         functions = (reward, constraint)
         constraint_indices = (1,)
 
@@ -482,11 +468,6 @@ def run_single(config: ExperimentConfig, seed: int, beta_mode: str) -> RunTrace:
     )
 
 
-def _run_task(payload: tuple[dict, int, str]) -> RunTrace:
-    document, seed, mode = payload
-    return run_single(ExperimentConfig.from_dict(document), seed, mode)
-
-
 @dataclass(frozen=True)
 class ExperimentResult:
     config: ExperimentConfig
@@ -501,16 +482,14 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     back in (seed, mode) order either way, so parallelism never changes
     the output.
     """
-    tasks = [
-        (config.to_dict(), seed, mode)
-        for seed in config.seeds
-        for mode in config.beta_modes
-    ]
-    if jobs > 1 and len(tasks) > 1:
+    seeds = [seed for seed in config.seeds for _ in config.beta_modes]
+    modes = list(config.beta_modes) * len(config.seeds)
+    configs = [config] * len(seeds)
+    if jobs > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            traces = tuple(pool.map(_run_task, tasks))
+            traces = tuple(pool.map(run_single, configs, seeds, modes))
     else:
-        traces = tuple(_run_task(task) for task in tasks)
+        traces = tuple(map(run_single, configs, seeds, modes))
     return ExperimentResult(config=config, traces=traces, summary=_summarize(config, traces))
 
 

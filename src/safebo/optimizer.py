@@ -33,6 +33,7 @@ from .kernels import Kernel, metric_matrix
 from .noise import NoiseModel, ScenarioSchedule, scenario_bound
 
 __all__ = [
+    "BETA_MODES",
     "EmptyAcquisitionSet",
     "OptimizerConfig",
     "OptimizerState",
@@ -45,6 +46,10 @@ __all__ = [
     "reachable_set",
     "safe_set",
 ]
+
+
+# Safety-multiplier modes: scenario bounds, or the classic sub-Gaussian baseline.
+BETA_MODES = ("scenario", "classic_subgaussian")
 
 
 class EmptyAcquisitionSet(RuntimeError):
@@ -228,8 +233,10 @@ class OptimizerConfig:
             raise ValueError("exploration threshold must be positive")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
-        if self.beta_mode not in ("scenario", "classic_subgaussian"):
+        if self.beta_mode not in BETA_MODES:
             raise ValueError(f"unknown beta mode {self.beta_mode!r}")
+        if not all(b > 0 for b in self.norm_bounds):
+            raise ValueError("norm bounds must be positive")
         n = len(self.norm_bounds)
         if self.schedule.n_outputs != n:
             raise ValueError("schedule output count must match norm bounds")
@@ -272,11 +279,6 @@ class OptimizerState:
     model: SurrogateModel
     confidence: ConfidenceState
     safe: np.ndarray
-    maximizer_set: np.ndarray
-    expander_set: np.ndarray
-    expander_counts: np.ndarray
-    means: np.ndarray
-    std: np.ndarray
     betas: np.ndarray
     xi_lambda: float
     noise_sq_sums: np.ndarray
@@ -284,10 +286,6 @@ class OptimizerState:
     terminated: bool = False
     termination_reason: str | None = None
     proposed_index: int | None = None
-
-    @property
-    def iterations_run(self) -> int:
-        return len(self.records)
 
 
 class SafeOptimizer:
@@ -313,11 +311,6 @@ class SafeOptimizer:
             ),
             confidence=ConfidenceState.unbounded(k, n),
             safe=safe,
-            maximizer_set=np.zeros(n, dtype=bool),
-            expander_set=np.zeros(n, dtype=bool),
-            expander_counts=np.zeros(n, dtype=int),
-            means=np.zeros((k, n)),
-            std=np.full(n, float(np.sqrt(self.kernel.output_scale))),
             betas=np.zeros(k),
             xi_lambda=0.0,
             noise_sq_sums=np.zeros(k),
@@ -394,7 +387,7 @@ class SafeOptimizer:
                 cfg.constraint_indices,
             )
         maxim = maximizers(conf.upper, conf.lower, conf.bounded, safe)
-        expand, counts = expanders(
+        expand, _ = expanders(
             conf.upper, conf.bounded, safe, self._norms, self.metric, cfg.constraint_indices
         )
 
@@ -402,11 +395,6 @@ class SafeOptimizer:
             state,
             confidence=conf,
             safe=safe,
-            maximizer_set=maxim,
-            expander_set=expand,
-            expander_counts=counts,
-            means=means,
-            std=std,
             betas=betas,
             xi_lambda=xi_lambda,
         )

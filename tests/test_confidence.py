@@ -4,56 +4,35 @@ import numpy as np
 import pytest
 
 from safebo import (
-    BetaInputs,
     ConfidenceCollapse,
     ConfidenceState,
-    beta,
-    beta_vector,
+    beta_from_squares,
     update_intervals,
 )
 
 
-def make_inputs(norm=1.0, reg=0.01, lam=0.0, history=()):
-    return BetaInputs(
-        norm_bounds=np.array([norm]),
-        regularization=reg,
-        xi_lambda_max=lam,
-        noise_bounds=np.array([list(history)]).reshape(1, -1),
-    )
+def beta_after(history, norm=1.0, reg=0.01, lam=0.0):
+    """The multiplier after ``history``, squares accumulated as the loop does."""
+    sq_sum = 0.0
+    for bound in history:
+        sq_sum += bound * bound
+    return beta_from_squares(norm, reg, lam, sq_sum)
 
 
 class TestBeta:
     def test_empty_history_returns_norm_bound(self):
-        assert beta(make_inputs(), 0) == 1.0
+        assert beta_after([]) == 1.0
 
     def test_single_bound_arithmetic(self):
         # norm 1, lam 1/1.01, reg 0.01, one bound of 1.2:
         # 1 + sqrt(lam / reg) * 1.2, frozen from direct arithmetic.
-        value = beta(make_inputs(lam=1.0 / 1.01, history=[1.2]), 0)
+        value = beta_after([1.2], lam=1.0 / 1.01)
         assert value == pytest.approx(12.94044628251987, abs=1e-10)
 
     def test_doubling_history_doubles_excess(self):
-        base = beta(make_inputs(lam=0.5, history=[0.3, 0.1, 0.2]), 0)
-        doubled = beta(make_inputs(lam=0.5, history=[0.6, 0.2, 0.4]), 0)
+        base = beta_after([0.3, 0.1, 0.2], lam=0.5)
+        doubled = beta_after([0.6, 0.2, 0.4], lam=0.5)
         assert doubled - 1.0 == pytest.approx(2.0 * (base - 1.0), rel=1e-12)
-
-    def test_vector_matches_per_output(self):
-        inputs = BetaInputs(
-            norm_bounds=np.array([1.0, 2.0]),
-            regularization=0.01,
-            xi_lambda_max=0.5,
-            noise_bounds=np.array([[0.1, 0.2], [0.3, 0.4]]),
-        )
-        vec = beta_vector(inputs)
-        assert vec == pytest.approx([beta(inputs, 0), beta(inputs, 1)])
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError, match="regularization"):
-            BetaInputs(np.array([1.0]), 0.0, 0.5, np.zeros((1, 0)))
-        with pytest.raises(ValueError, match="norm bounds"):
-            BetaInputs(np.array([0.0]), 0.01, 0.5, np.zeros((1, 0)))
-        with pytest.raises(ValueError, match="one row per output"):
-            BetaInputs(np.array([1.0, 1.0]), 0.01, 0.5, np.zeros((1, 3)))
 
 
 class TestConfidenceState:

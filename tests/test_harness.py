@@ -78,6 +78,20 @@ class TestConfigValidation:
         config = ExperimentConfig.from_preset("paper-synthetic-1", {"seeds": [5]})
         assert config.seeds == (5,)
 
+    def test_integer_valued_numbers_echo_as_floats(self):
+        config = tiny_config(norm_bound=1, domain={"bounds": [[0, 1]], "resolution": [80]})
+        document = config.to_dict()
+        assert document["norm_bound"] == 1.0
+        assert isinstance(document["norm_bound"], float)
+        assert document["domain"]["bounds"] == [[0.0, 1.0]]
+        assert all(isinstance(v, float) for v in document["domain"]["bounds"][0])
+        assert document == tiny_config().to_dict()
+
+    def test_defaults_fill_partial_constraint(self):
+        config = tiny_config(constraint={"kind": "independent"})
+        assert config.constraint == {"kind": "independent", "quantile": 0.4}
+        assert config.n_outputs == 2
+
 
 class TestSyntheticProblem:
     def test_self_constraint_single_output(self, rng):
@@ -134,6 +148,14 @@ class TestRunExperiment:
         assert serial.summary == parallel.summary
         for a, b in zip(serial.traces, parallel.traces):
             assert a.records == b.records
+
+    def test_empty_seed_list_gives_empty_battery(self):
+        config = tiny_config(seeds=[])
+        for jobs in (1, 2):
+            result = run_experiment(config, jobs=jobs)
+            assert result.traces == ()
+            assert result.summary["runs"] == []
+            assert result.summary["aggregate"]["scenario"]["runs"] == 0
 
     def test_best_lower_series_nondecreasing(self):
         result = run_experiment(tiny_config(max_iterations=30))

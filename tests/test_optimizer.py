@@ -534,3 +534,8 @@ class TestOptimizerConfig:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="beta mode"):
             self.make(beta_mode="thompson")
+
+    def test_rejects_nonpositive_norm_bounds(self):
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="norm bounds must be positive"):
+                self.make(norm_bounds=(bad,))
