@@ -15,6 +15,7 @@ from .confidence import (
     update_intervals,
 )
 from .domain import Domain
+from .frontier import GridIndex
 from .gp import SurrogateModel
 from .harness import (
     PRESETS,
@@ -75,6 +76,7 @@ __all__ = [
     "EmptyAcquisitionSet",
     "ExperimentConfig",
     "ExperimentResult",
+    "GridIndex",
     "Kernel",
     "NoiseModel",
     "OptimizerConfig",

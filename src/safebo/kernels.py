@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
+from scipy.special import lambertw
 
 __all__ = [
     "FAMILIES",
@@ -21,6 +22,7 @@ __all__ = [
     "gram",
     "kernel_metric",
     "metric_matrix",
+    "paired_metric",
     "pairwise",
 ]
 
@@ -30,6 +32,12 @@ _SQRT3 = float(np.sqrt(3.0))
 
 # Radicand slack tolerated before kernel_metric reports a broken kernel.
 _METRIC_TOL = 1e-12
+
+# Below this squared metric over 2 * output_scale, the Matérn inverse uses
+# the branch-point series of Lambert W_{-1}: near the branch point scipy's
+# lambertw loses accuracy (below x = 1e-8 it gives u = 3x where u is about
+# sqrt(2x)), while five series terms stay within 2e-11 relative.
+_SERIES_BELOW = 1e-4
 
 
 @dataclass(frozen=True)
@@ -64,6 +72,27 @@ class Kernel:
         if self.family == "matern32":
             return self.output_scale * (1.0 + _SQRT3 * r) * np.exp(-_SQRT3 * r)
         return self.output_scale * np.exp(-0.5 * r * r)
+
+    def radius(self, metric: np.ndarray) -> np.ndarray:
+        """Euclidean distance at which the kernel metric reaches ``metric``.
+
+        The inverse of the profile: with ``x = metric**2 / (2 * output_scale)``
+        it solves ``1 - exp(-r**2 / 2) = x`` in closed form and
+        ``1 - (1 + u) exp(-u) = x``, ``u = sqrt(3) r``, through the lower
+        branch of Lambert W.  Infinite from ``sqrt(2 * output_scale)``, the
+        supremum of the metric, on.  Accurate to about 1e-10 relative.
+        """
+        x = np.minimum(np.asarray(metric, dtype=float) ** 2 / (2.0 * self.output_scale), 1.0)
+        if self.family == "squared_exponential":
+            with np.errstate(divide="ignore"):
+                return self.lengthscale * np.sqrt(-2.0 * np.log1p(-x))
+        # w = -(1 + u) solves w exp(w) = (x - 1) / e on the lower branch.
+        u = -1.0 - lambertw((x - 1.0) / np.e, -1).real
+        small = x < _SERIES_BELOW
+        if small.any():
+            s = np.sqrt(2.0 * x[small])
+            u[small] = s * (1 + s * (1 / 3 + s * (11 / 72 + s * (43 / 540 + s * 769 / 17280))))
+        return self.lengthscale / _SQRT3 * u
 
     def to_config(self) -> dict:
         return {
@@ -140,8 +169,30 @@ def kernel_metric(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> float:
 
 def metric_matrix(kernel: Kernel, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     """Pairwise kernel metric between rows of ``x`` and ``y``."""
-    values = pairwise(kernel, x, y)
+    return _metric(kernel, pairwise(kernel, x, y))
+
+
+def paired_metric(kernel: Kernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Kernel metric between row ``p`` of ``x`` and row ``p`` of ``y``, per ``p``.
+
+    Each entry has the bits of the same pair's :func:`metric_matrix`
+    entry: the squared coordinate differences are summed left to right,
+    as ``cdist`` sums them, and the profile and square root are the same.
+    """
+    x = _as_points(x)
+    y = _as_points(y)
+    if x.shape != y.shape:
+        raise ValueError(f"paired shapes differ: {x.shape} vs {y.shape}")
+    diff = x - y
+    squares = diff * diff
+    total = squares[:, 0].copy()
+    for k in range(1, squares.shape[1]):
+        total += squares[:, k]
+    return _metric(kernel, kernel.profile(np.sqrt(total)))
+
+
+def _metric(kernel: Kernel, values: np.ndarray) -> np.ndarray:
     radicand = 2.0 * (kernel.output_scale - values)
-    if radicand.min() < -_METRIC_TOL * kernel.output_scale:
+    if radicand.size and radicand.min() < -_METRIC_TOL * kernel.output_scale:
         raise ValueError("kernel metric radicand is negative; invalid kernel")
     return np.sqrt(np.maximum(radicand, 0.0))

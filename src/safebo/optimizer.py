@@ -29,7 +29,8 @@ import numpy as np
 from .confidence import ConfidenceState, beta_from_squares, update_intervals
 from .domain import Domain
 from .gp import SurrogateModel
-from .kernels import Kernel, metric_matrix
+from .frontier import GridIndex
+from .kernels import Kernel
 from .noise import NoiseModel, ScenarioSchedule, scenario_bound
 
 __all__ = [
@@ -61,7 +62,7 @@ def safe_set(
     bounded: np.ndarray,
     previous: np.ndarray,
     norm_bounds: np.ndarray,
-    metric: np.ndarray,
+    index: GridIndex,
     constraints: tuple[int, ...],
 ) -> np.ndarray:
     """Points certified safe from the previous safe set, union the previous set.
@@ -70,20 +71,26 @@ def safe_set(
     a lower bound large enough to cover the metric distance between them.
     The previous safe set is always kept: certification can lag behind
     while lower bounds are still loose, and exploration must never lose
-    its anchor.
+    its anchor.  Only points outside it are tested, against the anchors
+    whose bound reaches past the frontier (see :mod:`safebo.frontier`).
     """
     previous = np.asarray(previous, dtype=bool)
     if not previous.any():
         raise ValueError("previous safe set must be non-empty")
-    certified = np.ones(previous.shape[0], dtype=bool)
+    frontier = index.frontier(previous)
+    if frontier.outside.size == 0:
+        return previous.copy()
+    certified = np.ones(frontier.outside.size, dtype=bool)
     for i in constraints:
-        anchors = previous & bounded[i]
-        if not anchors.any():
-            certified[:] = False
+        anchors = np.flatnonzero(previous & bounded[i])
+        if anchors.size == 0:
+            return previous.copy()
+        certified &= index.covered(frontier, anchors, lower[i][anchors], norm_bounds[i])
+        if not certified.any():
             break
-        margin = lower[i][anchors, None] - norm_bounds[i] * metric[anchors, :]
-        certified &= (margin >= 0.0).any(axis=0)
-    return certified | previous
+    result = previous.copy()
+    result[frontier.outside[certified]] = True
+    return result
 
 
 def maximizers(
@@ -110,31 +117,31 @@ def expanders(
     bounded: np.ndarray,
     safe: np.ndarray,
     norm_bounds: np.ndarray,
-    metric: np.ndarray,
+    index: GridIndex,
     constraints: tuple[int, ...],
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Safe points that could certify something outside the safe set.
 
-    Returns the expander mask together with, per point, the number of
-    outside points optimistically reachable under at least one
-    constraint.  An unbounded upper interval reaches everything.
+    A safe point expands when, under at least one constraint, its upper
+    bound optimistically reaches an outside point.  An unbounded upper
+    interval reaches everything.  Reaching the nearest outside point
+    decides most points; only bounds in the roundoff band between the
+    frontier's ``floor`` and ``near`` need a ball query.
     """
     safe = np.asarray(safe, dtype=bool)
-    n = safe.shape[0]
-    counts = np.zeros(n, dtype=int)
-    outside = ~safe
-    n_outside = int(outside.sum())
-    if n_outside == 0 or not safe.any():
-        return np.zeros(n, dtype=bool), counts
-
-    reach_any = np.zeros((int(safe.sum()), n_outside), dtype=bool)
+    mask = np.zeros(safe.shape[0], dtype=bool)
+    if safe.all() or not safe.any():
+        return mask
+    frontier = index.frontier(safe)
+    inside = np.flatnonzero(safe)
     for i in constraints:
-        optimistic = upper[i][safe, None] - norm_bounds[i] * metric[np.ix_(safe, outside)]
-        reach_i = optimistic >= 0.0
-        reach_i |= ~bounded[i][safe, None]
-        reach_any |= reach_i
-    counts[safe] = reach_any.sum(axis=1)
-    return counts > 0, counts
+        bound = upper[i][inside]
+        found = ~bounded[i][inside] | (bound - norm_bounds[i] * frontier.near[inside] >= 0.0)
+        band = ~found & (bound - norm_bounds[i] * frontier.floor[inside] >= 0.0)
+        if band.any():
+            found[band] = index.reaches(frontier, inside[band], bound[band], norm_bounds[i])
+        mask[inside[found]] = True
+    return mask
 
 
 def acquire(widths: np.ndarray, std: np.ndarray, candidates: np.ndarray) -> int:
@@ -186,21 +193,29 @@ def reachable_set(
     Only computable for synthetic benchmarks, where the ground-truth
     constraint values are available on the whole grid.  Serves as a
     diagnostic ceiling on what safe exploration could ever certify.
+    Each sweep tests only the points added by the previous one, against
+    the points not yet in the set; what earlier anchors covered is kept
+    per constraint.
     """
     constraint_values = np.atleast_2d(np.asarray(constraint_values, dtype=float))
     current = np.asarray(seed, dtype=bool).copy()
     if not current.any():
         raise ValueError("seed set must be non-empty")
+    covered = np.zeros(constraint_values.shape, dtype=bool)
+    fresh = current.copy()
     while True:
-        certified = np.ones(current.shape[0], dtype=bool)
+        anchors = np.flatnonzero(fresh)
+        rest = np.flatnonzero(~current)
+        block = metric[np.ix_(anchors, rest)]
         for ci in range(constraint_values.shape[0]):
-            values = constraint_values[ci][current, None]
-            cover = values - margin - norm_bounds[ci] * metric[current, :]
-            certified &= (cover >= 0.0).any(axis=0)
-        grown = current | certified
-        if np.array_equal(grown, current):
+            values = constraint_values[ci][anchors, None]
+            cover = values - margin - norm_bounds[ci] * block
+            covered[ci, rest] |= (cover >= 0.0).any(axis=0)
+        fresh = np.zeros_like(current)
+        fresh[rest] = covered[:, rest].all(axis=0)
+        if not fresh.any():
             return current
-        current = grown
+        current |= fresh
 
 
 @dataclass(frozen=True)
@@ -297,7 +312,7 @@ class SafeOptimizer:
         self.config = config
         if any(i < 0 or i >= domain.n_points for i in config.initial_safe):
             raise ValueError("initial safe indices outside the grid")
-        self.metric = metric_matrix(kernel, domain.points)
+        self.index = GridIndex(kernel, domain.points)
         self._norms = np.asarray(config.norm_bounds, dtype=float)
 
     def initial_state(self) -> OptimizerState:
@@ -383,12 +398,12 @@ class SafeOptimizer:
                 conf.bounded,
                 state.safe,
                 self._norms,
-                self.metric,
+                self.index,
                 cfg.constraint_indices,
             )
         maxim = maximizers(conf.upper, conf.lower, conf.bounded, safe)
-        expand, _ = expanders(
-            conf.upper, conf.bounded, safe, self._norms, self.metric, cfg.constraint_indices
+        expand = expanders(
+            conf.upper, conf.bounded, safe, self._norms, self.index, cfg.constraint_indices
         )
 
         state = replace(

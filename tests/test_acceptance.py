@@ -235,14 +235,13 @@ def test_criterion_08_set_construction_bruteforce():
     rng = np.random.default_rng(31337)
     ok = True
     for _ in range(500):
-        lower, upper, bounded, previous, norms, metric, cons = random_fixture(rng)
-        fast_s = safe_set(lower, bounded, previous, norms, metric, cons)
+        lower, upper, bounded, previous, norms, index, metric, cons = random_fixture(rng)
+        fast_s = safe_set(lower, bounded, previous, norms, index, cons)
         ok &= np.array_equal(fast_s, safe_set_bruteforce(lower, bounded, previous, norms, metric, cons))
         fast_m = maximizers(upper, lower, bounded, fast_s)
         ok &= np.array_equal(fast_m, maximizers_bruteforce(upper, lower, bounded, fast_s))
-        fast_g, fast_c = expanders(upper, bounded, fast_s, norms, metric, cons)
-        slow_g, slow_c = expanders_bruteforce(upper, bounded, fast_s, norms, metric, cons)
-        ok &= np.array_equal(fast_g, slow_g) and np.array_equal(fast_c, slow_c)
+        fast_g = expanders(upper, bounded, fast_s, norms, index, cons)
+        ok &= np.array_equal(fast_g, expanders_bruteforce(upper, bounded, fast_s, norms, metric, cons))
         if not ok:
             break
     report(8, "safe/maximizer/expander sets equal the brute-force loops on 500 fixtures",

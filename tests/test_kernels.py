@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from safebo import Domain, Kernel, evaluate, gram, kernel_metric, metric_matrix, pairwise
+from safebo.kernels import FAMILIES, paired_metric
 
 
 def matern32_reference(r, lengthscale, scale):
@@ -76,6 +78,63 @@ class TestKernelMetric:
         points = rng.uniform(-5, 5, size=(40, 2))
         dists = metric_matrix(kernel, points)
         assert dists.max() <= math.sqrt(2.0) + 1e-12
+
+
+class TestPairedMetric:
+    def test_bits_equal_metric_matrix(self, rng):
+        for trial in range(60):
+            dim = int(rng.integers(1, 5))
+            kernel = Kernel(
+                FAMILIES[trial % 2],
+                lengthscale=float(rng.uniform(0.01, 2.0)),
+                output_scale=float(10 ** rng.uniform(-2, 2)),
+            )
+            x = rng.uniform(-1, 1, size=(int(rng.integers(1, 30)), dim))
+            y = rng.uniform(-1, 1, size=(int(rng.integers(1, 30)), dim))
+            dense = metric_matrix(kernel, x, y)
+            rows = rng.integers(len(x), size=200)
+            cols = rng.integers(len(y), size=200)
+            assert np.array_equal(paired_metric(kernel, x[rows], y[cols]), dense[rows, cols])
+
+    def test_grid_neighbours_equal_metric_matrix(self):
+        domain = Domain.grid([(0.0, 1.0), (-2.0, 3.0)], [31, 17])
+        for family in FAMILIES:
+            kernel = Kernel(family, lengthscale=0.2, output_scale=3.0)
+            dense = metric_matrix(kernel, domain.points)
+            rows, cols = np.nonzero(dense < dense.max())
+            paired = paired_metric(kernel, domain.points[rows], domain.points[cols])
+            assert np.array_equal(paired, dense[rows, cols])
+
+
+def metric_at_high_precision(kernel, distance):
+    r = mpmath.mpf(distance) / kernel.lengthscale
+    if kernel.family == "matern32":
+        u = mpmath.sqrt(3) * r
+        value = (1 + u) * mpmath.exp(-u)
+    else:
+        value = mpmath.exp(-r * r / 2)
+    return mpmath.sqrt(2 * kernel.output_scale * (1 - value))
+
+
+class TestRadius:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_inverts_the_metric(self, family):
+        # From far below the series threshold to just under the supremum.
+        kernel = Kernel(family, lengthscale=0.3, output_scale=2.5)
+        top = math.sqrt(2.0 * kernel.output_scale)
+        for fraction in np.concatenate([10.0 ** np.arange(-9, 0), [0.3, 0.7, 0.99, 1 - 1e-9]]):
+            radius = float(kernel.radius(np.array([fraction * top]))[0])
+            with mpmath.workdps(50):
+                recovered = float(metric_at_high_precision(kernel, radius))
+            assert recovered == pytest.approx(fraction * top, rel=1e-9)
+
+    def test_infinite_from_the_supremum_on(self):
+        for family in FAMILIES:
+            kernel = Kernel(family, lengthscale=0.3, output_scale=2.5)
+            top = math.sqrt(2.0 * kernel.output_scale)
+            radii = kernel.radius(np.array([0.0, top, 2.0 * top]))
+            assert radii[0] == 0.0
+            assert np.isinf(radii[1:]).all()
 
 
 class TestGram:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from safebo import (
     Domain,
     EmptyAcquisitionSet,
+    GridIndex,
     Kernel,
     OptimizerConfig,
     SafeOptimizer,
@@ -19,6 +21,7 @@ from safebo import (
     safe_set,
     uniform,
 )
+from safebo.kernels import FAMILIES
 
 # ---------------------------------------------------------------------------
 # Brute-force references: direct transcriptions of the set definitions as
@@ -62,7 +65,7 @@ def maximizers_bruteforce(upper, lower, bounded, safe):
 
 def expanders_bruteforce(upper, bounded, safe, norms, metric, constraints):
     n = safe.shape[0]
-    counts = np.zeros(n, dtype=int)
+    result = np.zeros(n, dtype=bool)
     for a in range(n):
         if not safe[a]:
             continue
@@ -72,35 +75,72 @@ def expanders_bruteforce(upper, bounded, safe, norms, metric, constraints):
             for i in constraints:
                 u = upper[i][a] if bounded[i][a] else math.inf
                 if u - norms[i] * metric[a, b] >= 0.0:
-                    counts[a] += 1
-                    break
-    return counts > 0, counts
+                    result[a] = True
+    return result
+
+
+def random_points(rng):
+    """Random 1-D or 2-D points, a tight cluster, or a 1-D or 2-D ``Domain.grid``."""
+    layout = int(rng.integers(5))
+    if layout == 4:
+        # Metrics far below the output scale, where radii are tiny.
+        return rng.uniform(0, 10 ** rng.uniform(-4, -1), size=(int(rng.integers(2, 13)), 2))
+    if layout == 0:
+        n = int(rng.integers(2, 13))
+        return rng.uniform(0, 1, size=(n, 1)) + np.arange(n)[:, None] * 1e-6
+    if layout == 1:
+        return rng.uniform(0, 1, size=(int(rng.integers(2, 13)), 2))
+    if layout == 2:
+        return Domain.grid([(0.0, 1.0)], int(rng.integers(2, 16))).points
+    resolution = [int(rng.integers(2, 5)), int(rng.integers(2, 5))]
+    return Domain.grid([(0.0, 1.0), (-0.5, 0.5)], resolution).points
 
 
 def random_fixture(rng):
-    n = int(rng.integers(2, 13))
+    """Set-rule inputs: the set functions take ``index``, the loops ``metric``.
+
+    Bounds are drawn in units of ``L * sqrt(2 * output_scale)``, the
+    largest reach any metric can need, so some are negative, some reach a
+    neighbour and some cover the whole grid.  A few bounds are exact ties,
+    ``L * metric[s, j]`` for a pair, which the rules must accept.
+    """
+    family = FAMILIES[int(rng.integers(len(FAMILIES)))]
+    kernel = Kernel(
+        family,
+        lengthscale=float(rng.uniform(0.05, 0.8)),
+        output_scale=float(10 ** rng.uniform(-1, 1)),
+    )
+    points = random_points(rng)
+    n = points.shape[0]
     k = int(rng.integers(1, 4))
-    points = rng.uniform(0, 1, size=(n, 1))
-    points += np.arange(n)[:, None] * 1e-6  # keep points distinct
-    kernel = Kernel(lengthscale=float(rng.uniform(0.05, 0.8)))
     metric = metric_matrix(kernel, points)
-    lower = rng.uniform(-1, 1, size=(k, n))
-    upper = lower + rng.uniform(0, 1, size=(k, n))
+    norms = rng.uniform(0.5, 2.0, size=k)
+    reach = norms[:, None] * math.sqrt(2.0 * kernel.output_scale)
+    scale = 10 ** rng.uniform(-2, 0.1)
+    lower = rng.uniform(-0.5, 1.2, size=(k, n)) * reach * scale
+    upper = lower + rng.uniform(0, 0.5, size=(k, n)) * reach * scale
     bounded = rng.random((k, n)) < 0.8
     previous = rng.random(n) < 0.4
     previous[int(rng.integers(n))] = True
-    norms = rng.uniform(0.5, 2.0, size=k)
+    for _ in range(int(rng.integers(0, 4))):
+        i, s, j = int(rng.integers(k)), int(rng.choice(np.flatnonzero(previous))), int(rng.integers(n))
+        lower[i, s] = norms[i] * metric[s, j]
+        upper[i, s] = max(upper[i, s], lower[i, s])
+        i, s, j = int(rng.integers(k)), int(rng.integers(n)), int(rng.integers(n))
+        upper[i, s] = norms[i] * metric[s, j]
+        lower[i, s] = min(lower[i, s], upper[i, s])
     n_constraints = int(rng.integers(1, k + 1))
     constraints = tuple(sorted(rng.choice(k, size=n_constraints, replace=False).tolist()))
-    return lower, upper, bounded, previous, norms, metric, constraints
+    index = GridIndex(kernel, points)
+    return lower, upper, bounded, previous, norms, index, metric, constraints
 
 
 class TestSetEquivalence:
     def test_matches_bruteforce_on_random_fixtures(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
-            lower, upper, bounded, previous, norms, metric, cons = random_fixture(rng)
-            fast = safe_set(lower, bounded, previous, norms, metric, cons)
+            lower, upper, bounded, previous, norms, index, metric, cons = random_fixture(rng)
+            fast = safe_set(lower, bounded, previous, norms, index, cons)
             slow = safe_set_bruteforce(lower, bounded, previous, norms, metric, cons)
             assert np.array_equal(fast, slow)
 
@@ -108,10 +148,9 @@ class TestSetEquivalence:
             slow_m = maximizers_bruteforce(upper, lower, bounded, fast)
             assert np.array_equal(fast_m, slow_m)
 
-            fast_g, fast_c = expanders(upper, bounded, fast, norms, metric, cons)
-            slow_g, slow_c = expanders_bruteforce(upper, bounded, fast, norms, metric, cons)
+            fast_g = expanders(upper, bounded, fast, norms, index, cons)
+            slow_g = expanders_bruteforce(upper, bounded, fast, norms, metric, cons)
             assert np.array_equal(fast_g, slow_g)
-            assert np.array_equal(fast_c, slow_c)
 
 
 class TestSafeSet:
@@ -119,6 +158,7 @@ class TestSafeSet:
         self.kernel = Kernel(lengthscale=0.1)
         self.domain = Domain.grid([(0.0, 1.0)], 21)
         self.metric = metric_matrix(self.kernel, self.domain.points)
+        self.index = GridIndex(self.kernel, self.domain.points)
 
     def test_expansion_radius_from_single_anchor(self):
         n = self.domain.n_points
@@ -127,7 +167,7 @@ class TestSafeSet:
         bounded = np.ones((1, n), dtype=bool)
         previous = np.zeros(n, dtype=bool)
         previous[10] = True
-        result = safe_set(lower, bounded, previous, np.array([1.0]), self.metric, (0,))
+        result = safe_set(lower, bounded, previous, np.array([1.0]), self.index, (0,))
         expected = (self.metric[10] <= 0.5) | previous
         assert np.array_equal(result, expected)
 
@@ -137,7 +177,7 @@ class TestSafeSet:
         bounded = np.ones((1, n), dtype=bool)
         previous = np.zeros(n, dtype=bool)
         previous[[3, 4]] = True
-        result = safe_set(lower, bounded, previous, np.array([1.0]), self.metric, (0,))
+        result = safe_set(lower, bounded, previous, np.array([1.0]), self.index, (0,))
         assert np.array_equal(result, previous)
 
     def test_disjoint_constraint_expansions_intersect_to_nothing(self):
@@ -149,9 +189,33 @@ class TestSafeSet:
         previous = np.zeros(n, dtype=bool)
         previous[[2, 18]] = True
         result = safe_set(
-            lower, bounded, previous, np.array([1.0, 1.0]), self.metric, (0, 1)
+            lower, bounded, previous, np.array([1.0, 1.0]), self.index, (0, 1)
         )
         assert np.array_equal(result, previous)
+
+    def test_every_exact_tie_is_kept(self):
+        # One anchor whose lower bound is exactly L times its metric to
+        # one outside point, for every anchor and outside point of a 2-D
+        # grid: that point must be certified, as the dense scan says.
+        for family in FAMILIES:
+            kernel = Kernel(family, lengthscale=0.3, output_scale=2.5)
+            domain = Domain.grid([(0.0, 1.0), (0.0, 1.0)], 7)
+            metric = metric_matrix(kernel, domain.points)
+            index = GridIndex(kernel, domain.points)
+            n = domain.n_points
+            previous = np.zeros(n, dtype=bool)
+            previous[[16, 17, 23, 24, 25, 31]] = True
+            norms = np.array([1.3])
+            bounded = np.ones((1, n), dtype=bool)
+            for s in np.flatnonzero(previous):
+                for j in np.flatnonzero(~previous):
+                    lower = np.full((1, n), -1.0)
+                    lower[0, s] = norms[0] * metric[s, j]
+                    result = safe_set(lower, bounded, previous, norms, index, (0,))
+                    assert result[j]
+                    assert np.array_equal(
+                        result, dense_safe_set(lower, bounded, previous, norms, metric, (0,))
+                    )
 
     def test_empty_previous_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -160,7 +224,7 @@ class TestSafeSet:
                 np.ones((1, 3), dtype=bool),
                 np.zeros(3, dtype=bool),
                 np.array([1.0]),
-                np.zeros((3, 3)),
+                GridIndex(self.kernel, self.domain.points[:3]),
                 (0,),
             )
 
@@ -205,16 +269,16 @@ class TestExpanders:
         self.kernel = Kernel(lengthscale=0.1)
         self.domain = Domain.grid([(0.0, 1.0)], 11)
         self.metric = metric_matrix(self.kernel, self.domain.points)
+        self.index = GridIndex(self.kernel, self.domain.points)
 
     def test_full_safe_set_has_no_expanders(self):
         n = self.domain.n_points
         upper = np.ones((1, n))
         bounded = np.ones((1, n), dtype=bool)
-        mask, counts = expanders(
-            upper, bounded, np.ones(n, dtype=bool), np.array([1.0]), self.metric, (0,)
+        mask = expanders(
+            upper, bounded, np.ones(n, dtype=bool), np.array([1.0]), self.index, (0,)
         )
         assert not mask.any()
-        assert counts.sum() == 0
 
     def test_unbounded_upper_reaches_everything(self):
         n = self.domain.n_points
@@ -222,23 +286,41 @@ class TestExpanders:
         bounded = np.zeros((1, n), dtype=bool)
         safe = np.zeros(n, dtype=bool)
         safe[5] = True
-        mask, counts = expanders(upper, bounded, safe, np.array([1.0]), self.metric, (0,))
-        assert mask[5]
-        assert counts[5] == n - 1
+        mask = expanders(upper, bounded, safe, np.array([1.0]), self.index, (0,))
+        assert np.array_equal(mask, safe)
 
     def test_reach_one_neighbor(self):
-        # upper 0.3 at the anchor, nearest outside point at metric 0.25.
+        # The anchor's upper bound 0.3 against the metric to its one outside point.
         points = np.array([[0.0], [0.05]])
         kernel = Kernel(lengthscale=0.2)
         metric = metric_matrix(kernel, points)
-        norm = np.array([0.3 / metric[0, 1] * 0.999])  # just within reach... scale norm
         upper = np.array([[0.3, 0.0]])
         bounded = np.ones((1, 2), dtype=bool)
         safe = np.array([True, False])
-        mask, counts = expanders(upper, bounded, safe, np.array([1.0]), metric, (0,))
-        reachable = 0.3 - metric[0, 1] >= 0
-        assert mask[0] == reachable
-        assert counts[0] == int(reachable)
+        mask = expanders(upper, bounded, safe, np.array([1.0]), GridIndex(kernel, points), (0,))
+        assert mask[0] == (0.3 - metric[0, 1] >= 0)
+
+    def test_roundoff_band_matches_bruteforce(self):
+        # Upper bounds one ulp on either side of L times the metric to the
+        # nearest outside point: below it the frontier cannot decide and
+        # the ball query must.  The grid's equidistant neighbours put
+        # other outside points at that metric up to roundoff.
+        for family in FAMILIES:
+            kernel = Kernel(family, lengthscale=0.3, output_scale=2.5)
+            domain = Domain.grid([(0.0, 1.0), (0.0, 1.0)], 9)
+            metric = metric_matrix(kernel, domain.points)
+            index = GridIndex(kernel, domain.points)
+            safe = np.zeros(domain.n_points, dtype=bool)
+            safe[[30, 31, 39, 40, 41, 49, 50]] = True
+            near = index.frontier(safe).near
+            norms = np.array([1.7])
+            for direction in (-np.inf, np.inf):
+                upper = np.nextafter(norms[0] * near, direction)[None, :]
+                bounded = np.ones((1, domain.n_points), dtype=bool)
+                fast = expanders(upper, bounded, safe, norms, index, (0,))
+                slow = expanders_bruteforce(upper, bounded, safe, norms, metric, (0,))
+                assert np.array_equal(fast, slow)
+            assert fast[safe].all()
 
 
 class TestAcquire:
@@ -334,6 +416,35 @@ class TestReachableSet:
                             ok = True
                             break
                     nxt[b] = nxt[b] or ok
+                if np.array_equal(nxt, current):
+                    break
+                current = nxt
+            assert np.array_equal(fast, current)
+
+    def test_matches_bruteforce_fixpoint_several_constraints(self, rng):
+        # Each constraint may be covered by a different anchor, added in a
+        # different sweep.
+        domain = Domain.grid([(0.0, 1.0), (0.0, 1.0)], 6)
+        metric = metric_matrix(Kernel(lengthscale=0.4), domain.points)
+        norms = np.array([1.0, 0.7])
+        n = domain.n_points
+        seed = np.zeros(n, dtype=bool)
+        seed[14] = True
+        for _ in range(20):
+            values = rng.uniform(-0.3, 1.0, size=(2, n))
+            fast = reachable_set(values, norms, metric, 0.05, seed)
+
+            current = seed.copy()
+            while True:
+                nxt = current.copy()
+                for b in range(n):
+                    nxt[b] |= all(
+                        any(
+                            current[a] and values[c][a] - 0.05 - norms[c] * metric[a, b] >= 0
+                            for a in range(n)
+                        )
+                        for c in range(2)
+                    )
                 if np.array_equal(nxt, current):
                     break
                 current = nxt
@@ -457,6 +568,89 @@ class TestStep:
         ad_hoc_means, ad_hoc_std = state.model.posterior(optimizer.domain.points)
         assert means == pytest.approx(ad_hoc_means, abs=1e-10)
         assert std == pytest.approx(ad_hoc_std, abs=1e-10)
+
+
+def dense_safe_set(lower, bounded, previous, norms, metric, constraints):
+    """The set rule over the whole dense metric, as one vectorized scan."""
+    certified = np.ones(previous.shape[0], dtype=bool)
+    for i in constraints:
+        anchors = previous & bounded[i]
+        if not anchors.any():
+            return previous.copy()
+        certified &= (lower[i][anchors, None] - norms[i] * metric[anchors, :] >= 0.0).any(axis=0)
+    return certified | previous
+
+
+def dense_expanders(upper, bounded, safe, norms, metric, constraints):
+    """The expander rule over the whole dense metric, as one vectorized scan."""
+    if safe.all():
+        return np.zeros(safe.shape[0], dtype=bool)
+    reach = np.zeros((int(safe.sum()), int((~safe).sum())), dtype=bool)
+    for i in constraints:
+        reach |= upper[i][safe, None] - norms[i] * metric[np.ix_(safe, ~safe)] >= 0.0
+        reach |= ~bounded[i][safe, None]
+    mask = np.zeros(safe.shape[0], dtype=bool)
+    mask[safe] = reach.any(axis=1)
+    return mask
+
+
+def bump_2d(point):
+    return np.array([0.8 * math.exp(-((point[0] - 0.5) ** 2 + (point[1] - 0.5) ** 2) / 0.1)])
+
+
+def grid_2d_optimizer(resolution, kernel, max_iterations):
+    domain = Domain.grid([(0.0, 1.0), (0.0, 1.0)], resolution)
+    config = OptimizerConfig(
+        norm_bounds=(1.0,),
+        regularization=0.01,
+        exploration_threshold=1e-3,
+        schedule=ScenarioSchedule(0.1, 1e-3, 1),
+        max_iterations=max_iterations,
+        initial_safe=((resolution // 2) * (resolution + 1),),
+    )
+    return SafeOptimizer(kernel, domain, config)
+
+
+class TestLocalSetsAlongRuns:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_each_step_matches_the_dense_scan(self, family):
+        # The sets of a real run on a 2-D grid, step by step, against the
+        # dense scan of the same intervals.
+        kernel = Kernel(family, lengthscale=0.25, output_scale=1.5)
+        optimizer = grid_2d_optimizer(25, kernel, 40)
+        metric = metric_matrix(kernel, optimizer.domain.points)
+        norms, cons = optimizer._norms, optimizer.config.constraint_indices
+        state = optimizer.initial_state()
+        rng = np.random.default_rng(5)
+        while not state.terminated:
+            previous = state
+            state = optimizer.step(state, bump_2d, uniform(-1e-3, 1e-3), rng)
+            conf = state.confidence
+            if previous.records:
+                expected = dense_safe_set(
+                    conf.lower, conf.bounded, previous.safe, norms, metric, cons
+                )
+                assert np.array_equal(state.safe, expected)
+            assert np.array_equal(
+                expanders(conf.upper, conf.bounded, state.safe, norms, optimizer.index, cons),
+                dense_expanders(conf.upper, conf.bounded, state.safe, norms, metric, cons),
+            )
+        assert state.safe.sum() > 1
+
+    def test_memory_stays_linear_on_a_large_grid(self):
+        # One dense n x n float64 metric on this 100 x 100 grid would be
+        # 800 MB.  tracemalloc sees numpy's buffers and Python objects;
+        # the KD-trees' own C++ storage, O(n), is not traced.
+        tracemalloc.start()
+        try:
+            optimizer = grid_2d_optimizer(100, Kernel(lengthscale=0.2), 6)
+            state = optimizer.run(bump_2d, uniform(-1e-3, 1e-3), np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(state.records) == 6
+        assert state.safe.sum() > 100
+        assert peak < 64 * 2**20
 
 
 class TestBestParameter:
