@@ -8,18 +8,19 @@ kernel, the metric, and the Gram matrices everything else consumes.
 
 import numpy as np
 
-from safebo import Domain, Kernel, evaluate, gram, kernel_metric, metric_matrix
+from safebo import Domain, Kernel, gram, metric_matrix, pairwise
 
 kernel = Kernel(family="matern32", lengthscale=0.1)
 
 print("== kernel values ==")
-print(f"k(a, a)              = {evaluate(kernel, [0.3], [0.3]):.6f}")
-print(f"k at one lengthscale = {evaluate(kernel, [0.0], [0.1]):.6f}")
-print(f"k at ten lengthscales= {evaluate(kernel, [0.0], [1.0]):.2e}")
+print(f"k(a, a)              = {pairwise(kernel, [0.3], [0.3])[0, 0]:.6f}")
+print(f"k at one lengthscale = {pairwise(kernel, [0.0], [0.1])[0, 0]:.6f}")
+print(f"k at ten lengthscales= {pairwise(kernel, [0.0], [1.0])[0, 0]:.2e}")
 
 print("\n== induced metric ==")
-for r in (0.0, 0.01, 0.05, 0.1, 0.3, 1.0):
-    print(f"  d(0, {r:4.2f}) = {kernel_metric(kernel, [0.0], [r]):.4f}")
+offsets = np.array([0.0, 0.01, 0.05, 0.1, 0.3, 1.0])
+for r, d in zip(offsets, metric_matrix(kernel, [0.0], offsets[:, None])[0]):
+    print(f"  d(0, {r:4.2f}) = {d:.4f}")
 print("The metric saturates near sqrt(2) =", round(np.sqrt(2), 4),
       "once points decorrelate.")
 

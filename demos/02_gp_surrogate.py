@@ -11,17 +11,18 @@ import numpy as np
 from safebo import Kernel, SurrogateModel
 
 kernel = Kernel(lengthscale=0.1)
-model = SurrogateModel(kernel, regularization=0.01, n_outputs=2)
+# A model is bound to the grid it is queried on; x = 0.5 is grid point 5.
+grid = np.linspace(0, 1, 11)[:, None]
+model = SurrogateModel(kernel, regularization=0.01, n_outputs=2, grid=grid)
 rng = np.random.default_rng(3)
 
 truth = lambda x: np.array([np.sin(8 * x), np.cos(5 * x)])
 
 print("t | sigma(0.50) | mean0(0.50) | spectral ratio | info gain")
 print("--+-------------+-------------+----------------+----------")
-query = np.array([0.5])
 for t in range(13):
-    means, std = model.posterior(query)
-    print(f"{t:2d}|   {std:9.4f} | {means[0]:11.4f} | {model.xi_lambda_max():14.6f}"
+    means, std = model.posterior()
+    print(f"{t:2d}|   {std[5]:9.4f} | {means[0, 5]:11.4f} | {model.xi_lambda_max():14.6f}"
           f" | {model.log_det_information_gain():8.3f}")
     x = rng.uniform(0.3, 0.7)
     y = truth(x) + rng.normal(0, 1e-2, size=2)
@@ -31,8 +32,7 @@ print()
 print("sigma falls monotonically at every grid point as data arrive, the")
 print("spectral ratio only grows, and both outputs share the same sigma:")
 
-grid = np.linspace(0, 1, 11)[:, None]
-means, std = model.posterior(grid)
+means, std = model.posterior()
 for x, m0, m1, s in zip(grid[:, 0], means[0], means[1], std):
     bar = "#" * int(40 * s)
     print(f"  x={x:.1f}  mean0={m0:+.3f}  mean1={m1:+.3f}  sigma={s:.3f} {bar}")

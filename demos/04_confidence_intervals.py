@@ -21,19 +21,19 @@ from safebo import (
 
 kernel = Kernel(lengthscale=0.1)
 reg = 0.01
-model = SurrogateModel(kernel, reg, 1)
+grid = np.linspace(0, 1, 9)[:, None]
+model = SurrogateModel(kernel, reg, 1, grid=grid)
 noise = uniform(-1e-3, 1e-3)
 schedule = ScenarioSchedule(0.1, 1e-3, 1)
 rng = np.random.default_rng(11)
 
-grid = np.linspace(0, 1, 9)[:, None]
 state = ConfidenceState.unbounded(1, len(grid))
 truth = lambda x: 0.4 * np.sin(6 * x)
 
 bound_sq_sum = 0.0  # squared noise bounds, accumulated as the loop does
 print("t | beta    | width at x=0.5 | interval at x=0.5")
 for t in range(1, 9):
-    means, std = model.posterior(grid)
+    means, std = model.posterior()
     betas = np.array([beta_from_squares(1.0, reg, model.xi_lambda_max(), bound_sq_sum)])
     state = update_intervals(state, means, std, betas)
     mid = 4

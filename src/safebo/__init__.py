@@ -30,7 +30,7 @@ from .harness import (
     run_single,
     scaling_study,
 )
-from .kernels import Kernel, evaluate, gram, kernel_metric, metric_matrix, pairwise
+from .kernels import Kernel, gram, metric_matrix, pairwise
 from .noise import (
     NoiseModel,
     ScenarioBound,
@@ -97,12 +97,10 @@ __all__ = [
     "build_synthetic_problem",
     "classic_beta",
     "emit",
-    "evaluate",
     "expanders",
     "gaussian",
     "gram",
     "iteration_confidence",
-    "kernel_metric",
     "maximizers",
     "metric_matrix",
     "min_scenarios",

@@ -136,12 +136,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rows_to_csv(rows: list[dict]) -> str:
+def _write_table(rows: list[dict], out: Path | None) -> None:
+    """Write ``rows`` as CSV to ``out``, or to standard output without one."""
     header = list(rows[0].keys())
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in (row[h] for h in header)))
-    return "\n".join(lines) + "\n"
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row.values()))
+    text = "\n".join(lines) + "\n"
+    if out:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text, encoding="utf-8")
+        print(f"wrote {out}")
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_scale_study(args: argparse.Namespace) -> int:
@@ -151,13 +158,7 @@ def _cmd_scale_study(args: argparse.Namespace) -> int:
         args.outputs or [1],
         args.t or [1, 10, 100],
     )
-    text = _rows_to_csv(rows)
-    if args.out:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_table(rows, args.out)
     return 0
 
 
@@ -171,13 +172,7 @@ def _cmd_beta_report(args: argparse.Namespace) -> int:
     rows = beta_growth_report(beta_bar)
     if not rows:
         raise ConfigError("trace holds no iterations")
-    text = _rows_to_csv(rows)
-    if args.out:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_table(rows, args.out)
     return 0
 
 

@@ -15,6 +15,7 @@ Rasmussen & Williams 2006, Alg. 2.1), so the grid posterior costs
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -43,6 +44,8 @@ _GAP_RTOL = 1e-8
 class SurrogateModel:
     """GP posterior state over ``n_outputs`` functions with shared variance.
 
+    A new model holds no observations; :meth:`with_observation` grows it.
+
     Parameters
     ----------
     kernel : Kernel
@@ -51,12 +54,10 @@ class SurrogateModel:
         Diagonal regularizer of the Gram matrix, in ``(0, 1]``.
     n_outputs : int
         Number of modeled functions.
-    inputs, targets : ndarray, optional
-        Existing history: ``inputs`` is ``(t, d)``, ``targets`` is
-        ``(n_outputs, t)``.  Omit both for an empty model.
     grid : ndarray, optional
         ``(n, d)`` query points the model is bound to; :meth:`posterior`
-        without arguments evaluates there from carried state.
+        evaluates there from carried state.  An unbound model still
+        serves the spectral ratio and the information gain.
     """
 
     def __init__(
@@ -64,11 +65,7 @@ class SurrogateModel:
         kernel: Kernel,
         regularization: float,
         n_outputs: int,
-        inputs: np.ndarray | None = None,
-        targets: np.ndarray | None = None,
         grid: np.ndarray | None = None,
-        _gram: np.ndarray | None = None,
-        _carried: tuple | None = None,
     ):
         if not 0.0 < regularization <= 1.0:
             raise ValueError("regularization must lie in (0, 1]")
@@ -77,23 +74,18 @@ class SurrogateModel:
         self.kernel = kernel
         self.regularization = float(regularization)
         self.n_outputs = int(n_outputs)
-
-        if inputs is None:
-            inputs = np.zeros((0, 0))
-            targets = np.zeros((n_outputs, 0))
-        inputs = np.asarray(inputs, dtype=float)
-        targets = np.asarray(targets, dtype=float)
-        if targets.shape != (self.n_outputs, inputs.shape[0]):
-            raise ValueError("targets must have shape (n_outputs, n_inputs)")
-        if targets.size and not np.all(np.isfinite(targets)):
-            raise ValueError("targets must be finite")
-        self.inputs = inputs
-        self.targets = targets
         if grid is not None:
             grid = np.asarray(grid, dtype=float)
             if grid.ndim != 2:
                 raise ValueError("grid must be an (n, d) array")
         self.grid = grid
+
+        self.inputs = np.zeros((0, 0))
+        self.targets = np.zeros((self.n_outputs, 0))
+        self._gram = self._chol = np.zeros((0, 0))
+        self._z = np.zeros((0, self.n_outputs))
+        self._proj = None if grid is None else np.zeros((0, grid.shape[0]))
+        self._appends = 0
 
         # Top Gram eigenpair with its certified upper bound, computed on
         # first use; a start vector and second-eigenvalue bound handed
@@ -101,43 +93,29 @@ class SurrogateModel:
         self._eigen: tuple[float, np.ndarray, float] | None = None
         self._warm: tuple[np.ndarray, float] | None = None
 
-        if _carried is None:
-            self._refactor(_gram)
-        else:
-            self._gram = _gram
-            self._chol, self._z, self._proj, self._appends = _carried
-
     @property
     def t(self) -> int:
         """Number of stored observations."""
         return self.inputs.shape[0]
 
-    def _refactor(self, gram: np.ndarray | None) -> None:
-        """Factorize from scratch and recompute the carried solves."""
+    def _refactor(self) -> None:
+        """Factorize the Gram matrix from scratch and recompute the carried solves."""
         self._appends = 0
-        if self.t == 0:
-            self._gram = self._chol = np.zeros((0, 0))
-            self._z = np.zeros((0, self.n_outputs))
-            self._proj = None if self.grid is None else np.zeros((0, self.grid.shape[0]))
-            return
-        self._gram = pairwise(self.kernel, self.inputs) if gram is None else gram
         shifted = self._gram + self.regularization * np.eye(self.t)
         self._chol = cholesky(shifted, lower=True)
         self._z = solve_triangular(self._chol, self.targets.T, lower=True)
-        self._proj = None if self.grid is None else self._project(self.grid)
-
-    def _project(self, queries: np.ndarray) -> np.ndarray:
-        """``L^{-1} K(X, queries)``, the ``(t, m)`` solve behind the posterior."""
-        cross = pairwise(self.kernel, self.inputs, queries)
-        return solve_triangular(self._chol, cross, lower=True)
+        if self.grid is not None:
+            cross = pairwise(self.kernel, self.inputs, self.grid)
+            self._proj = solve_triangular(self._chol, cross, lower=True)
 
     def with_observation(self, point: np.ndarray, values: np.ndarray) -> "SurrogateModel":
         """New model with one more evaluation appended.
 
         ``values`` holds one observation per output.  The cached Cholesky
         factor is extended by a rank-1 border, and the carried solves
-        by the matching row; a full refactorization runs every 64
-        appends to bound numerical drift.
+        by the matching row; the first observation and every 64th
+        append after it factorize from scratch instead, which bounds
+        numerical drift.
         """
         point = np.asarray(point, dtype=float).ravel()
         values = np.asarray(values, dtype=float).ravel()
@@ -145,103 +123,59 @@ class SurrogateModel:
             raise ValueError("one observed value per output required")
         if not np.all(np.isfinite(values)):
             raise ValueError("targets must be finite")
-
-        if self.t == 0:
-            return SurrogateModel(
-                self.kernel,
-                self.regularization,
-                self.n_outputs,
-                point[None, :],
-                values[:, None],
-                grid=self.grid,
-            )
-
-        if point.shape[0] != self.inputs.shape[1]:
+        t = self.t
+        if t and point.shape[0] != self.inputs.shape[1]:
             raise ValueError("point dimension does not match history")
-        inputs = np.vstack([self.inputs, point[None, :]])
-        targets = np.hstack([self.targets, values[:, None]])
 
-        cross = pairwise(self.kernel, self.inputs, point[None, :])[:, 0]
+        child = copy.copy(self)
+        child.inputs = np.vstack([self.inputs, point[None, :]]) if t else point[None, :]
+        child.targets = np.hstack([self.targets, values[:, None]])
+        cross = pairwise(self.kernel, child.inputs[:t], point[None, :])[:, 0]
         diag = float(self.kernel.output_scale)
-        gram = np.zeros((self.t + 1, self.t + 1))
-        gram[: self.t, : self.t] = self._gram
-        gram[: self.t, self.t] = cross
-        gram[self.t, : self.t] = cross
-        gram[self.t, self.t] = diag
-
-        appends = self._appends + 1
-        if appends >= _REFACTOR_EVERY:
-            carried = None
-        else:
-            w = solve_triangular(self._chol, cross, lower=True)
-            # The bordered pivot equals posterior variance plus the
-            # regularizer, so it stays strictly positive.
-            pivot = np.sqrt(
-                max(diag + self.regularization - float(w @ w), self.regularization * 1e-12)
-            )
-            chol = np.zeros((self.t + 1, self.t + 1))
-            chol[: self.t, : self.t] = self._chol
-            chol[self.t, : self.t] = w
-            chol[self.t, self.t] = pivot
-            z = np.vstack([self._z, ((values - w @ self._z) / pivot)[None, :]])
-            proj = None
-            if self.grid is not None:
-                row = pairwise(self.kernel, point[None, :], self.grid)[0]
-                proj = np.vstack([self._proj, ((row - w @ self._proj) / pivot)[None, :]])
-            carried = (chol, z, proj, appends)
-
-        child = SurrogateModel(
-            self.kernel,
-            self.regularization,
-            self.n_outputs,
-            inputs,
-            targets,
-            grid=self.grid,
-            _gram=gram,
-            _carried=carried,
-        )
+        child._gram = np.zeros((t + 1, t + 1))
+        child._gram[:t, :t] = self._gram
+        child._gram[:t, t] = cross
+        child._gram[t, :t] = cross
+        child._gram[t, t] = diag
+        child._eigen = child._warm = None
         if self._eigen is not None:
             # Cauchy interlacing: the child's second eigenvalue is at most
             # this model's top one.
             _, vec, upper = self._eigen
             child._warm = (np.append(vec, 0.0), upper * (1.0 + _POWER_RTOL))
+
+        child._appends = self._appends + 1
+        if t == 0 or child._appends >= _REFACTOR_EVERY:
+            child._refactor()
+            return child
+        w = solve_triangular(self._chol, cross, lower=True)
+        # The bordered pivot equals posterior variance plus the
+        # regularizer, so it stays strictly positive.
+        pivot = np.sqrt(
+            max(diag + self.regularization - float(w @ w), self.regularization * 1e-12)
+        )
+        child._chol = np.zeros((t + 1, t + 1))
+        child._chol[:t, :t] = self._chol
+        child._chol[t, :t] = w
+        child._chol[t, t] = pivot
+        child._z = np.vstack([self._z, ((values - w @ self._z) / pivot)[None, :]])
+        if self.grid is not None:
+            row = pairwise(self.kernel, point[None, :], self.grid)[0]
+            child._proj = np.vstack([self._proj, ((row - w @ self._proj) / pivot)[None, :]])
         return child
 
-    def posterior(self, queries: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior means and shared standard deviation at query points.
+    def posterior(self) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior means and shared standard deviation on the bound grid.
 
-        For a ``(m, d)`` query array, returns ``(means, std)`` with shapes
-        ``(n_outputs, m)`` and ``(m,)``.  A single point returns the
-        ``(n_outputs,)`` mean vector and a scalar.  Without queries, the
-        posterior on the bound grid comes from the carried projection;
-        other queries are projected on the fly.  With no observations
-        the prior is returned: zero mean and ``sqrt(k(a, a))``.
+        Returns ``(means, std)`` with shapes ``(n_outputs, n)`` and
+        ``(n,)``, read from the carried projection.  With no
+        observations this is the prior: zero mean and ``sqrt(k(a, a))``.
         """
-        if queries is None:
-            if self.grid is None:
-                raise ValueError("model is not bound to a grid; pass query points")
-            queries, proj = self.grid, self._proj
-        else:
-            queries = np.asarray(queries, dtype=float)
-            proj = None
-        single = queries.ndim == 1
-        if single:
-            queries = queries[None, :]
-        m = queries.shape[0]
-
-        prior_var = float(self.kernel.output_scale)
-        if self.t == 0:
-            means = np.zeros((self.n_outputs, m))
-            std = np.full(m, np.sqrt(prior_var))
-        else:
-            if proj is None:
-                proj = self._project(queries)
-            means = self._z.T @ proj  # (n_outputs, m)
-            var = prior_var - np.einsum("ij,ij->j", proj, proj)
-            std = np.sqrt(np.maximum(var, 0.0))
-        if single:
-            return means[:, 0], float(std[0])
-        return means, std
+        if self.grid is None:
+            raise ValueError("model is not bound to a grid")
+        means = self._z.T @ self._proj  # (n_outputs, n)
+        var = float(self.kernel.output_scale) - np.einsum("ij,ij->j", self._proj, self._proj)
+        return means, np.sqrt(np.maximum(var, 0.0))
 
     def xi_lambda_max(self) -> float:
         """Largest eigenvalue of ``K (K + reg I)^{-1}``.
@@ -264,8 +198,6 @@ class SurrogateModel:
 
     def log_det_information_gain(self) -> float:
         """Half log-determinant of ``I + K / reg``, zero on empty history."""
-        if self.t == 0:
-            return 0.0
         # log det(K + reg I) through the cached factor, then rescale.
         log_det = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
         return 0.5 * (log_det - self.t * np.log(self.regularization))

@@ -18,9 +18,7 @@ from scipy.special import lambertw
 __all__ = [
     "FAMILIES",
     "Kernel",
-    "evaluate",
     "gram",
-    "kernel_metric",
     "metric_matrix",
     "paired_metric",
     "pairwise",
@@ -30,7 +28,7 @@ FAMILIES = ("matern32", "squared_exponential")
 
 _SQRT3 = float(np.sqrt(3.0))
 
-# Radicand slack tolerated before kernel_metric reports a broken kernel.
+# Radicand slack tolerated before the metric reports a broken kernel.
 _METRIC_TOL = 1e-12
 
 # Below this squared metric over 2 * output_scale, the Matérn inverse uses
@@ -119,15 +117,6 @@ def _as_points(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def evaluate(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> float:
-    """Kernel value ``k(a, b)`` for a single pair of points."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(kernel.profile(np.linalg.norm(a - b)))
-
-
 def pairwise(kernel: Kernel, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     """Kernel matrix between the rows of ``x`` and ``y`` (``x`` itself if omitted)."""
     x = _as_points(x)
@@ -150,21 +139,6 @@ def gram(kernel: Kernel, points: np.ndarray) -> np.ndarray:
     # cdist can leave asymmetry at the last ulp; symmetrize so downstream
     # factorizations see an exactly symmetric matrix.
     return 0.5 * (k + k.T)
-
-
-def kernel_metric(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> float:
-    """Distance ``sqrt(2 * (k(a, a) - k(a, b)))`` induced by the kernel.
-
-    Raises
-    ------
-    ValueError
-        If ``k(a, b)`` exceeds ``k(a, a)`` by more than roundoff, which
-        means the kernel configuration is invalid for a metric.
-    """
-    radicand = 2.0 * (kernel.output_scale - evaluate(kernel, a, b))
-    if radicand < -_METRIC_TOL * kernel.output_scale:
-        raise ValueError("kernel metric radicand is negative; invalid kernel")
-    return float(np.sqrt(max(radicand, 0.0)))
 
 
 def metric_matrix(kernel: Kernel, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 __all__ = [
     "NoiseModel",
@@ -84,31 +83,29 @@ def uniform(low: float, high: float) -> NoiseModel:
     return NoiseModel("uniform", {"low": low, "high": high}, True, sampler)
 
 
-def _zero_mean_normal(family: str, params: dict, std: float) -> NoiseModel:
-    def sampler(location, output, rng, size):
-        return rng.normal(0.0, std, size)
-
-    return NoiseModel(family, params, True, sampler)
-
-
 def gaussian(variance: float) -> NoiseModel:
     """Homoscedastic zero-mean Gaussian noise with the given variance."""
     if variance < 0:
         raise ValueError("variance must be nonnegative")
-    return _zero_mean_normal("gaussian", {"variance": variance}, math.sqrt(variance))
+    std = math.sqrt(variance)
+
+    def sampler(location, output, rng, size):
+        return rng.normal(0.0, std, size)
+
+    return NoiseModel("gaussian", {"variance": variance}, True, sampler)
 
 
 def sub_gaussian_surrogate(scale: float) -> NoiseModel:
-    """Normal with standard deviation ``scale``.
+    """``gaussian(scale**2)``: the normal with standard deviation ``scale``.
 
     The zero-mean normal attains the moment-generating-function bound of
     the scale-``R`` sub-Gaussian family, so it is the conservative
-    samplable stand-in when only a sub-Gaussian constant is known.
-    Draw-for-draw identical to ``gaussian(scale**2)`` under equal seeds.
+    samplable stand-in when only a sub-Gaussian constant is known.  Its
+    descriptor is the Gaussian one.
     """
     if scale < 0:
         raise ValueError("scale must be nonnegative")
-    return _zero_mean_normal("sub_gaussian", {"scale": scale}, math.sqrt(scale * scale))
+    return gaussian(scale * scale)
 
 
 def student_t_scaled(dof: float = 10.0, scale: float = 0.2) -> NoiseModel:
@@ -178,12 +175,8 @@ class ScenarioSchedule:
 class ScenarioBound:
     """Per-output noise magnitude bound produced by one scenario batch."""
 
-    iteration: int
-    adjusted_confidence: float
     n_scenarios: int
     magnitudes: np.ndarray
-    location: np.ndarray
-    scenarios: np.ndarray | None = field(default=None, repr=False)
 
 
 def iteration_confidence(confidence: float, iteration: int) -> float:
@@ -200,16 +193,19 @@ def iteration_confidence(confidence: float, iteration: int) -> float:
 
 
 def _log_binomial_tail(m: int, violation_prob: float, n_terms: int) -> float:
-    """Log of ``sum_{s<n_terms} C(m, s) nu^s (1-nu)^(m-s)``, stable for large m."""
-    s = np.arange(min(m + 1, n_terms))
-    log_terms = (
-        gammaln(m + 1)
-        - gammaln(s + 1)
-        - gammaln(m - s + 1)
-        + s * math.log(violation_prob)
-        + (m - s) * math.log1p(-violation_prob)
-    )
-    return float(logsumexp(log_terms))
+    """Log of ``sum_{s<n_terms} C(m, s) nu^s (1-nu)^(m-s)``, stable for large m.
+
+    The few terms are shifted by their largest before exponentiating, so
+    none overflows, and summed with ``math.fsum``.
+    """
+    log_nu, log_rest = math.log(violation_prob), math.log1p(-violation_prob)
+    log_terms = [
+        math.lgamma(m + 1) - math.lgamma(s + 1) - math.lgamma(m - s + 1)
+        + s * log_nu + (m - s) * log_rest
+        for s in range(min(m + 1, n_terms))
+    ]
+    top = max(log_terms)
+    return top + math.log(math.fsum(math.exp(term - top) for term in log_terms))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -269,46 +265,27 @@ def scenario_bound(
     iteration: int,
     location: np.ndarray,
     rng: np.random.Generator,
-    *,
-    n_scenarios: int | None = None,
-    keep_scenarios: bool = False,
 ) -> ScenarioBound:
     """Draw a scenario batch at ``location`` and bound each output's noise.
 
-    The bound for output ``i`` is the largest absolute value among the
-    batch draws for that output.  Draws stream through in chunks and only
-    the running maximum is retained unless ``keep_scenarios`` asks for
-    the full matrix.  ``n_scenarios`` overrides the schedule-derived
-    batch size, which test harnesses use to inject fixed streams.
+    The batch holds ``min_scenarios`` draws per output at the iteration's
+    confidence share, and the bound for output ``i`` is the largest
+    absolute value among its draws.  Draws stream through in chunks and
+    only the running maximum is retained.
     """
     if iteration < 1:
         raise ValueError("iteration counter starts at 1")
-    adjusted = iteration_confidence(schedule.confidence, iteration)
-    m = min_scenarios(schedule, adjusted) if n_scenarios is None else int(n_scenarios)
+    m = min_scenarios(schedule, iteration_confidence(schedule.confidence, iteration))
     location = np.asarray(location, dtype=float)
 
     magnitudes = np.zeros(schedule.n_outputs)
-    kept: list[np.ndarray] | None = [] if keep_scenarios else None
     for i in range(schedule.n_outputs):
         remaining = m
         peak = 0.0
-        rows: list[np.ndarray] = []
         while remaining > 0:
             chunk = min(remaining, _CHUNK)
             draws = model.sample(location, i, rng, chunk)
             peak = max(peak, float(np.max(np.abs(draws))) if draws.size else 0.0)
-            if kept is not None:
-                rows.append(draws)
             remaining -= chunk
         magnitudes[i] = peak
-        if kept is not None:
-            kept.append(np.concatenate(rows) if rows else np.zeros(0))
-
-    return ScenarioBound(
-        iteration=iteration,
-        adjusted_confidence=adjusted,
-        n_scenarios=m,
-        magnitudes=magnitudes,
-        location=location,
-        scenarios=np.stack(kept) if kept is not None else None,
-    )
+    return ScenarioBound(n_scenarios=m, magnitudes=magnitudes)

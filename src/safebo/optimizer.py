@@ -389,18 +389,9 @@ class SafeOptimizer:
             state.confidence, means, std, betas, on_collapse=cfg.on_collapse
         )
 
-        first = state.model.t == 0 and not state.records
-        if first:
-            safe = state.safe.copy()
-        else:
-            safe = safe_set(
-                conf.lower,
-                conf.bounded,
-                state.safe,
-                self._norms,
-                self.index,
-                cfg.constraint_indices,
-            )
+        safe = safe_set(
+            conf.lower, conf.bounded, state.safe, self._norms, self.index, cfg.constraint_indices
+        )
         maxim = maximizers(conf.upper, conf.lower, conf.bounded, safe)
         expand = expanders(
             conf.upper, conf.bounded, safe, self._norms, self.index, cfg.constraint_indices

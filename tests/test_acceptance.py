@@ -127,8 +127,8 @@ def test_criterion_04_gp_matches_dense_reference():
         inputs = rng.uniform(0, 1, size=(t, dim))
         targets = rng.standard_normal((2, t))
         queries = rng.uniform(0, 1, size=(n, dim))
-        model = build_model(kernel, reg, inputs, targets)
-        means, std = model.posterior(queries)
+        model = build_model(kernel, reg, inputs, targets, grid=queries)
+        means, std = model.posterior()
         ref_means, ref_std = dense_posterior_reference(kernel, inputs, targets, queries, reg)
         worst = max(worst, float(np.max(np.abs(means - ref_means))),
                     float(np.max(np.abs(std - ref_std))))

@@ -20,8 +20,8 @@ def dense_posterior_reference(kernel, inputs, targets, queries, reg):
     return means, np.sqrt(np.maximum(var, 0.0))
 
 
-def build_model(kernel, reg, inputs, targets):
-    model = SurrogateModel(kernel, reg, targets.shape[0])
+def build_model(kernel, reg, inputs, targets, grid=None):
+    model = SurrogateModel(kernel, reg, targets.shape[0], grid=grid)
     for point, column in zip(inputs, targets.T):
         model = model.with_observation(point, column)
     return model
@@ -29,18 +29,18 @@ def build_model(kernel, reg, inputs, targets):
 
 class TestPosterior:
     def test_empty_model_is_prior(self, kernel):
-        model = SurrogateModel(kernel, 0.01, 2)
-        means, std = model.posterior(np.array([[0.3], [0.9]]))
+        model = SurrogateModel(kernel, 0.01, 2, grid=np.array([[0.3], [0.9]]))
+        means, std = model.posterior()
         assert means == pytest.approx(np.zeros((2, 2)))
         assert std == pytest.approx(np.ones(2))
 
     def test_single_observation_closed_form(self, kernel):
         # One unit observation at the queried point: k/(k + reg) and
         # sqrt(reg/(1 + reg)) from the scalar solve.
-        model = SurrogateModel(kernel, 0.01, 1).with_observation([0.5], [1.0])
-        means, std = model.posterior(np.array([0.5]))
-        assert means[0] == pytest.approx(0.9900990099009901, abs=1e-12)
-        assert std == pytest.approx(0.09950371902099892, abs=1e-12)
+        model = SurrogateModel(kernel, 0.01, 1, grid=np.array([[0.5]]))
+        means, std = model.with_observation([0.5], [1.0]).posterior()
+        assert means[0, 0] == pytest.approx(0.9900990099009901, abs=1e-12)
+        assert std[0] == pytest.approx(0.09950371902099892, abs=1e-12)
 
     def test_matches_dense_solve_on_random_instances(self, rng):
         for _ in range(40):
@@ -53,20 +53,20 @@ class TestPosterior:
             inputs = rng.uniform(0, 1, size=(t, dim))
             targets = rng.standard_normal((outputs, t))
             queries = rng.uniform(0, 1, size=(n, dim))
-            model = build_model(k, reg, inputs, targets)
-            means, std = model.posterior(queries)
+            model = build_model(k, reg, inputs, targets, grid=queries)
+            means, std = model.posterior()
             ref_means, ref_std = dense_posterior_reference(k, inputs, targets, queries, reg)
             assert means == pytest.approx(ref_means, abs=1e-8)
             assert std == pytest.approx(ref_std, abs=1e-8)
 
     def test_std_nonincreasing_with_observations(self, kernel, rng):
         grid = np.linspace(0, 1, 60)[:, None]
-        model = SurrogateModel(kernel, 0.01, 1)
-        _, std = model.posterior(grid)
+        model = SurrogateModel(kernel, 0.01, 1, grid=grid)
+        _, std = model.posterior()
         for _ in range(15):
             point = rng.uniform(0, 1, size=1)
             model = model.with_observation(point, rng.standard_normal(1))
-            _, new_std = model.posterior(grid)
+            _, new_std = model.posterior()
             assert np.all(new_std <= std + 1e-10)
             std = new_std
 
@@ -89,11 +89,11 @@ class TestPosterior:
                 SurrogateModel(kernel, reg, 1)
 
     def test_persistent_update(self, kernel):
-        base = SurrogateModel(kernel, 0.01, 1)
+        base = SurrogateModel(kernel, 0.01, 1, grid=np.array([[0.5]]))
         grown = base.with_observation([0.5], [1.0])
         assert base.t == 0 and grown.t == 1
-        means, _ = base.posterior(np.array([0.5]))
-        assert means[0] == 0.0
+        means, _ = base.posterior()
+        assert means[0, 0] == 0.0
 
 
 class TestXiLambdaMax:
@@ -176,13 +176,11 @@ class TestLogDetInformationGain:
 
 def test_long_history_refactorization_stays_accurate(kernel, rng):
     # Push past the periodic-refactorization boundary.
-    model = SurrogateModel(kernel, 0.01, 1)
     inputs = rng.uniform(0, 1, size=(70, 1))
     targets = rng.standard_normal((1, 70))
-    for point, value in zip(inputs, targets[0]):
-        model = model.with_observation(point, [value])
     queries = rng.uniform(0, 1, size=(20, 1))
-    means, std = model.posterior(queries)
+    model = build_model(kernel, 0.01, inputs, targets, grid=queries)
+    means, std = model.posterior()
     ref_means, ref_std = dense_posterior_reference(kernel, inputs, targets, queries, 0.01)
     assert means == pytest.approx(ref_means, abs=1e-7)
     assert std == pytest.approx(ref_std, abs=1e-7)
@@ -238,16 +236,6 @@ class TestGridBoundPosterior:
                 assert np.max(np.abs(parent._z - z)) <= 1e-10
                 assert np.max(np.abs(model._proj[:-1] - parent._proj)) <= 1e-10
         assert refactors == 2
-
-    def test_ad_hoc_queries_match_the_carried_grid(self, kernel, rng):
-        grid = grid_points(1, 40)
-        model = SurrogateModel(kernel, 0.05, 2, grid=grid)
-        for _ in range(12):
-            model = model.with_observation(rng.uniform(0, 1, 1), rng.standard_normal(2))
-        carried_means, carried_std = model.posterior()
-        means, std = model.posterior(grid)
-        assert means == pytest.approx(carried_means, abs=1e-12)
-        assert std == pytest.approx(carried_std, abs=1e-12)
 
     def test_unbound_model_needs_queries(self, kernel):
         with pytest.raises(ValueError, match="not bound"):

@@ -8,9 +8,13 @@ from safebo import (
     ConfigError,
     ExperimentConfig,
     PRESETS,
+    RkhsFunction,
+    ShiftedFunction,
     beta_growth_report,
     build_synthetic_problem,
     emit,
+    metric_matrix,
+    reachable_set,
     run_experiment,
     run_single,
     scaling_study,
@@ -74,6 +78,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown preset"):
             ExperimentConfig.from_preset("paper-synthetic-99")
 
+    def test_synthetic_2d_preset_can_explore(self):
+        # The ground-truth reachable ceiling of every seed, grown from the
+        # run's start point at the exploration margin, holds more than it.
+        config = ExperimentConfig.from_preset("synthetic-2d", {"max_iterations": 0})
+        points = config.build_domain().points
+        metric = metric_matrix(config.build_kernel(), points)
+        for trace in run_experiment(config).traces:
+            truth = trace.ground_truth
+            functions = [
+                ShiftedFunction.from_config(f) if "base" in f else RkhsFunction.from_config(f)
+                for f in truth["functions"]
+            ]
+            constraints = truth["constraint_indices"]
+            values = np.stack([f(points) for f in functions])[constraints]
+            start = np.zeros(len(points), dtype=bool)
+            start[truth["initial_safe"]] = True
+            ceiling = reachable_set(
+                values, np.full(len(constraints), config.norm_bound), metric,
+                config.exploration_threshold, start,
+            )
+            assert ceiling.sum() > 1, trace.seed
+
     def test_preset_overrides_apply(self):
         config = ExperimentConfig.from_preset("paper-synthetic-1", {"seeds": [5]})
         assert config.seeds == (5,)
@@ -134,12 +160,21 @@ class TestRunExperiment:
         ]
         assert set(result.summary["aggregate"]) == {"scenario", "classic_subgaussian"}
 
-    def test_zero_iterations_reports_start_only(self):
+    def test_zero_iterations_reports_start_only(self, tmp_path):
         result = run_experiment(tiny_config(max_iterations=0))
         for trace in result.traces:
             assert trace.iterations == 0
             assert trace.final_safe_size == 1
             assert trace.final_best_index == trace.initial_safe[0]
+        # No experiment gives no lower bound: strict JSON, with null there.
+        emit(result, tmp_path)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = (tmp_path / "summary.json").read_text(encoding="utf-8")
+        summary = json.loads(text, parse_constant=reject)
+        assert [run["final_best_lower"] for run in summary["runs"]] == [None, None]
 
     def test_parallel_matches_serial(self):
         config = tiny_config()

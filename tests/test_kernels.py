@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from safebo import Domain, Kernel, evaluate, gram, kernel_metric, metric_matrix, pairwise
+from safebo import Domain, Kernel, gram, metric_matrix, pairwise
 from safebo.kernels import FAMILIES, paired_metric
 
 
@@ -12,6 +12,16 @@ def matern32_reference(r, lengthscale, scale):
     """Independent closed-form evaluation used to pin expected values."""
     z = math.sqrt(3.0) * r / lengthscale
     return scale * (1.0 + z) * math.exp(-z)
+
+
+def evaluate(kernel, a, b):
+    """``k(a, b)`` for one pair of points, through ``pairwise``."""
+    return float(pairwise(kernel, a, b)[0, 0])
+
+
+def kernel_metric(kernel, a, b):
+    """The kernel metric of one pair of points, through ``metric_matrix``."""
+    return float(metric_matrix(kernel, a, b)[0, 0])
 
 
 class TestEvaluate:

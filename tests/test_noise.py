@@ -178,11 +178,13 @@ class TestBuiltinModels:
         for config in [
             {"family": "uniform", "low": -1e-3, "high": 1e-3},
             {"family": "gaussian", "variance": 1e-4},
-            {"family": "sub_gaussian", "scale": 1e-5},
             {"family": "student_t_scaled", "dof": 10.0, "scale": 0.2},
         ]:
             model = model_from_config(config)
             assert model.to_config() == config
+        # sub_gaussian is gaussian(scale**2), so it reads back as that.
+        alias = model_from_config({"family": "sub_gaussian", "scale": 1e-5})
+        assert alias.to_config() == {"family": "gaussian", "variance": 1e-5 * 1e-5}
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown noise family"):
@@ -197,15 +199,17 @@ class TestScenarioBound:
         assert bound.magnitudes == pytest.approx(np.zeros(2))
 
     def test_injected_stream_takes_max_abs(self, rng):
-        stream = iter([0.5, -1.2, 0.3])
+        # A stream of 71 values, the batch size at t = 1, peaking at -1.2.
+        stream = iter(np.linspace(0.5, -1.2, 71))
         injected = NoiseModel(
             "stream", {}, True,
             lambda a, i, r, n: np.array([next(stream) for _ in range(n)]),
         )
         schedule = ScenarioSchedule(0.1, 1e-3, 1)
-        bound = scenario_bound(injected, schedule, 1, np.zeros(1), rng, n_scenarios=3)
-        assert bound.n_scenarios == 3
-        assert bound.magnitudes[0] == pytest.approx(1.2)
+        bound = scenario_bound(injected, schedule, 1, np.zeros(1), rng)
+        assert bound.n_scenarios == 71
+        assert bound.magnitudes[0] == 1.2
+        assert next(stream, None) is None
 
     def test_uniform_bound_within_support(self, rng):
         schedule = ScenarioSchedule(0.1, 1e-3, 1)
@@ -223,13 +227,15 @@ class TestScenarioBound:
         ]
         assert np.array_equal(runs[0].magnitudes, runs[1].magnitudes)
 
-    def test_keep_scenarios_retains_matrix(self, rng):
+    def test_bound_is_max_abs_of_the_replayed_draws(self):
+        # Replaying the generator yields the batch: each output's
+        # n_scenarios draws in turn, the bound being their largest |draw|.
         schedule = ScenarioSchedule(0.1, 1e-3, 2)
-        bound = scenario_bound(
-            gaussian(1e-4), schedule, 1, np.zeros(1), rng, keep_scenarios=True
-        )
-        assert bound.scenarios.shape == (2, bound.n_scenarios)
-        assert bound.magnitudes == pytest.approx(np.abs(bound.scenarios).max(axis=1))
+        model = gaussian(1e-4)
+        bound = scenario_bound(model, schedule, 1, np.zeros(1), np.random.default_rng(4))
+        replay = np.random.default_rng(4)
+        draws = [model.sample(np.zeros(1), i, replay, bound.n_scenarios) for i in range(2)]
+        assert np.array_equal(bound.magnitudes, np.abs(draws).max(axis=1))
 
     def test_propagates_non_finite_draws(self, rng):
         broken = NoiseModel("broken", {}, True, lambda a, i, r, n: np.full(n, np.nan))

@@ -562,12 +562,19 @@ class TestStep:
         assert state.records and state.xi_lambda == 0.0
 
     def test_posterior_is_carried_on_the_grid(self):
+        from tests.test_gp import dense_posterior_reference
+
         optimizer, oracle, noise = toy_setup(max_iterations=20)
         state = optimizer.run(oracle, noise, np.random.default_rng(2))
-        means, std = state.model.posterior()
-        ad_hoc_means, ad_hoc_std = state.model.posterior(optimizer.domain.points)
-        assert means == pytest.approx(ad_hoc_means, abs=1e-10)
-        assert std == pytest.approx(ad_hoc_std, abs=1e-10)
+        model = state.model
+        assert model.t == 20
+        means, std = model.posterior()
+        ref_means, ref_std = dense_posterior_reference(
+            model.kernel, model.inputs, model.targets, optimizer.domain.points,
+            model.regularization,
+        )
+        assert means == pytest.approx(ref_means, abs=1e-10)
+        assert std == pytest.approx(ref_std, abs=1e-10)
 
 
 def dense_safe_set(lower, bounded, previous, norms, metric, constraints):
