@@ -4,8 +4,8 @@ Subcommands: ``run`` executes a config or preset battery, ``scale-study``
 tabulates scenario counts over accuracy knobs, ``beta-report`` derives
 the multiplier-growth diagnostic from an emitted run CSV, and
 ``presets`` lists the bundled configurations.  Exit codes: 0 on success,
-2 on configuration problems, 3 when a confidence collapse aborts a
-strict run.
+2 on configuration problems and on flags a subcommand does not take, 3
+when a confidence collapse aborts a strict run.
 """
 
 from __future__ import annotations
@@ -42,14 +42,7 @@ def _configure_logging() -> None:
 
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", type=Path, help="path to an experiment config JSON")
     shared.add_argument("--out", type=Path, help="output directory or file")
-    shared.add_argument(
-        "--seed",
-        type=int,
-        action="append",
-        help="seed to run (repeatable; overrides the config's seed list)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="safebo",
@@ -58,7 +51,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", parents=[shared], help="run an experiment battery")
-    run.add_argument("--preset", choices=sorted(PRESETS), help="bundled configuration")
+    source = run.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", type=Path, help="path to an experiment config JSON")
+    source.add_argument("--preset", choices=sorted(PRESETS), help="bundled configuration")
+    run.add_argument(
+        "--seed",
+        type=int,
+        action="append",
+        help="seed to run (repeatable; overrides the config's seed list)",
+    )
     run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     run.add_argument(
         "--max-iterations", type=int, help="override the config's iteration cap"
@@ -92,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     beta.add_argument("--trace", type=Path, required=True, help="emitted run CSV")
 
-    sub.add_parser("presets", parents=[shared], help="list bundled configurations")
+    sub.add_parser("presets", help="list bundled configurations")
     return parser
 
 
@@ -100,23 +101,21 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     overrides: dict = {}
     if args.seed:
         overrides["seeds"] = list(args.seed)
-    if getattr(args, "max_iterations", None) is not None:
+    if args.max_iterations is not None:
         overrides["max_iterations"] = args.max_iterations
-    if getattr(args, "mode", None):
+    if args.mode:
         overrides["beta_modes"] = list(args.mode)
-    if getattr(args, "strict", False):
+    if args.strict:
         overrides["collapse_policy"] = "error"
 
-    if args.config is not None:
-        try:
-            document = json.loads(args.config.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as err:
-            raise ConfigError(f"cannot read config {args.config}: {err}") from err
-        document.update(overrides)
-        return ExperimentConfig.from_dict(document)
-    if getattr(args, "preset", None):
+    if args.preset:
         return ExperimentConfig.from_preset(args.preset, overrides)
-    raise ConfigError("provide --config or --preset")
+    try:
+        document = json.loads(args.config.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as err:
+        raise ConfigError(f"cannot read config {args.config}: {err}") from err
+    document.update(overrides)
+    return ExperimentConfig.from_dict(document)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

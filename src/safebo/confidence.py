@@ -78,14 +78,6 @@ class ConfidenceState:
             bounded=np.zeros((n_outputs, n_points), dtype=bool),
         )
 
-    @property
-    def n_outputs(self) -> int:
-        return self.lower.shape[0]
-
-    @property
-    def n_points(self) -> int:
-        return self.lower.shape[1]
-
     def lower_bound(self, output: int, point: int) -> float:
         """Interval minimum; ``-inf`` when still unbounded."""
         if not self.bounded[output, point]:

@@ -52,9 +52,6 @@ class Domain:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def __len__(self) -> int:
-        return self.n_points
-
     @classmethod
     def grid(
         cls,

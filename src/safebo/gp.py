@@ -6,11 +6,11 @@ posterior standard deviation; only the posterior means differ.  Models
 are persistent: appending an observation returns a new model and leaves
 the old one untouched, so snapshots can be queried concurrently.
 
-A model can be bound to a fixed query grid.  It then carries the
-projection ``P = L^{-1} K(X, grid)`` and ``z = L^{-1} y`` of its
-Cholesky factor ``L``; an append adds one row to each (rank-1 bordering,
-Rasmussen & Williams 2006, Alg. 2.1), so the grid posterior costs
-``O(t n)`` per step instead of a triangular solve against the grid.
+A model is bound to a fixed query grid.  It carries the projection
+``P = L^{-1} K(X, grid)`` and ``z = L^{-1} y`` of its Cholesky factor
+``L``; an append adds one row to each (rank-1 bordering, Rasmussen &
+Williams 2006, Alg. 2.1), so the grid posterior costs ``O(t n)`` per
+step instead of a triangular solve against the grid.
 """
 
 from __future__ import annotations
@@ -54,19 +54,12 @@ class SurrogateModel:
         Diagonal regularizer of the Gram matrix, in ``(0, 1]``.
     n_outputs : int
         Number of modeled functions.
-    grid : ndarray, optional
+    grid : ndarray
         ``(n, d)`` query points the model is bound to; :meth:`posterior`
-        evaluates there from carried state.  An unbound model still
-        serves the spectral ratio and the information gain.
+        evaluates there from carried state.
     """
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        regularization: float,
-        n_outputs: int,
-        grid: np.ndarray | None = None,
-    ):
+    def __init__(self, kernel: Kernel, regularization: float, n_outputs: int, grid: np.ndarray):
         if not 0.0 < regularization <= 1.0:
             raise ValueError("regularization must lie in (0, 1]")
         if n_outputs < 1:
@@ -74,17 +67,15 @@ class SurrogateModel:
         self.kernel = kernel
         self.regularization = float(regularization)
         self.n_outputs = int(n_outputs)
-        if grid is not None:
-            grid = np.asarray(grid, dtype=float)
-            if grid.ndim != 2:
-                raise ValueError("grid must be an (n, d) array")
-        self.grid = grid
+        self.grid = np.asarray(grid, dtype=float)
+        if self.grid.ndim != 2:
+            raise ValueError("grid must be an (n, d) array")
 
-        self.inputs = np.zeros((0, 0))
+        self.inputs = np.zeros((0, self.grid.shape[1]))
         self.targets = np.zeros((self.n_outputs, 0))
         self._gram = self._chol = np.zeros((0, 0))
         self._z = np.zeros((0, self.n_outputs))
-        self._proj = None if grid is None else np.zeros((0, grid.shape[0]))
+        self._proj = np.zeros((0, self.grid.shape[0]))
         self._appends = 0
 
         # Top Gram eigenpair with its certified upper bound, computed on
@@ -104,9 +95,8 @@ class SurrogateModel:
         shifted = self._gram + self.regularization * np.eye(self.t)
         self._chol = cholesky(shifted, lower=True)
         self._z = solve_triangular(self._chol, self.targets.T, lower=True)
-        if self.grid is not None:
-            cross = pairwise(self.kernel, self.inputs, self.grid)
-            self._proj = solve_triangular(self._chol, cross, lower=True)
+        cross = pairwise(self.kernel, self.inputs, self.grid)
+        self._proj = solve_triangular(self._chol, cross, lower=True)
 
     def with_observation(self, point: np.ndarray, values: np.ndarray) -> "SurrogateModel":
         """New model with one more evaluation appended.
@@ -123,12 +113,12 @@ class SurrogateModel:
             raise ValueError("one observed value per output required")
         if not np.all(np.isfinite(values)):
             raise ValueError("targets must be finite")
-        t = self.t
-        if t and point.shape[0] != self.inputs.shape[1]:
-            raise ValueError("point dimension does not match history")
+        if point.shape != (self.grid.shape[1],):
+            raise ValueError("point dimension does not match the grid")
 
+        t = self.t
         child = copy.copy(self)
-        child.inputs = np.vstack([self.inputs, point[None, :]]) if t else point[None, :]
+        child.inputs = np.vstack([self.inputs, point[None, :]])
         child.targets = np.hstack([self.targets, values[:, None]])
         cross = pairwise(self.kernel, child.inputs[:t], point[None, :])[:, 0]
         diag = float(self.kernel.output_scale)
@@ -159,9 +149,8 @@ class SurrogateModel:
         child._chol[t, :t] = w
         child._chol[t, t] = pivot
         child._z = np.vstack([self._z, ((values - w @ self._z) / pivot)[None, :]])
-        if self.grid is not None:
-            row = pairwise(self.kernel, point[None, :], self.grid)[0]
-            child._proj = np.vstack([self._proj, ((row - w @ self._proj) / pivot)[None, :]])
+        row = pairwise(self.kernel, point[None, :], self.grid)[0]
+        child._proj = np.vstack([self._proj, ((row - w @ self._proj) / pivot)[None, :]])
         return child
 
     def posterior(self) -> tuple[np.ndarray, np.ndarray]:
@@ -171,8 +160,6 @@ class SurrogateModel:
         ``(n,)``, read from the carried projection.  With no
         observations this is the prior: zero mean and ``sqrt(k(a, a))``.
         """
-        if self.grid is None:
-            raise ValueError("model is not bound to a grid")
         means = self._z.T @ self._proj  # (n_outputs, n)
         var = float(self.kernel.output_scale) - np.einsum("ij,ij->j", self._proj, self._proj)
         return means, np.sqrt(np.maximum(var, 0.0))

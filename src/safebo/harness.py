@@ -292,14 +292,6 @@ class ExperimentConfig:
             del document["n_centers"]
         return document
 
-    @property
-    def dim(self) -> int:
-        return len(self.domain["bounds"])
-
-    @property
-    def n_outputs(self) -> int:
-        return 1 if self.constraint["kind"] == "self" else 2
-
     def build_domain(self) -> Domain:
         return Domain.grid(self.domain["bounds"], self.domain["resolution"])
 
@@ -309,7 +301,7 @@ class ExperimentConfig:
     def centers(self) -> int:
         if self.n_centers is not None:
             return self.n_centers
-        return 40 if self.dim == 1 else 200
+        return 40 if len(self.domain["bounds"]) == 1 else 200
 
 
 @dataclass(frozen=True)
@@ -459,7 +451,7 @@ def run_single(config: ExperimentConfig, seed: int, beta_mode: str) -> RunTrace:
         records=final.records,
         violations=violations,
         beta_bar=beta_bar,
-        termination_reason=final.termination_reason or "max_iterations",
+        termination_reason=final.termination_reason,
         final_best_index=best,
         final_best_point=tuple(float(v) for v in best_point),
         final_best_lower=final.confidence.lower_bound(0, best),

@@ -26,7 +26,6 @@ __all__ = [
     "NoiseModel",
     "ScenarioBound",
     "ScenarioSchedule",
-    "builtin_models",
     "gaussian",
     "iteration_confidence",
     "min_scenarios",
@@ -49,13 +48,11 @@ class NoiseModel:
     """Samplable observation-noise distribution, possibly input dependent.
 
     ``sampler(location, output, rng, size)`` returns ``size`` independent
-    draws of the noise on ``output`` at ``location``.  ``homoscedastic``
-    declares that the distribution does not depend on the location.
+    draws of the noise on ``output`` at ``location``; ``family`` names the
+    distribution in error messages.
     """
 
     family: str
-    params: Mapping[str, float]
-    homoscedastic: bool
     sampler: Callable[[np.ndarray, int, np.random.Generator, int], np.ndarray]
 
     def sample(
@@ -64,12 +61,14 @@ class NoiseModel:
         draws = np.asarray(
             self.sampler(np.asarray(location, dtype=float), output, rng, size), dtype=float
         )
+        if draws.shape != (size,):
+            raise ValueError(
+                f"noise model {self.family!r} returned draws of shape {draws.shape}, "
+                f"not ({size},)"
+            )
         if not np.all(np.isfinite(draws)):
             raise ValueError(f"noise model {self.family!r} produced non-finite draws")
         return draws
-
-    def to_config(self) -> dict:
-        return {"family": self.family, **dict(self.params)}
 
 
 def uniform(low: float, high: float) -> NoiseModel:
@@ -80,7 +79,7 @@ def uniform(low: float, high: float) -> NoiseModel:
     def sampler(location, output, rng, size):
         return rng.uniform(low, high, size)
 
-    return NoiseModel("uniform", {"low": low, "high": high}, True, sampler)
+    return NoiseModel("uniform", sampler)
 
 
 def gaussian(variance: float) -> NoiseModel:
@@ -92,7 +91,7 @@ def gaussian(variance: float) -> NoiseModel:
     def sampler(location, output, rng, size):
         return rng.normal(0.0, std, size)
 
-    return NoiseModel("gaussian", {"variance": variance}, True, sampler)
+    return NoiseModel("gaussian", sampler)
 
 
 def sub_gaussian_surrogate(scale: float) -> NoiseModel:
@@ -100,8 +99,7 @@ def sub_gaussian_surrogate(scale: float) -> NoiseModel:
 
     The zero-mean normal attains the moment-generating-function bound of
     the scale-``R`` sub-Gaussian family, so it is the conservative
-    samplable stand-in when only a sub-Gaussian constant is known.  Its
-    descriptor is the Gaussian one.
+    samplable stand-in when only a sub-Gaussian constant is known.
     """
     if scale < 0:
         raise ValueError("scale must be nonnegative")
@@ -123,27 +121,26 @@ def student_t_scaled(dof: float = 10.0, scale: float = 0.2) -> NoiseModel:
         magnitude = scale * float(np.linalg.norm(location))
         return magnitude * rng.standard_t(dof, size)
 
-    return NoiseModel("student_t_scaled", {"dof": dof, "scale": scale}, False, sampler)
+    return NoiseModel("student_t_scaled", sampler)
 
 
-def builtin_models() -> dict[str, Callable[..., NoiseModel]]:
-    """Constructors for the bundled noise families, keyed by wire name."""
-    return {
+def model_from_config(config: Mapping) -> NoiseModel:
+    """Build a noise model from its wire descriptor, e.g. from JSON.
+
+    The descriptor's ``family`` picks the constructor and its other keys
+    are that constructor's keyword arguments.
+    """
+    constructors = {
         "uniform": uniform,
         "gaussian": gaussian,
         "sub_gaussian": sub_gaussian_surrogate,
         "student_t_scaled": student_t_scaled,
     }
-
-
-def model_from_config(config: Mapping) -> NoiseModel:
-    """Build a noise model from its wire descriptor, e.g. from JSON."""
     config = dict(config)
     try:
         family = config.pop("family")
     except KeyError:
         raise ValueError("noise descriptor needs a 'family' key") from None
-    constructors = builtin_models()
     if family not in constructors:
         raise ValueError(f"unknown noise family {family!r}")
     return constructors[family](**config)
@@ -285,7 +282,7 @@ def scenario_bound(
         while remaining > 0:
             chunk = min(remaining, _CHUNK)
             draws = model.sample(location, i, rng, chunk)
-            peak = max(peak, float(np.max(np.abs(draws))) if draws.size else 0.0)
+            peak = max(peak, float(np.max(np.abs(draws))))
             remaining -= chunk
         magnitudes[i] = peak
     return ScenarioBound(n_scenarios=m, magnitudes=magnitudes)

@@ -283,7 +283,6 @@ class StepRecord:
     betas: tuple[float, ...]
     safe_size: int
     acquisition_width: float
-    best_index: int
     best_lower: float
 
 
@@ -453,7 +452,6 @@ class SafeOptimizer:
             betas=tuple(float(v) for v in betas),
             safe_size=int(safe.sum()),
             acquisition_width=acq_width,
-            best_index=best,
             best_lower=state.confidence.lower_bound(0, best),
         )
 

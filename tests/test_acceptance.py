@@ -19,13 +19,12 @@ from safebo import (
     Kernel,
     ScenarioSchedule,
     SurrogateModel,
-    emit,
     gaussian,
     iteration_confidence,
     min_scenarios,
-    run_experiment,
     scenario_bound,
 )
+from safebo.harness import emit, run_experiment
 from safebo.optimizer import expanders, maximizers, safe_set
 from tests.test_gp import build_model, dense_posterior_reference
 from tests.test_optimizer import (
@@ -153,7 +152,7 @@ def test_criterion_05_spectral_ratio_closed_form():
     monotone = True
     for trial in range(10):
         grow_rng = np.random.default_rng(100 + trial)
-        model = SurrogateModel(Kernel(lengthscale=0.2), 0.01, 1)
+        model = SurrogateModel(Kernel(lengthscale=0.2), 0.01, 1, grid=np.array([[0.5]]))
         last = model.xi_lambda_max()
         for _ in range(20):
             model = model.with_observation(grow_rng.uniform(0, 1, 1), [0.0])

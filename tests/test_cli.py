@@ -66,8 +66,30 @@ def test_run_with_preset_and_overrides(tmp_path):
 
 
 def test_run_without_config_is_a_config_error(capsys):
-    assert main(["run"]) == 2
-    assert "config" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exited:
+        main(["run"])
+    assert exited.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["presets", "--seed", "3", "--out", "x", "--config", "missing.json"],
+        ["run", "--preset", "paper-synthetic-1", "--config", "missing.json"],
+        ["scale-study", "--config", "missing.json"],
+        ["scale-study", "--seed", "3"],
+        ["beta-report", "--trace", "run.csv", "--config", "missing.json"],
+        ["beta-report", "--trace", "run.csv", "--seed", "3"],
+    ],
+    ids=["presets", "run-config-and-preset", "scale-config", "scale-seed", "beta-config",
+         "beta-seed"],
+)
+def test_subcommand_rejects_flags_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_run_with_invalid_config_exits_two(tmp_path):

@@ -3,12 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from safebo import (
-    ConfidenceCollapse,
-    ConfidenceState,
-    beta_from_squares,
-    update_intervals,
-)
+from safebo import ConfidenceState, beta_from_squares, update_intervals
+from safebo.confidence import ConfidenceCollapse
 
 
 def beta_after(history, norm=1.0, reg=0.01, lam=0.0):

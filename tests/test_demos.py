@@ -1,4 +1,4 @@
-"""Smoke test: every narrative demo runs to completion."""
+"""Smoke test: every narrative demo, and the README quickstart, runs to completion."""
 
 import os
 import subprocess
@@ -9,14 +9,26 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
 
 
 def test_demos_found():
     assert len(DEMOS) >= 7
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def readme_quickstart() -> str:
+    """The ``python`` block under the README's "Library quickstart" heading."""
+    section = README.read_text(encoding="utf-8").split("## Library quickstart\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize(
+    "demo", DEMOS + [README], ids=[d.stem for d in DEMOS] + ["readme_quickstart"]
+)
 def test_demo_exits_cleanly(demo, tmp_path):
+    if demo == README:
+        demo = tmp_path / "quickstart.py"
+        demo.write_text(readme_quickstart(), encoding="utf-8")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p

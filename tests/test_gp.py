@@ -20,7 +20,13 @@ def dense_posterior_reference(kernel, inputs, targets, queries, reg):
     return means, np.sqrt(np.maximum(var, 0.0))
 
 
+# The grid of the models whose posterior a test never reads.
+ONE_POINT = np.array([[0.5]])
+
+
 def build_model(kernel, reg, inputs, targets, grid=None):
+    """Model of ``inputs``, bound to ``grid`` or else to the first input alone."""
+    grid = inputs[:1] if grid is None else grid
     model = SurrogateModel(kernel, reg, targets.shape[0], grid=grid)
     for point, column in zip(inputs, targets.T):
         model = model.with_observation(point, column)
@@ -71,7 +77,7 @@ class TestPosterior:
             std = new_std
 
     def test_cached_factor_reproduces_shifted_gram(self, kernel, rng):
-        model = SurrogateModel(kernel, 0.01, 1)
+        model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT)
         for _ in range(10):
             model = model.with_observation(rng.uniform(0, 1, 1), rng.standard_normal(1))
         rebuilt = model._chol @ model._chol.T
@@ -79,14 +85,19 @@ class TestPosterior:
         assert np.linalg.norm(rebuilt - target) < 1e-8
 
     def test_rejects_non_finite_targets(self, kernel):
-        model = SurrogateModel(kernel, 0.01, 1)
+        model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT)
         with pytest.raises(ValueError, match="finite"):
             model.with_observation([0.1], [np.nan])
+
+    def test_rejects_point_off_the_grid_dimension(self, kernel):
+        model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT)
+        with pytest.raises(ValueError, match="dimension"):
+            model.with_observation([0.1, 0.2], [0.0])
 
     def test_rejects_bad_regularization(self, kernel):
         for reg in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError, match="regularization"):
-                SurrogateModel(kernel, reg, 1)
+                SurrogateModel(kernel, reg, 1, grid=ONE_POINT)
 
     def test_persistent_update(self, kernel):
         base = SurrogateModel(kernel, 0.01, 1, grid=np.array([[0.5]]))
@@ -98,16 +109,16 @@ class TestPosterior:
 
 class TestXiLambdaMax:
     def test_empty_history(self, kernel):
-        assert SurrogateModel(kernel, 0.01, 1).xi_lambda_max() == 0.0
+        assert SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT).xi_lambda_max() == 0.0
 
     def test_scalar_history(self, kernel):
-        model = SurrogateModel(kernel, 0.01, 1).with_observation([0.5], [0.0])
+        model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT).with_observation([0.5], [0.0])
         assert model.xi_lambda_max() == pytest.approx(0.9900990099009901, abs=1e-12)
 
     def test_identity_gram(self, kernel):
         # Two points far enough apart that the Gram is the identity to
         # double precision: the ratio matches the scalar case.
-        model = SurrogateModel(kernel, 0.01, 1)
+        model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT)
         model = model.with_observation([0.0], [0.0])
         model = model.with_observation([50.0], [0.0])
         assert model.xi_lambda_max() == pytest.approx(1.0 / 1.01, abs=1e-12)
@@ -124,7 +135,7 @@ class TestXiLambdaMax:
             assert model.xi_lambda_max() == pytest.approx(reference, abs=1e-10)
 
     def test_nondecreasing_along_history(self, kernel, rng):
-        model = SurrogateModel(kernel, 0.01, 1)
+        model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT)
         last = model.xi_lambda_max()
         for _ in range(15):
             model = model.with_observation(rng.uniform(0, 1, 1), [0.0])
@@ -144,16 +155,17 @@ class TestXiLambdaMax:
 
 class TestLogDetInformationGain:
     def test_empty_history(self, kernel):
-        assert SurrogateModel(kernel, 0.01, 1).log_det_information_gain() == 0.0
+        model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT)
+        assert model.log_det_information_gain() == 0.0
 
     def test_scalar(self, kernel):
-        model = SurrogateModel(kernel, 0.01, 1).with_observation([0.5], [0.0])
+        model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT).with_observation([0.5], [0.0])
         assert model.log_det_information_gain() == pytest.approx(
             0.5 * math.log(101.0), abs=1e-10
         )
 
     def test_two_distant_points(self, kernel):
-        model = SurrogateModel(kernel, 0.01, 1)
+        model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT)
         model = model.with_observation([0.0], [0.0])
         model = model.with_observation([50.0], [0.0])
         assert model.log_det_information_gain() == pytest.approx(
@@ -237,10 +249,6 @@ class TestGridBoundPosterior:
                 assert np.max(np.abs(model._proj[:-1] - parent._proj)) <= 1e-10
         assert refactors == 2
 
-    def test_unbound_model_needs_queries(self, kernel):
-        with pytest.raises(ValueError, match="not bound"):
-            SurrogateModel(kernel, 0.01, 1).posterior()
-
     def test_rejects_flat_grid(self, kernel):
         with pytest.raises(ValueError, match="grid"):
             SurrogateModel(kernel, 0.01, 1, grid=np.linspace(0, 1, 5))
@@ -279,7 +287,7 @@ class TestGridBoundPosterior:
 def grow_with_spectra(kernel, reg, points):
     """Append ``points`` one at a time, computing the spectral ratio at
     each step so every eigensolve is warm-started by its parent."""
-    model = SurrogateModel(kernel, reg, 1)
+    model = SurrogateModel(kernel, reg, 1, grid=points[:1])
     for point in points:
         model = model.with_observation(point, [0.0])
         model.xi_lambda_max()

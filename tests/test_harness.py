@@ -4,22 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from safebo import (
-    ConfigError,
-    ExperimentConfig,
+from safebo import ExperimentConfig, metric_matrix, reachable_set, run_single, scaling_study
+from safebo.harness import (
     PRESETS,
-    RkhsFunction,
-    ShiftedFunction,
+    ConfigError,
     beta_growth_report,
     build_synthetic_problem,
     emit,
-    metric_matrix,
-    reachable_set,
     run_experiment,
-    run_single,
-    scaling_study,
+    trace_csv_lines,
+    validate_config,
 )
-from safebo.harness import trace_csv_lines, validate_config
+from safebo.synthetic import RkhsFunction, ShiftedFunction
 
 
 def tiny_config(**overrides):
@@ -116,7 +112,6 @@ class TestConfigValidation:
     def test_defaults_fill_partial_constraint(self):
         config = tiny_config(constraint={"kind": "independent"})
         assert config.constraint == {"kind": "independent", "quantile": 0.4}
-        assert config.n_outputs == 2
 
 
 class TestSyntheticProblem:

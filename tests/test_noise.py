@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -6,18 +7,16 @@ import pytest
 from scipy.stats import ks_2samp
 
 from safebo import (
-    NoiseModel,
     ScenarioSchedule,
-    builtin_models,
     gaussian,
     iteration_confidence,
     min_scenarios,
-    model_from_config,
     scenario_bound,
     student_t_scaled,
-    sub_gaussian_surrogate,
     uniform,
 )
+from safebo.harness import CONFIG_SCHEMA
+from safebo.noise import NoiseModel, model_from_config, sub_gaussian_surrogate
 
 
 def binomial_tail_oracle(m, violation_prob, n_terms, dps=50):
@@ -132,10 +131,23 @@ class TestMinScenarios:
             min_scenarios(schedule, 1e-6)
 
 
+# One wire descriptor per bundled noise family, with the model its constructor builds.
+DESCRIPTORS = [
+    ({"family": "uniform", "low": -1e-3, "high": 1e-3}, uniform(-1e-3, 1e-3)),
+    ({"family": "gaussian", "variance": 1e-4}, gaussian(1e-4)),
+    ({"family": "sub_gaussian", "scale": 1e-5}, sub_gaussian_surrogate(1e-5)),
+    ({"family": "student_t_scaled", "dof": 10.0, "scale": 0.2}, student_t_scaled(10.0, 0.2)),
+]
+
+
 class TestBuiltinModels:
-    def test_catalog_families(self):
-        catalog = builtin_models()
-        assert set(catalog) == {"uniform", "gaussian", "sub_gaussian", "student_t_scaled"}
+    def test_catalog_families(self, rng):
+        # Every family a config may name builds and samples.
+        families = CONFIG_SCHEMA["properties"]["noise"]["properties"]["family"]["enum"]
+        assert sorted(families) == sorted(d["family"] for d, _ in DESCRIPTORS)
+        for descriptor, _ in DESCRIPTORS:
+            draws = model_from_config(descriptor).sample(np.array([0.5]), 0, rng, 20)
+            assert draws.shape == (20,), descriptor["family"]
 
     def test_gaussian_sample_variance(self, rng):
         model = gaussian(1e-4)
@@ -158,13 +170,9 @@ class TestBuiltinModels:
             ("uniform", uniform(-1e-3, 1e-3)),
             ("gaussian", gaussian(1e-4)),
         ]:
-            assert model.homoscedastic, name
             left = model.sample(np.array([0.0]), 0, np.random.default_rng(1), 10_000)
             right = model.sample(np.array([100.0]), 0, np.random.default_rng(2), 10_000)
             assert ks_2samp(left, right).pvalue > 0.01, name
-
-    def test_heteroscedastic_flag(self):
-        assert not student_t_scaled().homoscedastic
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -175,16 +183,13 @@ class TestBuiltinModels:
             gaussian(-1.0)
 
     def test_wire_descriptors_round_trip(self):
-        for config in [
-            {"family": "uniform", "low": -1e-3, "high": 1e-3},
-            {"family": "gaussian", "variance": 1e-4},
-            {"family": "student_t_scaled", "dof": 10.0, "scale": 0.2},
-        ]:
-            model = model_from_config(config)
-            assert model.to_config() == config
-        # sub_gaussian is gaussian(scale**2), so it reads back as that.
-        alias = model_from_config({"family": "sub_gaussian", "scale": 1e-5})
-        assert alias.to_config() == {"family": "gaussian", "variance": 1e-5 * 1e-5}
+        # A descriptor read back from JSON draws what the constructor draws.
+        location = np.array([0.7])
+        for descriptor, direct_model in DESCRIPTORS:
+            model = model_from_config(json.loads(json.dumps(descriptor)))
+            wired = model.sample(location, 0, np.random.default_rng(3), 50)
+            direct = direct_model.sample(location, 0, np.random.default_rng(3), 50)
+            assert np.array_equal(wired, direct), descriptor["family"]
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown noise family"):
@@ -193,7 +198,7 @@ class TestBuiltinModels:
 
 class TestScenarioBound:
     def test_zero_noise_model(self, rng):
-        silent = NoiseModel("silent", {}, True, lambda a, i, r, n: np.zeros(n))
+        silent = NoiseModel("silent", lambda a, i, r, n: np.zeros(n))
         schedule = ScenarioSchedule(0.1, 1e-3, 2)
         bound = scenario_bound(silent, schedule, 1, np.zeros(1), rng)
         assert bound.magnitudes == pytest.approx(np.zeros(2))
@@ -202,8 +207,7 @@ class TestScenarioBound:
         # A stream of 71 values, the batch size at t = 1, peaking at -1.2.
         stream = iter(np.linspace(0.5, -1.2, 71))
         injected = NoiseModel(
-            "stream", {}, True,
-            lambda a, i, r, n: np.array([next(stream) for _ in range(n)]),
+            "stream", lambda a, i, r, n: np.array([next(stream) for _ in range(n)])
         )
         schedule = ScenarioSchedule(0.1, 1e-3, 1)
         bound = scenario_bound(injected, schedule, 1, np.zeros(1), rng)
@@ -238,10 +242,20 @@ class TestScenarioBound:
         assert np.array_equal(bound.magnitudes, np.abs(draws).max(axis=1))
 
     def test_propagates_non_finite_draws(self, rng):
-        broken = NoiseModel("broken", {}, True, lambda a, i, r, n: np.full(n, np.nan))
+        broken = NoiseModel("broken", lambda a, i, r, n: np.full(n, np.nan))
         schedule = ScenarioSchedule(0.1, 1e-3, 1)
         with pytest.raises(ValueError, match="non-finite"):
             scenario_bound(broken, schedule, 1, np.zeros(1), rng)
+
+    def test_rejects_draws_of_the_wrong_shape(self, rng):
+        # One scalar standing in for a batch of 71 would void the bound.
+        scalar = NoiseModel("scalar", lambda a, i, r, n: r.normal())
+        schedule = ScenarioSchedule(0.1, 1e-3, 1)
+        with pytest.raises(ValueError, match="shape"):
+            scenario_bound(scalar, schedule, 1, np.zeros(1), rng)
+        column = NoiseModel("column", lambda a, i, r, n: np.zeros((n, 1)))
+        with pytest.raises(ValueError, match=r"shape \(5, 1\)"):
+            column.sample(np.zeros(1), 0, rng, 5)
 
     def test_empirical_coverage_tracks_violation_level(self):
         # Bounds from the schedule should be exceeded by fresh draws at a

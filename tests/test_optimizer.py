@@ -6,22 +6,25 @@ import pytest
 
 from safebo import (
     Domain,
-    EmptyAcquisitionSet,
-    GridIndex,
     Kernel,
     OptimizerConfig,
     SafeOptimizer,
     ScenarioSchedule,
+    metric_matrix,
+    reachable_set,
+    uniform,
+)
+from safebo.frontier import GridIndex
+from safebo.kernels import FAMILIES
+from safebo.noise import NoiseModel
+from safebo.optimizer import (
+    EmptyAcquisitionSet,
     acquire,
     classic_beta,
     expanders,
     maximizers,
-    metric_matrix,
-    reachable_set,
     safe_set,
-    uniform,
 )
-from safebo.kernels import FAMILIES
 
 # ---------------------------------------------------------------------------
 # Brute-force references: direct transcriptions of the set definitions as
@@ -481,9 +484,7 @@ def toy_setup(max_iterations=30, beta_mode="scenario", noise=None, delta=0.1):
 
 class TestStep:
     def test_zero_noise_observations_match_truth(self):
-        import safebo.noise as noise_mod
-
-        silent = noise_mod.NoiseModel("silent", {}, True, lambda a, i, r, n: np.zeros(n))
+        silent = NoiseModel("silent", lambda a, i, r, n: np.zeros(n))
         optimizer, oracle, _ = toy_setup(max_iterations=5)
         state = optimizer.run(oracle, silent, np.random.default_rng(0))
         for rec in state.records:

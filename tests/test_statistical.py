@@ -8,16 +8,9 @@ reproducible.
 import numpy as np
 import pytest
 
-from safebo import (
-    Domain,
-    Kernel,
-    OptimizerConfig,
-    SafeOptimizer,
-    ScenarioSchedule,
-    model_from_config,
-    sample_rkhs_function,
-    shift_to_quantile,
-)
+from safebo import Domain, Kernel, OptimizerConfig, SafeOptimizer, ScenarioSchedule
+from safebo.noise import model_from_config
+from safebo.synthetic import sample_rkhs_function, shift_to_quantile
 
 
 def containment_run(seed, n_points=60, iterations=25):

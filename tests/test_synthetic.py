@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from safebo import (
-    Domain,
-    Kernel,
+from safebo import Domain, Kernel
+from safebo.kernels import gram, paired_metric, pairwise
+from safebo.synthetic import (
     RkhsFunction,
+    ShiftedFunction,
     nearest_rank_quantile,
     sample_rkhs_function,
     shift_to_quantile,
 )
-from safebo.kernels import gram, paired_metric, pairwise
 
 
 def eval_bruteforce(f, points):
@@ -120,7 +120,5 @@ class TestShiftToQuantile:
     def test_serialization_round_trip(self, kernel, line_domain, rng):
         f = sample_rkhs_function(kernel, line_domain, 6, rng)
         g = shift_to_quantile(f, line_domain, 0.3)
-        from safebo import ShiftedFunction
-
         clone = ShiftedFunction.from_config(g.to_config())
         assert np.array_equal(clone(line_domain.points), g(line_domain.points))
