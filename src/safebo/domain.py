@@ -11,7 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Domain"]
+__all__ = ["Domain", "has_duplicate_rows"]
+
+
+def has_duplicate_rows(points: np.ndarray) -> bool:
+    """Whether two rows of ``points`` are equal.
+
+    A lexicographic sort puts equal rows next to each other.  Unlike
+    ``np.unique(points, axis=0)`` this leaves ``numpy.ma`` unimported.
+    """
+    ordered = points[np.lexsort(points.T)]
+    return bool((ordered[1:] == ordered[:-1]).all(axis=1).any())
 
 
 @dataclass(frozen=True)
@@ -39,7 +49,7 @@ class Domain:
             raise ValueError("each bounds pair must satisfy low < high")
         if np.any(points < lows) or np.any(points > highs):
             raise ValueError("all points must lie within the bounds")
-        if np.unique(points, axis=0).shape[0] != points.shape[0]:
+        if has_duplicate_rows(points):
             raise ValueError("duplicate points in domain")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "bounds", bounds)

@@ -5,31 +5,34 @@ The set rules compare a bound ``b`` at a point ``s`` against
 ``b - L * d(s, j) >= 0``.  For a stationary kernel ``d`` grows with the
 Euclidean distance, so a bound can only reach points inside a ball, and
 a point whose bound does not reach the nearest outside point reaches
-none.  :class:`GridIndex` answers these questions without the dense
-``n x n`` metric:
+none.  :class:`GridIndex` answers these questions on the lattice of a
+``Domain.grid`` without the dense ``n x n`` metric:
 
-* a :class:`Frontier` per mask holds the outside points, a KD-tree over
-  them, and for every inside point the metric to its Euclidean-nearest
-  outside point together with a lower bound on its metric to any outside
-  point;
+* a :class:`Frontier` per mask holds the outside points, and for every
+  inside point the metric to a Euclidean-nearest outside point together
+  with a lower bound on its metric to any outside point.  The nearest
+  outside point comes from an exact separable Euclidean distance
+  transform on the lattice (Maurer et al., IEEE PAMI 2003): one pass
+  per axis, with the axes' own coordinates, so the lattice need not be
+  uniform;
 * bounds below ``L`` times that lower bound are dropped, the remaining
-  points run a ball query whose radius inverts the kernel profile, and
-  every pair the query returns is decided by the dense expression.
+  points enumerate the lattice box around them whose half-width inverts
+  the kernel profile, and every outside point of the box inside the
+  ball is decided by the dense expression.
 
 The metric of a pair is computed by :func:`~safebo.kernels.paired_metric`,
 bit for bit the ``metric_matrix`` entry, and the filters only drop pairs
 that are out of reach by a margin far above roundoff, so every decision
-equals the dense one.  Memory is O(n): pairs are decided in batches of at
-most ``max(_PAIR_BUDGET, n)``.
+equals the dense one.  Memory is O(n): pairs and candidates are handled in
+batches of at most ``max(_PAIR_BUDGET, n)``.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .kernels import Kernel, paired_metric
 
@@ -43,11 +46,11 @@ _REL_SLACK = 1e-9
 _ABS_SLACK = 1e-12
 
 # Relative outward widening of query radii, above the 1e-10 error of
-# Kernel.radius and the roundoff of the tree's distances.
+# Kernel.radius and the roundoff of the distances the box and ball use.
 _RADIUS_WIDEN = 1e-6
 
-# Anchor-by-point pairs decided at once; bounds memory when a radius
-# covers most of the grid.
+# Pairs, or transform candidates, handled at once; bounds memory when a
+# radius covers most of the grid.
 _PAIR_BUDGET = 1 << 17
 
 
@@ -55,29 +58,43 @@ _PAIR_BUDGET = 1 << 17
 class Frontier:
     """The outside of one mask, as the set rules query it.
 
-    ``outside`` lists the grid indices outside the mask and ``tree``
-    indexes their points (``None`` when nothing is outside).  ``near``
-    and ``floor`` are per grid index and meaningful on the mask only:
-    ``near`` is the exact metric to the Euclidean-nearest outside point,
-    ``floor`` a lower bound on the computed metric to any outside point.
+    ``outside`` lists the grid indices outside the mask and ``position``
+    maps each grid index to its place in ``outside`` (-1 inside).
+    ``near`` and ``floor`` are per grid index and meaningful on the mask
+    only: ``near`` is the exact metric to a Euclidean-nearest outside
+    point, ``floor`` a lower bound on the computed metric to any outside
+    point.
     """
 
     outside: np.ndarray
-    tree: cKDTree | None
+    position: np.ndarray
     near: np.ndarray
     floor: np.ndarray
 
 
 class GridIndex:
-    """The grid's points under one kernel, with the frontier of the last mask.
+    """The lattice's points under one kernel, with the frontier of the last mask.
 
-    The frontier is rebuilt only when asked for a different mask, so the
-    loop, which asks for each safe set twice, builds one per change.
+    ``points`` must be a lattice in the order ``Domain.grid`` lists it:
+    the product of increasing per-axis coordinates, first axis slowest.
+    The axes are read off the points.  The frontier is rebuilt only when
+    asked for a different mask, so the loop, which asks for each safe set
+    twice, builds one per change.
     """
 
     def __init__(self, kernel: Kernel, points: np.ndarray):
         self.kernel = kernel
         self.points = np.ascontiguousarray(points, dtype=float)
+        if self.points.ndim != 2:
+            raise ValueError("points must be an (n, d) array")
+        self.axes = [_distinct(column) for column in self.points.T]
+        self.shape = tuple(axis.size for axis in self.axes)
+        if not _is_lattice(self.points, self.axes):
+            raise ValueError("GridIndex needs the points of a Domain.grid lattice, in its order")
+        self.strides = np.array(
+            [math.prod(self.shape[k + 1 :]) for k in range(len(self.shape))], dtype=np.intp
+        )
+        self._budget = max(_PAIR_BUDGET, len(self.points))
         # Upper bound on every computed metric: the radicand never exceeds
         # 2 * output_scale, since the profile is nonnegative.
         self.metric_sup = float(np.sqrt(2.0 * kernel.output_scale))
@@ -93,23 +110,73 @@ class GridIndex:
 
     def _build(self, mask: np.ndarray) -> Frontier:
         outside = np.flatnonzero(~mask)
+        position = np.full(mask.shape[0], -1, dtype=np.intp)
+        position[outside] = np.arange(outside.size)
         near = np.zeros(mask.shape[0])
         floor = np.zeros(mask.shape[0])
         if outside.size == 0:
-            return Frontier(outside, None, near, floor)
-        tree = cKDTree(self.points[outside])
+            return Frontier(outside, position, near, floor)
         inside = np.flatnonzero(mask)
-        _, nearest = tree.query(self.points[inside])
-        near[inside] = paired_metric(
-            self.kernel, self.points[inside], self.points[outside[nearest]]
-        )
+        nearest = self._nearest_outside(~mask, inside)
+        near[inside] = paired_metric(self.kernel, self.points[inside], self.points[nearest])
         # Every other outside point is at least as far in Euclidean
-        # distance, up to the tree's roundoff, and the metric grows with
-        # the distance; the margins cover that roundoff and the metric's.
+        # distance, up to the transform's roundoff, and the metric grows
+        # with the distance; the margins cover that roundoff and the metric's.
         scale = 2.0 * self.kernel.output_scale
         floor_sq = near[inside] ** 2 * (1.0 - _REL_SLACK) - _ABS_SLACK * scale
         floor[inside] = np.sqrt(np.maximum(floor_sq, 0.0))
-        return Frontier(outside, tree, near, floor)
+        return Frontier(outside, position, near, floor)
+
+    def _nearest_outside(self, outside: np.ndarray, inside: np.ndarray) -> np.ndarray:
+        """Per index in ``inside``, the grid index of a Euclidean-nearest outside point.
+
+        The squared distance to the nearest outside point is separable
+        over the axes.  Along the last axis, the nearest outside point of
+        a line lies at the last outside index before or the first after;
+        each earlier axis then takes the minimum of ``(c_i - c_j)**2 + g_j``
+        over the line through a point, carrying the argmin.  The first
+        axis, the last pass, is taken at ``inside`` only.
+        """
+        out = outside.reshape(self.shape)
+        coords = self.axes[-1]
+        m = coords.size
+        idx = np.arange(m)
+        left = np.maximum.accumulate(np.where(out, idx, -1), axis=-1)
+        right = np.minimum.accumulate(np.where(out, idx, m)[..., ::-1], axis=-1)[..., ::-1]
+        to_left = np.where(left >= 0, (coords - coords[np.maximum(left, 0)]) ** 2, np.inf)
+        to_right = np.where(right < m, (coords[np.minimum(right, m - 1)] - coords) ** 2, np.inf)
+        take_right = to_right < to_left
+        sq = np.where(take_right, to_right, to_left).ravel()
+        arg = np.arange(outside.size) + (np.where(take_right, right, left) - idx).ravel()
+        if len(self.shape) == 1:
+            return arg[inside]
+        for k in range(len(self.shape) - 2, -1, -1):
+            at = inside if k == 0 else np.arange(outside.size)
+            sq, arg = self._axis_min(sq, arg, k, at)
+        return arg
+
+    def _axis_min(self, sq: np.ndarray, arg: np.ndarray, k: int, at: np.ndarray):
+        """Per grid index in ``at``: ``min_j (c_i - c_j)**2 + sq_j`` over its axis-``k`` line.
+
+        Returns the minima and ``arg`` at the argmins.  The points are
+        taken in chunks, so a candidate block holds at most the budget.
+        """
+        coords = self.axes[k]
+        along = np.arange(coords.size) * self.strides[k]
+        i = at // self.strides[k] % coords.size
+        first = at - along[i]
+        best_sq = np.empty(at.size)
+        best_arg = np.empty(at.size, dtype=np.intp)
+        per = max(1, self._budget // coords.size)
+        for start in range(0, at.size, per):
+            chunk = slice(start, start + per)
+            line = first[chunk, None] + along
+            candidates = (coords[i[chunk], None] - coords) ** 2 + sq[line]
+            j = candidates.argmin(axis=1)
+            rows = np.arange(j.size)
+            best_sq[chunk] = candidates[rows, j]
+            best_arg[chunk] = arg[line[rows, j]]
+        return best_sq, best_arg
 
     def covered(
         self, frontier: Frontier, anchors: np.ndarray, bounds: np.ndarray, norm: float
@@ -141,25 +208,64 @@ class GridIndex:
         return found
 
     def _pairs(self, frontier: Frontier, anchors: np.ndarray, bounds: np.ndarray, norm: float):
-        """Chunks of ``(anchor rows, outside positions, reached)`` in query reach.
+        """Chunks of ``(anchor rows, outside positions, reached)`` in reach.
 
         The ball around each anchor has the Euclidean radius where the
-        metric reaches ``bounds / norm``, widened outward; only the pairs
-        inside it are evaluated, with the dense expression.
+        metric reaches ``bounds / norm``, widened outward.  Its bounding
+        box on the lattice is found per axis by bisecting the axis
+        coordinates; the box's outside points inside the ball are
+        evaluated with the dense expression.
         """
         scale = 2.0 * self.kernel.output_scale
         target_sq = (bounds / norm) ** 2 * (1.0 + _REL_SLACK) + _ABS_SLACK * scale
         radii = self.kernel.radius(np.sqrt(target_sq)) * (1.0 + _RADIUS_WIDEN)
-        step = max(1, _PAIR_BUDGET // frontier.outside.size)
-        for start in range(0, anchors.size, step):
-            chunk = slice(start, start + step)
-            balls = frontier.tree.query_ball_point(self.points[anchors[chunk]], radii[chunk])
-            sizes = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
-            cols = np.fromiter(
-                itertools.chain.from_iterable(balls), dtype=np.intp, count=int(sizes.sum())
-            )
-            rows = np.repeat(np.arange(start, start + sizes.size), sizes)
-            metric = paired_metric(
-                self.kernel, self.points[anchors[rows]], self.points[frontier.outside[cols]]
-            )
-            yield rows, cols, bounds[rows] - norm * metric >= 0.0
+        centers = self.points[anchors]
+        lows, sizes = [], []
+        for k, axis in enumerate(self.axes):
+            low = np.searchsorted(axis, centers[:, k] - radii, side="left")
+            lows.append(low)
+            sizes.append(np.searchsorted(axis, centers[:, k] + radii, side="right") - low)
+        boxes = np.prod(sizes, axis=0)
+        ends = np.cumsum(boxes)
+        leads = ends - boxes
+        start = 0
+        while start < anchors.size:
+            # As many anchors as fit the budget; a box holds at most n
+            # points, so at least one does.
+            stop = int(np.searchsorted(ends, leads[start] + self._budget, side="right"))
+            rows = np.repeat(np.arange(start, stop), boxes[start:stop])
+            offset = np.arange(leads[start], ends[stop - 1]) - leads[rows]
+            flat = np.zeros(rows.size, dtype=np.intp)
+            for k in range(len(self.axes) - 1, -1, -1):
+                offset, digit = np.divmod(offset, sizes[k][rows])
+                flat += (lows[k][rows] + digit) * self.strides[k]
+            keep = frontier.position[flat] >= 0
+            rows, flat = rows[keep], flat[keep]
+            diff = centers[rows] - self.points[flat]
+            squares = diff * diff
+            keep = squares.sum(axis=1) <= radii[rows] ** 2
+            rows, flat = rows[keep], flat[keep]
+            metric = paired_metric(self.kernel, centers[rows], self.points[flat])
+            yield rows, frontier.position[flat], bounds[rows] - norm * metric >= 0.0
+            start = stop
+
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values in increasing order, without ``np.unique``'s ``numpy.ma`` import."""
+    ordered = np.sort(values)
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+
+
+def _is_lattice(points: np.ndarray, axes: list[np.ndarray]) -> bool:
+    """Whether ``points`` lists the product of ``axes``, first axis slowest."""
+    shape = tuple(axis.size for axis in axes)
+    if math.prod(shape) != len(points):
+        return False
+    lattice = points.reshape(shape + (len(axes),))
+    return all(
+        np.array_equal(
+            lattice[..., k], np.broadcast_to(axis.reshape((-1,) + (1,) * (len(axes) - k - 1)), shape)
+        )
+        for k, axis in enumerate(axes)
+    )

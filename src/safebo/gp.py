@@ -6,11 +6,14 @@ posterior standard deviation; only the posterior means differ.  Models
 are persistent: appending an observation returns a new model and leaves
 the old one untouched, so snapshots can be queried concurrently.
 
-A model is bound to a fixed query grid.  It carries the projection
-``P = L^{-1} K(X, grid)`` and ``z = L^{-1} y`` of its Cholesky factor
-``L``; an append adds one row to each (rank-1 bordering, Rasmussen &
-Williams 2006, Alg. 2.1), so the grid posterior costs ``O(t n)`` per
-step instead of a triangular solve against the grid.
+A model is bound to a fixed query grid.  It carries its Cholesky factor
+``L``, the inverse factor ``L^{-1}``, the projection
+``P = L^{-1} K(X, grid)`` and ``z = L^{-1} y``; an append adds one row to
+each (rank-1 bordering, Rasmussen & Williams 2006, Alg. 2.1), so every
+solve is a matrix-vector product and the grid posterior costs ``O(t n)``
+per step.  The four are kept in buffers that a model shares with the
+models appended to it, so an append writes one row instead of copying
+``t`` of them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import copy
 import math
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
 from .kernels import Kernel, pairwise
 
@@ -73,9 +75,10 @@ class SurrogateModel:
 
         self.inputs = np.zeros((0, self.grid.shape[1]))
         self.targets = np.zeros((self.n_outputs, 0))
-        self._gram = self._chol = np.zeros((0, 0))
-        self._z = np.zeros((0, self.n_outputs))
-        self._proj = np.zeros((0, self.grid.shape[0]))
+        self._gram = np.zeros((0, 0))
+        self._chol_rows = self._inv_rows = _Rows(np.zeros((0, 0)), 0, square=True)
+        self._z_rows = _Rows(np.zeros((0, self.n_outputs)), 0)
+        self._proj_rows = _Rows(np.zeros((0, self.grid.shape[0])), 0)
         self._appends = 0
 
         # Top Gram eigenpair with its certified upper bound, computed on
@@ -89,14 +92,37 @@ class SurrogateModel:
         """Number of stored observations."""
         return self.inputs.shape[0]
 
+    @property
+    def _chol(self) -> np.ndarray:
+        return self._chol_rows.view(self.t)
+
+    @property
+    def _inv(self) -> np.ndarray:
+        return self._inv_rows.view(self.t)
+
+    @property
+    def _z(self) -> np.ndarray:
+        return self._z_rows.view(self.t)
+
+    @property
+    def _proj(self) -> np.ndarray:
+        return self._proj_rows.view(self.t)
+
+    def _capacity(self) -> int:
+        """Rows the carried buffers need until the next refactorization."""
+        return self.t + _REFACTOR_EVERY - 1 - self._appends
+
     def _refactor(self) -> None:
         """Factorize the Gram matrix from scratch and recompute the carried solves."""
         self._appends = 0
         shifted = self._gram + self.regularization * np.eye(self.t)
-        self._chol = cholesky(shifted, lower=True)
-        self._z = solve_triangular(self._chol, self.targets.T, lower=True)
-        cross = pairwise(self.kernel, self.inputs, self.grid)
-        self._proj = solve_triangular(self._chol, cross, lower=True)
+        chol = np.linalg.cholesky(shifted)
+        inv = _lower_inverse(chol)
+        capacity = self._capacity()
+        self._chol_rows = _Rows(chol, capacity, square=True)
+        self._inv_rows = _Rows(inv, capacity, square=True)
+        self._z_rows = _Rows(inv @ self.targets.T, capacity)
+        self._proj_rows = _Rows(inv @ pairwise(self.kernel, self.inputs, self.grid), capacity)
 
     def with_observation(self, point: np.ndarray, values: np.ndarray) -> "SurrogateModel":
         """New model with one more evaluation appended.
@@ -138,19 +164,20 @@ class SurrogateModel:
         if t == 0 or child._appends >= _REFACTOR_EVERY:
             child._refactor()
             return child
-        w = solve_triangular(self._chol, cross, lower=True)
+        w = self._inv @ cross
         # The bordered pivot equals posterior variance plus the
         # regularizer, so it stays strictly positive.
         pivot = np.sqrt(
             max(diag + self.regularization - float(w @ w), self.regularization * 1e-12)
         )
-        child._chol = np.zeros((t + 1, t + 1))
-        child._chol[:t, :t] = self._chol
-        child._chol[t, :t] = w
-        child._chol[t, t] = pivot
-        child._z = np.vstack([self._z, ((values - w @ self._z) / pivot)[None, :]])
+        capacity = child._capacity()
+        child._chol_rows = self._chol_rows.appended(t, np.append(w, pivot), capacity)
+        child._inv_rows = self._inv_rows.appended(
+            t, np.append(-(w @ self._inv) / pivot, 1.0 / pivot), capacity
+        )
+        child._z_rows = self._z_rows.appended(t, (values - w @ self._z) / pivot, capacity)
         row = pairwise(self.kernel, point[None, :], self.grid)[0]
-        child._proj = np.vstack([self._proj, ((row - w @ self._proj) / pivot)[None, :]])
+        child._proj_rows = self._proj_rows.appended(t, (row - w @ self._proj) / pivot, capacity)
         return child
 
     def posterior(self) -> tuple[np.ndarray, np.ndarray]:
@@ -188,6 +215,48 @@ class SurrogateModel:
         # log det(K + reg I) through the cached factor, then rescale.
         log_det = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
         return 0.5 * (log_det - self.t * np.log(self.regularization))
+
+
+class _Rows:
+    """The leading rows of a buffer, shared along a chain of appends.
+
+    A model of ``t`` observations reads ``data[:t]``, or ``data[:t, :t]``
+    when the buffer is square.  ``used`` counts the rows written so far.
+    An append writes row ``t`` in place while ``used == t`` and the buffer
+    has room, so no other model reads that row, and into a fresh buffer
+    otherwise: no model ever sees its rows change (a persistent vector).
+    """
+
+    def __init__(self, rows: np.ndarray, capacity: int, square: bool = False):
+        self.square = square
+        self.used = rows.shape[0]
+        self.data = np.zeros((capacity, capacity if square else rows.shape[1]))
+        self.data[: self.used, : rows.shape[1]] = rows
+
+    def view(self, t: int) -> np.ndarray:
+        return self.data[:t, :t] if self.square else self.data[:t]
+
+    def appended(self, t: int, row: np.ndarray, capacity: int) -> "_Rows":
+        """Rows of which the first ``t`` are this buffer's and row ``t`` is ``row``."""
+        rows = self
+        if self.used > t or t == self.data.shape[0]:
+            rows = _Rows(self.view(t), max(capacity, t + 1), self.square)
+        rows.data[t, : row.size] = row
+        rows.used = t + 1
+        return rows
+
+
+def _lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix, bordered row by row.
+
+    Row ``i`` is ``[-(l_i L_i^{-1}) / l_ii, 1 / l_ii]`` for the leading
+    block ``L_i``: the rows an append adds, applied to a fresh factor.
+    """
+    inverse = np.zeros_like(lower)
+    for i in range(lower.shape[0]):
+        inverse[i, :i] = -(lower[i, :i] @ inverse[:i, :i]) / lower[i, i]
+        inverse[i, i] = 1.0 / lower[i, i]
+    return inverse
 
 
 def _top_eigenpair(

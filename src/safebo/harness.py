@@ -18,6 +18,7 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .domain import Domain
 from .kernels import Kernel
@@ -410,9 +411,9 @@ def run_single(config: ExperimentConfig, seed: int, beta_mode: str) -> RunTrace:
     """
     if beta_mode not in config.beta_modes:
         raise ConfigError(f"beta mode {beta_mode!r} not enabled in config")
-    streams = np.random.SeedSequence(seed).spawn(1 + len(config.beta_modes))
-    problem = build_synthetic_problem(config, np.random.default_rng(streams[0]))
-    run_rng = np.random.default_rng(streams[1 + config.beta_modes.index(beta_mode)])
+    streams = SeedSequence(seed).spawn(1 + len(config.beta_modes))
+    problem = build_synthetic_problem(config, default_rng(streams[0]))
+    run_rng = default_rng(streams[1 + config.beta_modes.index(beta_mode)])
 
     schedule = ScenarioSchedule(
         violation_prob=config.violation_prob,

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.special import lambertw
 
 __all__ = [
     "FAMILIES",
@@ -32,10 +30,15 @@ _SQRT3 = float(np.sqrt(3.0))
 _METRIC_TOL = 1e-12
 
 # Below this squared metric over 2 * output_scale, the Matérn inverse uses
-# the branch-point series of Lambert W_{-1}: near the branch point scipy's
-# lambertw loses accuracy (below x = 1e-8 it gives u = 3x where u is about
-# sqrt(2x)), while five series terms stay within 2e-11 relative.
+# the branch-point series of Lambert W_{-1}: there ``u - log(1 + u)``
+# cancels to about u**2 / 2, and Newton's residual loses relative accuracy
+# like 1e-16 / u, while five series terms stay within 2e-11 relative.
 _SERIES_BELOW = 1e-4
+
+# Newton steps of the Matérn inverse.  From its start above the root the
+# iteration decreases monotonically; three steps reach 2e-13 relative
+# between the series threshold and 1 - 1e-15, the others are margin.
+_NEWTON_STEPS = 5
 
 
 @dataclass(frozen=True)
@@ -76,16 +79,23 @@ class Kernel:
 
         The inverse of the profile: with ``x = metric**2 / (2 * output_scale)``
         it solves ``1 - exp(-r**2 / 2) = x`` in closed form and
-        ``1 - (1 + u) exp(-u) = x``, ``u = sqrt(3) r``, through the lower
-        branch of Lambert W.  Infinite from ``sqrt(2 * output_scale)``, the
-        supremum of the metric, on.  Accurate to about 1e-10 relative.
+        ``1 - (1 + u) exp(-u) = x``, ``u = sqrt(3) r``, by Newton's method
+        on ``u - log(1 + u) = -log(1 - x)`` (``-(1 + u)`` is the lower
+        branch of Lambert W at ``(x - 1) / e``).  Infinite from
+        ``sqrt(2 * output_scale)``, the supremum of the metric, on.
+        Accurate to about 1e-10 relative.
         """
         x = np.minimum(np.asarray(metric, dtype=float) ** 2 / (2.0 * self.output_scale), 1.0)
-        if self.family == "squared_exponential":
-            with np.errstate(divide="ignore"):
-                return self.lengthscale * np.sqrt(-2.0 * np.log1p(-x))
-        # w = -(1 + u) solves w exp(w) = (x - 1) / e on the lower branch.
-        u = -1.0 - lambertw((x - 1.0) / np.e, -1).real
+        with np.errstate(divide="ignore", invalid="ignore"):
+            target = -np.log1p(-x)
+            if self.family == "squared_exponential":
+                return self.lengthscale * np.sqrt(2.0 * target)
+            # u - log(1 + u) is convex and increasing, and this start lies
+            # above its root, so Newton decreases monotonically onto it.
+            u = target + np.sqrt(2.0 * target)
+            for _ in range(_NEWTON_STEPS):
+                u = u - (u - np.log1p(u) - target) * (1.0 + u) / u
+        u = np.where(x < 1.0, u, np.inf)
         small = x < _SERIES_BELOW
         if small.any():
             s = np.sqrt(2.0 * x[small])
@@ -123,7 +133,12 @@ def pairwise(kernel: Kernel, x: np.ndarray, y: np.ndarray | None = None) -> np.n
     y = x if y is None else _as_points(y)
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
-    return kernel.profile(cdist(x, y))
+    total = np.zeros((x.shape[0], y.shape[0]))
+    for k in range(x.shape[1]):
+        diff = np.subtract.outer(x[:, k], y[:, k])
+        diff *= diff
+        total += diff
+    return kernel.profile(np.sqrt(total))
 
 
 def gram(kernel: Kernel, points: np.ndarray) -> np.ndarray:
@@ -135,10 +150,8 @@ def gram(kernel: Kernel, points: np.ndarray) -> np.ndarray:
     points = _as_points(points)
     if points.shape[0] == 0:
         raise ValueError("point list must be non-empty")
-    k = pairwise(kernel, points)
-    # cdist can leave asymmetry at the last ulp; symmetrize so downstream
-    # factorizations see an exactly symmetric matrix.
-    return 0.5 * (k + k.T)
+    # Exactly symmetric: (a - b)**2 and (b - a)**2 round alike.
+    return pairwise(kernel, points)
 
 
 def metric_matrix(kernel: Kernel, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
@@ -151,7 +164,7 @@ def paired_metric(kernel: Kernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Each entry has the bits of the same pair's :func:`metric_matrix`
     entry: the squared coordinate differences are summed left to right,
-    as ``cdist`` sums them, and the profile and square root are the same.
+    as :func:`pairwise` sums them, and the profile and square root are the same.
     """
     x = _as_points(x)
     y = _as_points(y)

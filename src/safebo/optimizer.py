@@ -303,7 +303,11 @@ class OptimizerState:
 
 
 class SafeOptimizer:
-    """Driver binding a kernel, a grid, and a configuration to the loop."""
+    """Driver binding a kernel, a grid, and a configuration to the loop.
+
+    The domain must be a ``Domain.grid`` lattice: the set rules index it
+    through :class:`~safebo.frontier.GridIndex`.
+    """
 
     def __init__(self, kernel: Kernel, domain: Domain, config: OptimizerConfig):
         self.kernel = kernel

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain
+from .domain import Domain, has_duplicate_rows
 from .kernels import Kernel, gram, pairwise
 
 __all__ = [
@@ -98,7 +98,7 @@ def sample_rkhs_function(
 
     for _ in range(_MAX_RESAMPLE):
         centers = rng.uniform(lows, highs, size=(n_centers, domain.dim))
-        if np.unique(centers, axis=0).shape[0] != n_centers:
+        if has_duplicate_rows(centers):
             continue
         coefficients = rng.standard_normal(n_centers)
         center_gram = gram(kernel, centers)

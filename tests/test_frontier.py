@@ -1,0 +1,128 @@
+"""The lattice frontier against brute force over every outside point."""
+
+import numpy as np
+import pytest
+
+from safebo import Domain, Kernel, metric_matrix
+from safebo import frontier as frontier_module
+from safebo.frontier import GridIndex
+from safebo.kernels import FAMILIES, paired_metric
+
+# Relative slack on squared distances within which two outside points
+# count as equally near: far above the roundoff of a sum of squares, far
+# below any gap between distinct distances the fixtures draw.
+TIE_RTOL = 1e-12
+
+
+def random_axis(rng):
+    """Increasing coordinates with gaps spread over three decades."""
+    size = int(rng.integers(1, 8))
+    gaps = rng.exponential(size=size) * 10 ** rng.uniform(-3, 0, size=size)
+    return rng.uniform(-1, 1) + np.cumsum(gaps)
+
+
+def random_lattice(rng, dims):
+    """Points of a non-uniform lattice in ``Domain.grid`` order, at least two."""
+    while True:
+        axes = [random_axis(rng) for _ in range(dims)]
+        points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        if len(points) >= 2:
+            return points
+
+
+def random_mask(rng, n):
+    """A mask with at least one point on each side."""
+    mask = rng.random(n) < rng.uniform(0.05, 0.95)
+    mask[int(rng.integers(n))] = True
+    mask[int(rng.integers(n))] = False
+    if mask.all():
+        mask[0] = False
+    return mask
+
+
+def random_kernel(rng):
+    family = FAMILIES[int(rng.integers(len(FAMILIES)))]
+    return Kernel(
+        family,
+        lengthscale=float(10 ** rng.uniform(-2, 0)),
+        output_scale=float(10 ** rng.uniform(-1, 1)),
+    )
+
+
+def fixtures(rng, count):
+    for trial in range(count):
+        dims = 1 + trial % 3
+        if trial % 4 == 3:
+            resolution = [int(rng.integers(2, 7)) for _ in range(dims)]
+            points = Domain.grid([(0.0, 1.0)] * dims, resolution).points
+        else:
+            points = random_lattice(rng, dims)
+        yield random_kernel(rng), points, random_mask(rng, len(points))
+
+
+@pytest.fixture(params=["default", "one"])
+def budget(request, monkeypatch):
+    """The default pair budget, and one that chunks every pass to ``n`` elements."""
+    if request.param == "one":
+        monkeypatch.setattr(frontier_module, "_PAIR_BUDGET", 1)
+
+
+def test_near_and_floor_match_bruteforce(budget):
+    rng = np.random.default_rng(7)
+    for kernel, points, mask in fixtures(rng, 120):
+        frontier = GridIndex(kernel, points).frontier(mask)
+        outside = np.flatnonzero(~mask)
+        assert np.array_equal(frontier.outside, outside)
+        for i in np.flatnonzero(mask):
+            anchor = np.repeat(points[i][None, :], outside.size, axis=0)
+            diff = anchor - points[outside]
+            squares = diff * diff
+            sq = squares[:, 0].copy()
+            for k in range(1, squares.shape[1]):
+                sq += squares[:, k]
+            metric = paired_metric(kernel, anchor, points[outside])
+            nearest = sq <= sq.min() * (1.0 + TIE_RTOL)
+            assert frontier.near[i] in metric[nearest]
+            assert frontier.floor[i] <= metric.min()
+
+
+def test_covered_and_reaches_match_the_dense_scan(budget):
+    # Bounds span below the nearest outside point to past the farthest,
+    # with exact ties L * d for some pairs.
+    rng = np.random.default_rng(11)
+    for kernel, points, mask in fixtures(rng, 80):
+        index = GridIndex(kernel, points)
+        frontier = index.frontier(mask)
+        metric = metric_matrix(kernel, points)
+        anchors = np.flatnonzero(mask)
+        outside = frontier.outside
+        norm = float(rng.uniform(0.5, 2.0))
+        bounds = norm * metric[np.ix_(anchors, outside)].max(axis=1) * rng.uniform(0, 1.2, anchors.size)
+        ties = rng.random(anchors.size) < 0.3
+        picks = rng.integers(outside.size, size=anchors.size)
+        bounds[ties] = norm * metric[anchors[ties], outside[picks[ties]]]
+        reach = bounds[:, None] - norm * metric[np.ix_(anchors, outside)] >= 0.0
+        assert np.array_equal(index.covered(frontier, anchors, bounds, norm), reach.any(axis=0))
+        assert np.array_equal(index.reaches(frontier, anchors, bounds, norm), reach.any(axis=1))
+
+
+def test_lattice_with_a_single_point_axis():
+    points = np.stack([np.zeros(5), np.linspace(0.0, 1.0, 5)], axis=1)
+    mask = np.array([True, True, False, True, True])
+    frontier = GridIndex(Kernel(lengthscale=0.5), points).frontier(mask)
+    metric = metric_matrix(Kernel(lengthscale=0.5), points)
+    assert np.array_equal(frontier.near[mask], metric[mask, 2])
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        np.array([[0.0, 0.0], [1.0, 0.3], [0.2, 0.9]]),  # scattered
+        Domain.grid([(0.0, 1.0), (0.0, 1.0)], 3).points[::-1],  # lattice out of order
+        Domain.grid([(0.0, 1.0), (0.0, 1.0)], 3).points[:-1],  # lattice missing a point
+        np.array([[0.5], [0.1], [0.9]]),  # 1-D, unsorted
+    ],
+)
+def test_points_off_a_lattice_are_rejected(points):
+    with pytest.raises(ValueError, match="Domain.grid"):
+        GridIndex(Kernel(), points)

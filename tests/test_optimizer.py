@@ -82,17 +82,23 @@ def expanders_bruteforce(upper, bounded, safe, norms, metric, constraints):
     return result
 
 
+def random_lattice(rng, sizes, extent=1.0):
+    """The product of random sorted axis coordinates in ``[0, extent)``, in ``Domain.grid`` order."""
+    axes = [np.sort(rng.uniform(0, extent, size=size)) for size in sizes]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
 def random_points(rng):
-    """Random 1-D or 2-D points, a tight cluster, or a 1-D or 2-D ``Domain.grid``."""
+    """Random 1-D or 2-D lattices, a tight one, or a 1-D or 2-D ``Domain.grid``."""
     layout = int(rng.integers(5))
     if layout == 4:
         # Metrics far below the output scale, where radii are tiny.
-        return rng.uniform(0, 10 ** rng.uniform(-4, -1), size=(int(rng.integers(2, 13)), 2))
+        sizes = [int(rng.integers(2, 5)), int(rng.integers(1, 5))]
+        return random_lattice(rng, sizes, extent=10 ** rng.uniform(-4, -1))
     if layout == 0:
-        n = int(rng.integers(2, 13))
-        return rng.uniform(0, 1, size=(n, 1)) + np.arange(n)[:, None] * 1e-6
+        return random_lattice(rng, [int(rng.integers(2, 13))])
     if layout == 1:
-        return rng.uniform(0, 1, size=(int(rng.integers(2, 13)), 2))
+        return random_lattice(rng, [int(rng.integers(2, 5)), int(rng.integers(1, 5))])
     if layout == 2:
         return Domain.grid([(0.0, 1.0)], int(rng.integers(2, 16))).points
     resolution = [int(rng.integers(2, 5)), int(rng.integers(2, 5))]
@@ -647,8 +653,8 @@ class TestLocalSetsAlongRuns:
 
     def test_memory_stays_linear_on_a_large_grid(self):
         # One dense n x n float64 metric on this 100 x 100 grid would be
-        # 800 MB.  tracemalloc sees numpy's buffers and Python objects;
-        # the KD-trees' own C++ storage, O(n), is not traced.
+        # 800 MB.  tracemalloc sees numpy's buffers and Python objects,
+        # so the frontier's storage and its distance transform are traced.
         tracemalloc.start()
         try:
             optimizer = grid_2d_optimizer(100, Kernel(lengthscale=0.2), 6)
