@@ -114,7 +114,8 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         document = json.loads(args.config.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read config {args.config}: {err}") from err
-    document.update(overrides)
+    if isinstance(document, dict):  # anything else fails validation in from_dict
+        document.update(overrides)
     return ExperimentConfig.from_dict(document)
 
 
@@ -151,19 +152,22 @@ def _write_table(rows: list[dict], out: Path | None) -> None:
 
 
 def _cmd_scale_study(args: argparse.Namespace) -> int:
-    rows = scaling_study(
-        args.nu or [0.1],
-        args.kappa or [1e-3],
-        args.outputs or [1],
-        args.t or [1, 10, 100],
-    )
+    try:
+        rows = scaling_study(
+            args.nu or [0.1],
+            args.kappa or [1e-3],
+            args.outputs or [1],
+            args.t or [1, 10, 100],
+        )
+    except ValueError as err:
+        raise ConfigError(f"scale-study: {err}") from err
     _write_table(rows, args.out)
     return 0
 
 
 def _cmd_beta_report(args: argparse.Namespace) -> int:
     lines = args.trace.read_text(encoding="utf-8").strip().splitlines()
-    header = lines[0].split(",")
+    header = lines[0].split(",") if lines else []
     beta_cols = [i for i, name in enumerate(header) if name.startswith("beta")]
     if not beta_cols:
         raise ConfigError(f"{args.trace} does not look like an emitted run CSV")

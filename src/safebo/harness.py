@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import numbers
+import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
@@ -222,12 +222,80 @@ class ConfigError(Exception):
     """Invalid experiment configuration."""
 
 
+# ``_check`` implements the draft 2020-12 semantics of the JSON Schema
+# keywords in ``_KEYWORDS``, and ``CONFIG_SCHEMA`` uses no others.  Bools are
+# not numbers, an integer-valued float is an integer, and ``$schema`` is
+# metadata.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+# Each bound keyword: the comparison that violates it, and what it asks for.
+_BOUNDS = {
+    "minimum": (operator.lt, "at least"),
+    "exclusiveMinimum": (operator.le, "greater than"),
+    "maximum": (operator.gt, "at most"),
+    "exclusiveMaximum": (operator.ge, "less than"),
+}
+_KEYWORDS = frozenset(
+    {"$schema", "type", "const", "enum", *_BOUNDS, "minItems", "maxItems", "items",
+     "required", "properties", "additionalProperties"}
+)
+
+
+def _same(value, constant) -> bool:
+    """JSON equality: a bool never equals a number."""
+    return value == constant and isinstance(value, bool) == isinstance(constant, bool)
+
+
+def _invalid(path: str, reason: str) -> ConfigError:
+    return ConfigError(f"invalid experiment config: {path or 'document'}: {reason}")
+
+
+def _check(value, schema: dict, path: str) -> None:
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        raise _invalid(path, f"expected {kind}, got {value!r}")
+    if "const" in schema and not _same(value, schema["const"]):
+        raise _invalid(path, f"expected {schema['const']!r}, got {value!r}")
+    if "enum" in schema and not any(_same(value, option) for option in schema["enum"]):
+        raise _invalid(path, f"{value!r} is not one of {schema['enum']}")
+    if _TYPES["number"](value):
+        for keyword, (violates, relation) in _BOUNDS.items():
+            if keyword in schema and violates(value, schema[keyword]):
+                raise _invalid(path, f"must be {relation} {schema[keyword]!r}, got {value!r}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise _invalid(path, f"expected at least {schema['minItems']} items, got {len(value)}")
+        if len(value) > schema.get("maxItems", len(value)):
+            raise _invalid(path, f"expected at most {schema['maxItems']} items, got {len(value)}")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                _check(item, schema["items"], f"{path}[{i}]")
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        prefix = f"{path}." if path else ""
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise _invalid(f"{prefix}{key}", "missing")
+        for key in value:
+            if key in properties:
+                _check(value[key], properties[key], f"{prefix}{key}")
+            elif schema.get("additionalProperties", True) is False:
+                raise _invalid(f"{prefix}{key}", "unknown key")
+
+
 def validate_config(document: dict) -> None:
-    """Check a raw config document against the JSON schema."""
-    try:
-        jsonschema.validate(document, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as err:
-        raise ConfigError(f"invalid experiment config: {err.message}") from err
+    """Check a raw config document against ``CONFIG_SCHEMA``.
+
+    The error names the key path of the first offending value, such as
+    ``kernel.lengthscale`` or ``domain.resolution[0]``.
+    """
+    _check(document, CONFIG_SCHEMA, "")
 
 
 @dataclass(frozen=True)
@@ -481,6 +549,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     modes = list(config.beta_modes) * len(config.seeds)
     configs = [config] * len(seeds)
     if jobs > 1 and len(seeds) > 1:
+        # Imported here: a one-process run does not pay for the pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             traces = tuple(pool.map(run_single, configs, seeds, modes))
     else:

@@ -161,11 +161,13 @@ class ScenarioSchedule:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.violation_prob < 1.0:
-            raise ValueError("violation_prob must lie strictly inside (0, 1)")
+            raise ValueError(
+                f"violation_prob must lie strictly inside (0, 1), got {self.violation_prob!r}"
+            )
         if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie strictly inside (0, 1)")
+            raise ValueError(f"confidence must lie strictly inside (0, 1), got {self.confidence!r}")
         if self.n_outputs < 1:
-            raise ValueError("need at least one output")
+            raise ValueError(f"need at least one output, got {self.n_outputs!r}")
 
 
 @dataclass(frozen=True)
@@ -183,9 +185,9 @@ def iteration_confidence(confidence: float, iteration: int) -> float:
     what lets per-iteration statements hold simultaneously.
     """
     if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie strictly inside (0, 1)")
+        raise ValueError(f"confidence must lie strictly inside (0, 1), got {confidence!r}")
     if iteration < 1:
-        raise ValueError("iteration counter starts at 1")
+        raise ValueError(f"iteration counter starts at 1, got {iteration!r}")
     return 6.0 * confidence / (math.pi**2 * iteration**2)
 
 
@@ -217,7 +219,9 @@ def min_scenarios(schedule: ScenarioSchedule, adjusted_confidence: float) -> int
     battery asks for the same counts at the same iterations.
     """
     if not 0.0 < adjusted_confidence < 1.0:
-        raise ValueError("adjusted confidence must lie strictly inside (0, 1)")
+        raise ValueError(
+            f"adjusted confidence must lie strictly inside (0, 1), got {adjusted_confidence!r}"
+        )
     nu = schedule.violation_prob
     k = schedule.n_outputs
     log_target = math.log(adjusted_confidence)

@@ -98,12 +98,37 @@ def test_run_with_invalid_config_exits_two(tmp_path):
     assert main(["run", "--config", str(config_path)]) == 2
 
 
+@pytest.mark.parametrize("text", ["[]", "3", '"config"', "null"])
+def test_run_with_non_object_config_exits_two(tmp_path, capsys, text):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(text)
+    assert main(["run", "--config", str(config_path), "--seed", "0"]) == 2
+    assert "config error: invalid experiment config: document: expected object" in (
+        capsys.readouterr().err
+    )
+
+
 def test_scale_study_stdout(capsys):
     code = main(["scale-study", "--nu", "0.1", "--nu", "0.05", "--kappa", "1e-3", "--t", "1"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].split(",")[0] == "violation_prob"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "flag, value, reason",
+    [
+        ("--nu", "0", "violation_prob must lie strictly inside (0, 1), got 0.0"),
+        ("--nu", "1.5", "violation_prob must lie strictly inside (0, 1), got 1.5"),
+        ("--kappa", "0", "confidence must lie strictly inside (0, 1), got 0.0"),
+        ("--outputs", "0", "need at least one output, got 0"),
+        ("--t", "0", "iteration counter starts at 1, got 0"),
+    ],
+)
+def test_scale_study_rejects_out_of_range_values(capsys, flag, value, reason):
+    assert main(["scale-study", flag, value]) == 2
+    assert capsys.readouterr().err == f"config error: scale-study: {reason}\n"
 
 
 def test_scale_study_to_file(tmp_path):
@@ -133,6 +158,13 @@ def test_beta_report_rejects_foreign_csv(tmp_path):
     alien = tmp_path / "alien.csv"
     alien.write_text("x,y\n1,2\n")
     assert main(["beta-report", "--trace", str(alien)]) == 2
+
+
+def test_beta_report_rejects_empty_trace(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["beta-report", "--trace", str(empty)]) == 2
+    assert "does not look like an emitted run CSV" in capsys.readouterr().err
 
 
 def test_strict_run_exits_three_on_collapse(tmp_path, capsys):

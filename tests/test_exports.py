@@ -1,4 +1,5 @@
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -23,8 +24,11 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported)
 
 
-RUN_WITHOUT_SCIPY = """
+RUN_ON_NUMPY_ONLY = """
+import json
 import sys
+
+started_with = set(sys.modules)
 
 import numpy as np
 
@@ -32,6 +36,7 @@ import safebo
 import safebo.cli
 import safebo.harness
 from safebo import Domain, Kernel, OptimizerConfig, SafeOptimizer, ScenarioSchedule, uniform
+from safebo.harness import ExperimentConfig, run_experiment
 
 domain = Domain.grid([(0.0, 1.0), (0.0, 1.0)], 12)
 config = OptimizerConfig(
@@ -48,16 +53,36 @@ state = SafeOptimizer(Kernel(lengthscale=0.3), domain, config).run(
     np.random.default_rng(0),
 )
 assert len(state.records) == 8 and state.safe.sum() > 1
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+battery = ExperimentConfig.from_preset(
+    "paper-synthetic-1", {"seeds": [0], "max_iterations": 5, "beta_modes": ["scenario"]}
+)
+assert run_experiment(battery, jobs=1).traces[0].iterations > 0
+
+# Cython's extension modules register helper modules that no import made;
+# they carry no module spec.
+loaded = {
+    name.split(".")[0]
+    for name, module in sys.modules.items()
+    if name not in started_with and getattr(module, "__spec__", None) is not None
+}
+print(json.dumps({
+    "third_party": sorted(loaded - set(sys.stdlib_module_names)),
+    "forbidden": sorted({"jsonschema", "concurrent.futures", "scipy"} & set(sys.modules)),
+}))
 """
 
 
 def test_runtime_loads_no_scipy():
-    # A fresh interpreter: the test session itself imports scipy.
+    # A fresh interpreter: the test session itself imports scipy and
+    # jsonschema.  Beyond the standard library, the runtime, a one-process
+    # battery included, loads numpy and nothing else; the process pool is
+    # imported only for jobs > 1.
     src = str(Path(safebo.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-c", RUN_WITHOUT_SCIPY], env=env, capture_output=True, text=True
+        [sys.executable, "-c", RUN_ON_NUMPY_ONLY], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    report = json.loads(done.stdout)
+    assert report["third_party"] == ["numpy", "safebo"]
+    assert report["forbidden"] == []

@@ -1,11 +1,15 @@
 import json
 import math
+import random
+import re
 
 import numpy as np
 import pytest
 
 from safebo import ExperimentConfig, metric_matrix, reachable_set, run_single, scaling_study
+from safebo import harness
 from safebo.harness import (
+    CONFIG_SCHEMA,
     PRESETS,
     ConfigError,
     beta_growth_report,
@@ -112,6 +116,109 @@ class TestConfigValidation:
     def test_defaults_fill_partial_constraint(self):
         config = tiny_config(constraint={"kind": "independent"})
         assert config.constraint == {"kind": "independent", "quantile": 0.4}
+
+
+# Values a mutation writes over a document entry: bools next to the numbers
+# they compare equal to, an integer-valued float, negatives, boundary values,
+# strings the schema's enums hold, and containers of the wrong shape.
+REPLACEMENTS = [
+    True, False, None, 0, 1, 2, 2.0, 2.5, -1, -1.0, 0.0, 1.0, 1e-3, 300,
+    "x", "matern32", "uniform", "independent", "error", "scenario",
+    [], [0], [2.0], [True], [[0.0, 1.0]], [[0, 1, 2]], {}, {"kind": "self"},
+]
+EXTRA_KEYS = ["learning_rate", "name", "quantile", "kind", "output_scale", "dof", "spec"]
+
+
+def mutate(document, rng: random.Random):
+    """One random replacement, deletion or insertion anywhere in ``document``."""
+    slots = [(None, None)]
+    stack = [document] if isinstance(document, (dict, list)) else []
+    while stack:
+        node = stack.pop()
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    node, key = rng.choice(slots)
+    value = json.loads(json.dumps(rng.choice(REPLACEMENTS)))
+    if node is None:
+        return value if rng.random() < 0.2 else document
+    action = rng.choice(["replace", "replace", "delete", "insert"])
+    if action == "replace":
+        node[key] = value
+    elif action == "delete":
+        del node[key]
+    elif isinstance(node, dict):
+        node[rng.choice(EXTRA_KEYS)] = value
+    else:
+        node.append(value)
+    return document
+
+
+def schema_nodes(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from schema_nodes(sub)
+    if "items" in schema:
+        yield from schema_nodes(schema["items"])
+
+
+def is_accepted(document) -> bool:
+    try:
+        validate_config(document)
+    except ConfigError:
+        return False
+    return True
+
+
+class TestConfigValidator:
+    def test_agrees_with_jsonschema_on_mutated_presets(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        reference = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+        rng = random.Random(8)
+        verdicts = []
+        for name in sorted(PRESETS):
+            for _ in range(1500):
+                document = json.loads(json.dumps(PRESETS[name]))
+                for _ in range(rng.choice([1, 1, 2, 3])):
+                    document = mutate(document, rng)
+                expected = reference.is_valid(document)
+                assert is_accepted(document) == expected, document
+                verdicts.append(expected)
+        # Both verdicts occur often enough for the agreement to mean something.
+        assert 0.05 < sum(verdicts) / len(verdicts) < 0.5
+
+    def test_schema_uses_only_implemented_keywords(self):
+        for node in schema_nodes(CONFIG_SCHEMA):
+            assert set(node) <= harness._KEYWORDS, sorted(set(node) - harness._KEYWORDS)
+            assert node.get("type", "object") in harness._TYPES
+            assert isinstance(node.get("additionalProperties", False), bool)
+            assert isinstance(node.get("items", {}), dict)
+
+    @pytest.mark.parametrize(
+        "path, edit",
+        [
+            ("kernel.lengthscale", lambda d: d["kernel"].update(lengthscale=0)),
+            ("kernel.family", lambda d: d["kernel"].pop("family")),
+            ("domain.resolution[0]", lambda d: d["domain"].update(resolution=[1])),
+            ("domain.bounds[0][1]", lambda d: d["domain"].update(bounds=[[0.0, "1"]])),
+            ("constraint.mode", lambda d: d["constraint"].update(mode="self")),
+            ("spec", lambda d: d.update(spec=True)),
+            ("seeds[1]", lambda d: d.update(seeds=[0, 1.5])),
+        ],
+    )
+    def test_error_names_key_path(self, path, edit):
+        document = tiny_config().to_dict()
+        edit(document)
+        with pytest.raises(ConfigError, match=f"^invalid experiment config: {re.escape(path)}: "):
+            validate_config(document)
+
+    def test_json_numbers_follow_draft_2020_12(self):
+        assert is_accepted(tiny_config().to_dict() | {"spec": 1.0, "max_iterations": 2.0})
+        assert not is_accepted(tiny_config().to_dict() | {"spec": True})
+        assert not is_accepted(tiny_config().to_dict() | {"norm_bound": True})
+        assert not is_accepted(tiny_config().to_dict() | {"max_iterations": 2.5})
 
 
 class TestSyntheticProblem:
