@@ -6,7 +6,7 @@ The set rules compare a bound ``b`` at a point ``s`` against
 Euclidean distance, so a bound can only reach points inside a ball, and
 a point whose bound does not reach the nearest outside point reaches
 none.  :class:`GridIndex` answers these questions on the lattice of a
-``Domain.grid`` without the dense ``n x n`` metric:
+:class:`~safebo.domain.Domain` without the dense ``n x n`` metric:
 
 * a :class:`Frontier` per mask holds the outside points, and for every
   inside point the metric to a Euclidean-nearest outside point together
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import Domain
 from .kernels import Kernel, paired_metric
 
 __all__ = ["Frontier", "GridIndex"]
@@ -73,24 +74,17 @@ class Frontier:
 
 
 class GridIndex:
-    """The lattice's points under one kernel, with the frontier of the last mask.
+    """A domain's lattice under one kernel, with the frontier of the last mask.
 
-    ``points`` must be a lattice in the order ``Domain.grid`` lists it:
-    the product of increasing per-axis coordinates, first axis slowest.
-    The axes are read off the points.  The frontier is rebuilt only when
-    asked for a different mask, so the loop, which asks for each safe set
-    twice, builds one per change.
+    The frontier is rebuilt only when asked for a different mask, so the
+    loop, which asks for each safe set twice, builds one per change.
     """
 
-    def __init__(self, kernel: Kernel, points: np.ndarray):
+    def __init__(self, kernel: Kernel, domain: Domain):
         self.kernel = kernel
-        self.points = np.ascontiguousarray(points, dtype=float)
-        if self.points.ndim != 2:
-            raise ValueError("points must be an (n, d) array")
-        self.axes = [_distinct(column) for column in self.points.T]
+        self.points = domain.points
+        self.axes = domain.axes
         self.shape = tuple(axis.size for axis in self.axes)
-        if not _is_lattice(self.points, self.axes):
-            raise ValueError("GridIndex needs the points of a Domain.grid lattice, in its order")
         self.strides = np.array(
             [math.prod(self.shape[k + 1 :]) for k in range(len(self.shape))], dtype=np.intp
         )
@@ -248,24 +242,3 @@ class GridIndex:
             metric = paired_metric(self.kernel, centers[rows], self.points[flat])
             yield rows, frontier.position[flat], bounds[rows] - norm * metric >= 0.0
             start = stop
-
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values in increasing order, without ``np.unique``'s ``numpy.ma`` import."""
-    ordered = np.sort(values)
-    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-
-
-def _is_lattice(points: np.ndarray, axes: list[np.ndarray]) -> bool:
-    """Whether ``points`` lists the product of ``axes``, first axis slowest."""
-    shape = tuple(axis.size for axis in axes)
-    if math.prod(shape) != len(points):
-        return False
-    lattice = points.reshape(shape + (len(axes),))
-    return all(
-        np.array_equal(
-            lattice[..., k], np.broadcast_to(axis.reshape((-1,) + (1,) * (len(axes) - k - 1)), shape)
-        )
-        for k, axis in enumerate(axes)
-    )

@@ -6,14 +6,15 @@ posterior standard deviation; only the posterior means differ.  Models
 are persistent: appending an observation returns a new model and leaves
 the old one untouched, so snapshots can be queried concurrently.
 
-A model is bound to a fixed query grid.  It carries its Cholesky factor
-``L``, the inverse factor ``L^{-1}``, the projection
+A model is bound to a fixed query grid.  It carries the inverse
+``L^{-1}`` of its Cholesky factor ``L``, the projection
 ``P = L^{-1} K(X, grid)`` and ``z = L^{-1} y``; an append adds one row to
 each (rank-1 bordering, Rasmussen & Williams 2006, Alg. 2.1), so every
 solve is a matrix-vector product and the grid posterior costs ``O(t n)``
-per step.  The four are kept in buffers that a model shares with the
+per step.  The three are kept in buffers that a model shares with the
 models appended to it, so an append writes one row instead of copying
-``t`` of them.
+``t`` of them.  Of ``L`` itself only the pivots, its diagonal, are kept,
+for the log-determinant.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ class SurrogateModel:
         self.inputs = np.zeros((0, self.grid.shape[1]))
         self.targets = np.zeros((self.n_outputs, 0))
         self._gram = np.zeros((0, 0))
-        self._chol_rows = self._inv_rows = _Rows(np.zeros((0, 0)), 0, square=True)
+        self._pivots = np.zeros(0)
+        self._inv_rows = _Rows(np.zeros((0, 0)), 0, square=True)
         self._z_rows = _Rows(np.zeros((0, self.n_outputs)), 0)
         self._proj_rows = _Rows(np.zeros((0, self.grid.shape[0])), 0)
         self._appends = 0
@@ -91,10 +93,6 @@ class SurrogateModel:
     def t(self) -> int:
         """Number of stored observations."""
         return self.inputs.shape[0]
-
-    @property
-    def _chol(self) -> np.ndarray:
-        return self._chol_rows.view(self.t)
 
     @property
     def _inv(self) -> np.ndarray:
@@ -119,7 +117,7 @@ class SurrogateModel:
         chol = np.linalg.cholesky(shifted)
         inv = _lower_inverse(chol)
         capacity = self._capacity()
-        self._chol_rows = _Rows(chol, capacity, square=True)
+        self._pivots = np.diag(chol).copy()
         self._inv_rows = _Rows(inv, capacity, square=True)
         self._z_rows = _Rows(inv @ self.targets.T, capacity)
         self._proj_rows = _Rows(inv @ pairwise(self.kernel, self.inputs, self.grid), capacity)
@@ -127,11 +125,10 @@ class SurrogateModel:
     def with_observation(self, point: np.ndarray, values: np.ndarray) -> "SurrogateModel":
         """New model with one more evaluation appended.
 
-        ``values`` holds one observation per output.  The cached Cholesky
-        factor is extended by a rank-1 border, and the carried solves
-        by the matching row; the first observation and every 64th
-        append after it factorize from scratch instead, which bounds
-        numerical drift.
+        ``values`` holds one observation per output.  The carried
+        inverse factor and solves are extended by the row of a rank-1
+        border; the first observation and every 64th append after it
+        factorize from scratch instead, which bounds numerical drift.
         """
         point = np.asarray(point, dtype=float).ravel()
         values = np.asarray(values, dtype=float).ravel()
@@ -171,7 +168,7 @@ class SurrogateModel:
             max(diag + self.regularization - float(w @ w), self.regularization * 1e-12)
         )
         capacity = child._capacity()
-        child._chol_rows = self._chol_rows.appended(t, np.append(w, pivot), capacity)
+        child._pivots = np.append(self._pivots, pivot)
         child._inv_rows = self._inv_rows.appended(
             t, np.append(-(w @ self._inv) / pivot, 1.0 / pivot), capacity
         )
@@ -212,8 +209,8 @@ class SurrogateModel:
 
     def log_det_information_gain(self) -> float:
         """Half log-determinant of ``I + K / reg``, zero on empty history."""
-        # log det(K + reg I) through the cached factor, then rescale.
-        log_det = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
+        # log det(K + reg I) from the factor's pivots, then rescale.
+        log_det = 2.0 * float(np.sum(np.log(self._pivots)))
         return 0.5 * (log_det - self.t * np.log(self.regularization))
 
 

@@ -225,12 +225,14 @@ class ConfigError(Exception):
 # ``_check`` implements the draft 2020-12 semantics of the JSON Schema
 # keywords in ``_KEYWORDS``, and ``CONFIG_SCHEMA`` uses no others.  Bools are
 # not numbers, an integer-valued float is an integer, and ``$schema`` is
-# metadata.
+# metadata.  JSON has no NaN or infinity, so the ones Python's parser
+# admits are not numbers either.
 _TYPES = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
-    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool)
+    and (not isinstance(v, float) or math.isfinite(v)),
     "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
     or (isinstance(v, float) and v.is_integer()),
 }
@@ -340,7 +342,16 @@ class ExperimentConfig:
         values["max_iterations"] = int(values["max_iterations"])
         if values["n_centers"] is not None:
             values["n_centers"] = int(values["n_centers"])
-        return cls(**values)
+        config = cls(**values)
+        # Values the schema admits but the run cannot use: an empty box, a
+        # resolution per missing bound, or noise parameters its family rejects.
+        for key, build in (("domain", config.build_domain), ("kernel", config.build_kernel),
+                           ("noise", lambda: model_from_config(config.noise))):
+            try:
+                build()
+            except (ValueError, TypeError) as err:
+                raise _invalid(key, str(err)) from err
+        return config
 
     @classmethod
     def from_preset(cls, name: str, overrides: dict | None = None) -> "ExperimentConfig":
@@ -454,7 +465,6 @@ class RunTrace:
     violations: tuple[bool, ...]
     beta_bar: tuple[float, ...]
     termination_reason: str
-    final_best_index: int
     final_best_point: tuple[float, ...]
     final_best_lower: float
     final_best_true_reward: float
@@ -521,7 +531,6 @@ def run_single(config: ExperimentConfig, seed: int, beta_mode: str) -> RunTrace:
         violations=violations,
         beta_bar=beta_bar,
         termination_reason=final.termination_reason,
-        final_best_index=best,
         final_best_point=tuple(float(v) for v in best_point),
         final_best_lower=final.confidence.lower_bound(0, best),
         final_best_true_reward=float(problem.functions[0](best_point)),

@@ -73,8 +73,8 @@ class NoiseModel:
 
 def uniform(low: float, high: float) -> NoiseModel:
     """Homoscedastic uniform noise on ``[low, high]``."""
-    if not low < high:
-        raise ValueError("uniform noise needs low < high")
+    if not -math.inf < low < high < math.inf:
+        raise ValueError("uniform noise needs finite low < high")
 
     def sampler(location, output, rng, size):
         return rng.uniform(low, high, size)
@@ -84,8 +84,8 @@ def uniform(low: float, high: float) -> NoiseModel:
 
 def gaussian(variance: float) -> NoiseModel:
     """Homoscedastic zero-mean Gaussian noise with the given variance."""
-    if variance < 0:
-        raise ValueError("variance must be nonnegative")
+    if not 0 <= variance < math.inf:
+        raise ValueError("variance must be finite and nonnegative")
     std = math.sqrt(variance)
 
     def sampler(location, output, rng, size):
@@ -101,8 +101,8 @@ def sub_gaussian_surrogate(scale: float) -> NoiseModel:
     the scale-``R`` sub-Gaussian family, so it is the conservative
     samplable stand-in when only a sub-Gaussian constant is known.
     """
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
+    if not 0 <= scale < math.inf:
+        raise ValueError("scale must be finite and nonnegative")
     return gaussian(scale * scale)
 
 
@@ -112,10 +112,10 @@ def student_t_scaled(dof: float = 10.0, scale: float = 0.2) -> NoiseModel:
     ``|a|`` is the Euclidean norm of the evaluation point, so the noise
     vanishes at the origin and grows with distance from it.
     """
-    if dof <= 0:
-        raise ValueError("degrees of freedom must be positive")
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
+    if not 0 < dof < math.inf:
+        raise ValueError("degrees of freedom must be finite and positive")
+    if not 0 <= scale < math.inf:
+        raise ValueError("scale must be finite and nonnegative")
 
     def sampler(location, output, rng, size):
         magnitude = scale * float(np.linalg.norm(location))

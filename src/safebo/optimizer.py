@@ -274,7 +274,6 @@ class StepRecord:
     """One executed experiment."""
 
     iteration: int
-    point_index: int
     point: tuple[float, ...]
     observed: tuple[float, ...]
     true_values: tuple[float, ...]
@@ -299,15 +298,10 @@ class OptimizerState:
     records: tuple[StepRecord, ...] = ()
     terminated: bool = False
     termination_reason: str | None = None
-    proposed_index: int | None = None
 
 
 class SafeOptimizer:
-    """Driver binding a kernel, a grid, and a configuration to the loop.
-
-    The domain must be a ``Domain.grid`` lattice: the set rules index it
-    through :class:`~safebo.frontier.GridIndex`.
-    """
+    """Driver binding a kernel, a lattice, and a configuration to the loop."""
 
     def __init__(self, kernel: Kernel, domain: Domain, config: OptimizerConfig):
         self.kernel = kernel
@@ -315,7 +309,7 @@ class SafeOptimizer:
         self.config = config
         if any(i < 0 or i >= domain.n_points for i in config.initial_safe):
             raise ValueError("initial safe indices outside the grid")
-        self.index = GridIndex(kernel, domain.points)
+        self.index = GridIndex(kernel, domain)
         self._norms = np.asarray(config.norm_bounds, dtype=float)
 
     def initial_state(self) -> OptimizerState:
@@ -416,12 +410,7 @@ class SafeOptimizer:
 
         acq_width = float(widths[:, chosen].max())
         if acq_width < cfg.exploration_threshold:
-            return replace(
-                state,
-                terminated=True,
-                termination_reason="width_below_delta",
-                proposed_index=chosen,
-            )
+            return replace(state, terminated=True, termination_reason="width_below_delta")
 
         point = self.domain.points[chosen]
         measurement = len(state.records) + 1
@@ -447,7 +436,6 @@ class SafeOptimizer:
         best = self.best_parameter(state)
         record = StepRecord(
             iteration=measurement,
-            point_index=chosen,
             point=tuple(float(v) for v in point),
             observed=tuple(float(v) for v in observed),
             true_values=tuple(float(v) for v in truth),

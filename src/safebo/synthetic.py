@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain, has_duplicate_rows
+from .domain import Domain
 from .kernels import Kernel, gram, pairwise
 
 __all__ = [
@@ -98,7 +98,7 @@ def sample_rkhs_function(
 
     for _ in range(_MAX_RESAMPLE):
         centers = rng.uniform(lows, highs, size=(n_centers, domain.dim))
-        if has_duplicate_rows(centers):
+        if _has_duplicate_rows(centers):
             continue
         coefficients = rng.standard_normal(n_centers)
         center_gram = gram(kernel, centers)
@@ -117,6 +117,16 @@ def sample_rkhs_function(
             kernel=kernel, centers=centers, coefficients=coefficients, rkhs_norm=norm
         )
     raise RuntimeError("could not sample a non-degenerate center set")
+
+
+def _has_duplicate_rows(points: np.ndarray) -> bool:
+    """Whether two rows of ``points`` are equal.
+
+    A lexicographic sort puts equal rows next to each other.  Unlike
+    ``np.unique(points, axis=0)`` this leaves ``numpy.ma`` unimported.
+    """
+    ordered = points[np.lexsort(points.T)]
+    return bool((ordered[1:] == ordered[:-1]).all(axis=1).any())
 
 
 def nearest_rank_quantile(values: np.ndarray, q: float) -> float:

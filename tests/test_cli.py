@@ -98,6 +98,34 @@ def test_run_with_invalid_config_exits_two(tmp_path):
     assert main(["run", "--config", str(config_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda d: d["kernel"].update(lengthscale=float("nan")), "kernel.lengthscale"),
+        (lambda d: d.update(violation_prob=float("nan")), "violation_prob"),
+        (lambda d: d.update(exploration_threshold=float("inf")), "exploration_threshold"),
+        (lambda d: d["domain"].update(bounds=[[1.0, 0.0]]), "domain"),
+        (lambda d: d["domain"].update(resolution=[60, 60]), "domain"),
+        (lambda d: d.update(noise={"family": "uniform", "lo": 0}), "noise"),
+        (lambda d: d.update(noise={"family": "uniform", "low": 1, "high": 0}), "noise"),
+        (lambda d: d.update(noise={"family": "gaussian", "variance": float("nan")}), "noise"),
+    ],
+    ids=["nan-lengthscale", "nan-violation-prob", "infinite-threshold", "empty-box",
+         "resolution-per-missing-bound", "unknown-noise-key", "empty-noise-interval",
+         "nan-noise-variance"],
+)
+def test_run_with_unusable_config_exits_two_before_running(tmp_path, capsys, edit, key):
+    document = tiny_document()
+    edit(document)
+    config_path = tmp_path / "config.json"
+    # Python's JSON writer spells NaN and infinity as its reader accepts them.
+    config_path.write_text(json.dumps(document))
+    out_dir = tmp_path / "results"
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 2
+    assert f"config error: invalid experiment config: {key}: " in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("text", ["[]", "3", '"config"', "null"])
 def test_run_with_non_object_config_exits_two(tmp_path, capsys, text):
     config_path = tmp_path / "config.json"

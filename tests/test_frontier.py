@@ -22,12 +22,11 @@ def random_axis(rng):
 
 
 def random_lattice(rng, dims):
-    """Points of a non-uniform lattice in ``Domain.grid`` order, at least two."""
+    """A non-uniform lattice of at least two points."""
     while True:
-        axes = [random_axis(rng) for _ in range(dims)]
-        points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-        if len(points) >= 2:
-            return points
+        domain = Domain(tuple(random_axis(rng) for _ in range(dims)))
+        if domain.n_points >= 2:
+            return domain
 
 
 def random_mask(rng, n):
@@ -54,10 +53,10 @@ def fixtures(rng, count):
         dims = 1 + trial % 3
         if trial % 4 == 3:
             resolution = [int(rng.integers(2, 7)) for _ in range(dims)]
-            points = Domain.grid([(0.0, 1.0)] * dims, resolution).points
+            domain = Domain.grid([(0.0, 1.0)] * dims, resolution)
         else:
-            points = random_lattice(rng, dims)
-        yield random_kernel(rng), points, random_mask(rng, len(points))
+            domain = random_lattice(rng, dims)
+        yield random_kernel(rng), domain, random_mask(rng, domain.n_points)
 
 
 @pytest.fixture(params=["default", "one"])
@@ -69,8 +68,9 @@ def budget(request, monkeypatch):
 
 def test_near_and_floor_match_bruteforce(budget):
     rng = np.random.default_rng(7)
-    for kernel, points, mask in fixtures(rng, 120):
-        frontier = GridIndex(kernel, points).frontier(mask)
+    for kernel, domain, mask in fixtures(rng, 120):
+        points = domain.points
+        frontier = GridIndex(kernel, domain).frontier(mask)
         outside = np.flatnonzero(~mask)
         assert np.array_equal(frontier.outside, outside)
         for i in np.flatnonzero(mask):
@@ -90,10 +90,10 @@ def test_covered_and_reaches_match_the_dense_scan(budget):
     # Bounds span below the nearest outside point to past the farthest,
     # with exact ties L * d for some pairs.
     rng = np.random.default_rng(11)
-    for kernel, points, mask in fixtures(rng, 80):
-        index = GridIndex(kernel, points)
+    for kernel, domain, mask in fixtures(rng, 80):
+        index = GridIndex(kernel, domain)
         frontier = index.frontier(mask)
-        metric = metric_matrix(kernel, points)
+        metric = metric_matrix(kernel, domain.points)
         anchors = np.flatnonzero(mask)
         outside = frontier.outside
         norm = float(rng.uniform(0.5, 2.0))
@@ -107,22 +107,9 @@ def test_covered_and_reaches_match_the_dense_scan(budget):
 
 
 def test_lattice_with_a_single_point_axis():
-    points = np.stack([np.zeros(5), np.linspace(0.0, 1.0, 5)], axis=1)
+    domain = Domain((np.zeros(1), np.linspace(0.0, 1.0, 5)))
     mask = np.array([True, True, False, True, True])
-    frontier = GridIndex(Kernel(lengthscale=0.5), points).frontier(mask)
-    metric = metric_matrix(Kernel(lengthscale=0.5), points)
+    frontier = GridIndex(Kernel(lengthscale=0.5), domain).frontier(mask)
+    metric = metric_matrix(Kernel(lengthscale=0.5), domain.points)
     assert np.array_equal(frontier.near[mask], metric[mask, 2])
 
-
-@pytest.mark.parametrize(
-    "points",
-    [
-        np.array([[0.0, 0.0], [1.0, 0.3], [0.2, 0.9]]),  # scattered
-        Domain.grid([(0.0, 1.0), (0.0, 1.0)], 3).points[::-1],  # lattice out of order
-        Domain.grid([(0.0, 1.0), (0.0, 1.0)], 3).points[:-1],  # lattice missing a point
-        np.array([[0.5], [0.1], [0.9]]),  # 1-D, unsorted
-    ],
-)
-def test_points_off_a_lattice_are_rejected(points):
-    with pytest.raises(ValueError, match="Domain.grid"):
-        GridIndex(Kernel(), points)

@@ -80,9 +80,11 @@ class TestPosterior:
         model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT)
         for _ in range(10):
             model = model.with_observation(rng.uniform(0, 1, 1), rng.standard_normal(1))
-        rebuilt = model._chol @ model._chol.T
-        target = model._gram + 0.01 * np.eye(model.t)
-        assert np.linalg.norm(rebuilt - target) < 1e-8
+        shifted = model._gram + 0.01 * np.eye(model.t)
+        assert np.linalg.norm(model._inv @ shifted @ model._inv.T - np.eye(model.t)) < 1e-8
+        sign, log_det = np.linalg.slogdet(np.eye(model.t) + model._gram / 0.01)
+        assert sign == 1.0
+        assert model.log_det_information_gain() == pytest.approx(0.5 * log_det, rel=1e-10)
 
     def test_rejects_non_finite_targets(self, kernel):
         model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT)

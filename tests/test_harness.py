@@ -263,11 +263,13 @@ class TestRunExperiment:
         assert set(result.summary["aggregate"]) == {"scenario", "classic_subgaussian"}
 
     def test_zero_iterations_reports_start_only(self, tmp_path):
-        result = run_experiment(tiny_config(max_iterations=0))
+        config = tiny_config(max_iterations=0)
+        points = config.build_domain().points
+        result = run_experiment(config)
         for trace in result.traces:
             assert trace.iterations == 0
             assert trace.final_safe_size == 1
-            assert trace.final_best_index == trace.initial_safe[0]
+            assert trace.final_best_point == tuple(points[trace.initial_safe[0]])
         # No experiment gives no lower bound: strict JSON, with null there.
         emit(result, tmp_path)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -189,11 +190,51 @@ def test_domain_grid_shape_and_bounds():
     assert d.points[:, 1].min() == -1.0 and d.points[:, 1].max() == 1.0
 
 
-def test_domain_rejects_duplicates():
-    with pytest.raises(ValueError, match="duplicate"):
-        Domain(points=np.array([[0.0], [0.0]]), bounds=((0.0, 1.0),))
+@pytest.mark.parametrize(
+    "axes",
+    [
+        (),
+        (np.array([]),),
+        (np.array([[0.0, 1.0]]),),
+        (np.array([0.0, 0.5, 0.5]),),
+        (np.linspace(0.0, 1.0, 3), np.array([1.0, 0.0])),
+        (np.array([0.0, np.nan]),),
+    ],
+    ids=["no-axes", "empty-axis", "2-d-axis", "repeated", "decreasing", "nan"],
+)
+def test_domain_rejects_axes_that_are_not_strictly_increasing(axes):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Domain(axes)
 
 
-def test_domain_rejects_out_of_bounds():
-    with pytest.raises(ValueError, match="within the bounds"):
-        Domain(points=np.array([[2.0]]), bounds=((0.0, 1.0),))
+def test_domain_points_list_the_product_of_its_axes(rng):
+    for sizes in ([4], [3, 5], [2, 1, 4]):
+        axes = tuple(np.sort(rng.uniform(-1.0, 1.0, size=size)) for size in sizes)
+        domain = Domain(axes)
+        assert domain.points.tolist() == [list(p) for p in itertools.product(*axes)]
+        assert domain.n_points == len(domain.points)
+        assert domain.dim == len(sizes)
+        assert domain.bounds == tuple((axis[0], axis[-1]) for axis in axes)
+
+
+def test_domain_grid_bounds_are_bit_exact(rng):
+    for _ in range(50):
+        dim = int(rng.integers(1, 4))
+        lows = rng.uniform(-10.0, 10.0, size=dim)
+        bounds = tuple((float(lo), float(lo + rng.exponential())) for lo in lows)
+        resolution = [int(r) for r in rng.integers(2, 200, size=dim)]
+        assert Domain.grid(bounds, resolution).bounds == bounds
+
+
+@pytest.mark.parametrize(
+    "bounds, resolution, reason",
+    [
+        ([(1.0, 0.0)], 5, "low < high"),
+        ([(0.0, 0.0)], 5, "low < high"),
+        ([(0.0, 1.0)], [5, 5], "one resolution per dimension"),
+        ([(0.0, 1.0)], 1, "at least 2"),
+    ],
+)
+def test_domain_grid_rejects_a_box_it_cannot_span(bounds, resolution, reason):
+    with pytest.raises(ValueError, match=reason):
+        Domain.grid(bounds, resolution)

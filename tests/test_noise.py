@@ -181,6 +181,20 @@ class TestBuiltinModels:
             uniform(1.0, -1.0)
         with pytest.raises(ValueError):
             gaussian(-1.0)
+        # A JSON descriptor's parameters are untyped, so NaN and infinity
+        # reach the constructors and must not reach the sampler.
+        for build in (
+            lambda: uniform(-math.inf, 1.0),
+            lambda: uniform(0.0, math.nan),
+            lambda: gaussian(math.nan),
+            lambda: gaussian(math.inf),
+            lambda: sub_gaussian_surrogate(math.nan),
+            lambda: student_t_scaled(dof=math.nan),
+            lambda: student_t_scaled(dof=math.inf),
+            lambda: student_t_scaled(scale=math.inf),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                build()
 
     def test_wire_descriptors_round_trip(self):
         # A descriptor read back from JSON draws what the constructor draws.

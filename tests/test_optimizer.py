@@ -83,12 +83,11 @@ def expanders_bruteforce(upper, bounded, safe, norms, metric, constraints):
 
 
 def random_lattice(rng, sizes, extent=1.0):
-    """The product of random sorted axis coordinates in ``[0, extent)``, in ``Domain.grid`` order."""
-    axes = [np.sort(rng.uniform(0, extent, size=size)) for size in sizes]
-    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    """The product of random sorted axis coordinates in ``[0, extent)``."""
+    return Domain(tuple(np.sort(rng.uniform(0, extent, size=size)) for size in sizes))
 
 
-def random_points(rng):
+def random_domain(rng):
     """Random 1-D or 2-D lattices, a tight one, or a 1-D or 2-D ``Domain.grid``."""
     layout = int(rng.integers(5))
     if layout == 4:
@@ -100,9 +99,9 @@ def random_points(rng):
     if layout == 1:
         return random_lattice(rng, [int(rng.integers(2, 5)), int(rng.integers(1, 5))])
     if layout == 2:
-        return Domain.grid([(0.0, 1.0)], int(rng.integers(2, 16))).points
+        return Domain.grid([(0.0, 1.0)], int(rng.integers(2, 16)))
     resolution = [int(rng.integers(2, 5)), int(rng.integers(2, 5))]
-    return Domain.grid([(0.0, 1.0), (-0.5, 0.5)], resolution).points
+    return Domain.grid([(0.0, 1.0), (-0.5, 0.5)], resolution)
 
 
 def random_fixture(rng):
@@ -119,10 +118,10 @@ def random_fixture(rng):
         lengthscale=float(rng.uniform(0.05, 0.8)),
         output_scale=float(10 ** rng.uniform(-1, 1)),
     )
-    points = random_points(rng)
-    n = points.shape[0]
+    domain = random_domain(rng)
+    n = domain.n_points
     k = int(rng.integers(1, 4))
-    metric = metric_matrix(kernel, points)
+    metric = metric_matrix(kernel, domain.points)
     norms = rng.uniform(0.5, 2.0, size=k)
     reach = norms[:, None] * math.sqrt(2.0 * kernel.output_scale)
     scale = 10 ** rng.uniform(-2, 0.1)
@@ -140,7 +139,7 @@ def random_fixture(rng):
         lower[i, s] = min(lower[i, s], upper[i, s])
     n_constraints = int(rng.integers(1, k + 1))
     constraints = tuple(sorted(rng.choice(k, size=n_constraints, replace=False).tolist()))
-    index = GridIndex(kernel, points)
+    index = GridIndex(kernel, domain)
     return lower, upper, bounded, previous, norms, index, metric, constraints
 
 
@@ -167,7 +166,7 @@ class TestSafeSet:
         self.kernel = Kernel(lengthscale=0.1)
         self.domain = Domain.grid([(0.0, 1.0)], 21)
         self.metric = metric_matrix(self.kernel, self.domain.points)
-        self.index = GridIndex(self.kernel, self.domain.points)
+        self.index = GridIndex(self.kernel, self.domain)
 
     def test_expansion_radius_from_single_anchor(self):
         n = self.domain.n_points
@@ -210,7 +209,7 @@ class TestSafeSet:
             kernel = Kernel(family, lengthscale=0.3, output_scale=2.5)
             domain = Domain.grid([(0.0, 1.0), (0.0, 1.0)], 7)
             metric = metric_matrix(kernel, domain.points)
-            index = GridIndex(kernel, domain.points)
+            index = GridIndex(kernel, domain)
             n = domain.n_points
             previous = np.zeros(n, dtype=bool)
             previous[[16, 17, 23, 24, 25, 31]] = True
@@ -233,7 +232,7 @@ class TestSafeSet:
                 np.ones((1, 3), dtype=bool),
                 np.zeros(3, dtype=bool),
                 np.array([1.0]),
-                GridIndex(self.kernel, self.domain.points[:3]),
+                GridIndex(self.kernel, Domain((self.domain.axes[0][:3],))),
                 (0,),
             )
 
@@ -278,7 +277,7 @@ class TestExpanders:
         self.kernel = Kernel(lengthscale=0.1)
         self.domain = Domain.grid([(0.0, 1.0)], 11)
         self.metric = metric_matrix(self.kernel, self.domain.points)
-        self.index = GridIndex(self.kernel, self.domain.points)
+        self.index = GridIndex(self.kernel, self.domain)
 
     def test_full_safe_set_has_no_expanders(self):
         n = self.domain.n_points
@@ -300,13 +299,13 @@ class TestExpanders:
 
     def test_reach_one_neighbor(self):
         # The anchor's upper bound 0.3 against the metric to its one outside point.
-        points = np.array([[0.0], [0.05]])
+        domain = Domain((np.array([0.0, 0.05]),))
         kernel = Kernel(lengthscale=0.2)
-        metric = metric_matrix(kernel, points)
+        metric = metric_matrix(kernel, domain.points)
         upper = np.array([[0.3, 0.0]])
         bounded = np.ones((1, 2), dtype=bool)
         safe = np.array([True, False])
-        mask = expanders(upper, bounded, safe, np.array([1.0]), GridIndex(kernel, points), (0,))
+        mask = expanders(upper, bounded, safe, np.array([1.0]), GridIndex(kernel, domain), (0,))
         assert mask[0] == (0.3 - metric[0, 1] >= 0)
 
     def test_roundoff_band_matches_bruteforce(self):
@@ -318,7 +317,7 @@ class TestExpanders:
             kernel = Kernel(family, lengthscale=0.3, output_scale=2.5)
             domain = Domain.grid([(0.0, 1.0), (0.0, 1.0)], 9)
             metric = metric_matrix(kernel, domain.points)
-            index = GridIndex(kernel, domain.points)
+            index = GridIndex(kernel, domain)
             safe = np.zeros(domain.n_points, dtype=bool)
             safe[[30, 31, 39, 40, 41, 49, 50]] = True
             near = index.frontier(safe).near
@@ -504,9 +503,14 @@ class TestStep:
         assert state.terminated
         assert state.termination_reason in ("width_below_delta", "max_iterations")
         if state.termination_reason == "width_below_delta":
-            assert state.proposed_index is not None
-            final_widths = state.confidence.widths()[:, state.proposed_index]
-            assert final_widths.max() < 1.9
+            # Every candidate the acquisition saw is narrower than delta.
+            conf = state.confidence
+            cons = optimizer.config.constraint_indices
+            candidates = maximizers(conf.upper, conf.lower, conf.bounded, state.safe) | expanders(
+                conf.upper, conf.bounded, state.safe, optimizer._norms, optimizer.index, cons
+            )
+            assert candidates.any()
+            assert conf.widths()[:, candidates].max() < 1.9
 
     def test_max_iterations_zero_returns_empty(self):
         optimizer, oracle, noise = toy_setup(max_iterations=0)
@@ -530,9 +534,9 @@ class TestStep:
             prev_records = len(state.records)
             state = optimizer.step(state, oracle, noise, np.random.default_rng(prev_records))
             if len(state.records) > prev_records:
-                rec = state.records[-1]
-                assert state.safe[rec.point_index]
-                visited.append(rec.point_index)
+                index = int(np.searchsorted(optimizer.domain.axes[0], state.records[-1].point[0]))
+                assert state.safe[index]
+                visited.append(index)
         assert visited
 
     def test_safe_set_monotone_and_best_lower_nondecreasing(self):
@@ -649,6 +653,38 @@ class TestLocalSetsAlongRuns:
                 expanders(conf.upper, conf.bounded, state.safe, norms, optimizer.index, cons),
                 dense_expanders(conf.upper, conf.bounded, state.safe, norms, metric, cons),
             )
+        assert state.safe.sum() > 1
+
+    def test_runs_on_a_non_uniform_lattice(self):
+        # Random axes of different sizes: the sets of each step still match
+        # the dense scan, and every experiment lands on a safe lattice point.
+        rng = np.random.default_rng(9)
+        domain = Domain(tuple(np.sort(rng.uniform(0.0, 1.0, size=size)) for size in (17, 23)))
+        kernel = Kernel(lengthscale=0.25)
+        config = OptimizerConfig(
+            norm_bounds=(1.0,),
+            regularization=0.01,
+            exploration_threshold=1e-3,
+            schedule=ScenarioSchedule(0.1, 1e-3, 1),
+            max_iterations=30,
+            initial_safe=(int(np.argmin(((domain.points - 0.5) ** 2).sum(axis=1))),),
+        )
+        optimizer = SafeOptimizer(kernel, domain, config)
+        metric = metric_matrix(kernel, domain.points)
+        state = optimizer.initial_state()
+        while not state.terminated:
+            previous = state
+            state = optimizer.step(state, bump_2d, uniform(-1e-3, 1e-3), rng)
+            conf = state.confidence
+            if previous.records:
+                expected = dense_safe_set(
+                    conf.lower, conf.bounded, previous.safe, optimizer._norms, metric, (0,)
+                )
+                assert np.array_equal(state.safe, expected)
+            if len(state.records) > len(previous.records):
+                point = np.array(state.records[-1].point)
+                assert (domain.points[state.safe] == point).all(axis=1).any()
+        assert len(state.records) == 30
         assert state.safe.sum() > 1
 
     def test_memory_stays_linear_on_a_large_grid(self):

@@ -46,7 +46,7 @@ def containment_run(seed, n_points=60, iterations=25):
     while not state.terminated:
         state = optimizer.step(state, truth, noise, rng)
         if state.records:
-            visited.add(state.records[-1].point_index)
+            visited.add(int(np.searchsorted(domain.axes[0], state.records[-1].point[0])))
         for idx in visited:
             if not (
                 state.confidence.lower_bound(0, idx) - 1e-12
