@@ -8,12 +8,14 @@ the old one untouched, so snapshots can be queried concurrently.
 
 A model is bound to a fixed query grid.  It carries the inverse
 ``L^{-1}`` of its Cholesky factor ``L``, the projection
-``P = L^{-1} K(X, grid)`` and ``z = L^{-1} y``; an append adds one row to
-each (rank-1 bordering, Rasmussen & Williams 2006, Alg. 2.1), so every
-solve is a matrix-vector product and the grid posterior costs ``O(t n)``
-per step.  The three are kept in buffers that a model shares with the
-models appended to it, so an append writes one row instead of copying
-``t`` of them.  Of ``L`` itself only the pivots, its diagonal, are kept,
+``P = L^{-1} K(X, grid)`` and ``z = L^{-1} y``; every append, the first
+included, adds one row to each (rank-1 bordering, Rasmussen & Williams
+2006, Alg. 2.1).  That is the only factorization path: no append calls
+LAPACK, every solve is a matrix-vector product, and the grid posterior
+costs ``O(t n)`` per step.  The three are kept in buffers that a model
+shares with the models appended to it, so an append writes one row
+instead of copying ``t`` of them; a full buffer is copied into one with
+64 more rows.  Of ``L`` itself only the pivots, its diagonal, are kept,
 for the log-determinant.
 """
 
@@ -28,9 +30,8 @@ from .kernels import Kernel, pairwise
 
 __all__ = ["SurrogateModel"]
 
-# Full refactorization cadence for the incrementally updated Cholesky
-# factor and grid projection, bounding accumulated drift on long runs.
-_REFACTOR_EVERY = 64
+# Rows a carried buffer grows by when an append finds it full.
+_GROWTH = 64
 
 # Power iteration stops once the Kato-Temple bound certifies the Rayleigh
 # quotient to this relative accuracy.  A run that converges without a
@@ -78,10 +79,9 @@ class SurrogateModel:
         self.targets = np.zeros((self.n_outputs, 0))
         self._gram = np.zeros((0, 0))
         self._pivots = np.zeros(0)
-        self._inv_rows = _Rows(np.zeros((0, 0)), 0, square=True)
-        self._z_rows = _Rows(np.zeros((0, self.n_outputs)), 0)
-        self._proj_rows = _Rows(np.zeros((0, self.grid.shape[0])), 0)
-        self._appends = 0
+        self._inv_rows = _Rows(np.zeros((0, 0)), square=True)
+        self._z_rows = _Rows(np.zeros((0, self.n_outputs)))
+        self._proj_rows = _Rows(np.zeros((0, self.grid.shape[0])))
 
         # Top Gram eigenpair with its certified upper bound, computed on
         # first use; a start vector and second-eigenvalue bound handed
@@ -106,29 +106,14 @@ class SurrogateModel:
     def _proj(self) -> np.ndarray:
         return self._proj_rows.view(self.t)
 
-    def _capacity(self) -> int:
-        """Rows the carried buffers need until the next refactorization."""
-        return self.t + _REFACTOR_EVERY - 1 - self._appends
-
-    def _refactor(self) -> None:
-        """Factorize the Gram matrix from scratch and recompute the carried solves."""
-        self._appends = 0
-        shifted = self._gram + self.regularization * np.eye(self.t)
-        chol = np.linalg.cholesky(shifted)
-        inv = _lower_inverse(chol)
-        capacity = self._capacity()
-        self._pivots = np.diag(chol).copy()
-        self._inv_rows = _Rows(inv, capacity, square=True)
-        self._z_rows = _Rows(inv @ self.targets.T, capacity)
-        self._proj_rows = _Rows(inv @ pairwise(self.kernel, self.inputs, self.grid), capacity)
-
     def with_observation(self, point: np.ndarray, values: np.ndarray) -> "SurrogateModel":
         """New model with one more evaluation appended.
 
         ``values`` holds one observation per output.  The carried
         inverse factor and solves are extended by the row of a rank-1
-        border; the first observation and every 64th append after it
-        factorize from scratch instead, which bounds numerical drift.
+        border, from the first observation on.  Buffers shared with this
+        model are written in place where no other model reads the row,
+        and copied into ones with 64 more rows otherwise.
         """
         point = np.asarray(point, dtype=float).ravel()
         values = np.asarray(values, dtype=float).ravel()
@@ -157,24 +142,19 @@ class SurrogateModel:
             _, vec, upper = self._eigen
             child._warm = (np.append(vec, 0.0), upper * (1.0 + _POWER_RTOL))
 
-        child._appends = self._appends + 1
-        if t == 0 or child._appends >= _REFACTOR_EVERY:
-            child._refactor()
-            return child
         w = self._inv @ cross
         # The bordered pivot equals posterior variance plus the
         # regularizer, so it stays strictly positive.
         pivot = np.sqrt(
             max(diag + self.regularization - float(w @ w), self.regularization * 1e-12)
         )
-        capacity = child._capacity()
         child._pivots = np.append(self._pivots, pivot)
         child._inv_rows = self._inv_rows.appended(
-            t, np.append(-(w @ self._inv) / pivot, 1.0 / pivot), capacity
+            t, np.append(-(w @ self._inv) / pivot, 1.0 / pivot)
         )
-        child._z_rows = self._z_rows.appended(t, (values - w @ self._z) / pivot, capacity)
+        child._z_rows = self._z_rows.appended(t, (values - w @ self._z) / pivot)
         row = pairwise(self.kernel, point[None, :], self.grid)[0]
-        child._proj_rows = self._proj_rows.appended(t, (row - w @ self._proj) / pivot, capacity)
+        child._proj_rows = self._proj_rows.appended(t, (row - w @ self._proj) / pivot)
         return child
 
     def posterior(self) -> tuple[np.ndarray, np.ndarray]:
@@ -220,40 +200,29 @@ class _Rows:
     A model of ``t`` observations reads ``data[:t]``, or ``data[:t, :t]``
     when the buffer is square.  ``used`` counts the rows written so far.
     An append writes row ``t`` in place while ``used == t`` and the buffer
-    has room, so no other model reads that row, and into a fresh buffer
-    otherwise: no model ever sees its rows change (a persistent vector).
+    has room, so no other model reads that row, and otherwise into a fresh
+    buffer with ``_GROWTH`` rows to spare: no model ever sees its rows
+    change (a persistent vector).
     """
 
-    def __init__(self, rows: np.ndarray, capacity: int, square: bool = False):
+    def __init__(self, rows: np.ndarray, square: bool = False):
         self.square = square
         self.used = rows.shape[0]
+        capacity = self.used + _GROWTH
         self.data = np.zeros((capacity, capacity if square else rows.shape[1]))
         self.data[: self.used, : rows.shape[1]] = rows
 
     def view(self, t: int) -> np.ndarray:
         return self.data[:t, :t] if self.square else self.data[:t]
 
-    def appended(self, t: int, row: np.ndarray, capacity: int) -> "_Rows":
+    def appended(self, t: int, row: np.ndarray) -> "_Rows":
         """Rows of which the first ``t`` are this buffer's and row ``t`` is ``row``."""
         rows = self
         if self.used > t or t == self.data.shape[0]:
-            rows = _Rows(self.view(t), max(capacity, t + 1), self.square)
+            rows = _Rows(self.view(t), self.square)
         rows.data[t, : row.size] = row
         rows.used = t + 1
         return rows
-
-
-def _lower_inverse(lower: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix, bordered row by row.
-
-    Row ``i`` is ``[-(l_i L_i^{-1}) / l_ii, 1 / l_ii]`` for the leading
-    block ``L_i``: the rows an append adds, applied to a fresh factor.
-    """
-    inverse = np.zeros_like(lower)
-    for i in range(lower.shape[0]):
-        inverse[i, :i] = -(lower[i, :i] @ inverse[:i, :i]) / lower[i, i]
-        inverse[i, i] = 1.0 / lower[i, i]
-    return inverse
 
 
 def _top_eigenpair(

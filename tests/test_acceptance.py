@@ -8,12 +8,17 @@ recomputed here rather than trusted from the implementation under test.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import safebo
 from safebo import (
     ExperimentConfig,
     Kernel,
@@ -280,6 +285,42 @@ def test_criterion_10_multiplier_growth_envelope(synthetic1_scenario_traces):
            ok, time.monotonic() - start, 600.0)
 
 
+# A run of 130 appends, past the GP's first buffer growth, emitted by a
+# fresh interpreter so that the BLAS thread count can be set before numpy
+# loads.
+EMIT_ONE_RUN = """
+import sys
+from safebo import ExperimentConfig
+from safebo.harness import emit, run_experiment
+config = ExperimentConfig.from_preset(
+    "paper-synthetic-1", {"seeds": [2], "beta_modes": ["scenario"], "max_iterations": 130}
+)
+emit(run_experiment(config), sys.argv[1])
+"""
+
+
+def emit_with_blas_threads(threads: int, out_dir: Path) -> list[Path]:
+    src = str(Path(safebo.__file__).resolve().parent.parent)
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": str(threads),
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", EMIT_ONE_RUN, str(out_dir)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    return sorted(out_dir.iterdir())
+
+
+def same_bytes(first: list[Path], second: list[Path]) -> bool:
+    return len(first) == len(second) and all(
+        a.name == b.name and a.read_bytes() == b.read_bytes()
+        for a, b in zip(first, second)
+    )
+
+
 def test_criterion_11_byte_identical_reruns(tmp_path):
     start = time.monotonic()
     config = ExperimentConfig.from_preset(
@@ -288,9 +329,8 @@ def test_criterion_11_byte_identical_reruns(tmp_path):
     )
     first = emit(run_experiment(config), tmp_path / "first")
     second = emit(run_experiment(config), tmp_path / "second")
-    ok = len(first) == len(second) and all(
-        a.name == b.name and a.read_bytes() == b.read_bytes()
-        for a, b in zip(first, second)
-    )
-    report(11, "identical config and seeds reproduce byte-identical outputs",
-           ok, time.monotonic() - start, 120.0)
+    one_thread = emit_with_blas_threads(1, tmp_path / "threads-1")
+    two_threads = emit_with_blas_threads(2, tmp_path / "threads-2")
+    ok = same_bytes(first, second) and same_bytes(one_thread, two_threads)
+    report(11, "identical config and seeds reproduce byte-identical outputs, "
+           "whatever the BLAS thread count", ok, time.monotonic() - start, 120.0)

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import cholesky, solve_triangular
 
 from safebo import Kernel, SurrogateModel
-from safebo.gp import _REFACTOR_EVERY, _top_eigenpair
+from safebo.gp import _GROWTH, _top_eigenpair
 from safebo.kernels import pairwise
 
 
@@ -188,18 +188,6 @@ class TestLogDetInformationGain:
             )
 
 
-def test_long_history_refactorization_stays_accurate(kernel, rng):
-    # Push past the periodic-refactorization boundary.
-    inputs = rng.uniform(0, 1, size=(70, 1))
-    targets = rng.standard_normal((1, 70))
-    queries = rng.uniform(0, 1, size=(20, 1))
-    model = build_model(kernel, 0.01, inputs, targets, grid=queries)
-    means, std = model.posterior()
-    ref_means, ref_std = dense_posterior_reference(kernel, inputs, targets, queries, 0.01)
-    assert means == pytest.approx(ref_means, abs=1e-7)
-    assert std == pytest.approx(ref_std, abs=1e-7)
-
-
 def grid_points(dim, per_axis):
     axis = np.linspace(0.0, 1.0, per_axis)
     return np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
@@ -213,7 +201,8 @@ def fresh_projection(model):
 
 
 class TestGridBoundPosterior:
-    CHECKPOINTS = (1, 63, 64, 65, 130)
+    # 63-65 straddle the first buffer growth; 300 is a long bordered chain.
+    CHECKPOINTS = (1, 63, 64, 65, 130, 300)
 
     @pytest.mark.parametrize("dim, per_axis, outputs", [(1, 80, 1), (1, 80, 3), (2, 9, 2)])
     def test_matches_dense_reference_across_refactors(self, dim, per_axis, outputs, rng):
@@ -234,22 +223,34 @@ class TestGridBoundPosterior:
             assert np.max(np.abs(means - ref_means)) <= 1e-8
             assert np.max(np.abs(std - ref_std)) <= 1e-8
 
-    def test_carried_projection_drift_at_each_refactor(self, kernel, rng):
+    def test_carried_projection_matches_fresh_factorization_on_a_long_chain(self, kernel, rng):
+        # Every other append repeats one point, so the Gram is far from
+        # diagonal and, at reg 1e-3, badly conditioned.
         grid = grid_points(1, 200)
-        model = SurrogateModel(kernel, 0.01, 2, grid=grid)
-        refactors = 0
-        for _ in range(2 * _REFACTOR_EVERY + 2):
-            parent = model
+        model = SurrogateModel(kernel, 1e-3, 2, grid=grid)
+        for step in range(400):
+            point = [0.5] if step % 2 else rng.uniform(0, 1, 1)
+            model = model.with_observation(point, rng.standard_normal(2))
+        proj, z = fresh_projection(model)
+        assert np.max(np.abs(model._proj - proj)) <= 1e-10
+        # z = L^{-1} y reaches about 1 / sqrt(reg) in size, so its error
+        # is measured relative to it: both paths sit near 2e-12.
+        assert np.max(np.abs(model._z - z)) <= 1e-11 * np.max(np.abs(z))
+
+    def test_carried_buffers_stay_close_to_the_live_state(self, kernel, rng):
+        # A chain of appends shares each buffer until it is full, and a
+        # full buffer grows by _GROWTH rows, never more.
+        model = SurrogateModel(kernel, 0.01, 2, grid=grid_points(1, 30))
+        chain = [model]
+        for _ in range(200):
             model = model.with_observation(rng.uniform(0, 1, 1), rng.standard_normal(2))
-            if model.t > 1 and model._appends == 0:
-                # ``parent`` carries the longest incremental chain; the
-                # refactored child must agree with it.
-                refactors += 1
-                proj, z = fresh_projection(parent)
-                assert np.max(np.abs(parent._proj - proj)) <= 1e-10
-                assert np.max(np.abs(parent._z - z)) <= 1e-10
-                assert np.max(np.abs(model._proj[:-1] - parent._proj)) <= 1e-10
-        assert refactors == 2
+            chain.append(model)
+            for rows in (model._inv_rows, model._z_rows, model._proj_rows):
+                assert model.t <= rows.data.shape[0] <= model.t + _GROWTH
+            assert model._inv_rows.data.shape[1] <= model.t + _GROWTH
+        # The chain's models, t = 0 to 200, fill one buffer per _GROWTH rows.
+        buffers = {id(m._proj_rows.data) for m in chain}
+        assert len(buffers) == math.ceil(len(chain) / _GROWTH)
 
     def test_rejects_flat_grid(self, kernel):
         with pytest.raises(ValueError, match="grid"):
@@ -260,10 +261,11 @@ class TestGridBoundPosterior:
         assert np.array_equal(means, np.zeros((2, 5)))
         assert np.array_equal(std, np.ones(5))
 
-    @pytest.mark.parametrize("parent_t", [5, _REFACTOR_EVERY])
+    @pytest.mark.parametrize("parent_t", [5, _GROWTH])
     def test_sibling_appends_leave_parent_and_each_other_unchanged(self, parent_t, kernel, rng):
-        # A parent of 64 observations has 63 appends behind it, so both
-        # children take the refactorization branch.
+        # A parent of 5 observations has room in its buffers: the first
+        # child writes in place and the second copies.  A parent of 64
+        # fills them, so both children copy into a grown buffer.
         grid = grid_points(1, 60)
         parent = SurrogateModel(kernel, 0.01, 2, grid=grid)
         for _ in range(parent_t):
@@ -277,6 +279,8 @@ class TestGridBoundPosterior:
         second = parent.with_observation([0.75], [-2.0, 0.5])
         second_post = second.posterior()
         second.xi_lambda_max()
+        assert (first._proj_rows is parent._proj_rows) == (parent_t < _GROWTH)
+        assert second._proj_rows is not parent._proj_rows
 
         for model, (means, std) in ((parent, before), (first, first_post)):
             after_means, after_std = model.posterior()
