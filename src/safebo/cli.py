@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -97,6 +98,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_utf8(path: Path) -> str:
+    """The file's text; bytes that are not UTF-8 are a :class:`ConfigError` naming the line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise ConfigError(f"{path}: line {line}: not UTF-8 ({err.reason})") from None
+
+
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     overrides: dict = {}
     if args.seed:
@@ -111,7 +122,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.preset:
         return ExperimentConfig.from_preset(args.preset, overrides)
     try:
-        document = json.loads(args.config.read_text(encoding="utf-8"))
+        document = json.loads(_read_utf8(args.config))
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read config {args.config}: {err}") from err
     if isinstance(document, dict):  # anything else fails validation in from_dict
@@ -166,12 +177,24 @@ def _cmd_scale_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_beta_report(args: argparse.Namespace) -> int:
-    lines = args.trace.read_text(encoding="utf-8").strip().splitlines()
+    lines = _read_utf8(args.trace).rstrip().splitlines()
     header = lines[0].split(",") if lines else []
     beta_cols = [i for i, name in enumerate(header) if name.startswith("beta")]
     if not beta_cols:
         raise ConfigError(f"{args.trace} does not look like an emitted run CSV")
-    beta_bar = [max(float(line.split(",")[i]) for i in beta_cols) for line in lines[1:]]
+    beta_bar = []
+    for number, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        where = f"{args.trace}: line {number}"
+        if len(cells) != len(header):
+            raise ConfigError(f"{where}: {len(cells)} cells, the header has {len(header)}")
+        try:
+            betas = [float(cells[i]) for i in beta_cols]
+        except ValueError as err:
+            raise ConfigError(f"{where}: {err}") from None
+        if not all(map(math.isfinite, betas)):
+            raise ConfigError(f"{where}: beta is not finite")
+        beta_bar.append(max(betas))
     rows = beta_growth_report(beta_bar)
     if not rows:
         raise ConfigError("trace holds no iterations")

@@ -131,8 +131,13 @@ def update_intervals(
     betas = np.asarray(betas, dtype=float)
     if np.any(std < 0):
         raise ValueError("standard deviations must be nonnegative")
-    if means.shape != state.lower.shape:
+    k, n = state.lower.shape
+    if means.shape != (k, n):
         raise ValueError("means must have shape (n_outputs, n_points)")
+    if std.shape != (n,):
+        raise ValueError("std must have shape (n_points,)")
+    if betas.shape != (k,):
+        raise ValueError("betas must have shape (n_outputs,)")
 
     half = betas[:, None] * std[None, :]
     band_lo = means - half

@@ -31,7 +31,7 @@ from .domain import Domain
 from .gp import SurrogateModel
 from .frontier import GridIndex
 from .kernels import Kernel
-from .noise import NoiseModel, ScenarioSchedule, scenario_bound
+from .noise import NoiseModel, ScenarioBound, ScenarioSchedule, scenario_bound
 
 __all__ = [
     "BETA_MODES",
@@ -296,8 +296,11 @@ class OptimizerState:
     xi_lambda: float
     noise_sq_sums: np.ndarray
     records: tuple[StepRecord, ...] = ()
-    terminated: bool = False
     termination_reason: str | None = None
+
+    @property
+    def terminated(self) -> bool:
+        return self.termination_reason is not None
 
 
 class SafeOptimizer:
@@ -326,34 +329,41 @@ class SafeOptimizer:
             betas=np.zeros(k),
             xi_lambda=0.0,
             noise_sq_sums=np.zeros(k),
+            termination_reason="max_iterations" if self.config.max_iterations == 0 else None,
         )
 
-    def _beta_vector(self, state: OptimizerState, xi_lambda: float) -> np.ndarray:
+    def _multipliers(self, state: OptimizerState) -> tuple[float, np.ndarray]:
+        """``(xi_lambda, betas)``; the classic baseline leaves ``xi_lambda`` as it is."""
+        cfg = self.config
+        if cfg.beta_mode == "classic_subgaussian":
+            gain = state.model.log_det_information_gain()
+            nu = cfg.schedule.violation_prob
+            betas = [classic_beta(b, cfg.subgaussian_scale, gain, nu) for b in self._norms]
+            return state.xi_lambda, np.array(betas)
+        # The top Gram eigenvalue only grows as evaluations accumulate;
+        # keeping the running max shields against eigensolver jitter.
+        xi = max(state.xi_lambda, state.model.xi_lambda_max())
+        sums = (float(s) for s in state.noise_sq_sums)
+        betas = [beta_from_squares(b, cfg.regularization, xi, s) for b, s in zip(self._norms, sums)]
+        return xi, np.array(betas)
+
+    def _experiment(self, point, measurement: int, oracle, noise_model: NoiseModel, rng):
+        """Scenario batch (scenario mode only), oracle, one noise draw per output.
+
+        Returns ``(truth, observed, bound)``; the classic bound is zero.
+        """
         cfg = self.config
         if cfg.beta_mode == "scenario":
-            return np.array(
-                [
-                    beta_from_squares(
-                        self._norms[i],
-                        cfg.regularization,
-                        xi_lambda,
-                        float(state.noise_sq_sums[i]),
-                    )
-                    for i in range(cfg.n_outputs)
-                ]
-            )
-        info_gain = state.model.log_det_information_gain()
-        return np.array(
-            [
-                classic_beta(
-                    self._norms[i],
-                    cfg.subgaussian_scale,
-                    info_gain,
-                    cfg.schedule.violation_prob,
-                )
-                for i in range(cfg.n_outputs)
-            ]
+            bound = scenario_bound(noise_model, cfg.schedule, measurement, point, rng)
+        else:
+            bound = ScenarioBound(0, np.zeros(cfg.n_outputs))
+        truth = np.asarray(oracle(point), dtype=float).ravel()
+        if truth.shape != (cfg.n_outputs,):
+            raise ValueError("oracle must return one value per output")
+        eps = np.array(
+            [float(noise_model.sample(point, i, rng, 1)[0]) for i in range(cfg.n_outputs)]
         )
+        return truth, truth + eps, bound
 
     def step(
         self,
@@ -364,100 +374,62 @@ class SafeOptimizer:
     ) -> OptimizerState:
         """Run one loop body and return the successor state.
 
+        The stages, in order: posterior, multipliers, intervals, sets
+        (safe, maximizers, expanders), acquisition, experiment, append.
+        Only the multipliers and the experiment branch on ``beta_mode``.
         ``oracle`` maps a parameter vector to the vector of true output
         values; observation noise is drawn here, so the oracle stays
         deterministic.  The successor either carries one more experiment
-        or a termination flag; terminated states pass through unchanged.
+        or a termination reason; terminated states pass through unchanged.
         """
         if state.terminated:
             return state
         cfg = self.config
-
         means, std = state.model.posterior()
-        if cfg.beta_mode == "scenario":
-            # The top Gram eigenvalue only grows as evaluations accumulate;
-            # keeping the running max shields against eigensolver jitter.
-            xi_lambda = max(state.xi_lambda, state.model.xi_lambda_max())
-        else:
-            # Only the scenario multiplier reads the spectral ratio.
-            xi_lambda = state.xi_lambda
-        betas = self._beta_vector(state, xi_lambda)
+        xi_lambda, betas = self._multipliers(state)
         conf = update_intervals(
             state.confidence, means, std, betas, on_collapse=cfg.on_collapse
         )
-
         safe = safe_set(
             conf.lower, conf.bounded, state.safe, self._norms, self.index, cfg.constraint_indices
         )
-        maxim = maximizers(conf.upper, conf.lower, conf.bounded, safe)
-        expand = expanders(
+        candidates = maximizers(conf.upper, conf.lower, conf.bounded, safe) | expanders(
             conf.upper, conf.bounded, safe, self._norms, self.index, cfg.constraint_indices
         )
-
-        state = replace(
-            state,
-            confidence=conf,
-            safe=safe,
-            betas=betas,
-            xi_lambda=xi_lambda,
-        )
+        state = replace(state, confidence=conf, safe=safe, betas=betas, xi_lambda=xi_lambda)
 
         widths = conf.widths()
         try:
-            chosen = acquire(widths, std, maxim | expand)
+            chosen = acquire(widths, std, candidates)
         except EmptyAcquisitionSet:
-            return replace(state, terminated=True, termination_reason="stalled")
-
+            return replace(state, termination_reason="stalled")
         acq_width = float(widths[:, chosen].max())
         if acq_width < cfg.exploration_threshold:
-            return replace(state, terminated=True, termination_reason="width_below_delta")
+            return replace(state, termination_reason="width_below_delta")
 
         point = self.domain.points[chosen]
         measurement = len(state.records) + 1
-        if cfg.beta_mode == "scenario":
-            bound = scenario_bound(noise_model, cfg.schedule, measurement, point, rng)
-            magnitudes = bound.magnitudes
-            n_scen = bound.n_scenarios
-        else:
-            magnitudes = np.zeros(cfg.n_outputs)
-            n_scen = 0
+        truth, observed, bound = self._experiment(point, measurement, oracle, noise_model, rng)
 
-        truth = np.asarray(oracle(point), dtype=float).ravel()
-        if truth.shape != (cfg.n_outputs,):
-            raise ValueError("oracle must return one value per output")
-        eps = np.array(
-            [float(noise_model.sample(point, i, rng, 1)[0]) for i in range(cfg.n_outputs)]
-        )
-        observed = truth + eps
-
-        model = state.model.with_observation(point, observed)
-        sq_sums = state.noise_sq_sums + magnitudes * magnitudes
-
-        best = self.best_parameter(state)
         record = StepRecord(
             iteration=measurement,
-            point=tuple(float(v) for v in point),
-            observed=tuple(float(v) for v in observed),
-            true_values=tuple(float(v) for v in truth),
-            noise_bound=tuple(float(v) for v in magnitudes),
-            n_scenarios=n_scen,
-            betas=tuple(float(v) for v in betas),
+            point=tuple(map(float, point)),
+            observed=tuple(map(float, observed)),
+            true_values=tuple(map(float, truth)),
+            noise_bound=tuple(map(float, bound.magnitudes)),
+            n_scenarios=bound.n_scenarios,
+            betas=tuple(map(float, betas)),
             safe_size=int(safe.sum()),
             acquisition_width=acq_width,
-            best_lower=state.confidence.lower_bound(0, best),
+            best_lower=conf.lower_bound(0, self.best_parameter(state)),
         )
-
-        new_state = replace(
+        return replace(
             state,
-            model=model,
-            noise_sq_sums=sq_sums,
+            model=state.model.with_observation(point, observed),
+            noise_sq_sums=state.noise_sq_sums + bound.magnitudes * bound.magnitudes,
             records=state.records + (record,),
+            termination_reason="max_iterations" if measurement >= cfg.max_iterations else None,
         )
-        if len(new_state.records) >= cfg.max_iterations:
-            new_state = replace(
-                new_state, terminated=True, termination_reason="max_iterations"
-            )
-        return new_state
 
     def run(
         self,
@@ -467,8 +439,6 @@ class SafeOptimizer:
     ) -> OptimizerState:
         """Iterate :meth:`step` from a fresh state until termination."""
         state = self.initial_state()
-        if self.config.max_iterations == 0:
-            return replace(state, terminated=True, termination_reason="max_iterations")
         while not state.terminated:
             state = self.step(state, oracle, noise_model, rng)
         return state

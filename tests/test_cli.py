@@ -126,14 +126,26 @@ def test_run_with_unusable_config_exits_two_before_running(tmp_path, capsys, edi
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("text", ["[]", "3", '"config"', "null"])
-def test_run_with_non_object_config_exits_two(tmp_path, capsys, text):
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        pytest.param(text, "invalid experiment config: document: expected object", id=text)
+        for text in ["[]", "3", '"config"', "null"]
+    ]
+    + [
+        pytest.param(b'{"spec": 1,\n"name": "caf\xe9"}', "{path}: line 2: not UTF-8", id="latin-1"),
+    ],
+)
+def test_run_with_non_object_config_exits_two(tmp_path, capsys, text, reason):
     config_path = tmp_path / "config.json"
-    config_path.write_text(text)
+    if isinstance(text, bytes):
+        config_path.write_bytes(text)
+    else:
+        config_path.write_text(text)
     assert main(["run", "--config", str(config_path), "--seed", "0"]) == 2
-    assert "config error: invalid experiment config: document: expected object" in (
-        capsys.readouterr().err
-    )
+    err = capsys.readouterr().err
+    assert "config error: " + reason.format(path=config_path) in err
+    assert "Traceback" not in err
 
 
 def test_scale_study_stdout(capsys):
@@ -182,10 +194,22 @@ def test_beta_report_from_emitted_trace(tmp_path, capsys):
     assert len(lines) >= 2
 
 
-def test_beta_report_rejects_foreign_csv(tmp_path):
-    alien = tmp_path / "alien.csv"
-    alien.write_text("x,y\n1,2\n")
-    assert main(["beta-report", "--trace", str(alien)]) == 2
+def test_beta_report_rejects_foreign_csv(tmp_path, capsys):
+    header = "iteration,x0,beta0,beta1\n"
+    cases = [
+        (b"x,y\n1,2\n", "does not look like an emitted run CSV"),
+        ((header + "1,0.5,1.0,abc\n").encode(), "line 2: could not convert string to float"),
+        ((header + "1,0.5,1.0,2.0\n2,0.5\n").encode(), "line 3: 2 cells, the header has 4"),
+        ((header + "1,0.5,1.0,2.0\n2,0.5,nan,2.0\n").encode(), "line 3: beta is not finite"),
+        ((header + "1,0.5,inf,2.0\n").encode(), "line 2: beta is not finite"),
+        (header.encode() + b"1,0.5,1.0,2.0\n2,\xff,1.0,2.0\n", "line 3: not UTF-8"),
+    ]
+    for data, reason in cases:
+        alien = tmp_path / "alien.csv"
+        alien.write_bytes(data)
+        assert main(["beta-report", "--trace", str(alien)]) == 2, reason
+        err = capsys.readouterr().err
+        assert reason in err and str(alien) in err
 
 
 def test_beta_report_rejects_empty_trace(tmp_path, capsys):

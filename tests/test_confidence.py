@@ -125,3 +125,18 @@ class TestConfidenceState:
         state = ConfidenceState.unbounded(1, 1)
         with pytest.raises(ValueError, match="nonnegative"):
             update_intervals(state, np.array([[0.0]]), np.array([-1.0]), np.array([1.0]))
+
+    @pytest.mark.parametrize(
+        "std, betas, match",
+        [
+            (np.ones((2, 3)), np.ones(2), "std must have shape"),
+            (np.ones(1), np.ones(2), "std must have shape"),
+            (np.ones(3), np.ones(1), "betas must have shape"),
+            (np.ones(3), np.ones((2, 1)), "betas must have shape"),
+        ],
+        ids=["std-k-by-n", "std-length-1", "betas-length-1", "betas-column"],
+    )
+    def test_rejects_misshaped_std_and_betas(self, std, betas, match):
+        state = ConfidenceState.unbounded(2, 3)
+        with pytest.raises(ValueError, match=match):
+            update_intervals(state, np.zeros((2, 3)), std, betas)

@@ -16,7 +16,7 @@ from safebo import (
 )
 from safebo.frontier import GridIndex
 from safebo.kernels import FAMILIES
-from safebo.noise import NoiseModel
+from safebo.noise import NoiseModel, scenario_bound
 from safebo.optimizer import (
     EmptyAcquisitionSet,
     acquire,
@@ -517,6 +517,9 @@ class TestStep:
         state = optimizer.run(oracle, noise, np.random.default_rng(0))
         assert state.terminated and state.records == ()
         assert int(state.safe.sum()) == 1
+        # A step loop from the fresh state runs no experiment either.
+        fresh = optimizer.initial_state()
+        assert optimizer.step(fresh, oracle, noise, np.random.default_rng(0)) is fresh
 
     def test_seeded_runs_identical(self):
         optimizer, oracle, noise = toy_setup(max_iterations=25)
@@ -567,10 +570,30 @@ class TestStep:
         def unused(self):
             raise AssertionError("classic multiplier does not read the spectral ratio")
 
+        def no_batch(*args):
+            raise AssertionError("classic multiplier draws no scenario batch")
+
         monkeypatch.setattr(SurrogateModel, "xi_lambda_max", unused)
+        monkeypatch.setattr("safebo.optimizer.scenario_bound", no_batch)
         optimizer, oracle, noise = toy_setup(max_iterations=15, beta_mode="classic_subgaussian")
         state = optimizer.run(oracle, noise, np.random.default_rng(0))
         assert state.records and state.xi_lambda == 0.0
+        for rec in state.records:
+            assert rec.n_scenarios == 0 and rec.noise_bound == (0.0,)
+
+    def test_scenario_mode_draws_one_batch_per_experiment(self, monkeypatch):
+        batches = []
+
+        def counted(model, schedule, iteration, location, rng):
+            batches.append(iteration)
+            return scenario_bound(model, schedule, iteration, location, rng)
+
+        monkeypatch.setattr("safebo.optimizer.scenario_bound", counted)
+        optimizer, oracle, noise = toy_setup(max_iterations=15)
+        state = optimizer.run(oracle, noise, np.random.default_rng(0))
+        assert state.records
+        assert batches == [rec.iteration for rec in state.records]
+        assert all(rec.n_scenarios > 0 for rec in state.records)
 
     def test_posterior_is_carried_on_the_grid(self):
         from tests.test_gp import dense_posterior_reference
