@@ -129,6 +129,9 @@ def update_intervals(
     means = np.asarray(means, dtype=float)
     std = np.asarray(std, dtype=float)
     betas = np.asarray(betas, dtype=float)
+    for name, values in (("means", means), ("std", std), ("betas", betas)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
     if np.any(std < 0):
         raise ValueError("standard deviations must be nonnegative")
     k, n = state.lower.shape

@@ -11,8 +11,11 @@ A model is bound to a fixed query grid.  It carries the inverse
 ``P = L^{-1} K(X, grid)`` and ``z = L^{-1} y``; every append, the first
 included, adds one row to each (rank-1 bordering, Rasmussen & Williams
 2006, Alg. 2.1).  That is the only factorization path: no append calls
-LAPACK, every solve is a matrix-vector product, and the grid posterior
-costs ``O(t n)`` per step.  The three are kept in buffers that a model
+LAPACK and every solve is a matrix-vector product.  The grid posterior
+is carried too: the new rows ``z_t`` and ``p_t`` add ``z_t p_t`` to the
+means and take ``p_t^2`` off the variance, so an append costs one
+``O(t n)`` product, ``w P``, and reading the posterior costs ``O(k n)``.
+The three factors and the Gram matrix are kept in buffers that a model
 shares with the models appended to it, so an append writes one row
 instead of copying ``t`` of them; a full buffer is copied into one with
 64 more rows.  Of ``L`` itself only the pivots, its diagonal, are kept,
@@ -77,11 +80,16 @@ class SurrogateModel:
 
         self.inputs = np.zeros((0, self.grid.shape[1]))
         self.targets = np.zeros((self.n_outputs, 0))
-        self._gram = np.zeros((0, 0))
         self._pivots = np.zeros(0)
+        self._gram_rows = _Rows(np.zeros((0, 0)), square=True)
+        self._gram_fro_sq = 0.0
         self._inv_rows = _Rows(np.zeros((0, 0)), square=True)
         self._z_rows = _Rows(np.zeros((0, self.n_outputs)))
         self._proj_rows = _Rows(np.zeros((0, self.grid.shape[0])))
+        # The grid posterior, shared with callers: never written in place.
+        n = self.grid.shape[0]
+        self._means = _frozen(np.zeros((self.n_outputs, n)))
+        self._var = _frozen(np.full(n, float(kernel.output_scale)))
 
         # Top Gram eigenpair with its certified upper bound, computed on
         # first use; a start vector and second-eigenvalue bound handed
@@ -93,6 +101,10 @@ class SurrogateModel:
     def t(self) -> int:
         """Number of stored observations."""
         return self.inputs.shape[0]
+
+    @property
+    def _gram(self) -> np.ndarray:
+        return self._gram_rows.view(self.t)
 
     @property
     def _inv(self) -> np.ndarray:
@@ -111,62 +123,70 @@ class SurrogateModel:
 
         ``values`` holds one observation per output.  The carried
         inverse factor and solves are extended by the row of a rank-1
-        border, from the first observation on.  Buffers shared with this
-        model are written in place where no other model reads the row,
-        and copied into ones with 64 more rows otherwise.
+        border, from the first observation on, and the grid posterior is
+        updated from the new rows.  Buffers shared with this model are
+        written in place where no other model reads the row, and copied
+        into ones with 64 more rows otherwise.
         """
         point = np.asarray(point, dtype=float).ravel()
         values = np.asarray(values, dtype=float).ravel()
         if values.shape != (self.n_outputs,):
             raise ValueError("one observed value per output required")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("targets must be finite")
         if point.shape != (self.grid.shape[1],):
             raise ValueError("point dimension does not match the grid")
+        if not np.isfinite(point).all():
+            raise ValueError("point must be finite")
 
         t = self.t
         child = copy.copy(self)
-        child.inputs = np.vstack([self.inputs, point[None, :]])
-        child.targets = np.hstack([self.targets, values[:, None]])
+        child.inputs = np.concatenate((self.inputs, point[None, :]))
+        child.targets = np.concatenate((self.targets, values[:, None]), axis=1)
         cross = pairwise(self.kernel, child.inputs[:t], point[None, :])[:, 0]
         diag = float(self.kernel.output_scale)
-        child._gram = np.zeros((t + 1, t + 1))
-        child._gram[:t, :t] = self._gram
-        child._gram[:t, t] = cross
-        child._gram[t, :t] = cross
-        child._gram[t, t] = diag
+        child._gram_rows = self._gram_rows.appended(t, np.concatenate((cross, [diag])), mirror=True)
+        child._gram_fro_sq = self._gram_fro_sq + 2.0 * float(cross @ cross) + diag * diag
         child._eigen = child._warm = None
         if self._eigen is not None:
             # Cauchy interlacing: the child's second eigenvalue is at most
             # this model's top one.
             _, vec, upper = self._eigen
-            child._warm = (np.append(vec, 0.0), upper * (1.0 + _POWER_RTOL))
+            child._warm = (np.concatenate((vec, [0.0])), upper * (1.0 + _POWER_RTOL))
 
         w = self._inv @ cross
         # The bordered pivot equals posterior variance plus the
         # regularizer, so it stays strictly positive.
-        pivot = np.sqrt(
+        pivot = math.sqrt(
             max(diag + self.regularization - float(w @ w), self.regularization * 1e-12)
         )
-        child._pivots = np.append(self._pivots, pivot)
+        child._pivots = np.concatenate((self._pivots, [pivot]))
         child._inv_rows = self._inv_rows.appended(
-            t, np.append(-(w @ self._inv) / pivot, 1.0 / pivot)
+            t, np.concatenate((-(w @ self._inv) / pivot, [1.0 / pivot]))
         )
-        child._z_rows = self._z_rows.appended(t, (values - w @ self._z) / pivot)
-        row = pairwise(self.kernel, point[None, :], self.grid)[0]
-        child._proj_rows = self._proj_rows.appended(t, (row - w @ self._proj) / pivot)
+        z_row = (values - w @ self._z) / pivot
+        child._z_rows = self._z_rows.appended(t, z_row)
+        # The grid-length rows are updated in place of temporaries.
+        p_row = pairwise(self.kernel, point[None, :], self.grid)[0]
+        p_row -= w @ self._proj
+        p_row /= pivot
+        child._proj_rows = self._proj_rows.appended(t, p_row)
+        means = z_row[:, None] * p_row
+        means += self._means
+        var = p_row * p_row
+        np.subtract(self._var, var, out=var)
+        child._means, child._var = _frozen(means), _frozen(var)
         return child
 
     def posterior(self) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and shared standard deviation on the bound grid.
 
         Returns ``(means, std)`` with shapes ``(n_outputs, n)`` and
-        ``(n,)``, read from the carried projection.  With no
-        observations this is the prior: zero mean and ``sqrt(k(a, a))``.
+        ``(n,)``, read from the carried posterior; both are read-only.
+        With no observations this is the prior: zero mean and
+        ``sqrt(k(a, a))``.
         """
-        means = self._z.T @ self._proj  # (n_outputs, n)
-        var = float(self.kernel.output_scale) - np.einsum("ij,ij->j", self._proj, self._proj)
-        return means, np.sqrt(np.maximum(var, 0.0))
+        return self._means, _frozen(np.sqrt(np.maximum(self._var, 0.0)))
 
     def xi_lambda_max(self) -> float:
         """Largest eigenvalue of ``K (K + reg I)^{-1}``.
@@ -182,7 +202,7 @@ class SurrogateModel:
             return 0.0
         if self._eigen is None:
             start, second = self._warm if self._warm is not None else (None, math.inf)
-            self._eigen = _top_eigenpair(self._gram, start, second)
+            self._eigen = _top_eigenpair(self._gram, start, second, self._gram_fro_sq)
             self._warm = None
         lam = self._eigen[0]
         return lam / (lam + self.regularization)
@@ -192,6 +212,11 @@ class SurrogateModel:
         # log det(K + reg I) from the factor's pivots, then rescale.
         log_det = 2.0 * float(np.sum(np.log(self._pivots)))
         return 0.5 * (log_det - self.t * np.log(self.regularization))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 class _Rows:
@@ -215,18 +240,27 @@ class _Rows:
     def view(self, t: int) -> np.ndarray:
         return self.data[:t, :t] if self.square else self.data[:t]
 
-    def appended(self, t: int, row: np.ndarray) -> "_Rows":
-        """Rows of which the first ``t`` are this buffer's and row ``t`` is ``row``."""
+    def appended(self, t: int, row: np.ndarray, mirror: bool = False) -> "_Rows":
+        """Rows of which the first ``t`` are this buffer's and row ``t`` is ``row``.
+
+        ``mirror`` also writes ``row`` into column ``t`` of a square
+        buffer, which keeps a symmetric matrix whole.
+        """
         rows = self
         if self.used > t or t == self.data.shape[0]:
             rows = _Rows(self.view(t), self.square)
         rows.data[t, : row.size] = row
+        if mirror:
+            rows.data[:t, t] = row[:t]
         rows.used = t + 1
         return rows
 
 
 def _top_eigenpair(
-    matrix: np.ndarray, start: np.ndarray | None = None, second: float = math.inf
+    matrix: np.ndarray,
+    start: np.ndarray | None = None,
+    second: float = math.inf,
+    fro_sq: float | None = None,
 ) -> tuple[float, np.ndarray, float]:
     """Top eigenvalue, a unit eigenvector, and a certified upper bound.
 
@@ -235,21 +269,23 @@ def _top_eigenpair(
     Rayleigh quotient ``theta`` to ``_POWER_RTOL``.  ``mu`` bounds the
     second eigenvalue: the smaller of ``second``, a bound the caller
     knows (by interlacing, say), and ``sqrt(||A||_F^2 - theta^2)``, which
-    holds because ``theta`` never exceeds the top eigenvalue.  Without
-    such a bound no start vector
-    can rule out a larger eigenvalue it is blind to (a disjoint cluster
-    of evaluations, say), so an uncertified run falls back to a dense
-    eigensolver.
+    holds because ``theta`` never exceeds the top eigenvalue; a caller
+    that carries ``||A||_F^2`` passes it as ``fro_sq``.  Without such a
+    bound no start vector can rule out a larger eigenvalue it is blind
+    to (a disjoint cluster of evaluations, say), so an uncertified run
+    falls back to a dense eigensolver.
     """
     n = matrix.shape[0]
     vec = np.ones(n) if start is None else np.asarray(start, dtype=float)
-    vec = vec / np.linalg.norm(vec)
-    # einsum keeps these small products off threaded BLAS, whose thread
-    # wake-ups cost more than the arithmetic at the sizes a run reaches.
-    fro_sq = float(np.einsum("ij,ij->", matrix, matrix))
+    vec = vec / math.sqrt(vec @ vec)
+    if fro_sq is None:
+        fro_sq = float(np.einsum("ij,ij->", matrix, matrix))
     last = -math.inf
     for _ in range(_POWER_MAX_ITERATIONS):
-        image = np.einsum("ij,j->i", matrix, vec)
+        # A BLAS matrix-vector product, as in the append: BLAS hands each
+        # entry to one thread, so the bits do not depend on the thread
+        # count (criterion 11 compares runs under one and two threads).
+        image = matrix @ vec
         lam = float(vec @ image)
         residual = image - lam * vec
         res_sq = float(residual @ residual)
@@ -259,7 +295,7 @@ def _top_eigenpair(
                 return lam, vec, lam + res_sq / gap
         elif lam - last <= _POWER_RTOL * lam:
             break  # converged, but with no gap to certify it by
-        norm = float(np.linalg.norm(image))
+        norm = math.sqrt(image @ image)
         if norm == 0.0:
             return 0.0, vec, 0.0
         last = lam

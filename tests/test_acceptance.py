@@ -285,17 +285,40 @@ def test_criterion_10_multiplier_growth_envelope(synthetic1_scenario_traces):
            ok, time.monotonic() - start, 600.0)
 
 
-# A run of 130 appends, past the GP's first buffer growth, emitted by a
-# fresh interpreter so that the BLAS thread count can be set before numpy
-# loads.
-EMIT_ONE_RUN = """
+# Two runs past the GP's first buffer growth, emitted by a fresh
+# interpreter so that the BLAS thread count can be set before numpy
+# loads: 130 appends in 1-D, and 110 on a 2-D grid with two outputs,
+# whose Gram and projection products are large enough for BLAS to split
+# across threads.
+EMIT_RUNS = """
 import sys
+from pathlib import Path
 from safebo import ExperimentConfig
 from safebo.harness import emit, run_experiment
-config = ExperimentConfig.from_preset(
+one_d = ExperimentConfig.from_preset(
     "paper-synthetic-1", {"seeds": [2], "beta_modes": ["scenario"], "max_iterations": 130}
 )
-emit(run_experiment(config), sys.argv[1])
+two_d = ExperimentConfig.from_dict({
+    "spec": 1,
+    "name": "two-output-2d",
+    "domain": {"bounds": [[0.0, 1.0], [0.0, 1.0]], "resolution": [40, 40]},
+    "kernel": {"family": "squared_exponential", "lengthscale": 0.25, "output_scale": 1.0},
+    "noise": {"family": "gaussian", "variance": 1e-4},
+    "violation_prob": 0.1,
+    "confidence_level": 1e-3,
+    "regularization": 1e-2,
+    "exploration_threshold": 1e-3,
+    "subgaussian_scale": 1e-2,
+    "norm_bound": 1.0,
+    "beta_modes": ["scenario"],
+    "seeds": [0],
+    "max_iterations": 110,
+    "constraint": {"kind": "independent", "quantile": 0.4},
+    "n_centers": 40,
+    "collapse_policy": "reset",
+})
+emit(run_experiment(one_d), Path(sys.argv[1]) / "1d")
+emit(run_experiment(two_d), Path(sys.argv[1]) / "2d")
 """
 
 
@@ -307,11 +330,11 @@ def emit_with_blas_threads(threads: int, out_dir: Path) -> list[Path]:
         "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
     }
     done = subprocess.run(
-        [sys.executable, "-c", EMIT_ONE_RUN, str(out_dir)],
+        [sys.executable, "-c", EMIT_RUNS, str(out_dir)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr[-2000:]
-    return sorted(out_dir.iterdir())
+    return sorted(path for path in out_dir.rglob("*") if path.is_file())
 
 
 def same_bytes(first: list[Path], second: list[Path]) -> bool:

@@ -140,3 +140,14 @@ class TestConfidenceState:
         state = ConfidenceState.unbounded(2, 3)
         with pytest.raises(ValueError, match=match):
             update_intervals(state, np.zeros((2, 3)), std, betas)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["means", "std", "betas"])
+    def test_rejects_non_finite_inputs(self, name, bad):
+        # A NaN passes every comparison-based check and would come back
+        # as a "bounded" NaN interval; an infinity would bound nothing.
+        state = ConfidenceState.unbounded(2, 3)
+        inputs = {"means": np.zeros((2, 3)), "std": np.ones(3), "betas": np.ones(2)}
+        inputs[name].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            update_intervals(state, inputs["means"], inputs["std"], inputs["betas"])

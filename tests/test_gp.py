@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
 
-from safebo import Kernel, SurrogateModel
+from safebo import ExperimentConfig, Kernel, SurrogateModel
 from safebo.gp import _GROWTH, _top_eigenpair
+from safebo.harness import run_experiment
 from safebo.kernels import pairwise
 
 
@@ -90,6 +91,24 @@ class TestPosterior:
         model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT)
         with pytest.raises(ValueError, match="finite"):
             model.with_observation([0.1], [np.nan])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_point(self, kernel, bad):
+        # Such a point would turn every posterior mean and std, the
+        # spectral ratio and the information gain into NaN.
+        model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT)
+        with pytest.raises(ValueError, match="point must be finite"):
+            model.with_observation([bad], [1.0])
+
+    def test_posterior_is_read_only(self, kernel):
+        # The carried posterior is shared with the model's children.
+        model = SurrogateModel(kernel, 0.01, 2, grid=np.array([[0.2], [0.7]]))
+        for current in (model, model.with_observation([0.5], [1.0, 0.0])):
+            means, std = current.posterior()
+            with pytest.raises(ValueError, match="read-only"):
+                means[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                std[0] = 1.0
 
     def test_rejects_point_off_the_grid_dimension(self, kernel):
         model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT)
@@ -200,6 +219,17 @@ def fresh_projection(model):
     return proj, solve_triangular(chol, model.targets.T, lower=True)
 
 
+def ill_conditioned_chain(kernel, rng, appends):
+    """Two-output model on a 200-point grid at reg 1e-3 in which every
+    other append repeats one point, so the Gram is far from diagonal and
+    badly conditioned."""
+    model = SurrogateModel(kernel, 1e-3, 2, grid=grid_points(1, 200))
+    for step in range(appends):
+        point = [0.5] if step % 2 else rng.uniform(0, 1, 1)
+        model = model.with_observation(point, rng.standard_normal(2))
+    return model
+
+
 class TestGridBoundPosterior:
     # 63-65 straddle the first buffer growth; 300 is a long bordered chain.
     CHECKPOINTS = (1, 63, 64, 65, 130, 300)
@@ -224,18 +254,26 @@ class TestGridBoundPosterior:
             assert np.max(np.abs(std - ref_std)) <= 1e-8
 
     def test_carried_projection_matches_fresh_factorization_on_a_long_chain(self, kernel, rng):
-        # Every other append repeats one point, so the Gram is far from
-        # diagonal and, at reg 1e-3, badly conditioned.
-        grid = grid_points(1, 200)
-        model = SurrogateModel(kernel, 1e-3, 2, grid=grid)
-        for step in range(400):
-            point = [0.5] if step % 2 else rng.uniform(0, 1, 1)
-            model = model.with_observation(point, rng.standard_normal(2))
+        model = ill_conditioned_chain(kernel, rng, 400)
         proj, z = fresh_projection(model)
         assert np.max(np.abs(model._proj - proj)) <= 1e-10
         # z = L^{-1} y reaches about 1 / sqrt(reg) in size, so its error
         # is measured relative to it: both paths sit near 2e-12.
         assert np.max(np.abs(model._z - z)) <= 1e-11 * np.max(np.abs(z))
+
+    def test_carried_posterior_matches_dense_reference_on_a_long_chain(self, kernel, rng):
+        # The means and variance are sums carried over 420 appends, one
+        # term per append, instead of products over the whole projection.
+        # Against the dense solve, the carried sums and the products they
+        # replace are both off by 1.8e-11 in the means and 1.5e-13 in the
+        # std, about a fifth of the tolerances below.
+        model = ill_conditioned_chain(kernel, rng, 420)
+        means, std = model.posterior()
+        ref_means, ref_std = dense_posterior_reference(
+            kernel, model.inputs, model.targets, model.grid, model.regularization
+        )
+        assert np.max(np.abs(means - ref_means)) <= 1e-10
+        assert np.max(np.abs(std - ref_std)) <= 1e-12
 
     def test_carried_buffers_stay_close_to_the_live_state(self, kernel, rng):
         # A chain of appends shares each buffer until it is full, and a
@@ -245,9 +283,10 @@ class TestGridBoundPosterior:
         for _ in range(200):
             model = model.with_observation(rng.uniform(0, 1, 1), rng.standard_normal(2))
             chain.append(model)
-            for rows in (model._inv_rows, model._z_rows, model._proj_rows):
+            for rows in (model._gram_rows, model._inv_rows, model._z_rows, model._proj_rows):
                 assert model.t <= rows.data.shape[0] <= model.t + _GROWTH
-            assert model._inv_rows.data.shape[1] <= model.t + _GROWTH
+            for rows in (model._gram_rows, model._inv_rows):
+                assert rows.data.shape[1] <= model.t + _GROWTH
         # The chain's models, t = 0 to 200, fill one buffer per _GROWTH rows.
         buffers = {id(m._proj_rows.data) for m in chain}
         assert len(buffers) == math.ceil(len(chain) / _GROWTH)
@@ -270,11 +309,14 @@ class TestGridBoundPosterior:
         parent = SurrogateModel(kernel, 0.01, 2, grid=grid)
         for _ in range(parent_t):
             parent = parent.with_observation(rng.uniform(0, 1, 1), rng.standard_normal(2))
-        before = parent.posterior()
+        # posterior() hands out the carried arrays themselves, so compare
+        # against copies.
+        before = tuple(np.copy(part) for part in parent.posterior())
+        var, gram = np.copy(parent._var), np.copy(parent._gram)
         xi_before = parent.xi_lambda_max()
 
         first = parent.with_observation([0.25], [1.0, -1.0])
-        first_post = first.posterior()
+        first_post = tuple(np.copy(part) for part in first.posterior())
         first_xi = first.xi_lambda_max()
         second = parent.with_observation([0.75], [-2.0, 0.5])
         second_post = second.posterior()
@@ -285,6 +327,7 @@ class TestGridBoundPosterior:
         for model, (means, std) in ((parent, before), (first, first_post)):
             after_means, after_std = model.posterior()
             assert np.array_equal(after_means, means) and np.array_equal(after_std, std)
+        assert np.array_equal(parent._var, var) and np.array_equal(parent._gram, gram)
         assert parent.t == parent_t and parent.xi_lambda_max() == xi_before
         assert first.xi_lambda_max() == first_xi
         assert not np.array_equal(first_post[0], second_post[0])
@@ -360,6 +403,24 @@ class TestWarmStartedSpectrum:
             assert_top_eigenvalue(model)
         tight_leads = [int(np.argmax(np.abs(m._eigen[1]))) >= 20 for m in models[20:]]
         assert not tight_leads[0] and tight_leads[-1]
+
+    def test_paper_run_never_reaches_the_dense_eigensolver(self, monkeypatch):
+        # Along a 130-step run every spectral ratio is certified by the
+        # warm-started power iteration, with the carried Frobenius norm.
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        config = ExperimentConfig.from_preset(
+            "paper-synthetic-1", {"seeds": [2], "beta_modes": ["scenario"], "max_iterations": 130}
+        )
+        (trace,) = run_experiment(config).traces
+        assert len(trace.records) == 130
+        assert calls == []
 
     def test_identical_across_reruns(self, rng):
         kernel = Kernel(lengthscale=0.1)
