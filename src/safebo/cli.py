@@ -170,7 +170,7 @@ def _cmd_scale_study(args: argparse.Namespace) -> int:
             args.outputs or [1],
             args.t or [1, 10, 100],
         )
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:
         raise ConfigError(f"scale-study: {err}") from err
     _write_table(rows, args.out)
     return 0

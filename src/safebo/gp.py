@@ -15,10 +15,10 @@ LAPACK and every solve is a matrix-vector product.  The grid posterior
 is carried too: the new rows ``z_t`` and ``p_t`` add ``z_t p_t`` to the
 means and take ``p_t^2`` off the variance, so an append costs one
 ``O(t n)`` product, ``w P``, and reading the posterior costs ``O(k n)``.
-The three factors and the Gram matrix are kept in buffers that a model
-shares with the models appended to it, so an append writes one row
-instead of copying ``t`` of them; a full buffer is copied into one with
-64 more rows.  Of ``L`` itself only the pivots, its diagonal, are kept,
+The inputs, the targets, the three factors and the Gram matrix are kept
+in buffers that a model shares with the models appended to it, so an
+append writes one row instead of copying ``t`` of them; a full buffer is
+copied into one with 64 more rows.  Of ``L`` itself only the pivots, its diagonal, are kept,
 for the log-determinant.
 """
 
@@ -78,8 +78,9 @@ class SurrogateModel:
         if self.grid.ndim != 2:
             raise ValueError("grid must be an (n, d) array")
 
-        self.inputs = np.zeros((0, self.grid.shape[1]))
-        self.targets = np.zeros((self.n_outputs, 0))
+        self.t = 0
+        self._input_rows = _Rows(np.zeros((0, self.grid.shape[1])))
+        self._target_rows = _Rows(np.zeros((0, self.n_outputs)))
         self._pivots = np.zeros(0)
         self._gram_rows = _Rows(np.zeros((0, 0)), square=True)
         self._gram_fro_sq = 0.0
@@ -98,9 +99,14 @@ class SurrogateModel:
         self._warm: tuple[np.ndarray, float] | None = None
 
     @property
-    def t(self) -> int:
-        """Number of stored observations."""
-        return self.inputs.shape[0]
+    def inputs(self) -> np.ndarray:
+        """``(t, d)`` evaluated points, read-only."""
+        return _frozen(self._input_rows.view(self.t))
+
+    @property
+    def targets(self) -> np.ndarray:
+        """``(n_outputs, t)`` observed values, read-only."""
+        return _frozen(self._target_rows.view(self.t).T)
 
     @property
     def _gram(self) -> np.ndarray:
@@ -141,9 +147,10 @@ class SurrogateModel:
 
         t = self.t
         child = copy.copy(self)
-        child.inputs = np.concatenate((self.inputs, point[None, :]))
-        child.targets = np.concatenate((self.targets, values[:, None]), axis=1)
-        cross = pairwise(self.kernel, child.inputs[:t], point[None, :])[:, 0]
+        child.t = t + 1
+        child._input_rows = self._input_rows.appended(t, point)
+        child._target_rows = self._target_rows.appended(t, values)
+        cross = pairwise(self.kernel, self.inputs, point[None, :])[:, 0]
         diag = float(self.kernel.output_scale)
         child._gram_rows = self._gram_rows.appended(t, np.concatenate((cross, [diag])), mirror=True)
         child._gram_fro_sq = self._gram_fro_sq + 2.0 * float(cross @ cross) + diag * diag

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
+from . import kernels, noise
 from .domain import Domain
 from .kernels import Kernel
 from .noise import ScenarioSchedule, iteration_confidence, min_scenarios, model_from_config
@@ -27,7 +28,6 @@ from .optimizer import BETA_MODES, OptimizerConfig, SafeOptimizer, StepRecord
 from .synthetic import sample_rkhs_function, shift_to_quantile
 
 __all__ = [
-    "CONFIG_DEFAULTS",
     "CONFIG_SCHEMA",
     "ConfigError",
     "ExperimentConfig",
@@ -61,9 +61,11 @@ CONFIG_SCHEMA = {
         "max_iterations",
     ],
     "additionalProperties": False,
+    # An optional key's ``default`` is its value when a document leaves it
+    # out.  ``n_centers`` unset means 40 centers in 1-D and 200 otherwise.
     "properties": {
         "spec": {"const": 1},
-        "name": {"type": "string"},
+        "name": {"type": "string", "default": "custom"},
         "domain": {
             "type": "object",
             "required": ["bounds", "resolution"],
@@ -91,7 +93,7 @@ CONFIG_SCHEMA = {
             "required": ["family", "lengthscale"],
             "additionalProperties": False,
             "properties": {
-                "family": {"enum": ["matern32", "squared_exponential"]},
+                "family": {"enum": list(kernels.FAMILIES)},
                 "lengthscale": {"type": "number", "exclusiveMinimum": 0},
                 "output_scale": {"type": "number", "exclusiveMinimum": 0},
             },
@@ -99,22 +101,19 @@ CONFIG_SCHEMA = {
         "noise": {
             "type": "object",
             "required": ["family"],
-            "properties": {
-                "family": {
-                    "enum": ["uniform", "gaussian", "sub_gaussian", "student_t_scaled"]
-                }
-            },
+            "properties": {"family": {"enum": list(noise.FAMILIES)}},
         },
         "violation_prob": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         "confidence_level": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         "regularization": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
         "exploration_threshold": {"type": "number", "exclusiveMinimum": 0},
-        "subgaussian_scale": {"type": "number", "minimum": 0},
-        "norm_bound": {"type": "number", "exclusiveMinimum": 0},
+        "subgaussian_scale": {"type": "number", "minimum": 0, "default": 0.0},
+        "norm_bound": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
         "beta_modes": {
             "type": "array",
             "minItems": 1,
             "items": {"enum": list(BETA_MODES)},
+            "default": ["scenario"],
         },
         "seeds": {"type": "array", "items": {"type": "integer", "minimum": 0}},
         "max_iterations": {"type": "integer", "minimum": 0},
@@ -122,30 +121,19 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "kind": {"enum": ["self", "independent"]},
+                "kind": {"enum": ["self", "independent"], "default": "self"},
                 "quantile": {
                     "type": "number",
                     "exclusiveMinimum": 0,
                     "exclusiveMaximum": 1,
+                    "default": 0.4,
                 },
             },
+            "default": {},
         },
         "n_centers": {"type": "integer", "minimum": 1},
-        "collapse_policy": {"enum": ["error", "reset"]},
+        "collapse_policy": {"enum": ["error", "reset"], "default": "reset"},
     },
-}
-
-# Values of the optional keys when a document leaves them out; a partial
-# ``constraint`` is completed key by key.  ``n_centers`` unset means 40
-# centers in 1-D and 200 otherwise.
-CONFIG_DEFAULTS = {
-    "name": "custom",
-    "subgaussian_scale": 0.0,
-    "norm_bound": 1.0,
-    "beta_modes": ["scenario"],
-    "constraint": {"kind": "self", "quantile": 0.4},
-    "n_centers": None,
-    "collapse_policy": "reset",
 }
 
 PRESETS: dict[str, dict] = {
@@ -224,9 +212,9 @@ class ConfigError(Exception):
 
 # ``_check`` implements the draft 2020-12 semantics of the JSON Schema
 # keywords in ``_KEYWORDS``, and ``CONFIG_SCHEMA`` uses no others.  Bools are
-# not numbers, an integer-valued float is an integer, and ``$schema`` is
-# metadata.  JSON has no NaN or infinity, so the ones Python's parser
-# admits are not numbers either.
+# not numbers, an integer-valued float is an integer, and ``$schema`` and
+# ``default`` are annotations.  JSON has no NaN or infinity, so the ones
+# Python's parser admits are not numbers either.
 _TYPES = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
@@ -236,6 +224,8 @@ _TYPES = {
     "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
     or (isinstance(v, float) and v.is_integer()),
 }
+# The Python value of each declared scalar type.
+_CASTS = {"number": float, "integer": int}
 # Each bound keyword: the comparison that violates it, and what it asks for.
 _BOUNDS = {
     "minimum": (operator.lt, "at least"),
@@ -244,7 +234,7 @@ _BOUNDS = {
     "exclusiveMaximum": (operator.ge, "less than"),
 }
 _KEYWORDS = frozenset(
-    {"$schema", "type", "const", "enum", *_BOUNDS, "minItems", "maxItems", "items",
+    {"$schema", "default", "type", "const", "enum", *_BOUNDS, "minItems", "maxItems", "items",
      "required", "properties", "additionalProperties"}
 )
 
@@ -258,7 +248,8 @@ def _invalid(path: str, reason: str) -> ConfigError:
     return ConfigError(f"invalid experiment config: {path or 'document'}: {reason}")
 
 
-def _check(value, schema: dict, path: str) -> None:
+def _check(value, schema: dict, path: str):
+    """``value`` checked against ``schema`` and normalized as ``validate_config`` says."""
     kind = schema.get("type")
     if kind is not None and not _TYPES[kind](value):
         raise _invalid(path, f"expected {kind}, got {value!r}")
@@ -275,29 +266,38 @@ def _check(value, schema: dict, path: str) -> None:
             raise _invalid(path, f"expected at least {schema['minItems']} items, got {len(value)}")
         if len(value) > schema.get("maxItems", len(value)):
             raise _invalid(path, f"expected at most {schema['maxItems']} items, got {len(value)}")
-        if "items" in schema:
-            for i, item in enumerate(value):
-                _check(item, schema["items"], f"{path}[{i}]")
+        items = schema.get("items", {})
+        return tuple(_check(item, items, f"{path}[{i}]") for i, item in enumerate(value))
     if isinstance(value, dict):
         properties = schema.get("properties", {})
         prefix = f"{path}." if path else ""
         for key in schema.get("required", ()):
             if key not in value:
                 raise _invalid(f"{prefix}{key}", "missing")
+        normalized = {}
         for key in value:
             if key in properties:
-                _check(value[key], properties[key], f"{prefix}{key}")
+                normalized[key] = _check(value[key], properties[key], f"{prefix}{key}")
             elif schema.get("additionalProperties", True) is False:
                 raise _invalid(f"{prefix}{key}", "unknown key")
+            else:
+                normalized[key] = value[key]
+        for key, sub in properties.items():
+            if key not in value and "default" in sub:
+                normalized[key] = _check(sub["default"], sub, f"{prefix}{key}")
+        return normalized
+    return _CASTS[kind](value) if kind in _CASTS else value
 
 
-def validate_config(document: dict) -> None:
-    """Check a raw config document against ``CONFIG_SCHEMA``.
+def validate_config(document: dict) -> dict:
+    """Check a raw config document against ``CONFIG_SCHEMA`` and return it normalized.
 
-    The error names the key path of the first offending value, such as
-    ``kernel.lengthscale`` or ``domain.resolution[0]``.
+    Missing keys get their schema ``default``, itself walked; arrays become
+    tuples, declared numbers and integers floats and ints, and undeclared
+    keys keep their values.  The error names the key path of the first
+    offending value, such as ``kernel.lengthscale`` or ``domain.resolution[0]``.
     """
-    _check(document, CONFIG_SCHEMA, "")
+    return _check(document, CONFIG_SCHEMA, "")
 
 
 @dataclass(frozen=True)
@@ -318,30 +318,13 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     max_iterations: int
     constraint: dict
-    n_centers: int | None
     collapse_policy: str
+    n_centers: int | None = None
 
     @classmethod
     def from_dict(cls, document: dict) -> "ExperimentConfig":
-        validate_config(document)
-        values = {**CONFIG_DEFAULTS, **document}
+        values = validate_config(document)
         del values["spec"]
-        values["domain"] = {
-            "bounds": tuple((float(lo), float(hi)) for lo, hi in values["domain"]["bounds"]),
-            "resolution": tuple(int(r) for r in values["domain"]["resolution"]),
-        }
-        constraint = {**CONFIG_DEFAULTS["constraint"], **values["constraint"]}
-        values["constraint"] = {**constraint, "quantile": float(constraint["quantile"])}
-        values["kernel"] = dict(values["kernel"])
-        values["noise"] = dict(values["noise"])
-        for key in ("violation_prob", "confidence_level", "regularization",
-                    "exploration_threshold", "subgaussian_scale", "norm_bound"):
-            values[key] = float(values[key])
-        values["beta_modes"] = tuple(values["beta_modes"])
-        values["seeds"] = tuple(int(s) for s in values["seeds"])
-        values["max_iterations"] = int(values["max_iterations"])
-        if values["n_centers"] is not None:
-            values["n_centers"] = int(values["n_centers"])
         config = cls(**values)
         # Values the schema admits but the run cannot use: an empty box, a
         # resolution per missing bound, or noise parameters its family rejects.
@@ -351,6 +334,19 @@ class ExperimentConfig:
                 build()
             except (ValueError, TypeError) as err:
                 raise _invalid(key, str(err)) from err
+        # The scenario count grows with the iteration, so the last one tells
+        # whether a violation level is too small to draw for.
+        if "scenario" in config.beta_modes and config.max_iterations >= 1:
+            outputs = 1 if config.constraint["kind"] == "self" else 2
+            schedule = ScenarioSchedule(config.violation_prob, config.confidence_level, outputs)
+            try:
+                last = iteration_confidence(config.confidence_level, config.max_iterations)
+            except OverflowError as err:
+                raise _invalid("max_iterations", str(err)) from err
+            try:
+                min_scenarios(schedule, last)
+            except OverflowError as err:
+                raise _invalid("violation_prob", str(err)) from err
         return config
 
     @classmethod
@@ -376,7 +372,7 @@ class ExperimentConfig:
         return Domain.grid(self.domain["bounds"], self.domain["resolution"])
 
     def build_kernel(self) -> Kernel:
-        return Kernel.from_config(self.kernel)
+        return Kernel(**self.kernel)
 
     def centers(self) -> int:
         if self.n_centers is not None:

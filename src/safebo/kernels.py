@@ -109,14 +109,6 @@ class Kernel:
             "output_scale": self.output_scale,
         }
 
-    @classmethod
-    def from_config(cls, config: dict) -> "Kernel":
-        return cls(
-            family=config.get("family", "matern32"),
-            lengthscale=float(config.get("lengthscale", 0.1)),
-            output_scale=float(config.get("output_scale", 1.0)),
-        )
-
 
 def _as_points(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)

@@ -23,6 +23,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 __all__ = [
+    "FAMILIES",
     "NoiseModel",
     "ScenarioBound",
     "ScenarioSchedule",
@@ -124,26 +125,29 @@ def student_t_scaled(dof: float = 10.0, scale: float = 0.2) -> NoiseModel:
     return NoiseModel("student_t_scaled", sampler)
 
 
+# The constructor of each noise family, by the name a descriptor gives it.
+FAMILIES = {
+    "uniform": uniform,
+    "gaussian": gaussian,
+    "sub_gaussian": sub_gaussian_surrogate,
+    "student_t_scaled": student_t_scaled,
+}
+
+
 def model_from_config(config: Mapping) -> NoiseModel:
     """Build a noise model from its wire descriptor, e.g. from JSON.
 
-    The descriptor's ``family`` picks the constructor and its other keys
-    are that constructor's keyword arguments.
+    The descriptor's ``family`` picks the constructor in ``FAMILIES`` and
+    its other keys are that constructor's keyword arguments.
     """
-    constructors = {
-        "uniform": uniform,
-        "gaussian": gaussian,
-        "sub_gaussian": sub_gaussian_surrogate,
-        "student_t_scaled": student_t_scaled,
-    }
     config = dict(config)
     try:
         family = config.pop("family")
     except KeyError:
         raise ValueError("noise descriptor needs a 'family' key") from None
-    if family not in constructors:
+    if family not in FAMILIES:
         raise ValueError(f"unknown noise family {family!r}")
-    return constructors[family](**config)
+    return FAMILIES[family](**config)
 
 
 @dataclass(frozen=True)
@@ -188,7 +192,10 @@ def iteration_confidence(confidence: float, iteration: int) -> float:
         raise ValueError(f"confidence must lie strictly inside (0, 1), got {confidence!r}")
     if iteration < 1:
         raise ValueError(f"iteration counter starts at 1, got {iteration!r}")
-    return 6.0 * confidence / (math.pi**2 * iteration**2)
+    share = 6.0 * confidence / (math.pi**2 * iteration**2)
+    if share == 0.0:
+        raise OverflowError(f"the confidence share of iteration {iteration!r} underflows to 0")
+    return share
 
 
 def _log_binomial_tail(m: int, violation_prob: float, n_terms: int) -> float:
@@ -211,12 +218,12 @@ def _log_binomial_tail(m: int, violation_prob: float, n_terms: int) -> float:
 def min_scenarios(schedule: ScenarioSchedule, adjusted_confidence: float) -> int:
     """Smallest scenario count whose binomial tail meets the confidence.
 
-    The search starts from the single-output closed form
-    ``ceil(log(kappa_t) / log(1 - nu))``, which is a valid lower bound for
-    any output count, then gallops and bisects upward.  The returned
-    count is exactly minimal: the tail inequality fails one below it.
-    Pure in its arguments, so results are memoized: every run of a
-    battery asks for the same counts at the same iterations.
+    Gallops and then bisects upward from a count below the single-output
+    closed form ``ceil(log(kappa_t) / log(1 - nu))``, where the tail
+    inequality provably fails.  The returned count is exactly minimal:
+    the tail inequality fails one below it.  Pure in its arguments, so
+    results are memoized: every run of a battery asks for the same
+    counts at the same iterations.
     """
     if not 0.0 < adjusted_confidence < 1.0:
         raise ValueError(
@@ -229,27 +236,22 @@ def min_scenarios(schedule: ScenarioSchedule, adjusted_confidence: float) -> int
     def holds(m: int) -> bool:
         return _log_binomial_tail(m, nu, k) <= log_target
 
-    analytic = math.ceil(log_target / math.log1p(-nu))
-    m = max(analytic, k, 1)
-    if m > _SCENARIO_CAP:
-        raise OverflowError(
-            "scenario count exceeds 1e9; violation level is degenerately small"
-        )
-    if holds(m):
-        # The analytic start can overshoot by a rounding step; walk back.
-        while m > 1 and holds(m - 1):
-            m -= 1
-        return m
-
-    lo, step = m, 1
+    # The search starts where the tail inequality fails.  With at most
+    # k - 1 scenarios the tail is the whole binomial sum, 1.  Its s = 0
+    # term, (1 - nu)^m, alone exceeds kappa_t for every m < A =
+    # log(kappa_t) / log(1 - nu); and ceil(A') - 2 < A' - 1 < A for a
+    # computed A' that rounding moves by less than one from A.  Capping A'
+    # keeps that, and the gallop stops at the cap.
+    closed_form = min(log_target / math.log1p(-nu), _SCENARIO_CAP)
+    lo, step = max(math.ceil(closed_form) - 2, k - 1), 1
     while True:
-        hi = lo + step
-        if hi > _SCENARIO_CAP:
+        hi = min(lo + step, _SCENARIO_CAP)
+        if holds(hi):
+            break
+        if hi == _SCENARIO_CAP:
             raise OverflowError(
                 "scenario count exceeds 1e9; violation level is degenerately small"
             )
-        if holds(hi):
-            break
         lo, step = hi, step * 2
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -56,7 +56,7 @@ class RkhsFunction:
     @classmethod
     def from_config(cls, config: dict) -> "RkhsFunction":
         return cls(
-            kernel=Kernel.from_config(config["kernel"]),
+            kernel=Kernel(**config["kernel"]),
             centers=np.asarray(config["centers"], dtype=float),
             coefficients=np.asarray(config["coefficients"], dtype=float),
             rkhs_norm=float(config["rkhs_norm"]),

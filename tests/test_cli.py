@@ -109,10 +109,11 @@ def test_run_with_invalid_config_exits_two(tmp_path):
         (lambda d: d.update(noise={"family": "uniform", "lo": 0}), "noise"),
         (lambda d: d.update(noise={"family": "uniform", "low": 1, "high": 0}), "noise"),
         (lambda d: d.update(noise={"family": "gaussian", "variance": float("nan")}), "noise"),
+        (lambda d: d.update(violation_prob=1e-12), "violation_prob"),
     ],
     ids=["nan-lengthscale", "nan-violation-prob", "infinite-threshold", "empty-box",
          "resolution-per-missing-bound", "unknown-noise-key", "empty-noise-interval",
-         "nan-noise-variance"],
+         "nan-noise-variance", "degenerate-violation-prob"],
 )
 def test_run_with_unusable_config_exits_two_before_running(tmp_path, capsys, edit, key):
     document = tiny_document()
@@ -164,6 +165,7 @@ def test_scale_study_stdout(capsys):
         ("--kappa", "0", "confidence must lie strictly inside (0, 1), got 0.0"),
         ("--outputs", "0", "need at least one output, got 0"),
         ("--t", "0", "iteration counter starts at 1, got 0"),
+        ("--nu", "1e-12", "scenario count exceeds 1e9; violation level is degenerately small"),
     ],
 )
 def test_scale_study_rejects_out_of_range_values(capsys, flag, value, reason):

@@ -283,13 +283,20 @@ class TestGridBoundPosterior:
         for _ in range(200):
             model = model.with_observation(rng.uniform(0, 1, 1), rng.standard_normal(2))
             chain.append(model)
-            for rows in (model._gram_rows, model._inv_rows, model._z_rows, model._proj_rows):
+            for rows in (model._gram_rows, model._inv_rows, model._z_rows, model._proj_rows,
+                         model._input_rows, model._target_rows):
                 assert model.t <= rows.data.shape[0] <= model.t + _GROWTH
             for rows in (model._gram_rows, model._inv_rows):
                 assert rows.data.shape[1] <= model.t + _GROWTH
         # The chain's models, t = 0 to 200, fill one buffer per _GROWTH rows.
-        buffers = {id(m._proj_rows.data) for m in chain}
-        assert len(buffers) == math.ceil(len(chain) / _GROWTH)
+        for name in ("_proj_rows", "_input_rows", "_target_rows"):
+            buffers = {id(getattr(m, name).data) for m in chain}
+            assert len(buffers) == math.ceil(len(chain) / _GROWTH)
+        # Every model still reads its own history from the shared buffers.
+        for m in chain:
+            assert m.inputs.shape == (m.t, 1) and m.targets.shape == (2, m.t)
+            assert np.array_equal(m.inputs, model.inputs[: m.t])
+            assert np.array_equal(m.targets, model.targets[:, : m.t])
 
     def test_rejects_flat_grid(self, kernel):
         with pytest.raises(ValueError, match="grid"):
@@ -313,6 +320,7 @@ class TestGridBoundPosterior:
         # against copies.
         before = tuple(np.copy(part) for part in parent.posterior())
         var, gram = np.copy(parent._var), np.copy(parent._gram)
+        inputs, targets = np.copy(parent.inputs), np.copy(parent.targets)
         xi_before = parent.xi_lambda_max()
 
         first = parent.with_observation([0.25], [1.0, -1.0])
@@ -321,13 +329,18 @@ class TestGridBoundPosterior:
         second = parent.with_observation([0.75], [-2.0, 0.5])
         second_post = second.posterior()
         second.xi_lambda_max()
-        assert (first._proj_rows is parent._proj_rows) == (parent_t < _GROWTH)
-        assert second._proj_rows is not parent._proj_rows
+        for name in ("_proj_rows", "_input_rows", "_target_rows"):
+            assert (getattr(first, name) is getattr(parent, name)) == (parent_t < _GROWTH)
+            assert getattr(second, name) is not getattr(parent, name)
 
         for model, (means, std) in ((parent, before), (first, first_post)):
             after_means, after_std = model.posterior()
             assert np.array_equal(after_means, means) and np.array_equal(after_std, std)
         assert np.array_equal(parent._var, var) and np.array_equal(parent._gram, gram)
+        assert np.array_equal(parent.inputs, inputs) and np.array_equal(parent.targets, targets)
+        for model, point, values in ((first, 0.25, [1.0, -1.0]), (second, 0.75, [-2.0, 0.5])):
+            assert np.array_equal(model.inputs, np.vstack((inputs, [[point]])))
+            assert np.array_equal(model.targets, np.hstack((targets, np.c_[values])))
         assert parent.t == parent_t and parent.xi_lambda_max() == xi_before
         assert first.xi_lambda_max() == first_xi
         assert not np.array_equal(first_post[0], second_post[0])

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +117,107 @@ class TestConfigValidation:
     def test_defaults_fill_partial_constraint(self):
         config = tiny_config(constraint={"kind": "independent"})
         assert config.constraint == {"kind": "independent", "quantile": 0.4}
+
+    def test_required_keys_alone_get_every_default(self):
+        config = ExperimentConfig.from_dict(required_document())
+        assert config.name == "custom"
+        assert config.subgaussian_scale == 0.0 and config.norm_bound == 1.0
+        assert config.beta_modes == ("scenario",)
+        assert config.constraint == {"kind": "self", "quantile": 0.4}
+        assert config.n_centers is None and config.centers() == 40
+        assert config.collapse_policy == "reset"
+
+    def test_validation_returns_tuples_floats_and_ints(self):
+        document = tiny_config().to_dict() | {
+            "domain": {"bounds": [[0, 1]], "resolution": [80.0]},
+            "kernel": {"family": "matern32", "lengthscale": 1, "output_scale": 1},
+            "noise": {"family": "uniform", "low": -1, "high": [1]},
+            "seeds": [0.0, 3],
+            "max_iterations": 12.0,
+            "norm_bound": 2,
+        }
+        values = validate_config(document)
+        assert values["domain"] == {"bounds": ((0.0, 1.0),), "resolution": (80,)}
+        assert type(values["domain"]["resolution"][0]) is int
+        assert all(type(v) is float for v in values["domain"]["bounds"][0])
+        assert type(values["kernel"]["lengthscale"]) is float
+        assert type(values["kernel"]["output_scale"]) is float
+        assert values["seeds"] == (0, 3) and all(type(s) is int for s in values["seeds"])
+        assert type(values["max_iterations"]) is int and type(values["norm_bound"]) is float
+        assert values["beta_modes"] == ("scenario",)
+        # Keys the schema does not declare keep their values as given.
+        assert values["noise"] == {"family": "uniform", "low": -1, "high": [1]}
+        assert type(values["noise"]["low"]) is int
+        # The document itself is left as it was.
+        assert document["domain"]["resolution"] == [80.0] and document["seeds"] == [0.0, 3]
+
+    def test_defaults_are_not_shared_between_documents(self):
+        first = validate_config(required_document())
+        second = validate_config(required_document())
+        assert first["constraint"] == second["constraint"]
+        assert first["constraint"] is not second["constraint"]
+        first["constraint"]["kind"] = "independent"
+        assert second["constraint"]["kind"] == "self"
+        assert CONFIG_SCHEMA["properties"]["constraint"]["default"] == {}
+        assert CONFIG_SCHEMA["properties"]["beta_modes"]["default"] == ["scenario"]
+
+    def test_readme_table_matches_schema_defaults(self):
+        optional = set(CONFIG_SCHEMA["properties"]) - set(CONFIG_SCHEMA["required"])
+        documented = readme_defaults()
+        assert set(documented) == optional
+        filled = json.loads(json.dumps(validate_config(required_document())))
+        for key in optional:
+            assert documented[key] == filled.get(key), key
+
+    @pytest.mark.parametrize(
+        "overrides, rejected",
+        [
+            ({"max_iterations": 2}, None),
+            ({"max_iterations": 5}, "violation_prob"),
+            ({"max_iterations": 1, "constraint": {"kind": "independent"}}, None),
+            ({"max_iterations": 2, "constraint": {"kind": "independent"}}, "violation_prob"),
+            ({"max_iterations": 100, "beta_modes": ["classic_subgaussian"]}, None),
+            ({"max_iterations": 0}, None),
+            ({"max_iterations": 1, "violation_prob": 1e-12}, "violation_prob"),
+            ({"max_iterations": 10**154, "violation_prob": 0.1}, "max_iterations"),
+            ({"max_iterations": 10**200, "violation_prob": 0.1}, "max_iterations"),
+        ],
+        ids=["self-t2", "self-t5", "independent-t1", "independent-t2", "classic-only",
+             "no-iterations", "nu-1e-12", "share-underflows", "share-overflows"],
+    )
+    def test_violation_level_too_small_to_draw_for_rejected(self, overrides, rejected):
+        # At nu = 1e-8 one output needs about 7.4e8 scenarios at t = 1 and
+        # more than 1e9 from t = 5 on; two outputs pass 1e9 from t = 2 on,
+        # and at nu = 1e-12 one output passes it at t = 1.  Past t = 1e153
+        # the confidence share of the last iteration is not a positive float.
+        # Only the config is built here: no scenario batch is drawn.
+        document = tiny_config().to_dict() | {"violation_prob": 1e-8} | overrides
+        if rejected is None:
+            ExperimentConfig.from_dict(document)
+        else:
+            with pytest.raises(ConfigError, match=f"^invalid experiment config: {rejected}: "):
+                ExperimentConfig.from_dict(document)
+
+
+def required_document() -> dict:
+    """``tiny_config``'s document cut down to the keys the schema requires."""
+    document = tiny_config().to_dict()
+    return {key: document[key] for key in CONFIG_SCHEMA["required"]}
+
+
+def readme_defaults() -> dict:
+    """The README's optional-keys table: each key and the first code span of its default.
+
+    A default cell without a code span, such as ``unset: ...``, reads as ``None``.
+    """
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("| key | default |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        key, cell = re.fullmatch(r"\| `(\w+)` \| (.*) \|", line).groups()
+        span = re.match(r"`([^`]*)`", cell)
+        rows[key] = json.loads(span.group(1)) if span else None
+    return rows
 
 
 # Values a mutation writes over a document entry: bools next to the numbers

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -16,7 +17,7 @@ from safebo import (
     uniform,
 )
 from safebo.harness import CONFIG_SCHEMA
-from safebo.noise import NoiseModel, model_from_config, sub_gaussian_surrogate
+from safebo.noise import NoiseModel, _log_binomial_tail, model_from_config, sub_gaussian_surrogate
 
 
 def binomial_tail_oracle(m, violation_prob, n_terms, dps=50):
@@ -124,6 +125,18 @@ class TestMinScenarios:
         m = min_scenarios(schedule, 1e-6)
         assert binomial_tail_oracle(m, 1e-3, 2) <= 1e-6
         assert binomial_tail_oracle(m - 1, 1e-3, 2) > 1e-6
+
+    def test_minimal_against_a_linear_scan(self):
+        # Every count from zero up is tried with the same tail predicate:
+        # the search returns the first that meets the target.
+        for nu, kappa, k, t in itertools.product(
+            [0.5, 0.2, 0.1, 0.05, 0.01], [0.1, 1e-3, 1e-6], [1, 2, 3], [1, 10, 100]
+        ):
+            adjusted = iteration_confidence(kappa, t)
+            m = 0
+            while _log_binomial_tail(m, nu, k) > math.log(adjusted):
+                m += 1
+            assert min_scenarios(ScenarioSchedule(nu, kappa, k), adjusted) == m, (nu, kappa, k, t)
 
     def test_degenerate_violation_level_guard(self):
         schedule = ScenarioSchedule(1e-12, 0.5, 1)
