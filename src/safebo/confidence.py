@@ -98,13 +98,9 @@ class ConfidenceState:
 
     def widths(self) -> np.ndarray:
         """All widths at once, ``+inf`` where unbounded."""
-        out = np.full(self.lower.shape, np.inf)
-        np.subtract(self.upper, self.lower, out=out, where=self.bounded)
+        out = self.upper - self.lower
+        out[~self.bounded] = math.inf
         return out
-
-    def lower_filled(self, fill: float = -np.inf) -> np.ndarray:
-        """Lower endpoints with unbounded entries replaced by ``fill``."""
-        return np.where(self.bounded, self.lower, fill)
 
 
 def update_intervals(
@@ -132,7 +128,7 @@ def update_intervals(
     for name, values in (("means", means), ("std", std), ("betas", betas)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} must be finite")
-    if np.any(std < 0):
+    if (std < 0).any():
         raise ValueError("standard deviations must be nonnegative")
     k, n = state.lower.shape
     if means.shape != (k, n):
@@ -142,16 +138,15 @@ def update_intervals(
     if betas.shape != (k,):
         raise ValueError("betas must have shape (n_outputs,)")
 
-    half = betas[:, None] * std[None, :]
-    band_lo = means - half
-    band_hi = means + half
+    half = betas[:, None] * std
+    new_lo = means - half
+    new_hi = means + half
+    np.maximum(state.lower, new_lo, out=new_lo, where=state.bounded)
+    np.minimum(state.upper, new_hi, out=new_hi, where=state.bounded)
 
-    new_lo = np.where(state.bounded, np.maximum(state.lower, band_lo), band_lo)
-    new_hi = np.where(state.bounded, np.minimum(state.upper, band_hi), band_hi)
-
-    gap = new_lo - new_hi
-    crossed = gap > 0.0
+    crossed = new_lo > new_hi
     if crossed.any():
+        gap = new_lo - new_hi
         broken = gap > _COLLAPSE_TOL
         if broken.any():
             if on_collapse == "error":
@@ -161,8 +156,8 @@ def update_intervals(
                 "confidence collapse at %d interval(s); resetting to the fresh band",
                 int(broken.sum()),
             )
-            new_lo = np.where(broken, band_lo, new_lo)
-            new_hi = np.where(broken, band_hi, new_hi)
+            new_lo = np.where(broken, means - half, new_lo)
+            new_hi = np.where(broken, means + half, new_hi)
         # Sub-roundoff crossings pin the interval to a point inside the
         # previous one, preserving the nesting guarantee.
         slight = crossed & ~broken
@@ -175,5 +170,5 @@ def update_intervals(
     return ConfidenceState(
         lower=new_lo,
         upper=new_hi,
-        bounded=np.ones_like(state.bounded),
+        bounded=np.ones(state.bounded.shape, dtype=bool),
     )

@@ -97,20 +97,21 @@ class GridIndex:
 
     def frontier(self, mask: np.ndarray) -> Frontier:
         """The frontier of ``mask``, rebuilt only if the mask changed."""
-        if self._mask is None or not np.array_equal(mask, self._mask):
+        last = self._mask
+        if last is None or last.shape != mask.shape or not (last == mask).all():
             self._frontier = self._build(mask)
             self._mask = mask.copy()
         return self._frontier
 
     def _build(self, mask: np.ndarray) -> Frontier:
-        outside = np.flatnonzero(~mask)
+        outside = (~mask).nonzero()[0]
         position = np.full(mask.shape[0], -1, dtype=np.intp)
         position[outside] = np.arange(outside.size)
         near = np.zeros(mask.shape[0])
         floor = np.zeros(mask.shape[0])
         if outside.size == 0:
             return Frontier(outside, position, near, floor)
-        inside = np.flatnonzero(mask)
+        inside = mask.nonzero()[0]
         nearest = self._nearest_outside(~mask, inside)
         near[inside] = paired_metric(self.kernel, self.points[inside], self.points[nearest])
         # Every other outside point is at least as far in Euclidean

@@ -24,7 +24,6 @@ for the log-determinant.
 
 from __future__ import annotations
 
-import copy
 import math
 
 import numpy as np
@@ -79,13 +78,13 @@ class SurrogateModel:
             raise ValueError("grid must be an (n, d) array")
 
         self.t = 0
-        self._input_rows = _Rows(np.zeros((0, self.grid.shape[1])))
-        self._target_rows = _Rows(np.zeros((0, self.n_outputs)))
-        self._pivots = np.zeros(0)
+        d, k = self.grid.shape[1], self.n_outputs
+        # One row per observation: [point | values | z | pivot], pivots the diagonal of L.
+        self._obs_rows = _Rows(np.zeros((0, d + 2 * k + 1)))
+        self._z_cols = slice(d + k, d + 2 * k)
         self._gram_rows = _Rows(np.zeros((0, 0)), square=True)
         self._gram_fro_sq = 0.0
         self._inv_rows = _Rows(np.zeros((0, 0)), square=True)
-        self._z_rows = _Rows(np.zeros((0, self.n_outputs)))
         self._proj_rows = _Rows(np.zeros((0, self.grid.shape[0])))
         # The grid posterior, shared with callers: never written in place.
         n = self.grid.shape[0]
@@ -101,28 +100,13 @@ class SurrogateModel:
     @property
     def inputs(self) -> np.ndarray:
         """``(t, d)`` evaluated points, read-only."""
-        return _frozen(self._input_rows.view(self.t))
+        return _frozen(self._obs_rows.data[: self.t, : self.grid.shape[1]])
 
     @property
     def targets(self) -> np.ndarray:
         """``(n_outputs, t)`` observed values, read-only."""
-        return _frozen(self._target_rows.view(self.t).T)
-
-    @property
-    def _gram(self) -> np.ndarray:
-        return self._gram_rows.view(self.t)
-
-    @property
-    def _inv(self) -> np.ndarray:
-        return self._inv_rows.view(self.t)
-
-    @property
-    def _z(self) -> np.ndarray:
-        return self._z_rows.view(self.t)
-
-    @property
-    def _proj(self) -> np.ndarray:
-        return self._proj_rows.view(self.t)
+        d = self.grid.shape[1]
+        return _frozen(self._obs_rows.data[: self.t, d : d + self.n_outputs].T)
 
     def with_observation(self, point: np.ndarray, values: np.ndarray) -> "SurrogateModel":
         """New model with one more evaluation appended.
@@ -145,14 +129,16 @@ class SurrogateModel:
         if not np.isfinite(point).all():
             raise ValueError("point must be finite")
 
-        t = self.t
-        child = copy.copy(self)
+        t, d = self.t, point.size
+        child = object.__new__(type(self))
+        child.__dict__ = self.__dict__.copy()
         child.t = t + 1
-        child._input_rows = self._input_rows.appended(t, point)
-        child._target_rows = self._target_rows.appended(t, values)
-        cross = pairwise(self.kernel, self.inputs, point[None, :])[:, 0]
+        cross = pairwise(self.kernel, self._obs_rows.data[:t, :d], point[None, :])[:, 0]
         diag = float(self.kernel.output_scale)
-        child._gram_rows = self._gram_rows.appended(t, np.concatenate((cross, [diag])), mirror=True)
+        child._gram_rows = self._gram_rows.extended(t)
+        gram = child._gram_rows.data
+        gram[t, :t] = gram[:t, t] = cross
+        gram[t, t] = diag
         child._gram_fro_sq = self._gram_fro_sq + 2.0 * float(cross @ cross) + diag * diag
         child._eigen = child._warm = None
         if self._eigen is not None:
@@ -161,28 +147,34 @@ class SurrogateModel:
             _, vec, upper = self._eigen
             child._warm = (np.concatenate((vec, [0.0])), upper * (1.0 + _POWER_RTOL))
 
-        w = self._inv @ cross
+        inv = self._inv_rows.data[:t, :t]
+        w = inv @ cross
         # The bordered pivot equals posterior variance plus the
         # regularizer, so it stays strictly positive.
         pivot = math.sqrt(
             max(diag + self.regularization - float(w @ w), self.regularization * 1e-12)
         )
-        child._pivots = np.concatenate((self._pivots, [pivot]))
-        child._inv_rows = self._inv_rows.appended(
-            t, np.concatenate((-(w @ self._inv) / pivot, [1.0 / pivot]))
-        )
-        z_row = (values - w @ self._z) / pivot
-        child._z_rows = self._z_rows.appended(t, z_row)
+        child._inv_rows = self._inv_rows.extended(t)
+        child._inv_rows.data[t, :t] = -(w @ inv) / pivot
+        child._inv_rows.data[t, t] = 1.0 / pivot
+        # z is strided in its buffer; the product reads a contiguous copy,
+        # because BLAS sums a strided operand in another order.
+        z_cols = self._z_cols
+        z_row = (values - w @ self._obs_rows.data[:t, z_cols].copy()) / pivot
+        child._obs_rows = self._obs_rows.extended(t)
+        row = child._obs_rows.data[t]
+        row[:d], row[d : z_cols.start], row[z_cols], row[-1] = point, values, z_row, pivot
         # The grid-length rows are updated in place of temporaries.
         p_row = pairwise(self.kernel, point[None, :], self.grid)[0]
-        p_row -= w @ self._proj
+        p_row -= w @ self._proj_rows.data[:t]
         p_row /= pivot
-        child._proj_rows = self._proj_rows.appended(t, p_row)
+        child._proj_rows = self._proj_rows.extended(t)
+        child._proj_rows.data[t] = p_row
         means = z_row[:, None] * p_row
         means += self._means
-        var = p_row * p_row
-        np.subtract(self._var, var, out=var)
-        child._means, child._var = _frozen(means), _frozen(var)
+        var = self._var - p_row * p_row
+        means.flags.writeable = var.flags.writeable = False
+        child._means, child._var = means, var
         return child
 
     def posterior(self) -> tuple[np.ndarray, np.ndarray]:
@@ -193,7 +185,9 @@ class SurrogateModel:
         With no observations this is the prior: zero mean and
         ``sqrt(k(a, a))``.
         """
-        return self._means, _frozen(np.sqrt(np.maximum(self._var, 0.0)))
+        std = np.sqrt(np.maximum(self._var, 0.0))
+        std.flags.writeable = False
+        return self._means, std
 
     def xi_lambda_max(self) -> float:
         """Largest eigenvalue of ``K (K + reg I)^{-1}``.
@@ -209,7 +203,8 @@ class SurrogateModel:
             return 0.0
         if self._eigen is None:
             start, second = self._warm if self._warm is not None else (None, math.inf)
-            self._eigen = _top_eigenpair(self._gram, start, second, self._gram_fro_sq)
+            gram = self._gram_rows.data[: self.t, : self.t]
+            self._eigen = _top_eigenpair(gram, start, second, self._gram_fro_sq)
             self._warm = None
         lam = self._eigen[0]
         return lam / (lam + self.regularization)
@@ -217,7 +212,7 @@ class SurrogateModel:
     def log_det_information_gain(self) -> float:
         """Half log-determinant of ``I + K / reg``, zero on empty history."""
         # log det(K + reg I) from the factor's pivots, then rescale.
-        log_det = 2.0 * float(np.sum(np.log(self._pivots)))
+        log_det = 2.0 * float(np.log(self._obs_rows.data[: self.t, -1]).sum())
         return 0.5 * (log_det - self.t * np.log(self.regularization))
 
 
@@ -247,18 +242,12 @@ class _Rows:
     def view(self, t: int) -> np.ndarray:
         return self.data[:t, :t] if self.square else self.data[:t]
 
-    def appended(self, t: int, row: np.ndarray, mirror: bool = False) -> "_Rows":
-        """Rows of which the first ``t`` are this buffer's and row ``t`` is ``row``.
-
-        ``mirror`` also writes ``row`` into column ``t`` of a square
-        buffer, which keeps a symmetric matrix whole.
-        """
+    def extended(self, t: int) -> "_Rows":
+        """Rows of which the first ``t`` are this buffer's and row ``t``,
+        and column ``t`` of a square buffer, are the caller's to write."""
         rows = self
         if self.used > t or t == self.data.shape[0]:
             rows = _Rows(self.view(t), self.square)
-        rows.data[t, : row.size] = row
-        if mirror:
-            rows.data[:t, t] = row[:t]
         rows.used = t + 1
         return rows
 

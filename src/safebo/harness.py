@@ -286,7 +286,10 @@ def _check(value, schema: dict, path: str):
             if key not in value and "default" in sub:
                 normalized[key] = _check(sub["default"], sub, f"{prefix}{key}")
         return normalized
-    return _CASTS[kind](value) if kind in _CASTS else value
+    try:
+        return _CASTS[kind](value) if kind in _CASTS else value
+    except OverflowError:
+        raise _invalid(path, f"{kind} too large for a float") from None
 
 
 def validate_config(document: dict) -> dict:

@@ -71,7 +71,8 @@ class Kernel:
         """Kernel value as a function of Euclidean distance."""
         r = np.asarray(dists, dtype=float) / self.lengthscale
         if self.family == "matern32":
-            return self.output_scale * (1.0 + _SQRT3 * r) * np.exp(-_SQRT3 * r)
+            u = _SQRT3 * r
+            return self.output_scale * (1.0 + u) * np.exp(-u)
         return self.output_scale * np.exp(-0.5 * r * r)
 
     def radius(self, metric: np.ndarray) -> np.ndarray:
@@ -130,7 +131,7 @@ def pairwise(kernel: Kernel, x: np.ndarray, y: np.ndarray | None = None) -> np.n
         diff = np.subtract.outer(x[:, k], y[:, k])
         diff *= diff
         total += diff
-    return kernel.profile(np.sqrt(total))
+    return kernel.profile(np.sqrt(total, out=total))
 
 
 def gram(kernel: Kernel, points: np.ndarray) -> np.ndarray:

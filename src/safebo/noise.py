@@ -67,13 +67,21 @@ class NoiseModel:
                 f"noise model {self.family!r} returned draws of shape {draws.shape}, "
                 f"not ({size},)"
             )
-        if not np.all(np.isfinite(draws)):
+        if not np.isfinite(draws).all():
             raise ValueError(f"noise model {self.family!r} produced non-finite draws")
         return draws
 
 
+def _reject_bools(**params) -> None:
+    """JSON true and false compare as 1 and 0, which pass the range checks."""
+    for name, value in params.items():
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def uniform(low: float, high: float) -> NoiseModel:
     """Homoscedastic uniform noise on ``[low, high]``."""
+    _reject_bools(low=low, high=high)
     if not -math.inf < low < high < math.inf:
         raise ValueError("uniform noise needs finite low < high")
 
@@ -85,6 +93,7 @@ def uniform(low: float, high: float) -> NoiseModel:
 
 def gaussian(variance: float) -> NoiseModel:
     """Homoscedastic zero-mean Gaussian noise with the given variance."""
+    _reject_bools(variance=variance)
     if not 0 <= variance < math.inf:
         raise ValueError("variance must be finite and nonnegative")
     std = math.sqrt(variance)
@@ -102,6 +111,7 @@ def sub_gaussian_surrogate(scale: float) -> NoiseModel:
     the scale-``R`` sub-Gaussian family, so it is the conservative
     samplable stand-in when only a sub-Gaussian constant is known.
     """
+    _reject_bools(scale=scale)
     if not 0 <= scale < math.inf:
         raise ValueError("scale must be finite and nonnegative")
     return gaussian(scale * scale)
@@ -113,13 +123,14 @@ def student_t_scaled(dof: float = 10.0, scale: float = 0.2) -> NoiseModel:
     ``|a|`` is the Euclidean norm of the evaluation point, so the noise
     vanishes at the origin and grows with distance from it.
     """
+    _reject_bools(dof=dof, scale=scale)
     if not 0 < dof < math.inf:
         raise ValueError("degrees of freedom must be finite and positive")
     if not 0 <= scale < math.inf:
         raise ValueError("scale must be finite and nonnegative")
 
     def sampler(location, output, rng, size):
-        magnitude = scale * float(np.linalg.norm(location))
+        magnitude = scale * math.sqrt(location.dot(location))
         return magnitude * rng.standard_t(dof, size)
 
     return NoiseModel("student_t_scaled", sampler)
@@ -283,12 +294,7 @@ def scenario_bound(
 
     magnitudes = np.zeros(schedule.n_outputs)
     for i in range(schedule.n_outputs):
-        remaining = m
-        peak = 0.0
-        while remaining > 0:
-            chunk = min(remaining, _CHUNK)
-            draws = model.sample(location, i, rng, chunk)
-            peak = max(peak, float(np.max(np.abs(draws))))
-            remaining -= chunk
-        magnitudes[i] = peak
+        for start in range(0, m, _CHUNK):
+            draws = model.sample(location, i, rng, min(_CHUNK, m - start))
+            magnitudes[i] = max(magnitudes[i], np.abs(draws).max())
     return ScenarioBound(n_scenarios=m, magnitudes=magnitudes)

@@ -22,7 +22,7 @@ multiplier for homoscedastic sub-Gaussian noise, kept for comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,7 +82,7 @@ def safe_set(
         return previous.copy()
     certified = np.ones(frontier.outside.size, dtype=bool)
     for i in constraints:
-        anchors = np.flatnonzero(previous & bounded[i])
+        anchors = (previous & bounded[i]).nonzero()[0]
         if anchors.size == 0:
             return previous.copy()
         certified &= index.covered(frontier, anchors, lower[i][anchors], norm_bounds[i])
@@ -108,8 +108,7 @@ def maximizers(
     safe = np.asarray(safe, dtype=bool)
     anchored = safe & bounded[0]
     threshold = lower[0][anchored].max() if anchored.any() else -math.inf
-    reaches = np.where(bounded[0], upper[0] >= threshold, True)
-    return safe & reaches
+    return safe & ((upper[0] >= threshold) | ~bounded[0])
 
 
 def expanders(
@@ -133,7 +132,7 @@ def expanders(
     if safe.all() or not safe.any():
         return mask
     frontier = index.frontier(safe)
-    inside = np.flatnonzero(safe)
+    inside = safe.nonzero()[0]
     for i in constraints:
         bound = upper[i][inside]
         found = ~bounded[i][inside] | (bound - norm_bounds[i] * frontier.near[inside] >= 0.0)
@@ -154,10 +153,11 @@ def acquire(widths: np.ndarray, std: np.ndarray, candidates: np.ndarray) -> int:
     if not candidates.any():
         raise EmptyAcquisitionSet("no maximizer or expander candidates")
     worst = widths.max(axis=0)
-    indices = np.flatnonzero(candidates)
+    indices = candidates.nonzero()[0]
     scores = worst[indices]
-    if np.isinf(scores).any():
-        pool = indices[np.isinf(scores)]
+    unbounded = np.isinf(scores)
+    if unbounded.any():
+        pool = indices[unbounded]
     else:
         pool = indices[scores == scores.max()]
     if pool.shape[0] > 1:
@@ -338,13 +338,13 @@ class SafeOptimizer:
         if cfg.beta_mode == "classic_subgaussian":
             gain = state.model.log_det_information_gain()
             nu = cfg.schedule.violation_prob
-            betas = [classic_beta(b, cfg.subgaussian_scale, gain, nu) for b in self._norms]
+            betas = [classic_beta(b, cfg.subgaussian_scale, gain, nu) for b in cfg.norm_bounds]
             return state.xi_lambda, np.array(betas)
         # The top Gram eigenvalue only grows as evaluations accumulate;
         # keeping the running max shields against eigensolver jitter.
         xi = max(state.xi_lambda, state.model.xi_lambda_max())
-        sums = (float(s) for s in state.noise_sq_sums)
-        betas = [beta_from_squares(b, cfg.regularization, xi, s) for b, s in zip(self._norms, sums)]
+        sums, reg = state.noise_sq_sums.tolist(), cfg.regularization
+        betas = [beta_from_squares(b, reg, xi, s) for b, s in zip(cfg.norm_bounds, sums)]
         return xi, np.array(betas)
 
     def _experiment(self, point, measurement: int, oracle, noise_model: NoiseModel, rng):
@@ -353,16 +353,15 @@ class SafeOptimizer:
         Returns ``(truth, observed, bound)``; the classic bound is zero.
         """
         cfg = self.config
+        k = self._norms.size
         if cfg.beta_mode == "scenario":
             bound = scenario_bound(noise_model, cfg.schedule, measurement, point, rng)
         else:
-            bound = ScenarioBound(0, np.zeros(cfg.n_outputs))
+            bound = ScenarioBound(0, np.zeros(k))
         truth = np.asarray(oracle(point), dtype=float).ravel()
-        if truth.shape != (cfg.n_outputs,):
+        if truth.shape != (k,):
             raise ValueError("oracle must return one value per output")
-        eps = np.array(
-            [float(noise_model.sample(point, i, rng, 1)[0]) for i in range(cfg.n_outputs)]
-        )
+        eps = np.array([noise_model.sample(point, i, rng, 1)[0] for i in range(k)])
         return truth, truth + eps, bound
 
     def step(
@@ -379,10 +378,11 @@ class SafeOptimizer:
         Only the multipliers and the experiment branch on ``beta_mode``.
         ``oracle`` maps a parameter vector to the vector of true output
         values; observation noise is drawn here, so the oracle stays
-        deterministic.  The successor either carries one more experiment
-        or a termination reason; terminated states pass through unchanged.
+        deterministic.  The successor carries this step's intervals, safe
+        set and multipliers, and either one more experiment or a
+        termination reason; terminated states pass through unchanged.
         """
-        if state.terminated:
+        if state.termination_reason is not None:
             return state
         cfg = self.config
         means, std = state.model.posterior()
@@ -396,40 +396,37 @@ class SafeOptimizer:
         candidates = maximizers(conf.upper, conf.lower, conf.bounded, safe) | expanders(
             conf.upper, conf.bounded, safe, self._norms, self.index, cfg.constraint_indices
         )
-        state = replace(state, confidence=conf, safe=safe, betas=betas, xi_lambda=xi_lambda)
 
+        model, sums, records = state.model, state.noise_sq_sums, state.records
         widths = conf.widths()
         try:
             chosen = acquire(widths, std, candidates)
+            acq_width = float(widths[:, chosen].max())
+            reason = "width_below_delta" if acq_width < cfg.exploration_threshold else None
         except EmptyAcquisitionSet:
-            return replace(state, termination_reason="stalled")
-        acq_width = float(widths[:, chosen].max())
-        if acq_width < cfg.exploration_threshold:
-            return replace(state, termination_reason="width_below_delta")
-
-        point = self.domain.points[chosen]
-        measurement = len(state.records) + 1
-        truth, observed, bound = self._experiment(point, measurement, oracle, noise_model, rng)
-
-        record = StepRecord(
-            iteration=measurement,
-            point=tuple(map(float, point)),
-            observed=tuple(map(float, observed)),
-            true_values=tuple(map(float, truth)),
-            noise_bound=tuple(map(float, bound.magnitudes)),
-            n_scenarios=bound.n_scenarios,
-            betas=tuple(map(float, betas)),
-            safe_size=int(safe.sum()),
-            acquisition_width=acq_width,
-            best_lower=conf.lower_bound(0, self.best_parameter(state)),
-        )
-        return replace(
-            state,
-            model=state.model.with_observation(point, observed),
-            noise_sq_sums=state.noise_sq_sums + bound.magnitudes * bound.magnitudes,
-            records=state.records + (record,),
-            termination_reason="max_iterations" if measurement >= cfg.max_iterations else None,
-        )
+            reason = "stalled"
+        if reason is None:
+            point = self.domain.points[chosen]
+            measurement = len(records) + 1
+            truth, observed, bound = self._experiment(point, measurement, oracle, noise_model, rng)
+            records += (
+                StepRecord(
+                    iteration=measurement,
+                    point=tuple(point.tolist()),
+                    observed=tuple(observed.tolist()),
+                    true_values=tuple(truth.tolist()),
+                    noise_bound=tuple(bound.magnitudes.tolist()),
+                    n_scenarios=bound.n_scenarios,
+                    betas=tuple(betas.tolist()),
+                    safe_size=int(np.count_nonzero(safe)),
+                    acquisition_width=acq_width,
+                    best_lower=conf.lower_bound(0, _best_index(safe, conf)),
+                ),
+            )
+            model = model.with_observation(point, observed)
+            sums = sums + bound.magnitudes * bound.magnitudes
+            reason = "max_iterations" if measurement >= cfg.max_iterations else None
+        return OptimizerState(model, conf, safe, betas, xi_lambda, sums, records, reason)
 
     def run(
         self,
@@ -439,7 +436,7 @@ class SafeOptimizer:
     ) -> OptimizerState:
         """Iterate :meth:`step` from a fresh state until termination."""
         state = self.initial_state()
-        while not state.terminated:
+        while state.termination_reason is None:
             state = self.step(state, oracle, noise_model, rng)
         return state
 
@@ -449,6 +446,12 @@ class SafeOptimizer:
         Ties, including the all-unbounded start, resolve to the lowest
         safe index.
         """
-        safe_idx = np.flatnonzero(state.safe)
-        lower = state.confidence.lower_filled()[0][safe_idx]
-        return int(safe_idx[int(np.argmax(lower))])
+        return _best_index(state.safe, state.confidence)
+
+
+def _best_index(safe: np.ndarray, conf: ConfidenceState) -> int:
+    """:meth:`SafeOptimizer.best_parameter` of a safe set and its intervals."""
+    safe_idx = safe.nonzero()[0]
+    lower = conf.lower[0, safe_idx]
+    lower[~conf.bounded[0, safe_idx]] = -math.inf
+    return int(safe_idx[lower.argmax()])

@@ -150,7 +150,8 @@ def test_criterion_05_spectral_ratio_closed_form():
         reg = float(rng.uniform(1e-3, 1.0))
         inputs = rng.uniform(0, 1, size=(t, 2))
         model = build_model(kernel, reg, inputs, np.zeros((1, t)))
-        assembled = model._gram @ np.linalg.inv(model._gram + reg * np.eye(t))
+        gram = model._gram_rows.view(t)
+        assembled = gram @ np.linalg.inv(gram + reg * np.eye(t))
         reference = float(np.max(np.real(np.linalg.eigvals(assembled))))
         worst = max(worst, abs(model.xi_lambda_max() - reference))
 

@@ -110,10 +110,11 @@ def test_run_with_invalid_config_exits_two(tmp_path):
         (lambda d: d.update(noise={"family": "uniform", "low": 1, "high": 0}), "noise"),
         (lambda d: d.update(noise={"family": "gaussian", "variance": float("nan")}), "noise"),
         (lambda d: d.update(violation_prob=1e-12), "violation_prob"),
+        (lambda d: d.update(norm_bound=10**400), "norm_bound"),
     ],
     ids=["nan-lengthscale", "nan-violation-prob", "infinite-threshold", "empty-box",
          "resolution-per-missing-bound", "unknown-noise-key", "empty-noise-interval",
-         "nan-noise-variance", "degenerate-violation-prob"],
+         "nan-noise-variance", "degenerate-violation-prob", "integer-too-large-for-a-float"],
 )
 def test_run_with_unusable_config_exits_two_before_running(tmp_path, capsys, edit, key):
     document = tiny_document()

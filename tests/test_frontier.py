@@ -113,3 +113,47 @@ def test_lattice_with_a_single_point_axis():
     metric = metric_matrix(Kernel(lengthscale=0.5), domain.points)
     assert np.array_equal(frontier.near[mask], metric[mask, 2])
 
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every mask ``GridIndex._build`` is called with, in order."""
+    seen = []
+    build = GridIndex._build
+
+    def counted(self, mask):
+        seen.append(mask.copy())
+        return build(self, mask)
+
+    monkeypatch.setattr(GridIndex, "_build", counted)
+    return seen
+
+
+def test_frontier_is_rebuilt_only_when_the_mask_changes(builds):
+    domain = Domain.grid([(0.0, 1.0)] * 2, [6, 5])
+    index = GridIndex(Kernel(lengthscale=0.3), domain)
+    mask = random_mask(np.random.default_rng(3), domain.n_points)
+    first = index.frontier(mask)
+    # An equal mask in a fresh array is the same mask.
+    assert index.frontier(mask.copy()) is first and len(builds) == 1
+    flipped = mask.copy()
+    flipped[(~mask).nonzero()[0][0]] = True
+    rebuilt = index.frontier(flipped)
+    assert len(builds) == 2 and rebuilt is not first
+    assert np.array_equal(rebuilt.outside, (~flipped).nonzero()[0])
+    # Only the last mask is kept, so going back rebuilds too.
+    assert index.frontier(mask) is not first and len(builds) == 3
+
+
+def test_a_mask_of_another_length_is_a_changed_mask(builds):
+    domain = Domain.grid([(0.0, 1.0)], 5)
+    index = GridIndex(Kernel(lengthscale=0.3), domain)
+    index.frontier(np.ones(5, dtype=bool))
+    # A one-point mask broadcasts against the kept one in an elementwise
+    # comparison; it is another mask all the same.
+    short = index.frontier(np.ones(1, dtype=bool))
+    assert len(builds) == 2 and short.position.shape == (1,) and short.outside.size == 0
+    # One with outside points does not fit the lattice.
+    with pytest.raises(ValueError):
+        index.frontier(np.array([True, False, True]))
+    assert len(builds) == 3

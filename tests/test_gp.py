@@ -10,6 +10,11 @@ from safebo.harness import run_experiment
 from safebo.kernels import pairwise
 
 
+def gram_of(model):
+    """The model's Gram matrix, read off its carried buffer."""
+    return model._gram_rows.view(model.t)
+
+
 def dense_posterior_reference(kernel, inputs, targets, queries, reg):
     """Direct dense-solve posterior, independent of the Cholesky path."""
     t = inputs.shape[0]
@@ -81,9 +86,10 @@ class TestPosterior:
         model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT)
         for _ in range(10):
             model = model.with_observation(rng.uniform(0, 1, 1), rng.standard_normal(1))
-        shifted = model._gram + 0.01 * np.eye(model.t)
-        assert np.linalg.norm(model._inv @ shifted @ model._inv.T - np.eye(model.t)) < 1e-8
-        sign, log_det = np.linalg.slogdet(np.eye(model.t) + model._gram / 0.01)
+        gram, inv = gram_of(model), model._inv_rows.view(model.t)
+        shifted = gram + 0.01 * np.eye(model.t)
+        assert np.linalg.norm(inv @ shifted @ inv.T - np.eye(model.t)) < 1e-8
+        sign, log_det = np.linalg.slogdet(np.eye(model.t) + gram / 0.01)
         assert sign == 1.0
         assert model.log_det_information_gain() == pytest.approx(0.5 * log_det, rel=1e-10)
 
@@ -151,7 +157,7 @@ class TestXiLambdaMax:
             reg = float(rng.uniform(1e-3, 1.0))
             inputs = rng.uniform(0, 1, size=(t, 1))
             model = build_model(k, reg, inputs, np.zeros((1, t)))
-            assembled = model._gram @ np.linalg.inv(model._gram + reg * np.eye(t))
+            assembled = gram_of(model) @ np.linalg.inv(gram_of(model) + reg * np.eye(t))
             reference = float(np.max(np.real(np.linalg.eigvals(assembled))))
             assert model.xi_lambda_max() == pytest.approx(reference, abs=1e-10)
 
@@ -200,7 +206,7 @@ class TestLogDetInformationGain:
             k = Kernel(lengthscale=float(rng.uniform(0.1, 1.0)))
             inputs = rng.uniform(0, 1, size=(t, 2))
             model = build_model(k, reg, inputs, np.zeros((1, t)))
-            sign, logdet = np.linalg.slogdet(np.eye(t) + model._gram / reg)
+            sign, logdet = np.linalg.slogdet(np.eye(t) + gram_of(model) / reg)
             assert sign == 1.0
             assert model.log_det_information_gain() == pytest.approx(
                 0.5 * logdet, abs=1e-8
@@ -214,7 +220,7 @@ def grid_points(dim, per_axis):
 
 def fresh_projection(model):
     """``L^{-1} K(X, grid)`` and ``L^{-1} y`` from a fresh factorization."""
-    chol = cholesky(model._gram + model.regularization * np.eye(model.t), lower=True)
+    chol = cholesky(gram_of(model) + model.regularization * np.eye(model.t), lower=True)
     proj = solve_triangular(chol, pairwise(model.kernel, model.inputs, model.grid), lower=True)
     return proj, solve_triangular(chol, model.targets.T, lower=True)
 
@@ -256,10 +262,11 @@ class TestGridBoundPosterior:
     def test_carried_projection_matches_fresh_factorization_on_a_long_chain(self, kernel, rng):
         model = ill_conditioned_chain(kernel, rng, 400)
         proj, z = fresh_projection(model)
-        assert np.max(np.abs(model._proj - proj)) <= 1e-10
+        assert np.max(np.abs(model._proj_rows.view(model.t) - proj)) <= 1e-10
         # z = L^{-1} y reaches about 1 / sqrt(reg) in size, so its error
         # is measured relative to it: both paths sit near 2e-12.
-        assert np.max(np.abs(model._z - z)) <= 1e-11 * np.max(np.abs(z))
+        carried_z = model._obs_rows.data[: model.t, model._z_cols]
+        assert np.max(np.abs(carried_z - z)) <= 1e-11 * np.max(np.abs(z))
 
     def test_carried_posterior_matches_dense_reference_on_a_long_chain(self, kernel, rng):
         # The means and variance are sums carried over 420 appends, one
@@ -283,13 +290,12 @@ class TestGridBoundPosterior:
         for _ in range(200):
             model = model.with_observation(rng.uniform(0, 1, 1), rng.standard_normal(2))
             chain.append(model)
-            for rows in (model._gram_rows, model._inv_rows, model._z_rows, model._proj_rows,
-                         model._input_rows, model._target_rows):
+            for rows in (model._gram_rows, model._inv_rows, model._proj_rows, model._obs_rows):
                 assert model.t <= rows.data.shape[0] <= model.t + _GROWTH
             for rows in (model._gram_rows, model._inv_rows):
                 assert rows.data.shape[1] <= model.t + _GROWTH
         # The chain's models, t = 0 to 200, fill one buffer per _GROWTH rows.
-        for name in ("_proj_rows", "_input_rows", "_target_rows"):
+        for name in ("_proj_rows", "_obs_rows"):
             buffers = {id(getattr(m, name).data) for m in chain}
             assert len(buffers) == math.ceil(len(chain) / _GROWTH)
         # Every model still reads its own history from the shared buffers.
@@ -319,7 +325,7 @@ class TestGridBoundPosterior:
         # posterior() hands out the carried arrays themselves, so compare
         # against copies.
         before = tuple(np.copy(part) for part in parent.posterior())
-        var, gram = np.copy(parent._var), np.copy(parent._gram)
+        var, gram = np.copy(parent._var), np.copy(gram_of(parent))
         inputs, targets = np.copy(parent.inputs), np.copy(parent.targets)
         xi_before = parent.xi_lambda_max()
 
@@ -329,14 +335,14 @@ class TestGridBoundPosterior:
         second = parent.with_observation([0.75], [-2.0, 0.5])
         second_post = second.posterior()
         second.xi_lambda_max()
-        for name in ("_proj_rows", "_input_rows", "_target_rows"):
+        for name in ("_proj_rows", "_obs_rows"):
             assert (getattr(first, name) is getattr(parent, name)) == (parent_t < _GROWTH)
             assert getattr(second, name) is not getattr(parent, name)
 
         for model, (means, std) in ((parent, before), (first, first_post)):
             after_means, after_std = model.posterior()
             assert np.array_equal(after_means, means) and np.array_equal(after_std, std)
-        assert np.array_equal(parent._var, var) and np.array_equal(parent._gram, gram)
+        assert np.array_equal(parent._var, var) and np.array_equal(gram_of(parent), gram)
         assert np.array_equal(parent.inputs, inputs) and np.array_equal(parent.targets, targets)
         for model, point, values in ((first, 0.25, [1.0, -1.0]), (second, 0.75, [-2.0, 0.5])):
             assert np.array_equal(model.inputs, np.vstack((inputs, [[point]])))
@@ -357,7 +363,7 @@ def grow_with_spectra(kernel, reg, points):
 
 
 def assert_top_eigenvalue(model, rtol=1e-10):
-    reference = float(np.linalg.eigvalsh(model._gram)[-1])
+    reference = float(np.linalg.eigvalsh(gram_of(model))[-1])
     lam, _, upper = model._eigen
     assert abs(lam - reference) <= rtol * reference
     # The certified bound really bounds the top eigenvalue.

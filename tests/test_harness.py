@@ -308,6 +308,8 @@ class TestConfigValidator:
             ("constraint.mode", lambda d: d["constraint"].update(mode="self")),
             ("spec", lambda d: d.update(spec=True)),
             ("seeds[1]", lambda d: d.update(seeds=[0, 1.5])),
+            ("norm_bound", lambda d: d.update(norm_bound=10**400)),
+            ("kernel.output_scale", lambda d: d["kernel"].update(output_scale=10**400)),
         ],
     )
     def test_error_names_key_path(self, path, edit):
@@ -321,6 +323,14 @@ class TestConfigValidator:
         assert not is_accepted(tiny_config().to_dict() | {"spec": True})
         assert not is_accepted(tiny_config().to_dict() | {"norm_bound": True})
         assert not is_accepted(tiny_config().to_dict() | {"max_iterations": 2.5})
+
+    def test_noise_parameters_reject_bools(self):
+        # Noise parameters are undeclared keys, so the schema passes JSON
+        # true and false through; the family's constructor rejects them.
+        document = tiny_config().to_dict()
+        document["noise"] = {"family": "uniform", "low": False, "high": True}
+        with pytest.raises(ConfigError, match="^invalid experiment config: noise: low must be"):
+            ExperimentConfig.from_dict(document)
 
 
 class TestSyntheticProblem:

@@ -209,6 +209,25 @@ class TestBuiltinModels:
             with pytest.raises(ValueError, match="finite"):
                 build()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: uniform(False, True),
+            lambda: uniform(-1.0, True),
+            lambda: gaussian(True),
+            lambda: sub_gaussian_surrogate(True),
+            lambda: student_t_scaled(dof=True),
+            lambda: student_t_scaled(scale=np.True_),
+        ],
+        ids=["uniform-both", "uniform-high", "gaussian", "sub-gaussian", "student-t-dof",
+             "student-t-scale"],
+    )
+    def test_bools_are_not_numbers(self, build):
+        # A JSON descriptor's true and false would otherwise pass the range
+        # checks as 1 and 0.
+        with pytest.raises(ValueError, match="must be a number, got"):
+            build()
+
     def test_wire_descriptors_round_trip(self):
         # A descriptor read back from JSON draws what the constructor draws.
         location = np.array([0.7])

@@ -564,6 +564,42 @@ class TestStep:
         again = optimizer.step(state, oracle, noise, np.random.default_rng(1))
         assert again is state
 
+    @pytest.mark.parametrize("reason", ["stalled", "width_below_delta"])
+    def test_terminal_step_carries_that_steps_intervals_and_sets(self, reason, monkeypatch):
+        # A step that ends without an experiment still returns the
+        # intervals, safe set and multipliers it computed; the model, the
+        # noise sums and the records stay those of the state it was given.
+        optimizer, oracle, noise = toy_setup(max_iterations=30)
+        rng = np.random.default_rng(4)
+        state = optimizer.initial_state()
+        for _ in range(6):
+            state = optimizer.step(state, oracle, noise, rng)
+        advanced = optimizer.step(state, oracle, noise, np.random.default_rng(5))
+        if reason == "stalled":
+            def nothing(*args):
+                return np.zeros(optimizer.domain.n_points, dtype=bool)
+
+            monkeypatch.setattr("safebo.optimizer.maximizers", nothing)
+            monkeypatch.setattr("safebo.optimizer.expanders", nothing)
+        else:
+            wide = SafeOptimizer(
+                optimizer.kernel, optimizer.domain,
+                OptimizerConfig(**{**optimizer.config.__dict__, "exploration_threshold": 10.0}),
+            )
+            optimizer = wide
+        ended = optimizer.step(state, oracle, noise, np.random.default_rng(5))
+
+        assert ended.termination_reason == reason
+        assert len(advanced.records) == len(state.records) + 1
+        for name in ("lower", "upper", "bounded"):
+            assert np.array_equal(getattr(ended.confidence, name),
+                                  getattr(advanced.confidence, name))
+        assert np.array_equal(ended.safe, advanced.safe)
+        assert np.array_equal(ended.betas, advanced.betas) and ended.betas.shape == (1,)
+        assert ended.xi_lambda == advanced.xi_lambda > state.xi_lambda
+        assert ended.model is state.model and ended.records == state.records
+        assert np.array_equal(ended.noise_sq_sums, state.noise_sq_sums)
+
     def test_classic_mode_skips_the_spectral_ratio(self, monkeypatch):
         from safebo.gp import SurrogateModel
 
