@@ -11,7 +11,8 @@ import numpy as np
 from safebo import Kernel, SurrogateModel
 
 kernel = Kernel(lengthscale=0.1)
-# A model is bound to the grid it is queried on; x = 0.5 is grid point 5.
+# A model is bound to the grid it is queried on and conditions on grid
+# points by index; x = 0.5 is grid point 5.
 grid = np.linspace(0, 1, 11)[:, None]
 model = SurrogateModel(kernel, regularization=0.01, n_outputs=2, grid=grid)
 rng = np.random.default_rng(3)
@@ -24,9 +25,9 @@ for t in range(13):
     means, std = model.posterior()
     print(f"{t:2d}|   {std[5]:9.4f} | {means[0, 5]:11.4f} | {model.xi_lambda_max():14.6f}"
           f" | {model.log_det_information_gain():8.3f}")
-    x = rng.uniform(0.3, 0.7)
-    y = truth(x) + rng.normal(0, 1e-2, size=2)
-    model = model.with_observation([x], y)
+    j = int(rng.integers(3, 8))  # x in 0.3 .. 0.7
+    y = truth(grid[j, 0]) + rng.normal(0, 1e-2, size=2)
+    model = model.with_observation(j, y)
 
 print()
 print("sigma falls monotonically at every grid point as data arrive, the")
@@ -40,5 +41,5 @@ for x, m0, m1, s in zip(grid[:, 0], means[0], means[1], std):
 print()
 print("Appending returns a new model; the old snapshot is untouched:")
 before = model.t
-bigger = model.with_observation([0.9], truth(0.9))
+bigger = model.with_observation(9, truth(grid[9, 0]))
 print(f"  old t={before} (still {model.t} after append), new t={bigger.t}")

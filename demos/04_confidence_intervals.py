@@ -40,11 +40,11 @@ for t in range(1, 9):
     print(f"{t} | {betas[0]:.5f} | {state.width(0, mid):14.4f} |"
           f" [{state.lower_bound(0, mid):+.4f}, {state.upper_bound(0, mid):+.4f}]")
 
-    x = rng.uniform(0.35, 0.65)
-    bound = scenario_bound(noise, schedule, t, np.array([x]), rng)
+    j = int(rng.integers(3, 6))  # x in 0.375 .. 0.625
+    bound = scenario_bound(noise, schedule, t, grid[j], rng)
     bound_sq_sum += float(bound.magnitudes[0] * bound.magnitudes[0])
-    y = truth(x) + noise.sample(np.array([x]), 0, rng, 1)[0]
-    model = model.with_observation([x], [y])
+    y = truth(grid[j, 0]) + noise.sample(grid[j], 0, rng, 1)[0]
+    model = model.with_observation(j, [y])
 
 print()
 print("Widths never grow (nesting), beta never shrinks (the bound history")

@@ -6,20 +6,22 @@ posterior standard deviation; only the posterior means differ.  Models
 are persistent: appending an observation returns a new model and leaves
 the old one untouched, so snapshots can be queried concurrently.
 
-A model is bound to a fixed query grid.  It carries the inverse
-``L^{-1}`` of its Cholesky factor ``L``, the projection
-``P = L^{-1} K(X, grid)`` and ``z = L^{-1} y``; every append, the first
-included, adds one row to each (rank-1 bordering, Rasmussen & Williams
-2006, Alg. 2.1).  That is the only factorization path: no append calls
-LAPACK and every solve is a matrix-vector product.  The grid posterior
-is carried too: the new rows ``z_t`` and ``p_t`` add ``z_t p_t`` to the
+A model is bound to a fixed query grid and conditions on grid points,
+named by index.  It carries ``P = L^{-1} K(X, grid)`` and
+``z = L^{-1} y`` for its Cholesky factor ``L`` and adds one row to each
+per append (rank-1 bordering, Rasmussen & Williams 2006, Alg. 2.1).
+For grid point ``j`` the forward solve ``w = L^{-1} k(X, x_j)`` is
+column ``j`` of ``P``, and the border ``k(X, x_j)`` is the new kernel
+row ``k(x_j, grid)`` at the observed indices: an append evaluates one
+kernel row and never forms ``L`` or its inverse.  The grid posterior is
+carried too: the new rows ``z_t`` and ``p_t`` add ``z_t p_t`` to the
 means and take ``p_t^2`` off the variance, so an append costs one
-``O(t n)`` product, ``w P``, and reading the posterior costs ``O(k n)``.
-The inputs, the targets, the three factors and the Gram matrix are kept
-in buffers that a model shares with the models appended to it, so an
-append writes one row instead of copying ``t`` of them; a full buffer is
-copied into one with 64 more rows.  Of ``L`` itself only the pivots, its diagonal, are kept,
-for the log-determinant.
+``O(t n)`` product, ``w P``, and reading the posterior ``O(k n)``.
+Buffers of ``P``, the Gram matrix and one row per observation (grid
+index, targets, ``z`` and the pivot, the diagonal of ``L`` kept for the
+log-determinant) are shared along a chain of appends, so an append
+writes one row instead of copying ``t``; a full buffer is copied into
+one with 64 more rows.
 """
 
 from __future__ import annotations
@@ -78,103 +80,96 @@ class SurrogateModel:
             raise ValueError("grid must be an (n, d) array")
 
         self.t = 0
-        d, k = self.grid.shape[1], self.n_outputs
-        # One row per observation: [point | values | z | pivot], pivots the diagonal of L.
-        self._obs_rows = _Rows(np.zeros((0, d + 2 * k + 1)))
-        self._z_cols = slice(d + k, d + 2 * k)
+        k, n = self.n_outputs, self.grid.shape[0]
+        # One row per observation: [grid index | values | z | pivot], pivots the diagonal of L.
+        self._obs_rows = _Rows(np.zeros((0, 2 * k + 2)))
+        self._z_cols = slice(k + 1, 2 * k + 1)
         self._gram_rows = _Rows(np.zeros((0, 0)), square=True)
         self._gram_fro_sq = 0.0
-        self._inv_rows = _Rows(np.zeros((0, 0)), square=True)
-        self._proj_rows = _Rows(np.zeros((0, self.grid.shape[0])))
+        self._proj_rows = _Rows(np.zeros((0, n)))
         # The grid posterior, shared with callers: never written in place.
-        n = self.grid.shape[0]
         self._means = _frozen(np.zeros((self.n_outputs, n)))
         self._var = _frozen(np.full(n, float(kernel.output_scale)))
 
         # Top Gram eigenpair with its certified upper bound, computed on
         # first use; a start vector and second-eigenvalue bound handed
-        # down by the parent model warm-start that computation.
+        # down by the parent model, if it computed its own, warm-start
+        # that computation.
         self._eigen: tuple[float, np.ndarray, float] | None = None
-        self._warm: tuple[np.ndarray, float] | None = None
+        self._warm: tuple[np.ndarray | None, float] = (None, math.inf)
+
+    @property
+    def indices(self) -> np.ndarray:
+        """``(t,)`` grid indices of the evaluated points."""
+        return self._obs_rows.data[: self.t, 0].astype(np.intp)
 
     @property
     def inputs(self) -> np.ndarray:
         """``(t, d)`` evaluated points, read-only."""
-        return _frozen(self._obs_rows.data[: self.t, : self.grid.shape[1]])
+        return _frozen(self.grid[self.indices])
 
     @property
     def targets(self) -> np.ndarray:
         """``(n_outputs, t)`` observed values, read-only."""
-        d = self.grid.shape[1]
-        return _frozen(self._obs_rows.data[: self.t, d : d + self.n_outputs].T)
+        return _frozen(self._obs_rows.data[: self.t, 1 : self.n_outputs + 1].T)
 
-    def with_observation(self, point: np.ndarray, values: np.ndarray) -> "SurrogateModel":
-        """New model with one more evaluation appended.
+    def with_observation(self, index: int, values: np.ndarray) -> "SurrogateModel":
+        """New model with grid point ``index`` evaluated, one value per output.
 
-        ``values`` holds one observation per output.  The carried
-        inverse factor and solves are extended by the row of a rank-1
-        border, from the first observation on, and the grid posterior is
-        updated from the new rows.  Buffers shared with this model are
-        written in place where no other model reads the row, and copied
-        into ones with 64 more rows otherwise.
+        The forward solve is column ``index`` of the carried projection
+        and the Gram border is read off the one new kernel row; both
+        extend the carried rows by a rank-1 border and update the grid
+        posterior.  An index that is not an integer in ``[0, n)``, such
+        as a bool, a float or a negative one, raises ``ValueError``
+        instead of wrapping around.  Shared buffers are written in place
+        where no other model reads the row, and copied otherwise.
         """
-        point = np.asarray(point, dtype=float).ravel()
+        n, integer = self.grid.shape[0], isinstance(index, (int, np.integer))
+        if not integer or isinstance(index, bool) or not 0 <= index < n:
+            raise ValueError(f"index must be a grid index in [0, {n}), got {index!r}")
         values = np.asarray(values, dtype=float).ravel()
-        if values.shape != (self.n_outputs,):
-            raise ValueError("one observed value per output required")
-        if not np.isfinite(values).all():
-            raise ValueError("targets must be finite")
-        if point.shape != (self.grid.shape[1],):
-            raise ValueError("point dimension does not match the grid")
-        if not np.isfinite(point).all():
-            raise ValueError("point must be finite")
+        if values.shape != (self.n_outputs,) or not np.isfinite(values).all():
+            raise ValueError("targets must be finite, one per output")
 
-        t, d = self.t, point.size
+        t = self.t
         child = object.__new__(type(self))
         child.__dict__ = self.__dict__.copy()
         child.t = t + 1
-        cross = pairwise(self.kernel, self._obs_rows.data[:t, :d], point[None, :])[:, 0]
+        p_row = pairwise(self.kernel, self.grid[index, None], self.grid)[0]
+        cross = p_row[self.indices]
         diag = float(self.kernel.output_scale)
         child._gram_rows = self._gram_rows.extended(t)
         gram = child._gram_rows.data
         gram[t, :t] = gram[:t, t] = cross
         gram[t, t] = diag
         child._gram_fro_sq = self._gram_fro_sq + 2.0 * float(cross @ cross) + diag * diag
-        child._eigen = child._warm = None
+        child._eigen, child._warm = None, (None, math.inf)
         if self._eigen is not None:
             # Cauchy interlacing: the child's second eigenvalue is at most
             # this model's top one.
             _, vec, upper = self._eigen
             child._warm = (np.concatenate((vec, [0.0])), upper * (1.0 + _POWER_RTOL))
 
-        inv = self._inv_rows.data[:t, :t]
-        w = inv @ cross
+        # The column and z are strided; the products read contiguous
+        # copies, because BLAS sums a strided operand in another order.
+        proj = self._proj_rows.data[:t]
+        w = proj[:, index].copy()
         # The bordered pivot equals posterior variance plus the
         # regularizer, so it stays strictly positive.
         pivot = math.sqrt(
             max(diag + self.regularization - float(w @ w), self.regularization * 1e-12)
         )
-        child._inv_rows = self._inv_rows.extended(t)
-        child._inv_rows.data[t, :t] = -(w @ inv) / pivot
-        child._inv_rows.data[t, t] = 1.0 / pivot
-        # z is strided in its buffer; the product reads a contiguous copy,
-        # because BLAS sums a strided operand in another order.
-        z_cols = self._z_cols
-        z_row = (values - w @ self._obs_rows.data[:t, z_cols].copy()) / pivot
+        z_row = (values - w @ self._obs_rows.data[:t, self._z_cols].copy()) / pivot
         child._obs_rows = self._obs_rows.extended(t)
-        row = child._obs_rows.data[t]
-        row[:d], row[d : z_cols.start], row[z_cols], row[-1] = point, values, z_row, pivot
+        child._obs_rows.data[t] = (index, *values, *z_row, pivot)
         # The grid-length rows are updated in place of temporaries.
-        p_row = pairwise(self.kernel, point[None, :], self.grid)[0]
-        p_row -= w @ self._proj_rows.data[:t]
+        p_row -= w @ proj
         p_row /= pivot
         child._proj_rows = self._proj_rows.extended(t)
         child._proj_rows.data[t] = p_row
         means = z_row[:, None] * p_row
         means += self._means
-        var = self._var - p_row * p_row
-        means.flags.writeable = var.flags.writeable = False
-        child._means, child._var = means, var
+        child._means, child._var = _frozen(means), _frozen(self._var - p_row * p_row)
         return child
 
     def posterior(self) -> tuple[np.ndarray, np.ndarray]:
@@ -185,9 +180,7 @@ class SurrogateModel:
         With no observations this is the prior: zero mean and
         ``sqrt(k(a, a))``.
         """
-        std = np.sqrt(np.maximum(self._var, 0.0))
-        std.flags.writeable = False
-        return self._means, std
+        return self._means, _frozen(np.sqrt(np.maximum(self._var, 0.0)))
 
     def xi_lambda_max(self) -> float:
         """Largest eigenvalue of ``K (K + reg I)^{-1}``.
@@ -202,10 +195,8 @@ class SurrogateModel:
         if self.t == 0:
             return 0.0
         if self._eigen is None:
-            start, second = self._warm if self._warm is not None else (None, math.inf)
-            gram = self._gram_rows.data[: self.t, : self.t]
-            self._eigen = _top_eigenpair(gram, start, second, self._gram_fro_sq)
-            self._warm = None
+            gram = self._gram_rows.view(self.t)
+            self._eigen = _top_eigenpair(gram, *self._warm, self._gram_fro_sq)
         lam = self._eigen[0]
         return lam / (lam + self.regularization)
 

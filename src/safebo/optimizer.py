@@ -423,7 +423,7 @@ class SafeOptimizer:
                     best_lower=conf.lower_bound(0, _best_index(safe, conf)),
                 ),
             )
-            model = model.with_observation(point, observed)
+            model = model.with_observation(chosen, observed)
             sums = sums + bound.magnitudes * bound.magnitudes
             reason = "max_iterations" if measurement >= cfg.max_iterations else None
         return OptimizerState(model, conf, safe, betas, xi_lambda, sums, records, reason)

@@ -30,12 +30,13 @@ def dense_posterior_reference(kernel, inputs, targets, queries, reg):
 ONE_POINT = np.array([[0.5]])
 
 
-def build_model(kernel, reg, inputs, targets, grid=None):
-    """Model of ``inputs``, bound to ``grid`` or else to the first input alone."""
-    grid = inputs[:1] if grid is None else grid
+def build_model(kernel, reg, inputs, targets, queries=None):
+    """Model of ``inputs``, bound to the grid of ``inputs`` followed by
+    ``queries``: its posterior on ``queries`` is the one from row ``t`` on."""
+    grid = inputs if queries is None else np.vstack([inputs, queries])
     model = SurrogateModel(kernel, reg, targets.shape[0], grid=grid)
-    for point, column in zip(inputs, targets.T):
-        model = model.with_observation(point, column)
+    for index, column in enumerate(targets.T):
+        model = model.with_observation(index, column)
     return model
 
 
@@ -50,7 +51,7 @@ class TestPosterior:
         # One unit observation at the queried point: k/(k + reg) and
         # sqrt(reg/(1 + reg)) from the scalar solve.
         model = SurrogateModel(kernel, 0.01, 1, grid=np.array([[0.5]]))
-        means, std = model.with_observation([0.5], [1.0]).posterior()
+        means, std = model.with_observation(0, [1.0]).posterior()
         assert means[0, 0] == pytest.approx(0.9900990099009901, abs=1e-12)
         assert std[0] == pytest.approx(0.09950371902099892, abs=1e-12)
 
@@ -65,30 +66,29 @@ class TestPosterior:
             inputs = rng.uniform(0, 1, size=(t, dim))
             targets = rng.standard_normal((outputs, t))
             queries = rng.uniform(0, 1, size=(n, dim))
-            model = build_model(k, reg, inputs, targets, grid=queries)
+            model = build_model(k, reg, inputs, targets, queries=queries)
             means, std = model.posterior()
             ref_means, ref_std = dense_posterior_reference(k, inputs, targets, queries, reg)
-            assert means == pytest.approx(ref_means, abs=1e-8)
-            assert std == pytest.approx(ref_std, abs=1e-8)
+            assert means[:, t:] == pytest.approx(ref_means, abs=1e-8)
+            assert std[t:] == pytest.approx(ref_std, abs=1e-8)
 
     def test_std_nonincreasing_with_observations(self, kernel, rng):
         grid = np.linspace(0, 1, 60)[:, None]
         model = SurrogateModel(kernel, 0.01, 1, grid=grid)
         _, std = model.posterior()
         for _ in range(15):
-            point = rng.uniform(0, 1, size=1)
-            model = model.with_observation(point, rng.standard_normal(1))
+            model = model.with_observation(int(rng.integers(60)), rng.standard_normal(1))
             _, new_std = model.posterior()
             assert np.all(new_std <= std + 1e-10)
             std = new_std
 
     def test_cached_factor_reproduces_shifted_gram(self, kernel, rng):
-        model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT)
-        for _ in range(10):
-            model = model.with_observation(rng.uniform(0, 1, 1), rng.standard_normal(1))
-        gram, inv = gram_of(model), model._inv_rows.view(model.t)
+        # The carried columns W = L^-1 K(X, x_j) at the observed points
+        # satisfy W^T W = K (K + reg I)^-1 K.
+        model = build_model(kernel, 0.01, rng.uniform(0, 1, (10, 1)), rng.standard_normal((1, 10)))
+        gram, carried = gram_of(model), model._proj_rows.view(model.t)[:, model.indices]
         shifted = gram + 0.01 * np.eye(model.t)
-        assert np.linalg.norm(inv @ shifted @ inv.T - np.eye(model.t)) < 1e-8
+        assert np.linalg.norm(carried.T @ carried - gram @ np.linalg.solve(shifted, gram)) < 1e-8
         sign, log_det = np.linalg.slogdet(np.eye(model.t) + gram / 0.01)
         assert sign == 1.0
         assert model.log_det_information_gain() == pytest.approx(0.5 * log_det, rel=1e-10)
@@ -96,30 +96,29 @@ class TestPosterior:
     def test_rejects_non_finite_targets(self, kernel):
         model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT)
         with pytest.raises(ValueError, match="finite"):
-            model.with_observation([0.1], [np.nan])
+            model.with_observation(0, [np.nan])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    def test_rejects_non_finite_point(self, kernel, bad):
-        # Such a point would turn every posterior mean and std, the
-        # spectral ratio and the information gain into NaN.
-        model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT)
-        with pytest.raises(ValueError, match="point must be finite"):
-            model.with_observation([bad], [1.0])
+    @pytest.mark.parametrize(
+        "bad", [-1, 3, True, np.bool_(False), 1.5, np.float64(1.0), "1"],
+        ids=["negative", "n", "bool", "numpy-bool", "float", "integral-float", "str"],
+    )
+    def test_rejects_bad_index(self, kernel, bad):
+        # numpy would wrap a negative index round to the grid's end, and
+        # read a bool as 0 or 1, instead of failing.
+        model = SurrogateModel(kernel, 0.01, 1, grid=grid_points(1, 3))
+        with pytest.raises(ValueError, match="grid index"):
+            model.with_observation(bad, [1.0])
+        assert model.with_observation(np.int64(2), [1.0]).indices.tolist() == [2]
 
     def test_posterior_is_read_only(self, kernel):
         # The carried posterior is shared with the model's children.
         model = SurrogateModel(kernel, 0.01, 2, grid=np.array([[0.2], [0.7]]))
-        for current in (model, model.with_observation([0.5], [1.0, 0.0])):
+        for current in (model, model.with_observation(1, [1.0, 0.0])):
             means, std = current.posterior()
             with pytest.raises(ValueError, match="read-only"):
                 means[0, 0] = 1.0
             with pytest.raises(ValueError, match="read-only"):
                 std[0] = 1.0
-
-    def test_rejects_point_off_the_grid_dimension(self, kernel):
-        model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT)
-        with pytest.raises(ValueError, match="dimension"):
-            model.with_observation([0.1, 0.2], [0.0])
 
     def test_rejects_bad_regularization(self, kernel):
         for reg in (0.0, -0.5, 1.5):
@@ -128,7 +127,7 @@ class TestPosterior:
 
     def test_persistent_update(self, kernel):
         base = SurrogateModel(kernel, 0.01, 1, grid=np.array([[0.5]]))
-        grown = base.with_observation([0.5], [1.0])
+        grown = base.with_observation(0, [1.0])
         assert base.t == 0 and grown.t == 1
         means, _ = base.posterior()
         assert means[0, 0] == 0.0
@@ -139,15 +138,14 @@ class TestXiLambdaMax:
         assert SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT).xi_lambda_max() == 0.0
 
     def test_scalar_history(self, kernel):
-        model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT).with_observation([0.5], [0.0])
+        model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT).with_observation(0, [0.0])
         assert model.xi_lambda_max() == pytest.approx(0.9900990099009901, abs=1e-12)
 
     def test_identity_gram(self, kernel):
         # Two points far enough apart that the Gram is the identity to
         # double precision: the ratio matches the scalar case.
-        model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT)
-        model = model.with_observation([0.0], [0.0])
-        model = model.with_observation([50.0], [0.0])
+        model = SurrogateModel(kernel, 0.01, 1, grid=np.array([[0.0], [50.0]]))
+        model = model.with_observation(0, [0.0]).with_observation(1, [0.0])
         assert model.xi_lambda_max() == pytest.approx(1.0 / 1.01, abs=1e-12)
 
     def test_closed_form_matches_assembled_matrix(self, rng):
@@ -162,10 +160,10 @@ class TestXiLambdaMax:
             assert model.xi_lambda_max() == pytest.approx(reference, abs=1e-10)
 
     def test_nondecreasing_along_history(self, kernel, rng):
-        model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT)
+        model = SurrogateModel(kernel, 0.01, 1, grid=rng.uniform(0, 1, (15, 1)))
         last = model.xi_lambda_max()
-        for _ in range(15):
-            model = model.with_observation(rng.uniform(0, 1, 1), [0.0])
+        for index in range(15):
+            model = model.with_observation(index, [0.0])
             current = model.xi_lambda_max()
             assert current >= last - 1e-12
             last = current
@@ -186,15 +184,14 @@ class TestLogDetInformationGain:
         assert model.log_det_information_gain() == 0.0
 
     def test_scalar(self, kernel):
-        model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT).with_observation([0.5], [0.0])
+        model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT).with_observation(0, [0.0])
         assert model.log_det_information_gain() == pytest.approx(
             0.5 * math.log(101.0), abs=1e-10
         )
 
     def test_two_distant_points(self, kernel):
-        model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT)
-        model = model.with_observation([0.0], [0.0])
-        model = model.with_observation([50.0], [0.0])
+        model = SurrogateModel(kernel, 0.01, 1, grid=np.array([[0.0], [50.0]]))
+        model = model.with_observation(0, [0.0]).with_observation(1, [0.0])
         assert model.log_det_information_gain() == pytest.approx(
             math.log(101.0), abs=1e-8
         )
@@ -231,8 +228,8 @@ def ill_conditioned_chain(kernel, rng, appends):
     badly conditioned."""
     model = SurrogateModel(kernel, 1e-3, 2, grid=grid_points(1, 200))
     for step in range(appends):
-        point = [0.5] if step % 2 else rng.uniform(0, 1, 1)
-        model = model.with_observation(point, rng.standard_normal(2))
+        index = 100 if step % 2 else int(rng.integers(200))
+        model = model.with_observation(index, rng.standard_normal(2))
     return model
 
 
@@ -242,22 +239,25 @@ class TestGridBoundPosterior:
 
     @pytest.mark.parametrize("dim, per_axis, outputs", [(1, 80, 1), (1, 80, 3), (2, 9, 2)])
     def test_matches_dense_reference_across_refactors(self, dim, per_axis, outputs, rng):
+        # The model's grid is the lattice followed by the random inputs;
+        # the posterior is compared on the lattice.
         kernel = Kernel(lengthscale=0.2)
         grid = grid_points(dim, per_axis)
+        n = grid.shape[0]
         inputs = rng.uniform(0, 1, size=(max(self.CHECKPOINTS), dim))
         targets = rng.standard_normal((outputs, inputs.shape[0]))
-        model = SurrogateModel(kernel, 0.01, outputs, grid=grid)
+        model = SurrogateModel(kernel, 0.01, outputs, grid=np.vstack([grid, inputs]))
         for t in range(1, inputs.shape[0] + 1):
-            model = model.with_observation(inputs[t - 1], targets[:, t - 1])
+            model = model.with_observation(n + t - 1, targets[:, t - 1])
             if t not in self.CHECKPOINTS:
                 continue
             means, std = model.posterior()
             ref_means, ref_std = dense_posterior_reference(
                 kernel, inputs[:t], targets[:, :t], grid, 0.01
             )
-            assert means.shape == (outputs, grid.shape[0])
-            assert np.max(np.abs(means - ref_means)) <= 1e-8
-            assert np.max(np.abs(std - ref_std)) <= 1e-8
+            assert means.shape == (outputs, n + inputs.shape[0])
+            assert np.max(np.abs(means[:, :n] - ref_means)) <= 1e-8
+            assert np.max(np.abs(std[:n] - ref_std)) <= 1e-8
 
     def test_carried_projection_matches_fresh_factorization_on_a_long_chain(self, kernel, rng):
         model = ill_conditioned_chain(kernel, rng, 400)
@@ -285,15 +285,14 @@ class TestGridBoundPosterior:
     def test_carried_buffers_stay_close_to_the_live_state(self, kernel, rng):
         # A chain of appends shares each buffer until it is full, and a
         # full buffer grows by _GROWTH rows, never more.
-        model = SurrogateModel(kernel, 0.01, 2, grid=grid_points(1, 30))
+        model = SurrogateModel(kernel, 0.01, 2, grid=rng.uniform(0, 1, (200, 1)))
         chain = [model]
-        for _ in range(200):
-            model = model.with_observation(rng.uniform(0, 1, 1), rng.standard_normal(2))
+        for index in range(200):
+            model = model.with_observation(index, rng.standard_normal(2))
             chain.append(model)
-            for rows in (model._gram_rows, model._inv_rows, model._proj_rows, model._obs_rows):
+            for rows in (model._gram_rows, model._proj_rows, model._obs_rows):
                 assert model.t <= rows.data.shape[0] <= model.t + _GROWTH
-            for rows in (model._gram_rows, model._inv_rows):
-                assert rows.data.shape[1] <= model.t + _GROWTH
+            assert model._gram_rows.data.shape[1] <= model.t + _GROWTH
         # The chain's models, t = 0 to 200, fill one buffer per _GROWTH rows.
         for name in ("_proj_rows", "_obs_rows"):
             buffers = {id(getattr(m, name).data) for m in chain}
@@ -303,6 +302,26 @@ class TestGridBoundPosterior:
             assert m.inputs.shape == (m.t, 1) and m.targets.shape == (2, m.t)
             assert np.array_equal(m.inputs, model.inputs[: m.t])
             assert np.array_equal(m.targets, model.targets[:, : m.t])
+
+    def test_one_kernel_row_per_append(self, kernel, rng, monkeypatch):
+        # The Gram border is read off the new kernel row, and the forward
+        # solve off the carried projection: one kernel evaluation each.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape[0])
+            return pairwise(*args, **kwargs)
+
+        monkeypatch.setattr("safebo.gp.pairwise", counted)
+        model = SurrogateModel(kernel, 0.01, 2, grid=grid_points(1, 30))
+        for t in range(1, 41):
+            model = model.with_observation(int(rng.integers(30)), rng.standard_normal(2))
+            assert calls == [1] * t
+        # Reading the posterior, the spectral ratio and the gain evaluates none.
+        model.posterior()
+        model.xi_lambda_max()
+        model.log_det_information_gain()
+        assert len(calls) == 40
 
     def test_rejects_flat_grid(self, kernel):
         with pytest.raises(ValueError, match="grid"):
@@ -321,7 +340,7 @@ class TestGridBoundPosterior:
         grid = grid_points(1, 60)
         parent = SurrogateModel(kernel, 0.01, 2, grid=grid)
         for _ in range(parent_t):
-            parent = parent.with_observation(rng.uniform(0, 1, 1), rng.standard_normal(2))
+            parent = parent.with_observation(int(rng.integers(60)), rng.standard_normal(2))
         # posterior() hands out the carried arrays themselves, so compare
         # against copies.
         before = tuple(np.copy(part) for part in parent.posterior())
@@ -329,10 +348,10 @@ class TestGridBoundPosterior:
         inputs, targets = np.copy(parent.inputs), np.copy(parent.targets)
         xi_before = parent.xi_lambda_max()
 
-        first = parent.with_observation([0.25], [1.0, -1.0])
+        first = parent.with_observation(15, [1.0, -1.0])
         first_post = tuple(np.copy(part) for part in first.posterior())
         first_xi = first.xi_lambda_max()
-        second = parent.with_observation([0.75], [-2.0, 0.5])
+        second = parent.with_observation(45, [-2.0, 0.5])
         second_post = second.posterior()
         second.xi_lambda_max()
         for name in ("_proj_rows", "_obs_rows"):
@@ -344,8 +363,8 @@ class TestGridBoundPosterior:
             assert np.array_equal(after_means, means) and np.array_equal(after_std, std)
         assert np.array_equal(parent._var, var) and np.array_equal(gram_of(parent), gram)
         assert np.array_equal(parent.inputs, inputs) and np.array_equal(parent.targets, targets)
-        for model, point, values in ((first, 0.25, [1.0, -1.0]), (second, 0.75, [-2.0, 0.5])):
-            assert np.array_equal(model.inputs, np.vstack((inputs, [[point]])))
+        for model, index, values in ((first, 15, [1.0, -1.0]), (second, 45, [-2.0, 0.5])):
+            assert np.array_equal(model.inputs, np.vstack((inputs, grid[index])))
             assert np.array_equal(model.targets, np.hstack((targets, np.c_[values])))
         assert parent.t == parent_t and parent.xi_lambda_max() == xi_before
         assert first.xi_lambda_max() == first_xi
@@ -355,9 +374,9 @@ class TestGridBoundPosterior:
 def grow_with_spectra(kernel, reg, points):
     """Append ``points`` one at a time, computing the spectral ratio at
     each step so every eigensolve is warm-started by its parent."""
-    model = SurrogateModel(kernel, reg, 1, grid=points[:1])
-    for point in points:
-        model = model.with_observation(point, [0.0])
+    model = SurrogateModel(kernel, reg, 1, grid=points)
+    for index in range(len(points)):
+        model = model.with_observation(index, [0.0])
         model.xi_lambda_max()
         yield model
 
