@@ -2,7 +2,8 @@
 
 Each iteration contributes a band mean +- beta * sigma; the running
 interval is the intersection of everything seen so far, so it can only
-shrink.  The multiplier beta pays for the noise through the accumulated
+shrink.  Before any data the interval is the whole line, (-inf, +inf).
+The multiplier beta pays for the noise through the accumulated
 scenario bounds and for model complexity through the kernel norm.
 """
 
@@ -36,9 +37,8 @@ for t in range(1, 9):
     means, std = model.posterior()
     betas = np.array([beta_from_squares(1.0, reg, model.xi_lambda_max(), bound_sq_sum)])
     state = update_intervals(state, means, std, betas)
-    mid = 4
-    print(f"{t} | {betas[0]:.5f} | {state.width(0, mid):14.4f} |"
-          f" [{state.lower_bound(0, mid):+.4f}, {state.upper_bound(0, mid):+.4f}]")
+    lo, hi = state.lower[0, 4], state.upper[0, 4]
+    print(f"{t} | {betas[0]:.5f} | {hi - lo:14.4f} | [{lo:+.4f}, {hi:+.4f}]")
 
     j = int(rng.integers(3, 6))  # x in 0.375 .. 0.625
     bound = scenario_bound(noise, schedule, t, grid[j], rng)
@@ -50,8 +50,5 @@ print()
 print("Widths never grow (nesting), beta never shrinks (the bound history")
 print("only accumulates), and the truth stays inside every interval:")
 final_vals = truth(grid[:, 0])
-ok = all(
-    state.lower_bound(0, i) <= v <= state.upper_bound(0, i)
-    for i, v in enumerate(final_vals)
-)
+ok = bool(np.all((state.lower[0] <= final_vals) & (final_vals <= state.upper[0])))
 print("containment at all grid points:", ok)

@@ -6,9 +6,10 @@ accumulated scenario noise bounds,
     beta_i = norm_bound_i + sqrt(lambda_max / reg) * ||bounds_{i,1:t}||_2,
 
 where ``lambda_max`` is the top eigenvalue of ``K (K + reg I)^{-1}``.
-Intervals are intersected across iterations, so they can only shrink;
-an empty intersection means an interval assumption failed and is
-reported as :class:`ConfidenceCollapse` (or repaired, when configured).
+Intervals start at the whole real line and are intersected across
+iterations, so they can only shrink; an empty intersection means an
+interval assumption failed and is reported as :class:`ConfidenceCollapse`
+(or repaired, when configured).
 """
 
 from __future__ import annotations
@@ -60,47 +61,22 @@ def beta_from_squares(
 class ConfidenceState:
     """Intersected confidence intervals per output and grid point.
 
-    Fresh states are unbounded.  Unboundedness is tracked with a mask
-    instead of infinities so that no arithmetic ever mixes infinite
-    endpoints; the stored ``lower``/``upper`` values are meaningless
-    wherever ``bounded`` is false.
+    A fresh state is the whole real line, ``lower = -inf`` and
+    ``upper = +inf``, as in SafeOpt before any data.  IEEE arithmetic
+    keeps the infinities honest: the first intersection returns the band
+    itself, an infinite width is ``+inf``, an infinite upper bound passes
+    every threshold and an infinite lower bound certifies nothing.
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    bounded: np.ndarray
 
     @classmethod
     def unbounded(cls, n_outputs: int, n_points: int) -> "ConfidenceState":
         return cls(
-            lower=np.zeros((n_outputs, n_points)),
-            upper=np.zeros((n_outputs, n_points)),
-            bounded=np.zeros((n_outputs, n_points), dtype=bool),
+            lower=np.full((n_outputs, n_points), -math.inf),
+            upper=np.full((n_outputs, n_points), math.inf),
         )
-
-    def lower_bound(self, output: int, point: int) -> float:
-        """Interval minimum; ``-inf`` when still unbounded."""
-        if not self.bounded[output, point]:
-            return -math.inf
-        return float(self.lower[output, point])
-
-    def upper_bound(self, output: int, point: int) -> float:
-        """Interval maximum; ``+inf`` when still unbounded."""
-        if not self.bounded[output, point]:
-            return math.inf
-        return float(self.upper[output, point])
-
-    def width(self, output: int, point: int) -> float:
-        """Interval width, ``+inf`` when still unbounded."""
-        if not self.bounded[output, point]:
-            return math.inf
-        return float(self.upper[output, point] - self.lower[output, point])
-
-    def widths(self) -> np.ndarray:
-        """All widths at once, ``+inf`` where unbounded."""
-        out = self.upper - self.lower
-        out[~self.bounded] = math.inf
-        return out
 
 
 def update_intervals(
@@ -114,7 +90,8 @@ def update_intervals(
     """Intersect the state with the bands ``means +- betas * std``.
 
     Endpoints move monotonically: lower bounds only rise, upper bounds
-    only fall, so successive states are nested.  A crossing beyond
+    only fall, so successive states are nested; intersecting a fresh
+    state returns the band itself, bit for bit.  A crossing beyond
     roundoff either raises :class:`ConfidenceCollapse` (``"error"``, the
     library default) or replaces the offending interval with the fresh
     band and logs a warning (``"reset"``, meant for long experiment
@@ -141,8 +118,8 @@ def update_intervals(
     half = betas[:, None] * std
     new_lo = means - half
     new_hi = means + half
-    np.maximum(state.lower, new_lo, out=new_lo, where=state.bounded)
-    np.minimum(state.upper, new_hi, out=new_hi, where=state.bounded)
+    np.maximum(state.lower, new_lo, out=new_lo)
+    np.minimum(state.upper, new_hi, out=new_hi)
 
     crossed = new_lo > new_hi
     if crossed.any():
@@ -167,8 +144,4 @@ def update_intervals(
             new_lo = np.where(slight, pinned, new_lo)
             new_hi = np.where(slight, pinned, new_hi)
 
-    return ConfidenceState(
-        lower=new_lo,
-        upper=new_hi,
-        bounded=np.ones(state.bounded.shape, dtype=bool),
-    )
+    return ConfidenceState(new_lo, new_hi)

@@ -531,7 +531,7 @@ def run_single(config: ExperimentConfig, seed: int, beta_mode: str) -> RunTrace:
         beta_bar=beta_bar,
         termination_reason=final.termination_reason,
         final_best_point=tuple(float(v) for v in best_point),
-        final_best_lower=final.confidence.lower_bound(0, best),
+        final_best_lower=float(final.confidence.lower[0, best]),
         final_best_true_reward=float(problem.functions[0](best_point)),
         initial_safe=problem.initial_safe,
         final_safe_size=int(final.safe.sum()),

@@ -73,6 +73,7 @@ def safe_set(
     while lower bounds are still loose, and exploration must never lose
     its anchor.  Only points outside it are tested, against the anchors
     whose bound reaches past the frontier (see :mod:`safebo.frontier`).
+    Only ``bounded`` intervals anchor; the loop passes ``isfinite(lower)``.
     """
     previous = np.asarray(previous, dtype=bool)
     if not previous.any():
@@ -93,27 +94,18 @@ def safe_set(
     return result
 
 
-def maximizers(
-    upper: np.ndarray,
-    lower: np.ndarray,
-    bounded: np.ndarray,
-    safe: np.ndarray,
-) -> np.ndarray:
+def maximizers(upper: np.ndarray, lower: np.ndarray, safe: np.ndarray) -> np.ndarray:
     """Safe points whose reward upper bound reaches the best safe lower bound.
 
-    Points with a still-unbounded upper interval qualify regardless of
-    the threshold, and points with unbounded lower intervals contribute
-    nothing to it.
+    An infinite upper bound reaches any threshold, and an infinite lower
+    bound raises none; an empty safe set has no maximizers.
     """
     safe = np.asarray(safe, dtype=bool)
-    anchored = safe & bounded[0]
-    threshold = lower[0][anchored].max() if anchored.any() else -math.inf
-    return safe & ((upper[0] >= threshold) | ~bounded[0])
+    return safe & (upper[0] >= lower[0][safe].max(initial=-math.inf))
 
 
 def expanders(
     upper: np.ndarray,
-    bounded: np.ndarray,
     safe: np.ndarray,
     norm_bounds: np.ndarray,
     index: GridIndex,
@@ -122,8 +114,8 @@ def expanders(
     """Safe points that could certify something outside the safe set.
 
     A safe point expands when, under at least one constraint, its upper
-    bound optimistically reaches an outside point.  An unbounded upper
-    interval reaches everything.  Reaching the nearest outside point
+    bound optimistically reaches an outside point.  An infinite upper
+    bound reaches everything.  Reaching the nearest outside point
     decides most points; only bounds in the roundoff band between the
     frontier's ``floor`` and ``near`` need a ball query.
     """
@@ -135,7 +127,7 @@ def expanders(
     inside = safe.nonzero()[0]
     for i in constraints:
         bound = upper[i][inside]
-        found = ~bounded[i][inside] | (bound - norm_bounds[i] * frontier.near[inside] >= 0.0)
+        found = bound - norm_bounds[i] * frontier.near[inside] >= 0.0
         band = ~found & (bound - norm_bounds[i] * frontier.floor[inside] >= 0.0)
         if band.any():
             found[band] = index.reaches(frontier, inside[band], bound[band], norm_bounds[i])
@@ -146,8 +138,9 @@ def expanders(
 def acquire(widths: np.ndarray, std: np.ndarray, candidates: np.ndarray) -> int:
     """Most uncertain candidate: largest width over outputs.
 
-    Ties break deterministically: unbounded widths first, then larger
-    posterior standard deviation, then the lowest grid index.
+    Widths are ``upper - lower``, ``+inf`` before the first update.
+    Ties break deterministically: larger posterior standard deviation,
+    then the lowest grid index.
     """
     candidates = np.asarray(candidates, dtype=bool)
     if not candidates.any():
@@ -155,11 +148,7 @@ def acquire(widths: np.ndarray, std: np.ndarray, candidates: np.ndarray) -> int:
     worst = widths.max(axis=0)
     indices = candidates.nonzero()[0]
     scores = worst[indices]
-    unbounded = np.isinf(scores)
-    if unbounded.any():
-        pool = indices[unbounded]
-    else:
-        pool = indices[scores == scores.max()]
+    pool = indices[scores == scores.max()]
     if pool.shape[0] > 1:
         pool = pool[std[pool] == std[pool].max()]
     return int(pool[0])
@@ -250,6 +239,8 @@ class OptimizerConfig:
             raise ValueError("max_iterations must be nonnegative")
         if self.beta_mode not in BETA_MODES:
             raise ValueError(f"unknown beta mode {self.beta_mode!r}")
+        if self.on_collapse not in ("error", "reset"):
+            raise ValueError(f"unknown on_collapse policy {self.on_collapse!r}")
         if not all(b > 0 for b in self.norm_bounds):
             raise ValueError("norm bounds must be positive")
         n = len(self.norm_bounds)
@@ -390,15 +381,14 @@ class SafeOptimizer:
         conf = update_intervals(
             state.confidence, means, std, betas, on_collapse=cfg.on_collapse
         )
-        safe = safe_set(
-            conf.lower, conf.bounded, state.safe, self._norms, self.index, cfg.constraint_indices
-        )
-        candidates = maximizers(conf.upper, conf.lower, conf.bounded, safe) | expanders(
-            conf.upper, conf.bounded, safe, self._norms, self.index, cfg.constraint_indices
+        cons, lower, upper = cfg.constraint_indices, conf.lower, conf.upper
+        safe = safe_set(lower, np.isfinite(lower), state.safe, self._norms, self.index, cons)
+        candidates = maximizers(upper, lower, safe) | expanders(
+            upper, safe, self._norms, self.index, cons
         )
 
         model, sums, records = state.model, state.noise_sq_sums, state.records
-        widths = conf.widths()
+        widths = upper - lower
         try:
             chosen = acquire(widths, std, candidates)
             acq_width = float(widths[:, chosen].max())
@@ -420,7 +410,7 @@ class SafeOptimizer:
                     betas=tuple(betas.tolist()),
                     safe_size=int(np.count_nonzero(safe)),
                     acquisition_width=acq_width,
-                    best_lower=conf.lower_bound(0, _best_index(safe, conf)),
+                    best_lower=float(lower[0, _best_index(safe, conf)]),
                 ),
             )
             model = model.with_observation(chosen, observed)
@@ -443,8 +433,8 @@ class SafeOptimizer:
     def best_parameter(self, state: OptimizerState) -> int:
         """Grid index maximizing the reward lower bound over the safe set.
 
-        Ties, including the all-unbounded start, resolve to the lowest
-        safe index.
+        Ties, including the fresh state's all ``-inf`` lower bounds,
+        resolve to the lowest safe index.
         """
         return _best_index(state.safe, state.confidence)
 
@@ -452,6 +442,4 @@ class SafeOptimizer:
 def _best_index(safe: np.ndarray, conf: ConfidenceState) -> int:
     """:meth:`SafeOptimizer.best_parameter` of a safe set and its intervals."""
     safe_idx = safe.nonzero()[0]
-    lower = conf.lower[0, safe_idx]
-    lower[~conf.bounded[0, safe_idx]] = -math.inf
-    return int(safe_idx[lower.argmax()])
+    return int(safe_idx[conf.lower[0, safe_idx].argmax()])

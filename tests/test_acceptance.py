@@ -197,14 +197,13 @@ def test_criterion_06_nesting_and_multiplier_monotonicity():
         noise = model_from_config(config.noise)
         rng = np.random.default_rng(streams[1])
         state = optimizer.initial_state()
-        prev = None
+        prev = state.confidence
         prev_betas = None
         while not state.terminated:
             state = optimizer.step(state, problem.oracle, noise, rng)
             conf = state.confidence
-            if prev is not None and prev.bounded.all():
-                if np.any(conf.lower < prev.lower) or np.any(conf.upper > prev.upper):
-                    nesting_violations += 1
+            if np.any(conf.lower < prev.lower) or np.any(conf.upper > prev.upper):
+                nesting_violations += 1
             if prev_betas is not None and np.any(state.betas < prev_betas):
                 beta_violations += 1
             prev = conf
@@ -241,13 +240,13 @@ def test_criterion_08_set_construction_bruteforce():
     rng = np.random.default_rng(31337)
     ok = True
     for _ in range(500):
-        lower, upper, bounded, previous, norms, index, metric, cons = random_fixture(rng)
-        fast_s = safe_set(lower, bounded, previous, norms, index, cons)
-        ok &= np.array_equal(fast_s, safe_set_bruteforce(lower, bounded, previous, norms, metric, cons))
-        fast_m = maximizers(upper, lower, bounded, fast_s)
-        ok &= np.array_equal(fast_m, maximizers_bruteforce(upper, lower, bounded, fast_s))
-        fast_g = expanders(upper, bounded, fast_s, norms, index, cons)
-        ok &= np.array_equal(fast_g, expanders_bruteforce(upper, bounded, fast_s, norms, metric, cons))
+        lower, upper, previous, norms, index, metric, cons = random_fixture(rng)
+        fast_s = safe_set(lower, np.isfinite(lower), previous, norms, index, cons)
+        ok &= np.array_equal(fast_s, safe_set_bruteforce(lower, previous, norms, metric, cons))
+        fast_m = maximizers(upper, lower, fast_s)
+        ok &= np.array_equal(fast_m, maximizers_bruteforce(upper, lower, fast_s))
+        fast_g = expanders(upper, fast_s, norms, index, cons)
+        ok &= np.array_equal(fast_g, expanders_bruteforce(upper, fast_s, norms, metric, cons))
         if not ok:
             break
     report(8, "safe/maximizer/expander sets equal the brute-force loops on 500 fixtures",

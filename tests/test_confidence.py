@@ -34,19 +34,17 @@ class TestBeta:
 class TestConfidenceState:
     def test_fresh_state_is_unbounded(self):
         state = ConfidenceState.unbounded(2, 5)
-        assert state.width(0, 0) == math.inf
-        assert state.lower_bound(1, 4) == -math.inf
-        assert state.upper_bound(1, 4) == math.inf
-        assert np.all(np.isinf(state.widths()))
+        assert np.array_equal(state.lower, np.full((2, 5), -math.inf))
+        assert np.array_equal(state.upper, np.full((2, 5), math.inf))
+        assert np.array_equal(state.upper - state.lower, np.full((2, 5), math.inf))
 
     def test_first_update_is_the_band(self):
         state = ConfidenceState.unbounded(1, 3)
         means = np.array([[0.0, 1.0, -1.0]])
         std = np.array([1.0, 0.5, 2.0])
         updated = update_intervals(state, means, std, np.array([2.0]))
-        assert updated.lower == pytest.approx(means - 2.0 * std)
-        assert updated.upper == pytest.approx(means + 2.0 * std)
-        assert updated.bounded.all()
+        assert np.array_equal(updated.lower, means - 2.0 * std)
+        assert np.array_equal(updated.upper, means + 2.0 * std)
 
     def test_intersection_interval_arithmetic(self):
         # [-1, 1] then [-0.5, 1.5] intersect to [-0.5, 1].
@@ -55,7 +53,7 @@ class TestConfidenceState:
         state = update_intervals(state, np.array([[0.5]]), np.array([1.0]), np.array([1.0]))
         assert state.lower[0, 0] == pytest.approx(-0.5)
         assert state.upper[0, 0] == pytest.approx(1.0)
-        assert state.width(0, 0) == pytest.approx(1.5)
+        assert state.upper[0, 0] - state.lower[0, 0] == pytest.approx(1.5)
 
     def test_idempotent_update(self, rng):
         state = ConfidenceState.unbounded(2, 8)
@@ -74,14 +72,13 @@ class TestConfidenceState:
             std = rng.uniform(0.5, 2.0, 30)
             betas = rng.uniform(1.0, 3.0, 2)
             updated = update_intervals(state, means, std, betas)
-            if state.bounded.all():
-                assert np.all(updated.lower >= state.lower)
-                assert np.all(updated.upper <= state.upper)
+            assert np.all(updated.lower >= state.lower)
+            assert np.all(updated.upper <= state.upper)
             state = updated
 
     def test_widths_nonincreasing(self, rng):
         state = ConfidenceState.unbounded(1, 10)
-        widths = state.widths()
+        widths = state.upper - state.lower
         for _ in range(20):
             state = update_intervals(
                 state,
@@ -89,7 +86,7 @@ class TestConfidenceState:
                 rng.uniform(0.5, 1.5, 10),
                 np.array([2.0]),
             )
-            new_widths = state.widths()
+            new_widths = state.upper - state.lower
             assert np.all(new_widths <= widths)
             widths = new_widths
 
@@ -145,7 +142,7 @@ class TestConfidenceState:
     @pytest.mark.parametrize("name", ["means", "std", "betas"])
     def test_rejects_non_finite_inputs(self, name, bad):
         # A NaN passes every comparison-based check and would come back
-        # as a "bounded" NaN interval; an infinity would bound nothing.
+        # as a NaN interval; an infinite band would bound nothing.
         state = ConfidenceState.unbounded(2, 3)
         inputs = {"means": np.zeros((2, 3)), "std": np.ones(3), "betas": np.ones(2)}
         inputs[name].flat[-1] = bad

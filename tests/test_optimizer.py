@@ -31,7 +31,7 @@ from safebo.optimizer import (
 # nested loops, kept deliberately dumb.
 
 
-def safe_set_bruteforce(lower, bounded, previous, norms, metric, constraints):
+def safe_set_bruteforce(lower, previous, norms, metric, constraints):
     n = metric.shape[0]
     result = np.zeros(n, dtype=bool)
     for b in range(n):
@@ -39,7 +39,7 @@ def safe_set_bruteforce(lower, bounded, previous, norms, metric, constraints):
         for i in constraints:
             ok_i = False
             for a in range(n):
-                if not previous[a] or not bounded[i][a]:
+                if not previous[a] or lower[i][a] == -math.inf:
                     continue
                 if lower[i][a] - norms[i] * metric[a, b] >= 0.0:
                     ok_i = True
@@ -51,22 +51,21 @@ def safe_set_bruteforce(lower, bounded, previous, norms, metric, constraints):
     return result
 
 
-def maximizers_bruteforce(upper, lower, bounded, safe):
+def maximizers_bruteforce(upper, lower, safe):
     n = safe.shape[0]
     threshold = -math.inf
     for a in range(n):
-        if safe[a] and bounded[0][a]:
+        if safe[a] and lower[0][a] != -math.inf:
             threshold = max(threshold, lower[0][a])
     result = np.zeros(n, dtype=bool)
     for a in range(n):
         if not safe[a]:
             continue
-        u = upper[0][a] if bounded[0][a] else math.inf
-        result[a] = u >= threshold
+        result[a] = upper[0][a] == math.inf or upper[0][a] >= threshold
     return result
 
 
-def expanders_bruteforce(upper, bounded, safe, norms, metric, constraints):
+def expanders_bruteforce(upper, safe, norms, metric, constraints):
     n = safe.shape[0]
     result = np.zeros(n, dtype=bool)
     for a in range(n):
@@ -76,8 +75,8 @@ def expanders_bruteforce(upper, bounded, safe, norms, metric, constraints):
             if safe[b]:
                 continue
             for i in constraints:
-                u = upper[i][a] if bounded[i][a] else math.inf
-                if u - norms[i] * metric[a, b] >= 0.0:
+                u = upper[i][a]
+                if u == math.inf or u - norms[i] * metric[a, b] >= 0.0:
                     result[a] = True
     return result
 
@@ -110,7 +109,8 @@ def random_fixture(rng):
     Bounds are drawn in units of ``L * sqrt(2 * output_scale)``, the
     largest reach any metric can need, so some are negative, some reach a
     neighbour and some cover the whole grid.  A few bounds are exact ties,
-    ``L * metric[s, j]`` for a pair, which the rules must accept.
+    ``L * metric[s, j]`` for a pair, which the rules must accept.  About
+    a fifth of the intervals are still the whole line, ``(-inf, +inf)``.
     """
     family = FAMILIES[int(rng.integers(len(FAMILIES)))]
     kernel = Kernel(
@@ -140,24 +140,26 @@ def random_fixture(rng):
     n_constraints = int(rng.integers(1, k + 1))
     constraints = tuple(sorted(rng.choice(k, size=n_constraints, replace=False).tolist()))
     index = GridIndex(kernel, domain)
-    return lower, upper, bounded, previous, norms, index, metric, constraints
+    lower[~bounded] = -math.inf
+    upper[~bounded] = math.inf
+    return lower, upper, previous, norms, index, metric, constraints
 
 
 class TestSetEquivalence:
     def test_matches_bruteforce_on_random_fixtures(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
-            lower, upper, bounded, previous, norms, index, metric, cons = random_fixture(rng)
-            fast = safe_set(lower, bounded, previous, norms, index, cons)
-            slow = safe_set_bruteforce(lower, bounded, previous, norms, metric, cons)
+            lower, upper, previous, norms, index, metric, cons = random_fixture(rng)
+            fast = safe_set(lower, np.isfinite(lower), previous, norms, index, cons)
+            slow = safe_set_bruteforce(lower, previous, norms, metric, cons)
             assert np.array_equal(fast, slow)
 
-            fast_m = maximizers(upper, lower, bounded, fast)
-            slow_m = maximizers_bruteforce(upper, lower, bounded, fast)
+            fast_m = maximizers(upper, lower, fast)
+            slow_m = maximizers_bruteforce(upper, lower, fast)
             assert np.array_equal(fast_m, slow_m)
 
-            fast_g = expanders(upper, bounded, fast, norms, index, cons)
-            slow_g = expanders_bruteforce(upper, bounded, fast, norms, metric, cons)
+            fast_g = expanders(upper, fast, norms, index, cons)
+            slow_g = expanders_bruteforce(upper, fast, norms, metric, cons)
             assert np.array_equal(fast_g, slow_g)
 
 
@@ -242,34 +244,32 @@ class TestMaximizers:
         n = 4
         lower = np.full((1, n), 0.1)
         upper = np.full((1, n), 0.9)
-        bounded = np.ones((1, n), dtype=bool)
         safe = np.array([True, True, False, True])
-        assert np.array_equal(
-            maximizers(upper, lower, bounded, safe), safe
-        )
+        assert np.array_equal(maximizers(upper, lower, safe), safe)
 
     def test_dominant_point_is_singleton(self):
         lower = np.array([[0.8, 0.0, 0.1]])
         upper = np.array([[1.0, 0.5, 0.7]])
-        bounded = np.ones((1, 3), dtype=bool)
         safe = np.ones(3, dtype=bool)
-        assert np.array_equal(
-            maximizers(upper, lower, bounded, safe), [True, False, False]
-        )
+        assert np.array_equal(maximizers(upper, lower, safe), [True, False, False])
 
     def test_two_point_fixture(self):
         lower = np.array([[0.5, 0.2]])
         upper = np.array([[1.0, 0.4]])
-        bounded = np.ones((1, 2), dtype=bool)
         safe = np.ones(2, dtype=bool)
-        assert np.array_equal(maximizers(upper, lower, bounded, safe), [True, False])
+        assert np.array_equal(maximizers(upper, lower, safe), [True, False])
 
     def test_unbounded_upper_always_qualifies(self):
-        lower = np.array([[0.9, 0.0]])
-        upper = np.array([[1.0, 0.0]])
-        bounded = np.array([[True, False]])
+        lower = np.array([[0.9, -np.inf]])
+        upper = np.array([[1.0, np.inf]])
         safe = np.ones(2, dtype=bool)
-        assert np.array_equal(maximizers(upper, lower, bounded, safe), [True, True])
+        assert np.array_equal(maximizers(upper, lower, safe), [True, True])
+
+    def test_empty_safe_set_has_no_maximizers(self):
+        lower = np.array([[0.9, 0.0]])
+        upper = np.array([[1.0, 0.5]])
+        safe = np.zeros(2, dtype=bool)
+        assert not maximizers(upper, lower, safe).any()
 
 
 class TestExpanders:
@@ -282,19 +282,15 @@ class TestExpanders:
     def test_full_safe_set_has_no_expanders(self):
         n = self.domain.n_points
         upper = np.ones((1, n))
-        bounded = np.ones((1, n), dtype=bool)
-        mask = expanders(
-            upper, bounded, np.ones(n, dtype=bool), np.array([1.0]), self.index, (0,)
-        )
+        mask = expanders(upper, np.ones(n, dtype=bool), np.array([1.0]), self.index, (0,))
         assert not mask.any()
 
     def test_unbounded_upper_reaches_everything(self):
         n = self.domain.n_points
-        upper = np.zeros((1, n))
-        bounded = np.zeros((1, n), dtype=bool)
+        upper = np.full((1, n), np.inf)
         safe = np.zeros(n, dtype=bool)
         safe[5] = True
-        mask = expanders(upper, bounded, safe, np.array([1.0]), self.index, (0,))
+        mask = expanders(upper, safe, np.array([1.0]), self.index, (0,))
         assert np.array_equal(mask, safe)
 
     def test_reach_one_neighbor(self):
@@ -303,9 +299,8 @@ class TestExpanders:
         kernel = Kernel(lengthscale=0.2)
         metric = metric_matrix(kernel, domain.points)
         upper = np.array([[0.3, 0.0]])
-        bounded = np.ones((1, 2), dtype=bool)
         safe = np.array([True, False])
-        mask = expanders(upper, bounded, safe, np.array([1.0]), GridIndex(kernel, domain), (0,))
+        mask = expanders(upper, safe, np.array([1.0]), GridIndex(kernel, domain), (0,))
         assert mask[0] == (0.3 - metric[0, 1] >= 0)
 
     def test_roundoff_band_matches_bruteforce(self):
@@ -324,9 +319,8 @@ class TestExpanders:
             norms = np.array([1.7])
             for direction in (-np.inf, np.inf):
                 upper = np.nextafter(norms[0] * near, direction)[None, :]
-                bounded = np.ones((1, domain.n_points), dtype=bool)
-                fast = expanders(upper, bounded, safe, norms, index, (0,))
-                slow = expanders_bruteforce(upper, bounded, safe, norms, metric, (0,))
+                fast = expanders(upper, safe, norms, index, (0,))
+                slow = expanders_bruteforce(upper, safe, norms, metric, (0,))
                 assert np.array_equal(fast, slow)
             assert fast[safe].all()
 
@@ -506,11 +500,11 @@ class TestStep:
             # Every candidate the acquisition saw is narrower than delta.
             conf = state.confidence
             cons = optimizer.config.constraint_indices
-            candidates = maximizers(conf.upper, conf.lower, conf.bounded, state.safe) | expanders(
-                conf.upper, conf.bounded, state.safe, optimizer._norms, optimizer.index, cons
+            candidates = maximizers(conf.upper, conf.lower, state.safe) | expanders(
+                conf.upper, state.safe, optimizer._norms, optimizer.index, cons
             )
             assert candidates.any()
-            assert conf.widths()[:, candidates].max() < 1.9
+            assert (conf.upper - conf.lower)[:, candidates].max() < 1.9
 
     def test_max_iterations_zero_returns_empty(self):
         optimizer, oracle, noise = toy_setup(max_iterations=0)
@@ -591,7 +585,7 @@ class TestStep:
 
         assert ended.termination_reason == reason
         assert len(advanced.records) == len(state.records) + 1
-        for name in ("lower", "upper", "bounded"):
+        for name in ("lower", "upper"):
             assert np.array_equal(getattr(ended.confidence, name),
                                   getattr(advanced.confidence, name))
         assert np.array_equal(ended.safe, advanced.safe)
@@ -658,14 +652,13 @@ def dense_safe_set(lower, bounded, previous, norms, metric, constraints):
     return certified | previous
 
 
-def dense_expanders(upper, bounded, safe, norms, metric, constraints):
+def dense_expanders(upper, safe, norms, metric, constraints):
     """The expander rule over the whole dense metric, as one vectorized scan."""
     if safe.all():
         return np.zeros(safe.shape[0], dtype=bool)
     reach = np.zeros((int(safe.sum()), int((~safe).sum())), dtype=bool)
     for i in constraints:
         reach |= upper[i][safe, None] - norms[i] * metric[np.ix_(safe, ~safe)] >= 0.0
-        reach |= ~bounded[i][safe, None]
     mask = np.zeros(safe.shape[0], dtype=bool)
     mask[safe] = reach.any(axis=1)
     return mask
@@ -703,14 +696,13 @@ class TestLocalSetsAlongRuns:
             previous = state
             state = optimizer.step(state, bump_2d, uniform(-1e-3, 1e-3), rng)
             conf = state.confidence
-            if previous.records:
-                expected = dense_safe_set(
-                    conf.lower, conf.bounded, previous.safe, norms, metric, cons
-                )
-                assert np.array_equal(state.safe, expected)
+            expected = dense_safe_set(
+                conf.lower, np.isfinite(conf.lower), previous.safe, norms, metric, cons
+            )
+            assert np.array_equal(state.safe, expected)
             assert np.array_equal(
-                expanders(conf.upper, conf.bounded, state.safe, norms, optimizer.index, cons),
-                dense_expanders(conf.upper, conf.bounded, state.safe, norms, metric, cons),
+                expanders(conf.upper, state.safe, norms, optimizer.index, cons),
+                dense_expanders(conf.upper, state.safe, norms, metric, cons),
             )
         assert state.safe.sum() > 1
 
@@ -735,11 +727,10 @@ class TestLocalSetsAlongRuns:
             previous = state
             state = optimizer.step(state, bump_2d, uniform(-1e-3, 1e-3), rng)
             conf = state.confidence
-            if previous.records:
-                expected = dense_safe_set(
-                    conf.lower, conf.bounded, previous.safe, optimizer._norms, metric, (0,)
-                )
-                assert np.array_equal(state.safe, expected)
+            expected = dense_safe_set(
+                conf.lower, np.isfinite(conf.lower), previous.safe, optimizer._norms, metric, (0,)
+            )
+            assert np.array_equal(state.safe, expected)
             if len(state.records) > len(previous.records):
                 point = np.array(state.records[-1].point)
                 assert (domain.points[state.safe] == point).all(axis=1).any()
@@ -774,9 +765,7 @@ class TestBestParameter:
         lower = np.full((1, 40), -1.0)
         lower[0, 7] = 0.7
         lower[0, 9] = 0.3
-        conf = state.confidence.__class__(
-            lower=lower, upper=lower + 1.0, bounded=np.ones((1, 40), dtype=bool)
-        )
+        conf = state.confidence.__class__(lower=lower, upper=lower + 1.0)
         safe = np.zeros(40, dtype=bool)
         safe[[5, 7, 9]] = True
         from dataclasses import replace
@@ -787,11 +776,7 @@ class TestBestParameter:
     def test_ties_take_lowest_index(self):
         optimizer, _, _ = toy_setup()
         state = optimizer.initial_state()
-        conf = state.confidence.__class__(
-            lower=np.zeros((1, 40)),
-            upper=np.ones((1, 40)),
-            bounded=np.ones((1, 40), dtype=bool),
-        )
+        conf = state.confidence.__class__(lower=np.zeros((1, 40)), upper=np.ones((1, 40)))
         safe = np.zeros(40, dtype=bool)
         safe[[11, 4, 30]] = True
         from dataclasses import replace
@@ -837,6 +822,10 @@ class TestOptimizerConfig:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="beta mode"):
             self.make(beta_mode="thompson")
+
+    def test_rejects_unknown_collapse_policy(self):
+        with pytest.raises(ValueError, match="on_collapse"):
+            self.make(on_collapse="bogus")
 
     def test_rejects_nonpositive_norm_bounds(self):
         for bad in (0.0, -1.0):

@@ -49,9 +49,9 @@ def containment_run(seed, n_points=60, iterations=25):
             visited.add(int(np.searchsorted(domain.axes[0], state.records[-1].point[0])))
         for idx in visited:
             if not (
-                state.confidence.lower_bound(0, idx) - 1e-12
+                state.confidence.lower[0, idx] - 1e-12
                 <= values[idx]
-                <= state.confidence.upper_bound(0, idx) + 1e-12
+                <= state.confidence.upper[0, idx] + 1e-12
             ):
                 escaped = True
     return escaped
