@@ -17,11 +17,17 @@ kernel row and never forms ``L`` or its inverse.  The grid posterior is
 carried too: the new rows ``z_t`` and ``p_t`` add ``z_t p_t`` to the
 means and take ``p_t^2`` off the variance, so an append costs one
 ``O(t n)`` product, ``w P``, and reading the posterior ``O(k n)``.
-Buffers of ``P``, the Gram matrix and one row per observation (grid
-index, targets, ``z`` and the pivot, the diagonal of ``L`` kept for the
-log-determinant) are shared along a chain of appends, so an append
-writes one row instead of copying ``t``; a full buffer is copied into
-one with 64 more rows.
+``P`` is held in fixed blocks of 64 rows.  Full blocks are shared along
+a chain of appends and never written again; an append writes its row
+into the last block, copying only that partial block when a sibling has
+claimed the row, and an append that fills a block starts a new one,
+copying nothing.  So memory peaks at the live ``P`` plus one block, and
+``w P`` is one matrix-vector product per block, in block order.  The
+Gram matrix and one row per observation (grid index, targets, ``z`` and
+the pivot, the diagonal of ``L`` kept for the log-determinant) hold
+``O(t^2)`` floats, independent of the grid; they are shared the same
+way in one buffer each, which an append that finds it full copies
+into one with 64 more rows.
 """
 
 from __future__ import annotations
@@ -34,7 +40,8 @@ from .kernels import Kernel, pairwise
 
 __all__ = ["SurrogateModel"]
 
-# Rows a carried buffer grows by when an append finds it full.
+# Rows per block of the carried projection, and rows the other carried
+# buffers grow by when an append finds them full.
 _GROWTH = 64
 
 # Power iteration stops once the Kato-Temple bound certifies the Rayleigh
@@ -86,7 +93,7 @@ class SurrogateModel:
         self._z_cols = slice(k + 1, 2 * k + 1)
         self._gram_rows = _Rows(np.zeros((0, 0)), square=True)
         self._gram_fro_sq = 0.0
-        self._proj_rows = _Rows(np.zeros((0, n)))
+        self._proj_blocks = _Blocks(n)
         # The grid posterior, shared with callers: never written in place.
         self._means = _frozen(np.zeros((self.n_outputs, n)))
         self._var = _frozen(np.full(n, float(kernel.output_scale)))
@@ -152,8 +159,8 @@ class SurrogateModel:
 
         # The column and z are strided; the products read contiguous
         # copies, because BLAS sums a strided operand in another order.
-        proj = self._proj_rows.data[:t]
-        w = proj[:, index].copy()
+        blocks = self._proj_blocks.blocks
+        w = np.concatenate([block[:, index] for block in blocks])[:t] if t else np.zeros(0)
         # The bordered pivot equals posterior variance plus the
         # regularizer, so it stays strictly positive.
         pivot = math.sqrt(
@@ -163,10 +170,10 @@ class SurrogateModel:
         child._obs_rows = self._obs_rows.extended(t)
         child._obs_rows.data[t] = (index, *values, *z_row, pivot)
         # The grid-length rows are updated in place of temporaries.
-        p_row -= w @ proj
+        for start, block in zip(range(0, t, _GROWTH), blocks):
+            p_row -= w[start : start + _GROWTH] @ block[: t - start]
         p_row /= pivot
-        child._proj_rows = self._proj_rows.extended(t)
-        child._proj_rows.data[t] = p_row
+        child._proj_blocks = self._proj_blocks.extended(t, p_row)
         means = z_row[:, None] * p_row
         means += self._means
         child._means, child._var = _frozen(means), _frozen(self._var - p_row * p_row)
@@ -241,6 +248,41 @@ class _Rows:
             rows = _Rows(self.view(t), self.square)
         rows.used = t + 1
         return rows
+
+
+class _Blocks:
+    """The leading rows of a ``(t, width)`` matrix in ``_GROWTH``-row blocks,
+    shared along a chain of appends.
+
+    A model of ``t`` observations reads the first ``t`` rows of the first
+    ``ceil(t / _GROWTH)`` blocks.  ``used`` counts the rows written so
+    far.  Full blocks are never written again, so every model that reads
+    one shares it.  An append writes row ``t`` into the last block in
+    place while ``used == t``, so no other model reads that row, copies
+    only that partial block otherwise, and starts a new block, copying
+    nothing, when the last one is full: no model ever sees its rows
+    change (a persistent vector).
+    """
+
+    def __init__(self, width: int, blocks: tuple[np.ndarray, ...] = ()):
+        self.width = width
+        self.blocks = blocks
+        self.used = 0
+
+    def extended(self, t: int, row: np.ndarray) -> "_Blocks":
+        """Blocks of which the first ``t`` rows are this chain's and row
+        ``t`` is ``row``."""
+        full, filled = divmod(t, _GROWTH)
+        blocks = self
+        if filled == 0:
+            blocks = _Blocks(self.width, self.blocks[:full] + (np.zeros((_GROWTH, self.width)),))
+        elif self.used > t:
+            last = np.zeros((_GROWTH, self.width))
+            last[:filled] = self.blocks[full][:filled]
+            blocks = _Blocks(self.width, self.blocks[:full] + (last,))
+        blocks.blocks[full][filled] = row
+        blocks.used = t + 1
+        return blocks
 
 
 def _top_eigenpair(

@@ -6,6 +6,14 @@ kernel expansion ``f(a) = sum_j c_j k(a, x_j)`` has squared norm
 ``c' K c`` over its centers, so rescaling the coefficients pins the norm
 to one.  Constraints are built by shifting such a function so that a
 chosen share of the grid stays nonnegative.
+
+A function evaluates its points in chunks of ``_CHUNK`` rows, so the
+kernel matrix it builds holds ``_CHUNK`` rows of one column per center
+instead of one row per grid point.  Each value is one row of a
+matrix-vector product, and the BLAS kernel sums each row alike as long as
+a chunk boundary never splits the groups of four rows it works in: with
+``_CHUNK`` a multiple of four the values are those of the one-shot
+product, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +34,10 @@ __all__ = [
     "shift_to_quantile",
 ]
 
-_NORM_TOL = 1e-10
+# Rows of points evaluated per kernel matrix; a multiple of four, so the
+# values equal the one-shot product bit for bit (see above).
+_CHUNK = 2048
+
 _MAX_RESAMPLE = 32
 
 
@@ -42,7 +53,11 @@ class RkhsFunction:
     def __call__(self, points: np.ndarray) -> np.ndarray | float:
         points = np.asarray(points, dtype=float)
         single = points.ndim == 1
-        values = pairwise(self.kernel, np.atleast_2d(points), self.centers) @ self.coefficients
+        points = np.atleast_2d(points)
+        values = np.empty(points.shape[0])
+        for start in range(0, points.shape[0], _CHUNK):
+            chunk = pairwise(self.kernel, points[start : start + _CHUNK], self.centers)
+            values[start : start + _CHUNK] = chunk @ self.coefficients
         return float(values[0]) if single else values
 
     def to_config(self) -> dict:

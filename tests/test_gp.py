@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,12 @@ from safebo.kernels import pairwise
 def gram_of(model):
     """The model's Gram matrix, read off its carried buffer."""
     return model._gram_rows.view(model.t)
+
+
+def projection_of(model):
+    """The model's carried projection ``P``, its blocks stacked."""
+    blocks = model._proj_blocks
+    return np.vstack(blocks.blocks or [np.zeros((0, blocks.width))])[: model.t]
 
 
 def dense_posterior_reference(kernel, inputs, targets, queries, reg):
@@ -86,7 +93,7 @@ class TestPosterior:
         # The carried columns W = L^-1 K(X, x_j) at the observed points
         # satisfy W^T W = K (K + reg I)^-1 K.
         model = build_model(kernel, 0.01, rng.uniform(0, 1, (10, 1)), rng.standard_normal((1, 10)))
-        gram, carried = gram_of(model), model._proj_rows.view(model.t)[:, model.indices]
+        gram, carried = gram_of(model), projection_of(model)[:, model.indices]
         shifted = gram + 0.01 * np.eye(model.t)
         assert np.linalg.norm(carried.T @ carried - gram @ np.linalg.solve(shifted, gram)) < 1e-8
         sign, log_det = np.linalg.slogdet(np.eye(model.t) + gram / 0.01)
@@ -262,7 +269,7 @@ class TestGridBoundPosterior:
     def test_carried_projection_matches_fresh_factorization_on_a_long_chain(self, kernel, rng):
         model = ill_conditioned_chain(kernel, rng, 400)
         proj, z = fresh_projection(model)
-        assert np.max(np.abs(model._proj_rows.view(model.t) - proj)) <= 1e-10
+        assert np.max(np.abs(projection_of(model) - proj)) <= 1e-10
         # z = L^{-1} y reaches about 1 / sqrt(reg) in size, so its error
         # is measured relative to it: both paths sit near 2e-12.
         carried_z = model._obs_rows.data[: model.t, model._z_cols]
@@ -283,25 +290,54 @@ class TestGridBoundPosterior:
         assert np.max(np.abs(std - ref_std)) <= 1e-12
 
     def test_carried_buffers_stay_close_to_the_live_state(self, kernel, rng):
-        # A chain of appends shares each buffer until it is full, and a
-        # full buffer grows by _GROWTH rows, never more.
+        # The projection is held in fixed blocks of _GROWTH rows, and the
+        # other buffers grow by _GROWTH rows when full, never more.
         model = SurrogateModel(kernel, 0.01, 2, grid=rng.uniform(0, 1, (200, 1)))
         chain = [model]
         for index in range(200):
             model = model.with_observation(index, rng.standard_normal(2))
             chain.append(model)
-            for rows in (model._gram_rows, model._proj_rows, model._obs_rows):
+            blocks = model._proj_blocks.blocks
+            assert len(blocks) == math.ceil(model.t / _GROWTH)
+            assert all(block.shape == (_GROWTH, 200) for block in blocks)
+            for rows in (model._gram_rows, model._obs_rows):
                 assert model.t <= rows.data.shape[0] <= model.t + _GROWTH
             assert model._gram_rows.data.shape[1] <= model.t + _GROWTH
-        # The chain's models, t = 0 to 200, fill one buffer per _GROWTH rows.
-        for name in ("_proj_rows", "_obs_rows"):
-            buffers = {id(getattr(m, name).data) for m in chain}
-            assert len(buffers) == math.ceil(len(chain) / _GROWTH)
+        # The chain's models, t = 0 to 200, share its blocks: no block is
+        # ever copied, so 200 rows take ceil(200 / _GROWTH) of them.
+        blocks = {id(block) for m in chain for block in m._proj_blocks.blocks}
+        assert len(blocks) == math.ceil(200 / _GROWTH)
+        # The per-observation buffer fills one buffer per _GROWTH rows.
+        buffers = {id(m._obs_rows.data) for m in chain}
+        assert len(buffers) == math.ceil(len(chain) / _GROWTH)
         # Every model still reads its own history from the shared buffers.
+        proj = projection_of(model)
         for m in chain:
             assert m.inputs.shape == (m.t, 1) and m.targets.shape == (2, m.t)
             assert np.array_equal(m.inputs, model.inputs[: m.t])
             assert np.array_equal(m.targets, model.targets[:, : m.t])
+            assert np.array_equal(projection_of(m), proj[: m.t])
+
+    def test_peak_memory_is_the_live_projection_plus_one_block(self, kernel, rng):
+        # numpy's allocations, which tracemalloc counts, over a chain of 150
+        # appends on a 3000-point grid: the live projection is
+        # ceil(150 / 64) = 3 blocks, and the peak stays within one block
+        # more (5.86 MiB).  A projection grown by copying into a buffer 64
+        # rows larger keeps old and new alive together and peaks near 8 MiB.
+        n, appends = 3000, 150
+        grid = grid_points(1, n)
+        indices = rng.integers(n, size=appends).tolist()
+        values = rng.standard_normal((appends, 2))
+        tracemalloc.start()
+        try:
+            model = SurrogateModel(kernel, 0.01, 2, grid=grid)
+            for index, value in zip(indices, values):
+                model = model.with_observation(index, value)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.t == appends
+        assert peak <= (math.ceil(appends / _GROWTH) + 1) * _GROWTH * n * 8
 
     def test_one_kernel_row_per_append(self, kernel, rng, monkeypatch):
         # The Gram border is read off the new kernel row, and the forward
@@ -332,11 +368,13 @@ class TestGridBoundPosterior:
         assert np.array_equal(means, np.zeros((2, 5)))
         assert np.array_equal(std, np.ones(5))
 
-    @pytest.mark.parametrize("parent_t", [5, _GROWTH])
+    @pytest.mark.parametrize("parent_t", [5, _GROWTH, _GROWTH + 5])
     def test_sibling_appends_leave_parent_and_each_other_unchanged(self, parent_t, kernel, rng):
-        # A parent of 5 observations has room in its buffers: the first
-        # child writes in place and the second copies.  A parent of 64
-        # fills them, so both children copy into a grown buffer.
+        # A parent of 5 or 69 observations has room in its last block of
+        # the projection: the first child writes in place and the second
+        # copies only that partial block.  A parent of 64 fills its
+        # block, so each child starts a block of its own.  Full blocks
+        # are shared by all three.
         grid = grid_points(1, 60)
         parent = SurrogateModel(kernel, 0.01, 2, grid=grid)
         for _ in range(parent_t):
@@ -346,21 +384,37 @@ class TestGridBoundPosterior:
         before = tuple(np.copy(part) for part in parent.posterior())
         var, gram = np.copy(parent._var), np.copy(gram_of(parent))
         inputs, targets = np.copy(parent.inputs), np.copy(parent.targets)
+        proj = projection_of(parent)
         xi_before = parent.xi_lambda_max()
 
         first = parent.with_observation(15, [1.0, -1.0])
         first_post = tuple(np.copy(part) for part in first.posterior())
+        first_proj = projection_of(first)
         first_xi = first.xi_lambda_max()
         second = parent.with_observation(45, [-2.0, 0.5])
         second_post = second.posterior()
         second.xi_lambda_max()
-        for name in ("_proj_rows", "_obs_rows"):
-            assert (getattr(first, name) is getattr(parent, name)) == (parent_t < _GROWTH)
-            assert getattr(second, name) is not getattr(parent, name)
+
+        full, filled = divmod(parent_t, _GROWTH)
+        shared = parent._proj_blocks.blocks
+        for child in (first, second):
+            blocks = child._proj_blocks.blocks
+            assert len(blocks) == full + 1
+            assert all(mine is theirs for mine, theirs in zip(blocks[:full], shared))
+        last_first, last_second = (c._proj_blocks.blocks[full] for c in (first, second))
+        assert last_first is not last_second
+        if filled:
+            assert last_first is shared[full] and last_second is not shared[full]
+        assert (first._obs_rows is parent._obs_rows) == bool(filled)
+        assert second._obs_rows is not parent._obs_rows
 
         for model, (means, std) in ((parent, before), (first, first_post)):
             after_means, after_std = model.posterior()
             assert np.array_equal(after_means, means) and np.array_equal(after_std, std)
+        assert np.array_equal(projection_of(parent), proj)
+        assert np.array_equal(projection_of(first), first_proj)
+        assert np.array_equal(projection_of(second)[:parent_t], proj)
+        assert not np.array_equal(first_proj[parent_t], projection_of(second)[parent_t])
         assert np.array_equal(parent._var, var) and np.array_equal(gram_of(parent), gram)
         assert np.array_equal(parent.inputs, inputs) and np.array_equal(parent.targets, targets)
         for model, index, values in ((first, 15, [1.0, -1.0]), (second, 45, [-2.0, 0.5])):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from safebo import Domain, Kernel
 from safebo.kernels import gram, paired_metric, pairwise
 from safebo.synthetic import (
+    _CHUNK,
     RkhsFunction,
     ShiftedFunction,
     nearest_rank_quantile,
@@ -78,6 +80,43 @@ class TestSampleRkhsFunction:
         f = sample_rkhs_function(kernel, line_domain, 8, rng)
         clone = RkhsFunction.from_config(f.to_config())
         assert np.array_equal(clone(line_domain.points), f(line_domain.points))
+
+
+class TestChunkedEvaluation:
+    def test_chunk_is_a_multiple_of_four(self):
+        # The BLAS matrix-vector kernel sums the rows it takes in groups
+        # of four in another order than the rows left over; a chunk
+        # boundary inside a group would change a value's last bits.
+        assert _CHUNK % 4 == 0
+
+    @pytest.mark.parametrize("n", [2 * _CHUNK + 3, _CHUNK - 5, 1])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_equals_the_one_shot_product_bit_for_bit(self, n, dim, rng):
+        domain = Domain.grid([(0.0, 1.0)] * dim, math.ceil(n ** (1 / dim)) + 1)
+        f = sample_rkhs_function(Kernel(lengthscale=0.2), domain, 20, rng)
+        points = domain.points[rng.permutation(domain.n_points)[:n]]
+        expected = pairwise(f.kernel, points, f.centers) @ f.coefficients
+        assert np.array_equal(f(points), expected)
+        # A single point is a product of its own, summed like the rows
+        # left over from the groups of four.
+        single = pairwise(f.kernel, points[:1], f.centers) @ f.coefficients
+        assert f(points[0]) == single[0]
+
+    def test_peak_memory_stays_at_one_chunk(self, rng):
+        # numpy's allocations, which tracemalloc counts, on a 300 x 300
+        # grid with 40 centers: one kernel matrix over all 90000 points
+        # takes 27.5 MiB per temporary and peaks near 192 MiB.
+        domain = Domain.grid([(0.0, 1.0)] * 2, 300)
+        f = sample_rkhs_function(Kernel(lengthscale=0.1), domain, 40, rng)
+        points = domain.points
+        tracemalloc.start()
+        try:
+            values = f(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (domain.n_points,)
+        assert peak <= 16 * 2**20
 
 
 class TestNearestRankQuantile:
