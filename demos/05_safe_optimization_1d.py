@@ -21,7 +21,7 @@ trace = run_single(config, SEED, "scenario")
 
 streams = np.random.SeedSequence(SEED).spawn(2)
 problem = build_synthetic_problem(config, np.random.default_rng(streams[0]))
-truth = np.asarray(problem.functions[0](problem.domain.points))
+truth = problem.values[0]
 
 print(f"ground truth: safe share {np.mean(truth >= 0):.0%},"
       f" best value {truth.max():+.4f} at x={problem.domain.points[truth.argmax(), 0]:.3f}")

@@ -131,9 +131,11 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     config = _load_config(args)
     out = args.out or Path("results") / config.name
-    result = run_experiment(config, jobs=max(1, args.jobs))
+    result = run_experiment(config, jobs=args.jobs)
     paths = emit(result, out)
     for mode, stats in result.summary["aggregate"].items():
         log.info(

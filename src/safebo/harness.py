@@ -385,18 +385,17 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SyntheticProblem:
-    """Ground truth for one seed: functions, constraints, and a safe start."""
+    """Ground truth for one seed: functions, their grid table (``values[i, j]`` is output
+    ``i`` at grid point ``j``, the truth every reader takes), constraints, and a safe start."""
 
     domain: Domain
     functions: tuple
+    values: np.ndarray
     constraint_indices: tuple[int, ...]
     initial_safe: tuple[int, ...]
 
-    def oracle(self, point: np.ndarray) -> np.ndarray:
-        return np.array([float(f(point)) for f in self.functions])
-
-    def grid_values(self) -> np.ndarray:
-        return np.stack([np.asarray(f(self.domain.points)) for f in self.functions])
+    def oracle(self, index: int) -> np.ndarray:
+        return self.values[:, index]
 
     def to_config(self) -> dict:
         return {
@@ -425,20 +424,21 @@ def build_synthetic_problem(
     reward = sample_rkhs_function(kernel, domain, n_centers, rng)
     quantile = config.constraint["quantile"]
     if config.constraint["kind"] == "self":
-        shifted = shift_to_quantile(reward, domain, quantile)
+        shifted, shifted_values = shift_to_quantile(reward, domain, quantile)
         functions: tuple = (shifted,)
+        values = shifted_values[None, :]
         constraint_indices: tuple[int, ...] = (0,)
     else:
         other = sample_rkhs_function(kernel, domain, n_centers, rng)
-        constraint = shift_to_quantile(other, domain, quantile)
+        constraint, constraint_values = shift_to_quantile(other, domain, quantile)
         functions = (reward, constraint)
+        values = np.stack([reward(domain.points), constraint_values])
         constraint_indices = (1,)
 
-    values = np.stack([np.asarray(f(domain.points)) for f in functions])
+    values.flags.writeable = False
+    # The quantile point reads exactly 0, so at least one point is eligible.
     margins = values[list(constraint_indices)].min(axis=0)
     eligible = np.flatnonzero(margins >= 0.0)
-    if eligible.size == 0:
-        raise ConfigError("no safe grid point exists for this ground truth")
     ordered = eligible[np.argsort(margins[eligible], kind="stable")]
     lo = int(0.4 * ordered.size)
     hi = max(int(0.7 * ordered.size), lo + 1)
@@ -447,6 +447,7 @@ def build_synthetic_problem(
     return SyntheticProblem(
         domain=domain,
         functions=functions,
+        values=values,
         constraint_indices=constraint_indices,
         initial_safe=(start,),
     )
@@ -492,16 +493,12 @@ def run_single(config: ExperimentConfig, seed: int, beta_mode: str) -> RunTrace:
     problem = build_synthetic_problem(config, default_rng(streams[0]))
     run_rng = default_rng(streams[1 + config.beta_modes.index(beta_mode)])
 
-    schedule = ScenarioSchedule(
-        violation_prob=config.violation_prob,
-        confidence=config.confidence_level,
-        n_outputs=len(problem.functions),
-    )
+    k = len(problem.functions)
     opt_config = OptimizerConfig(
-        norm_bounds=(config.norm_bound,) * len(problem.functions),
+        norm_bounds=(config.norm_bound,) * k,
         regularization=config.regularization,
         exploration_threshold=config.exploration_threshold,
-        schedule=schedule,
+        schedule=ScenarioSchedule(config.violation_prob, config.confidence_level, k),
         max_iterations=config.max_iterations,
         initial_safe=problem.initial_safe,
         beta_mode=beta_mode,
@@ -510,9 +507,7 @@ def run_single(config: ExperimentConfig, seed: int, beta_mode: str) -> RunTrace:
         on_collapse=config.collapse_policy,
     )
     optimizer = SafeOptimizer(config.build_kernel(), problem.domain, opt_config)
-    noise_model = model_from_config(config.noise)
-
-    final = optimizer.run(problem.oracle, noise_model, run_rng)
+    final = optimizer.run(problem.oracle, model_from_config(config.noise), run_rng)
 
     violations = tuple(
         any(rec.true_values[i] < 0.0 for i in problem.constraint_indices)
@@ -520,19 +515,18 @@ def run_single(config: ExperimentConfig, seed: int, beta_mode: str) -> RunTrace:
     )
     beta_bar = tuple(max(rec.betas) for rec in final.records)
     best = optimizer.best_parameter(final)
-    best_point = problem.domain.points[best]
     return RunTrace(
         seed=seed,
         beta_mode=beta_mode,
         dim=problem.domain.dim,
-        n_outputs=len(problem.functions),
+        n_outputs=k,
         records=final.records,
         violations=violations,
         beta_bar=beta_bar,
         termination_reason=final.termination_reason,
-        final_best_point=tuple(float(v) for v in best_point),
+        final_best_point=tuple(problem.domain.points[best].tolist()),
         final_best_lower=float(final.confidence.lower[0, best]),
-        final_best_true_reward=float(problem.functions[0](best_point)),
+        final_best_true_reward=float(problem.values[0, best]),
         initial_safe=problem.initial_safe,
         final_safe_size=int(final.safe.sum()),
         ground_truth=problem.to_config(),

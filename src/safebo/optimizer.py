@@ -338,18 +338,18 @@ class SafeOptimizer:
         betas = [beta_from_squares(b, reg, xi, s) for b, s in zip(cfg.norm_bounds, sums)]
         return xi, np.array(betas)
 
-    def _experiment(self, point, measurement: int, oracle, noise_model: NoiseModel, rng):
-        """Scenario batch (scenario mode only), oracle, one noise draw per output.
+    def _experiment(self, index: int, measurement: int, oracle, noise_model: NoiseModel, rng):
+        """Scenario batch (scenario mode only), oracle at ``index``, one noise draw per output.
 
         Returns ``(truth, observed, bound)``; the classic bound is zero.
         """
         cfg = self.config
-        k = self._norms.size
+        k, point = self._norms.size, self.domain.points[index]
         if cfg.beta_mode == "scenario":
             bound = scenario_bound(noise_model, cfg.schedule, measurement, point, rng)
         else:
             bound = ScenarioBound(0, np.zeros(k))
-        truth = np.asarray(oracle(point), dtype=float).ravel()
+        truth = np.asarray(oracle(index), dtype=float).ravel()
         if truth.shape != (k,):
             raise ValueError("oracle must return one value per output")
         eps = np.array([noise_model.sample(point, i, rng, 1)[0] for i in range(k)])
@@ -367,8 +367,8 @@ class SafeOptimizer:
         The stages, in order: posterior, multipliers, intervals, sets
         (safe, maximizers, expanders), acquisition, experiment, append.
         Only the multipliers and the experiment branch on ``beta_mode``.
-        ``oracle`` maps a parameter vector to the vector of true output
-        values; observation noise is drawn here, so the oracle stays
+        ``oracle`` maps a grid index to the vector of true output values
+        there; observation noise is drawn here, so the oracle stays
         deterministic.  The successor carries this step's intervals, safe
         set and multipliers, and either one more experiment or a
         termination reason; terminated states pass through unchanged.
@@ -398,7 +398,7 @@ class SafeOptimizer:
         if reason is None:
             point = self.domain.points[chosen]
             measurement = len(records) + 1
-            truth, observed, bound = self._experiment(point, measurement, oracle, noise_model, rng)
+            truth, observed, bound = self._experiment(chosen, measurement, oracle, noise_model, rng)
             records += (
                 StepRecord(
                     iteration=measurement,
@@ -424,7 +424,7 @@ class SafeOptimizer:
         noise_model: NoiseModel,
         rng: np.random.Generator,
     ) -> OptimizerState:
-        """Iterate :meth:`step` from a fresh state until termination."""
+        """Iterate :meth:`step`, whose ``oracle`` takes grid indices, until termination."""
         state = self.initial_state()
         while state.termination_reason is None:
             state = self.step(state, oracle, noise_model, rng)

@@ -50,15 +50,15 @@ class RkhsFunction:
     coefficients: np.ndarray
     rkhs_norm: float
 
-    def __call__(self, points: np.ndarray) -> np.ndarray | float:
+    def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        single = points.ndim == 1
-        points = np.atleast_2d(points)
+        if points.ndim != 2:
+            raise ValueError("points must be an (m, d) array")
         values = np.empty(points.shape[0])
         for start in range(0, points.shape[0], _CHUNK):
             chunk = pairwise(self.kernel, points[start : start + _CHUNK], self.centers)
             values[start : start + _CHUNK] = chunk @ self.coefficients
-        return float(values[0]) if single else values
+        return values
 
     def to_config(self) -> dict:
         return {
@@ -85,7 +85,7 @@ class ShiftedFunction:
     base: RkhsFunction
     offset: float
 
-    def __call__(self, points: np.ndarray) -> np.ndarray | float:
+    def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.base(points) - self.offset
 
     def to_config(self) -> dict:
@@ -155,11 +155,13 @@ def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
     return float(ordered[n - keep])
 
 
-def shift_to_quantile(f: RkhsFunction, domain: Domain, q: float) -> ShiftedFunction:
-    """Shift ``f`` down so its level-``q`` grid quantile sits at zero.
+def shift_to_quantile(f: RkhsFunction, domain: Domain, q: float) -> tuple:
+    """Shift ``f`` down so its level-``q`` grid quantile sits at exactly zero.
 
-    The shifted function is nonnegative on the top ``1 - q`` share of
-    grid points and keeps the argmax of ``f`` (a constant shift).
+    Returns the shifted function and its grid values, from one grid
+    evaluation of ``f``.  The shifted function is nonnegative on the top
+    ``1 - q`` share of grid points and keeps the argmax of ``f``.
     """
-    threshold = nearest_rank_quantile(f(domain.points), q)
-    return ShiftedFunction(base=f, offset=threshold)
+    values = f(domain.points)
+    threshold = nearest_rank_quantile(values, q)
+    return ShiftedFunction(base=f, offset=threshold), values - threshold

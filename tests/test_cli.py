@@ -92,6 +92,14 @@ def test_subcommand_rejects_flags_it_does_not_read(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_rejects_a_worker_count_below_one(jobs, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["run", "--preset", "paper-synthetic-1", "--jobs", jobs, "--out", str(out_dir)]) == 2
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_run_with_invalid_config_exits_two(tmp_path):
     config_path = tmp_path / "broken.json"
     config_path.write_text(json.dumps(tiny_document(spec=7)))

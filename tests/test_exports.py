@@ -48,7 +48,7 @@ config = OptimizerConfig(
     initial_safe=(78,),
 )
 state = SafeOptimizer(Kernel(lengthscale=0.3), domain, config).run(
-    lambda p: np.array([0.8 - np.sum((p - 0.5) ** 2)]),
+    lambda i: np.array([0.8 - np.sum((domain.points[i] - 0.5) ** 2)]),
     uniform(-1e-3, 1e-3),
     np.random.default_rng(0),
 )

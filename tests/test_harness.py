@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -338,9 +339,9 @@ class TestSyntheticProblem:
         problem = build_synthetic_problem(tiny_config(), rng)
         assert len(problem.functions) == 1
         assert problem.constraint_indices == (0,)
-        values = problem.grid_values()
+        assert problem.values.shape == (1, problem.domain.n_points)
         start = problem.initial_safe[0]
-        assert values[0, start] >= 0.0
+        assert problem.values[0, start] >= 0.0
 
     def test_independent_constraint_two_outputs(self, rng):
         config = tiny_config(constraint={"kind": "independent", "quantile": 0.4})
@@ -348,7 +349,45 @@ class TestSyntheticProblem:
         assert len(problem.functions) == 2
         assert problem.constraint_indices == (1,)
         start = problem.initial_safe[0]
-        assert problem.grid_values()[1, start] >= 0.0
+        assert problem.values.shape == (2, problem.domain.n_points)
+        assert problem.values[1, start] >= 0.0
+
+    def test_truth_is_one_grid_table(self, monkeypatch):
+        # On paper-synthetic-1 seed 1 the constraint is exactly 0.0 at grid
+        # index 91, the quantile point.  Evaluated there as a lone point it
+        # read -8.3e-17, and a safe experiment counted as a violation.
+        config = ExperimentConfig.from_preset(
+            "paper-synthetic-1", {"seeds": [1], "max_iterations": 1, "beta_modes": ["scenario"]}
+        )
+        streams = np.random.SeedSequence(1).spawn(2)
+        problem = build_synthetic_problem(config, np.random.default_rng(streams[0]))
+        assert problem.values.shape == (1, 300)
+        assert problem.values[0, 91] == 0.0
+        assert problem.oracle(91).tolist() == [0.0]
+        with pytest.raises(ValueError, match="read-only"):
+            problem.oracle(91)[0] = 1.0
+        # The functions recorded in summary.json, rebuilt as the benchmark's
+        # ceiling does, give the same table bit for bit.
+        recorded = json.loads(json.dumps(problem.to_config()))
+        functions = [
+            ShiftedFunction.from_config(f) if "base" in f else RkhsFunction.from_config(f)
+            for f in recorded["functions"]
+        ]
+        rebuilt = np.stack([f(problem.domain.points) for f in functions])
+        assert np.array_equal(rebuilt, problem.values)
+        # Started at index 91 alone, the run's one experiment is there, and
+        # run_single's violation rule counts it as safe.
+        monkeypatch.setattr(
+            harness,
+            "build_synthetic_problem",
+            lambda config, rng: dataclasses.replace(
+                build_synthetic_problem(config, rng), initial_safe=(91,)
+            ),
+        )
+        trace = run_single(config, 1, "scenario")
+        assert trace.records[0].point == (float(problem.domain.points[91, 0]),)
+        assert trace.records[0].true_values == (0.0,)
+        assert trace.violations == (False,)
 
     def test_ground_truth_shared_across_modes(self):
         config = tiny_config(beta_modes=["scenario", "classic_subgaussian"])

@@ -261,6 +261,28 @@ class TestScenarioBound:
         assert bound.magnitudes[0] == 1.2
         assert next(stream, None) is None
 
+    @pytest.mark.parametrize("peak", [5, 8500])
+    def test_batch_beyond_one_chunk_takes_max_abs_over_every_chunk(self, peak):
+        # At t = 2 with nu = kappa = 1e-3 the batch is 8788 draws, more than
+        # one chunk of 8192: the sampler is asked for 8192, then 596.  The
+        # peak |draw| sits in the first chunk or in the second.
+        stream = np.random.default_rng(8).uniform(-1.0, 1.0, 8788)
+        stream[peak] = -3.0
+        sizes = []
+
+        def sampler(location, output, rng, size):
+            start = sum(sizes)
+            sizes.append(size)
+            return stream[start : start + size]
+
+        schedule = ScenarioSchedule(1e-3, 1e-3, 1)
+        bound = scenario_bound(
+            NoiseModel("recording", sampler), schedule, 2, np.zeros(1), np.random.default_rng(0)
+        )
+        assert bound.n_scenarios == 8788
+        assert sizes == [8192, 596]
+        assert bound.magnitudes[0] == 3.0
+
     def test_uniform_bound_within_support(self, rng):
         schedule = ScenarioSchedule(0.1, 1e-3, 1)
         bound = scenario_bound(uniform(-1e-3, 1e-3), schedule, 1, np.zeros(1), rng)

@@ -474,8 +474,9 @@ def toy_setup(max_iterations=30, beta_mode="scenario", noise=None, delta=0.1):
     optimizer = SafeOptimizer(kernel, domain, config)
     noise = noise or uniform(-1e-3, 1e-3)
 
-    def oracle(point):
+    def oracle(index):
         # Smooth bump, safely positive around the center.
+        point = domain.points[index]
         return np.array([0.6 * math.exp(-((point[0] - 0.5) ** 2) / 0.08)])
 
     return optimizer, oracle, noise
@@ -664,8 +665,14 @@ def dense_expanders(upper, safe, norms, metric, constraints):
     return mask
 
 
-def bump_2d(point):
-    return np.array([0.8 * math.exp(-((point[0] - 0.5) ** 2 + (point[1] - 0.5) ** 2) / 0.1)])
+def bump_2d(domain):
+    """Oracle of a smooth bump centred on the unit square, at the grid points of ``domain``."""
+
+    def oracle(index):
+        point = domain.points[index]
+        return np.array([0.8 * math.exp(-((point[0] - 0.5) ** 2 + (point[1] - 0.5) ** 2) / 0.1)])
+
+    return oracle
 
 
 def grid_2d_optimizer(resolution, kernel, max_iterations):
@@ -692,9 +699,10 @@ class TestLocalSetsAlongRuns:
         norms, cons = optimizer._norms, optimizer.config.constraint_indices
         state = optimizer.initial_state()
         rng = np.random.default_rng(5)
+        oracle = bump_2d(optimizer.domain)
         while not state.terminated:
             previous = state
-            state = optimizer.step(state, bump_2d, uniform(-1e-3, 1e-3), rng)
+            state = optimizer.step(state, oracle, uniform(-1e-3, 1e-3), rng)
             conf = state.confidence
             expected = dense_safe_set(
                 conf.lower, np.isfinite(conf.lower), previous.safe, norms, metric, cons
@@ -723,9 +731,10 @@ class TestLocalSetsAlongRuns:
         optimizer = SafeOptimizer(kernel, domain, config)
         metric = metric_matrix(kernel, domain.points)
         state = optimizer.initial_state()
+        oracle = bump_2d(domain)
         while not state.terminated:
             previous = state
-            state = optimizer.step(state, bump_2d, uniform(-1e-3, 1e-3), rng)
+            state = optimizer.step(state, oracle, uniform(-1e-3, 1e-3), rng)
             conf = state.confidence
             expected = dense_safe_set(
                 conf.lower, np.isfinite(conf.lower), previous.safe, optimizer._norms, metric, (0,)
@@ -744,7 +753,9 @@ class TestLocalSetsAlongRuns:
         tracemalloc.start()
         try:
             optimizer = grid_2d_optimizer(100, Kernel(lengthscale=0.2), 6)
-            state = optimizer.run(bump_2d, uniform(-1e-3, 1e-3), np.random.default_rng(0))
+            state = optimizer.run(
+                bump_2d(optimizer.domain), uniform(-1e-3, 1e-3), np.random.default_rng(0)
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

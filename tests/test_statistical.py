@@ -19,12 +19,11 @@ def containment_run(seed, n_points=60, iterations=25):
     kernel = Kernel(lengthscale=0.1)
     domain = Domain.grid([(0.0, 1.0)], n_points)
     streams = np.random.SeedSequence(seed).spawn(2)
-    truth = shift_to_quantile(
+    _, values = shift_to_quantile(
         sample_rkhs_function(kernel, domain, 25, np.random.default_rng(streams[0])),
         domain,
         0.4,
     )
-    values = np.asarray(truth(domain.points))
     start = int(np.argsort(values)[int(0.75 * n_points)])
 
     config = OptimizerConfig(
@@ -40,13 +39,16 @@ def containment_run(seed, n_points=60, iterations=25):
     noise = model_from_config({"family": "uniform", "low": -1e-3, "high": 1e-3})
     rng = np.random.default_rng(streams[1])
 
-    state = optimizer.initial_state()
     visited: set[int] = set()
+
+    def oracle(index):
+        visited.add(index)
+        return values[index : index + 1]
+
+    state = optimizer.initial_state()
     escaped = False
     while not state.terminated:
-        state = optimizer.step(state, truth, noise, rng)
-        if state.records:
-            visited.add(int(np.searchsorted(domain.axes[0], state.records[-1].point[0])))
+        state = optimizer.step(state, oracle, noise, rng)
         for idx in visited:
             if not (
                 state.confidence.lower[0, idx] - 1e-12
@@ -75,12 +77,11 @@ def test_unsafe_experiment_rate_over_seed_battery():
     unsafe = 0
     for seed in range(50):
         streams = np.random.SeedSequence(seed).spawn(2)
-        truth = shift_to_quantile(
+        _, values = shift_to_quantile(
             sample_rkhs_function(kernel, domain, 30, np.random.default_rng(streams[0])),
             domain,
             0.4,
         )
-        values = np.asarray(truth(domain.points))
         safe_idx = np.flatnonzero(values >= 0)
         start = int(safe_idx[np.argsort(values[safe_idx])[int(0.55 * safe_idx.size)]])
         config = OptimizerConfig(
@@ -94,7 +95,9 @@ def test_unsafe_experiment_rate_over_seed_battery():
         )
         optimizer = SafeOptimizer(kernel, domain, config)
         noise = model_from_config({"family": "uniform", "low": -1e-3, "high": 1e-3})
-        state = optimizer.run(truth, noise, np.random.default_rng(streams[1]))
+        state = optimizer.run(
+            lambda index: values[index : index + 1], noise, np.random.default_rng(streams[1])
+        )
         total += len(state.records)
         unsafe += sum(rec.true_values[0] < 0 for rec in state.records)
     assert total > 0

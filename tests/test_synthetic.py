@@ -48,7 +48,7 @@ class TestSampleRkhsFunction:
         # Coefficient 1/sqrt(k(x, x)) makes f(x) = sqrt(k(x, x)) = 1 at
         # the center for a unit-scale kernel.
         f = sample_rkhs_function(kernel, line_domain, 1, rng)
-        assert float(f(f.centers[0])) == pytest.approx(1.0, abs=1e-12)
+        assert f(f.centers)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic_given_seed(self, kernel, line_domain):
         a = sample_rkhs_function(kernel, line_domain, 10, np.random.default_rng(3))
@@ -56,6 +56,15 @@ class TestSampleRkhsFunction:
         assert np.array_equal(a.centers, b.centers)
         assert np.array_equal(a.coefficients, b.coefficients)
         assert np.array_equal(a(line_domain.points), b(line_domain.points))
+
+    def test_rejects_a_lone_point(self, kernel, line_domain, rng):
+        # Points are the rows of an (m, d) array; a 1-D array is not read
+        # as one point.
+        f = sample_rkhs_function(kernel, line_domain, 5, rng)
+        with pytest.raises(ValueError, match=r"\(m, d\)"):
+            f(np.array([0.5]))
+        with pytest.raises(ValueError, match=r"\(m, d\)"):
+            shift_to_quantile(f, line_domain, 0.4)[0](np.array([0.5]))
 
     def test_rejects_zero_centers(self, kernel, line_domain, rng):
         with pytest.raises(ValueError):
@@ -100,7 +109,7 @@ class TestChunkedEvaluation:
         # A single point is a product of its own, summed like the rows
         # left over from the groups of four.
         single = pairwise(f.kernel, points[:1], f.centers) @ f.coefficients
-        assert f(points[0]) == single[0]
+        assert np.array_equal(f(points[:1]), single)
 
     def test_peak_memory_stays_at_one_chunk(self, rng):
         # numpy's allocations, which tracemalloc counts, on a 300 x 300
@@ -142,22 +151,24 @@ class TestNearestRankQuantile:
 class TestShiftToQuantile:
     def test_safe_share_of_grid(self, kernel, line_domain, rng):
         f = sample_rkhs_function(kernel, line_domain, 20, rng)
-        g = shift_to_quantile(f, line_domain, 0.4)
-        values = g(line_domain.points)
+        g, values = shift_to_quantile(f, line_domain, 0.4)
+        assert np.array_equal(values, g(line_domain.points))
         assert np.sum(values >= 0) == math.ceil(0.6 * line_domain.n_points)
+        # The quantile point itself reads exactly zero.
+        assert (values == 0.0).any()
 
     def test_tiny_level_keeps_everything_safe(self, kernel, line_domain, rng):
         f = sample_rkhs_function(kernel, line_domain, 20, rng)
-        g = shift_to_quantile(f, line_domain, 1e-9)
+        g, _ = shift_to_quantile(f, line_domain, 1e-9)
         assert np.all(g(line_domain.points) >= 0)
 
     def test_argmax_preserved(self, kernel, line_domain, rng):
         f = sample_rkhs_function(kernel, line_domain, 20, rng)
-        g = shift_to_quantile(f, line_domain, 0.4)
+        g, _ = shift_to_quantile(f, line_domain, 0.4)
         assert np.argmax(f(line_domain.points)) == np.argmax(g(line_domain.points))
 
     def test_serialization_round_trip(self, kernel, line_domain, rng):
         f = sample_rkhs_function(kernel, line_domain, 6, rng)
-        g = shift_to_quantile(f, line_domain, 0.3)
+        g, _ = shift_to_quantile(f, line_domain, 0.3)
         clone = ShiftedFunction.from_config(g.to_config())
         assert np.array_equal(clone(line_domain.points), g(line_domain.points))
