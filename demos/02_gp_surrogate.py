@@ -3,7 +3,8 @@
 One kernel and one evaluation history serve every output: means differ,
 the posterior standard deviation is shared.  The script also tracks the
 spectral ratio lam_max(K) / (lam_max(K) + reg), the quantity that scales
-the accumulated noise bounds inside the safety multiplier.
+the accumulated noise bounds inside the paper's safety multiplier.  The
+loop reads its upper bound F / (F + reg) with F = ||K||_F instead.
 """
 
 import numpy as np

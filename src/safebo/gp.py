@@ -22,12 +22,13 @@ a chain of appends and never written again; an append writes its row
 into the last block, copying only that partial block when a sibling has
 claimed the row, and an append that fills a block starts a new one,
 copying nothing.  So memory peaks at the live ``P`` plus one block, and
-``w P`` is one matrix-vector product per block, in block order.  The
-Gram matrix and one row per observation (grid index, targets, ``z`` and
-the pivot, the diagonal of ``L`` kept for the log-determinant) hold
-``O(t^2)`` floats, independent of the grid; they are shared the same
-way in one buffer each, which an append that finds it full copies
-into one with 64 more rows.
+``w P`` is one matrix-vector product per block, in block order.  One
+row per observation (grid index, targets, ``z`` and the pivot, the
+diagonal of ``L`` kept for the log-determinant) is shared the same way
+in one buffer, which an append that finds it full copies into one with
+64 more rows.  The Gram matrix is not carried, only its squared
+Frobenius norm, which the border updates and which bounds the spectral
+ratio the loop reads.
 """
 
 from __future__ import annotations
@@ -40,20 +41,9 @@ from .kernels import Kernel, pairwise
 
 __all__ = ["SurrogateModel"]
 
-# Rows per block of the carried projection, and rows the other carried
-# buffers grow by when an append finds them full.
+# Rows per block of the carried projection, and rows the per-observation
+# buffer grows by when an append finds it full.
 _GROWTH = 64
-
-# Power iteration stops once the Kato-Temple bound certifies the Rayleigh
-# quotient to this relative accuracy.  A run that converges without a
-# certifiable gap, or takes more steps than this, is settled by a dense
-# eigensolver.
-_POWER_RTOL = 1e-12
-_POWER_MAX_ITERATIONS = 64
-
-# A spectral gap below this share of the top eigenvalue is too small to
-# trust a certificate built on it under roundoff.
-_GAP_RTOL = 1e-8
 
 
 class SurrogateModel:
@@ -91,19 +81,11 @@ class SurrogateModel:
         # One row per observation: [grid index | values | z | pivot], pivots the diagonal of L.
         self._obs_rows = _Rows(np.zeros((0, 2 * k + 2)))
         self._z_cols = slice(k + 1, 2 * k + 1)
-        self._gram_rows = _Rows(np.zeros((0, 0)), square=True)
         self._gram_fro_sq = 0.0
         self._proj_blocks = _Blocks(n)
         # The grid posterior, shared with callers: never written in place.
         self._means = _frozen(np.zeros((self.n_outputs, n)))
         self._var = _frozen(np.full(n, float(kernel.output_scale)))
-
-        # Top Gram eigenpair with its certified upper bound, computed on
-        # first use; a start vector and second-eigenvalue bound handed
-        # down by the parent model, if it computed its own, warm-start
-        # that computation.
-        self._eigen: tuple[float, np.ndarray, float] | None = None
-        self._warm: tuple[np.ndarray | None, float] = (None, math.inf)
 
     @property
     def indices(self) -> np.ndarray:
@@ -126,9 +108,10 @@ class SurrogateModel:
         The forward solve is column ``index`` of the carried projection
         and the Gram border is read off the one new kernel row; both
         extend the carried rows by a rank-1 border and update the grid
-        posterior.  An index that is not an integer in ``[0, n)``, such
-        as a bool, a float or a negative one, raises ``ValueError``
-        instead of wrapping around.  Shared buffers are written in place
+        posterior, and the border adds ``2 |border|^2 + k(a, a)^2`` to
+        the carried squared Frobenius norm.  An index that is not an
+        integer in ``[0, n)``, such as a bool, a float or a negative
+        one, raises ``ValueError`` instead of wrapping around.  Shared buffers are written in place
         where no other model reads the row, and copied otherwise.
         """
         n, integer = self.grid.shape[0], isinstance(index, (int, np.integer))
@@ -145,17 +128,7 @@ class SurrogateModel:
         p_row = pairwise(self.kernel, self.grid[index, None], self.grid)[0]
         cross = p_row[self.indices]
         diag = float(self.kernel.output_scale)
-        child._gram_rows = self._gram_rows.extended(t)
-        gram = child._gram_rows.data
-        gram[t, :t] = gram[:t, t] = cross
-        gram[t, t] = diag
         child._gram_fro_sq = self._gram_fro_sq + 2.0 * float(cross @ cross) + diag * diag
-        child._eigen, child._warm = None, (None, math.inf)
-        if self._eigen is not None:
-            # Cauchy interlacing: the child's second eigenvalue is at most
-            # this model's top one.
-            _, vec, upper = self._eigen
-            child._warm = (np.concatenate((vec, [0.0])), upper * (1.0 + _POWER_RTOL))
 
         # The column and z are strided; the products read contiguous
         # copies, because BLAS sums a strided operand in another order.
@@ -190,22 +163,37 @@ class SurrogateModel:
         return self._means, _frozen(np.sqrt(np.maximum(self._var, 0.0)))
 
     def xi_lambda_max(self) -> float:
-        """Largest eigenvalue of ``K (K + reg I)^{-1}``.
+        """Largest eigenvalue of ``K (K + reg I)^{-1}``, exactly.
 
         Computed through the closed form ``lam / (lam + reg)`` where
         ``lam`` is the top eigenvalue of the Gram matrix; both matrices
         share eigenvectors, so the spectra map through that scalar
-        function.  ``lam`` comes from power iteration, warm-started at
-        the parent model's top eigenvector when the parent computed it.
+        function.  The Gram matrix is assembled from the evaluated
+        points on each call and handed to a dense eigensolver, so this
+        is for inspection; the loop reads :meth:`xi_frobenius`.
         Returns 0 with an empty history.
         """
         if self.t == 0:
             return 0.0
-        if self._eigen is None:
-            gram = self._gram_rows.view(self.t)
-            self._eigen = _top_eigenpair(gram, *self._warm, self._gram_fro_sq)
-        lam = self._eigen[0]
+        inputs = self.inputs
+        lam = float(np.linalg.eigvalsh(pairwise(self.kernel, inputs, inputs))[-1])
         return lam / (lam + self.regularization)
+
+    def xi_frobenius(self) -> float:
+        """Upper bound ``F / (F + reg)`` on :meth:`xi_lambda_max`, ``F = ||K||_F``.
+
+        ``lam <= ||K||_2 <= ||K||_F`` (Horn & Johnson, *Matrix Analysis*,
+        5.6) and ``x / (x + reg)`` grows with ``x``, so this is at least
+        the exact ratio.  Since ``lam`` is at least the diagonal
+        ``k(a, a)``, the ratio of the two is at most ``1 + reg / k(a, a)``.
+        Read from the carried ``||K||_F^2``, which no append decreases,
+        and written ``1 / (1 + reg / F)``, in which every rounding is
+        monotone in ``F``: the bound never decreases along appends, to
+        the last bit.  Returns 0 with an empty history.
+        """
+        if self.t == 0:
+            return 0.0
+        return 1.0 / (1.0 + self.regularization / math.sqrt(self._gram_fro_sq))
 
     def log_det_information_gain(self) -> float:
         """Half log-determinant of ``I + K / reg``, zero on empty history."""
@@ -222,30 +210,24 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 class _Rows:
     """The leading rows of a buffer, shared along a chain of appends.
 
-    A model of ``t`` observations reads ``data[:t]``, or ``data[:t, :t]``
-    when the buffer is square.  ``used`` counts the rows written so far.
-    An append writes row ``t`` in place while ``used == t`` and the buffer
-    has room, so no other model reads that row, and otherwise into a fresh
-    buffer with ``_GROWTH`` rows to spare: no model ever sees its rows
-    change (a persistent vector).
+    A model of ``t`` observations reads ``data[:t]``.  ``used`` counts the
+    rows written so far.  An append writes row ``t`` in place while
+    ``used == t`` and the buffer has room, so no other model reads that
+    row, and otherwise into a fresh buffer with ``_GROWTH`` rows to
+    spare: no model ever sees its rows change (a persistent vector).
     """
 
-    def __init__(self, rows: np.ndarray, square: bool = False):
-        self.square = square
+    def __init__(self, rows: np.ndarray):
         self.used = rows.shape[0]
-        capacity = self.used + _GROWTH
-        self.data = np.zeros((capacity, capacity if square else rows.shape[1]))
-        self.data[: self.used, : rows.shape[1]] = rows
-
-    def view(self, t: int) -> np.ndarray:
-        return self.data[:t, :t] if self.square else self.data[:t]
+        self.data = np.zeros((self.used + _GROWTH, rows.shape[1]))
+        self.data[: self.used] = rows
 
     def extended(self, t: int) -> "_Rows":
-        """Rows of which the first ``t`` are this buffer's and row ``t``,
-        and column ``t`` of a square buffer, are the caller's to write."""
+        """Rows of which the first ``t`` are this buffer's and row ``t`` is
+        the caller's to write."""
         rows = self
         if self.used > t or t == self.data.shape[0]:
-            rows = _Rows(self.view(t), self.square)
+            rows = _Rows(self.data[:t])
         rows.used = t + 1
         return rows
 
@@ -284,50 +266,3 @@ class _Blocks:
         blocks.used = t + 1
         return blocks
 
-
-def _top_eigenpair(
-    matrix: np.ndarray,
-    start: np.ndarray | None = None,
-    second: float = math.inf,
-    fro_sq: float | None = None,
-) -> tuple[float, np.ndarray, float]:
-    """Top eigenvalue, a unit eigenvector, and a certified upper bound.
-
-    Power iteration from ``start`` (all-ones by default) until the
-    Kato-Temple bound ``lam <= theta + |r|^2 / (theta - mu)`` pins the
-    Rayleigh quotient ``theta`` to ``_POWER_RTOL``.  ``mu`` bounds the
-    second eigenvalue: the smaller of ``second``, a bound the caller
-    knows (by interlacing, say), and ``sqrt(||A||_F^2 - theta^2)``, which
-    holds because ``theta`` never exceeds the top eigenvalue; a caller
-    that carries ``||A||_F^2`` passes it as ``fro_sq``.  Without such a
-    bound no start vector can rule out a larger eigenvalue it is blind
-    to (a disjoint cluster of evaluations, say), so an uncertified run
-    falls back to a dense eigensolver.
-    """
-    n = matrix.shape[0]
-    vec = np.ones(n) if start is None else np.asarray(start, dtype=float)
-    vec = vec / math.sqrt(vec @ vec)
-    if fro_sq is None:
-        fro_sq = float(np.einsum("ij,ij->", matrix, matrix))
-    last = -math.inf
-    for _ in range(_POWER_MAX_ITERATIONS):
-        # A BLAS matrix-vector product, as in the append: BLAS hands each
-        # entry to one thread, so the bits do not depend on the thread
-        # count (criterion 11 compares runs under one and two threads).
-        image = matrix @ vec
-        lam = float(vec @ image)
-        residual = image - lam * vec
-        res_sq = float(residual @ residual)
-        gap = lam - min(second, math.sqrt(max(fro_sq - lam * lam, 0.0)))
-        if gap > _GAP_RTOL * lam:
-            if res_sq <= _POWER_RTOL * lam * gap:
-                return lam, vec, lam + res_sq / gap
-        elif lam - last <= _POWER_RTOL * lam:
-            break  # converged, but with no gap to certify it by
-        norm = math.sqrt(image @ image)
-        if norm == 0.0:
-            return 0.0, vec, 0.0
-        last = lam
-        vec = image / norm
-    values, vectors = np.linalg.eigh(matrix)
-    return float(values[-1]), vectors[:, -1], float(values[-1])

@@ -545,8 +545,10 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
 
     ``jobs`` > 1 fans runs out to worker processes; results are merged
     back in (seed, mode) order either way, so parallelism never changes
-    the output.
+    the output.  ``jobs`` below 1 raises ``ValueError``.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     seeds = [seed for seed in config.seeds for _ in config.beta_modes]
     modes = list(config.beta_modes) * len(config.seeds)
     configs = [config] * len(seeds)

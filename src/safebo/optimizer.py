@@ -278,7 +278,13 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Snapshot after an iteration; never mutated in place."""
+    """Snapshot after an iteration; never mutated in place.
+
+    ``xi_lambda`` is the spectral ratio behind ``betas``: in scenario
+    mode the Frobenius bound :meth:`SurrogateModel.xi_frobenius`, which
+    is at least the exact :meth:`SurrogateModel.xi_lambda_max`; the
+    classic baseline leaves it at 0.
+    """
 
     model: SurrogateModel
     confidence: ConfidenceState
@@ -324,16 +330,20 @@ class SafeOptimizer:
         )
 
     def _multipliers(self, state: OptimizerState) -> tuple[float, np.ndarray]:
-        """``(xi_lambda, betas)``; the classic baseline leaves ``xi_lambda`` as it is."""
+        """``(xi_lambda, betas)``; the classic baseline leaves ``xi_lambda`` as it is.
+
+        Scenario mode reads the Frobenius bound ``xi_frobenius`` in place
+        of the paper's ``xi = lam / (lam + reg)``, so ``betas`` are at
+        least the paper's.  The bound and the noise sums never decrease
+        along a run, so neither do the multipliers.
+        """
         cfg = self.config
         if cfg.beta_mode == "classic_subgaussian":
             gain = state.model.log_det_information_gain()
             nu = cfg.schedule.violation_prob
             betas = [classic_beta(b, cfg.subgaussian_scale, gain, nu) for b in cfg.norm_bounds]
             return state.xi_lambda, np.array(betas)
-        # The top Gram eigenvalue only grows as evaluations accumulate;
-        # keeping the running max shields against eigensolver jitter.
-        xi = max(state.xi_lambda, state.model.xi_lambda_max())
+        xi = state.model.xi_frobenius()
         sums, reg = state.noise_sq_sums.tolist(), cfg.regularization
         betas = [beta_from_squares(b, reg, xi, s) for b, s in zip(cfg.norm_bounds, sums)]
         return xi, np.array(betas)

@@ -27,6 +27,7 @@ from safebo import (
     gaussian,
     iteration_confidence,
     min_scenarios,
+    pairwise,
     scenario_bound,
 )
 from safebo.harness import emit, run_experiment
@@ -150,7 +151,7 @@ def test_criterion_05_spectral_ratio_closed_form():
         reg = float(rng.uniform(1e-3, 1.0))
         inputs = rng.uniform(0, 1, size=(t, 2))
         model = build_model(kernel, reg, inputs, np.zeros((1, t)))
-        gram = model._gram_rows.view(t)
+        gram = pairwise(kernel, model.inputs, model.inputs)
         assembled = gram @ np.linalg.inv(gram + reg * np.eye(t))
         reference = float(np.max(np.real(np.linalg.eigvals(assembled))))
         worst = max(worst, abs(model.xi_lambda_max() - reference))

@@ -6,14 +6,14 @@ import pytest
 from scipy.linalg import cholesky, solve_triangular
 
 from safebo import ExperimentConfig, Kernel, SurrogateModel
-from safebo.gp import _GROWTH, _top_eigenpair
+from safebo.gp import _GROWTH
 from safebo.harness import run_experiment
 from safebo.kernels import pairwise
 
 
 def gram_of(model):
-    """The model's Gram matrix, read off its carried buffer."""
-    return model._gram_rows.view(model.t)
+    """The model's Gram matrix, assembled from its evaluated points."""
+    return pairwise(model.kernel, model.inputs, model.inputs)
 
 
 def projection_of(model):
@@ -175,14 +175,67 @@ class TestXiLambdaMax:
             assert current >= last - 1e-12
             last = current
 
-    def test_power_iteration_agrees_with_dense(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(2, 30))
-            half = rng.standard_normal((n, n))
-            psd = half @ half.T
-            assert _top_eigenpair(psd)[0] == pytest.approx(
-                float(np.linalg.eigvalsh(psd)[-1]), rel=1e-9
+
+def assert_bound_brackets_exact_ratio(model):
+    """The Frobenius ratio is at least the exact one, by no more than the
+    factor ``1 + reg / k(a, a)`` that ``lam >= k(a, a)`` allows."""
+    exact, bound = model.xi_lambda_max(), model.xi_frobenius()
+    # On a rank-one Gram (one point evaluated over and over) the two are
+    # equal but for the eigensolver's roundoff.
+    assert exact <= bound * (1.0 + 1e-12)
+    assert math.sqrt(bound / exact) <= math.sqrt(
+        1.0 + model.regularization / model.kernel.output_scale
+    )
+
+
+class TestFrobeniusBound:
+    def test_carried_norm_matches_assembled_gram(self, kernel, rng):
+        models = []
+        for _ in range(30):
+            t = int(rng.integers(1, 40))
+            k = Kernel(lengthscale=float(rng.uniform(0.05, 1.0)))
+            inputs = rng.uniform(0, 1, size=(t, int(rng.integers(1, 3))))
+            models.append(build_model(k, float(rng.uniform(1e-3, 1.0)), inputs, np.zeros((1, t))))
+        # A long chain that repeats one point every other append.
+        models.append(ill_conditioned_chain(kernel, rng, 300))
+        for model in models:
+            reference = float(np.sum(gram_of(model) ** 2))
+            assert abs(model._gram_fro_sq - reference) <= 1e-12 * reference
+
+    def test_bound_brackets_exact_ratio(self, kernel, rng):
+        for _ in range(30):
+            t = int(rng.integers(1, 40))
+            k = Kernel(lengthscale=float(rng.uniform(0.05, 1.0)))
+            inputs = rng.uniform(0, 1, size=(t, int(rng.integers(1, 3))))
+            assert_bound_brackets_exact_ratio(
+                build_model(k, float(rng.uniform(1e-3, 1.0)), inputs, np.zeros((1, t)))
             )
+        model = SurrogateModel(kernel, 1e-3, 2, grid=grid_points(1, 200))
+        for step in range(300):
+            index = 100 if step % 2 else int(rng.integers(200))
+            model = model.with_observation(index, rng.standard_normal(2))
+            if model.t % 20 == 0:
+                assert_bound_brackets_exact_ratio(model)
+
+    def test_empty_and_scalar_history(self, kernel):
+        model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT)
+        assert model.xi_frobenius() == 0.0
+        # One point: the Gram is k(a, a) = 1 and both ratios are 1 / 1.01.
+        assert model.with_observation(0, [0.0]).xi_frobenius() == pytest.approx(
+            1.0 / 1.01, rel=1e-15
+        )
+
+    def test_scenario_betas_never_decrease(self):
+        # The loop keeps no running maximum: the carried bound and the
+        # noise sums alone keep the multipliers non-decreasing.
+        config = ExperimentConfig.from_preset(
+            "synthetic-2d", {"seeds": [2], "beta_modes": ["scenario"], "max_iterations": 120}
+        )
+        (trace,) = run_experiment(config).traces
+        betas = np.array([record.betas for record in trace.records])
+        assert betas.shape == (120, 2)
+        assert np.all(np.diff(betas, axis=0) >= 0.0)
+        assert np.all(np.diff(betas, axis=0)[-100:] > 0.0)
 
 
 class TestLogDetInformationGain:
@@ -300,9 +353,7 @@ class TestGridBoundPosterior:
             blocks = model._proj_blocks.blocks
             assert len(blocks) == math.ceil(model.t / _GROWTH)
             assert all(block.shape == (_GROWTH, 200) for block in blocks)
-            for rows in (model._gram_rows, model._obs_rows):
-                assert model.t <= rows.data.shape[0] <= model.t + _GROWTH
-            assert model._gram_rows.data.shape[1] <= model.t + _GROWTH
+            assert model.t <= model._obs_rows.data.shape[0] <= model.t + _GROWTH
         # The chain's models, t = 0 to 200, share its blocks: no block is
         # ever copied, so 200 rows take ceil(200 / _GROWTH) of them.
         blocks = {id(block) for m in chain for block in m._proj_blocks.blocks}
@@ -353,11 +404,14 @@ class TestGridBoundPosterior:
         for t in range(1, 41):
             model = model.with_observation(int(rng.integers(30)), rng.standard_normal(2))
             assert calls == [1] * t
-        # Reading the posterior, the spectral ratio and the gain evaluates none.
+        # Reading the posterior, the loop's spectral ratio and the gain
+        # evaluates none; the exact ratio assembles the Gram of the 40.
         model.posterior()
-        model.xi_lambda_max()
+        model.xi_frobenius()
         model.log_det_information_gain()
         assert len(calls) == 40
+        model.xi_lambda_max()
+        assert calls[40:] == [40]
 
     def test_rejects_flat_grid(self, kernel):
         with pytest.raises(ValueError, match="grid"):
@@ -425,56 +479,67 @@ class TestGridBoundPosterior:
         assert not np.array_equal(first_post[0], second_post[0])
 
 
-def grow_with_spectra(kernel, reg, points):
-    """Append ``points`` one at a time, computing the spectral ratio at
-    each step so every eigensolve is warm-started by its parent."""
+def grown_models(kernel, reg, points):
+    """Append ``points`` one at a time, yielding each model."""
     model = SurrogateModel(kernel, reg, 1, grid=points)
     for index in range(len(points)):
         model = model.with_observation(index, [0.0])
-        model.xi_lambda_max()
         yield model
 
 
-def assert_top_eigenvalue(model, rtol=1e-10):
-    reference = float(np.linalg.eigvalsh(gram_of(model))[-1])
-    lam, _, upper = model._eigen
-    assert abs(lam - reference) <= rtol * reference
-    # The certified bound really bounds the top eigenvalue.
-    assert upper >= reference * (1.0 - 1e-14)
+def assert_spectral_ratios(model, parent_bound=0.0, rtol=1e-10):
+    """The exact ratio matches the assembled ``K (K + reg I)^{-1}``, the
+    Frobenius ratio brackets it, and the bound is no less than the parent's."""
+    gram = gram_of(model)
+    assembled = gram @ np.linalg.inv(gram + model.regularization * np.eye(model.t))
+    reference = float(np.max(np.real(np.linalg.eigvals(assembled))))
+    assert abs(model.xi_lambda_max() - reference) <= rtol * reference
+    assert_bound_brackets_exact_ratio(model)
+    assert model.xi_frobenius() >= parent_bound
+    return model.xi_frobenius()
 
 
 class TestWarmStartedSpectrum:
+    """Spectral ratios along histories grown one append at a time, where
+    each model's Frobenius bound is its parent's, extended by the border."""
+
     def test_random_histories(self, rng):
         for _ in range(8):
             dim = int(rng.integers(1, 3))
             kernel = Kernel(lengthscale=float(rng.uniform(0.05, 0.5)))
             points = rng.uniform(0, 1, size=(int(rng.integers(20, 90)), dim))
-            for model in grow_with_spectra(kernel, 0.01, points):
-                assert_top_eigenvalue(model)
+            bound = 0.0
+            for model in grown_models(kernel, 0.01, points):
+                bound = assert_spectral_ratios(model, bound)
 
     def test_repeated_evaluations(self, kernel, rng):
         # A run stuck at its start point evaluates one location over and
-        # over; the Gram is all ones and the ratio t / (t + reg).
+        # over; the Gram is all ones, rank one, so both ratios are
+        # t / (t + reg).
         points = np.vstack([np.full((40, 1), 0.5), rng.uniform(0.4, 0.6, size=(40, 1))])
-        for model in grow_with_spectra(kernel, 0.01, points):
-            assert_top_eigenvalue(model)
-        assert list(grow_with_spectra(kernel, 0.01, points[:40]))[-1].xi_lambda_max() == (
-            pytest.approx(40.0 / 40.01, rel=1e-12)
-        )
+        bound = 0.0
+        for model in grown_models(kernel, 0.01, points):
+            bound = assert_spectral_ratios(model, bound)
+        *_, stuck = grown_models(kernel, 0.01, points[:40])
+        assert stuck.xi_lambda_max() == pytest.approx(40.0 / 40.01, rel=1e-12)
+        assert stuck.xi_frobenius() == pytest.approx(40.0 / 40.01, rel=1e-15)
 
     def test_long_history(self, rng):
         kernel = Kernel(lengthscale=0.05)
         points = rng.uniform(0, 1, size=(300, 1))
-        for model in grow_with_spectra(kernel, 0.01, points):
+        bound = 0.0
+        for model in grown_models(kernel, 0.01, points):
+            assert model.xi_frobenius() >= bound
+            bound = model.xi_frobenius()
             if model.t % 25 == 0 or model.t > 290:
-                assert_top_eigenvalue(model)
+                assert_spectral_ratios(model)
         assert model.t > 256
 
     @pytest.mark.parametrize("order", ["blocks", "interleaved"])
     def test_two_far_apart_clusters_of_equal_size(self, order, kernel, rng):
-        # At distance 100 the Gram is block diagonal to double precision,
-        # so a start vector living on one cluster is blind to the other:
-        # whichever cluster leads, the solver must report it.
+        # At distance 100 the Gram is block diagonal to double precision:
+        # the exact ratio is the larger cluster's, and the bound counts
+        # both clusters.
         size = 30
         near = rng.uniform(0.45, 0.55, size=(size, 1))
         far = 100.0 + rng.uniform(0.4, 0.6, size=(size, 1))
@@ -482,31 +547,37 @@ class TestWarmStartedSpectrum:
             points = np.vstack([near, far])
         else:
             points = np.stack([near, far], axis=1).reshape(-1, 1)
-        for model in grow_with_spectra(kernel, 0.01, points):
-            assert_top_eigenvalue(model)
+        bound = 0.0
+        for model in grown_models(kernel, 0.01, points):
+            bound = assert_spectral_ratios(model, bound)
 
     def test_lagging_cluster_overtakes(self, kernel, rng):
-        # The second cluster is tighter, so it overtakes the first one
-        # while growing; the warm start still points at the first.
+        # The second cluster is tighter, so its block overtakes the first
+        # one's while growing, and the exact ratio follows it.
         loose = rng.uniform(0.3, 0.7, size=(20, 1))
         tight = 100.0 + rng.uniform(0.49, 0.51, size=(20, 1))
-        models = list(grow_with_spectra(kernel, 0.01, np.vstack([loose, tight])))
-        for model in models:
-            assert_top_eigenvalue(model)
-        tight_leads = [int(np.argmax(np.abs(m._eigen[1]))) >= 20 for m in models[20:]]
-        assert not tight_leads[0] and tight_leads[-1]
+        bound = 0.0
+        for model in grown_models(kernel, 0.01, np.vstack([loose, tight])):
+            bound = assert_spectral_ratios(model, bound)
+        *_, loose_only = grown_models(kernel, 0.01, loose)
+        *_, tight_only = grown_models(kernel, 0.01, tight)
+        assert tight_only.xi_lambda_max() > loose_only.xi_lambda_max()
+        assert model.xi_lambda_max() == pytest.approx(tight_only.xi_lambda_max(), rel=1e-12)
 
     def test_paper_run_never_reaches_the_dense_eigensolver(self, monkeypatch):
-        # Along a 130-step run every spectral ratio is certified by the
-        # warm-started power iteration, with the carried Frobenius norm.
+        # Along a 130-step run the multipliers read the carried Frobenius
+        # bound: no eigensolver runs at all.
         calls = []
-        eigh = np.linalg.eigh
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return eigh(*args, **kwargs)
+        def counted(solver):
+            def call(*args, **kwargs):
+                calls.append(args[0].shape)
+                return solver(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+            return call
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
         config = ExperimentConfig.from_preset(
             "paper-synthetic-1", {"seeds": [2], "beta_modes": ["scenario"], "max_iterations": 130}
         )
@@ -517,18 +588,8 @@ class TestWarmStartedSpectrum:
     def test_identical_across_reruns(self, rng):
         kernel = Kernel(lengthscale=0.1)
         points = rng.uniform(0, 1, size=(100, 2))
-        first = [m.xi_lambda_max() for m in grow_with_spectra(kernel, 0.01, points)]
-        second = [m.xi_lambda_max() for m in grow_with_spectra(kernel, 0.01, points)]
-        assert first == second
-
-    def test_warm_start_agrees_with_cold(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(2, 40))
-            half = rng.standard_normal((n, n))
-            psd = half @ half.T
-            reference = float(np.linalg.eigvalsh(psd)[-1])
-            start = rng.standard_normal(n)
-            lam, vec, upper = _top_eigenpair(psd, start)
-            assert lam == pytest.approx(reference, rel=1e-10)
-            assert np.linalg.norm(psd @ vec - lam * vec) <= 1e-6 * reference
-            assert upper >= reference * (1.0 - 1e-14)
+        runs = [
+            [(m.xi_lambda_max(), m.xi_frobenius()) for m in grown_models(kernel, 0.01, points)]
+            for _ in range(2)
+        ]
+        assert runs[0] == runs[1]

@@ -439,6 +439,13 @@ class TestRunExperiment:
         for a, b in zip(serial.traces, parallel.traces):
             assert a.records == b.records
 
+    @pytest.mark.parametrize("jobs", [0, -5])
+    def test_rejects_a_worker_count_below_one(self, jobs):
+        # Serial runs are jobs=1; a count below 1 is an error, not a
+        # silent serial run.
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            run_experiment(tiny_config(), jobs=jobs)
+
     def test_empty_seed_list_gives_empty_battery(self):
         config = tiny_config(seeds=[])
         for jobs in (1, 2):
