@@ -3,9 +3,12 @@
 The half-width multiplier combines a known kernel-norm bound with the
 accumulated scenario noise bounds,
 
-    beta_i = norm_bound_i + sqrt(lambda_max / reg) * ||bounds_{i,1:t}||_2,
+    beta_i = norm_bound_i + sqrt(xi / reg) * ||bounds_{i,1:t}||_2,
 
-where ``lambda_max`` is the top eigenvalue of ``K (K + reg I)^{-1}``.
+where the paper's ``xi`` is the top eigenvalue of ``K (K + reg I)^{-1}``.
+The loop passes the Frobenius bound ``xi_F = F / (F + reg)``,
+``F = ||K||_F``, which is at least that eigenvalue, so its multipliers
+are at least the paper's (:meth:`safebo.gp.SurrogateModel.xi_frobenius`).
 Intervals start at the whole real line and are intersected across
 iterations, so they can only shrink; an empty intersection means an
 interval assumption failed and is reported as :class:`ConfidenceCollapse`
@@ -51,8 +54,11 @@ def beta_from_squares(
 ) -> float:
     """Safety multiplier from a pre-accumulated sum of squared noise bounds.
 
-    Accumulating the squares in a scalar keeps the multiplier exactly
-    non-decreasing across iterations even in floating point.
+    ``xi_lambda_max`` is the spectral ratio: the exact top eigenvalue of
+    ``K (K + reg I)^{-1}``, or any upper bound on it; the loop passes the
+    Frobenius bound.  Accumulating the squares in a scalar keeps the
+    multiplier exactly non-decreasing across iterations even in floating
+    point, as long as the ratio does not decrease.
     """
     return norm_bound + math.sqrt(xi_lambda_max / regularization) * math.sqrt(bound_sq_sum)
 

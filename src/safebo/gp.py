@@ -16,7 +16,12 @@ row ``k(x_j, grid)`` at the observed indices: an append evaluates one
 kernel row and never forms ``L`` or its inverse.  The grid posterior is
 carried too: the new rows ``z_t`` and ``p_t`` add ``z_t p_t`` to the
 means and take ``p_t^2`` off the variance, so an append costs one
-``O(t n)`` product, ``w P``, and reading the posterior ``O(k n)``.
+``O(t n)`` product, ``w P``, and reading the posterior ``O(k n)``.  A
+revisit of a point last evaluated at row ``s`` costs less: ``pivot_s
+p_s`` already is ``k(x_j, grid) - w_{<s} P_{<s}``, since the rows below
+``s`` are shared, so the append subtracts only rows ``s .. t-1``, in
+``O((t - s) n)``, and evaluates the kernel at the ``t`` observed points
+only, for the border.
 ``P`` is held in fixed blocks of 64 rows.  Full blocks are shared along
 a chain of appends and never written again; an append writes its row
 into the last block, copying only that partial block when a sibling has
@@ -109,10 +114,13 @@ class SurrogateModel:
         and the Gram border is read off the one new kernel row; both
         extend the carried rows by a rank-1 border and update the grid
         posterior, and the border adds ``2 |border|^2 + k(a, a)^2`` to
-        the carried squared Frobenius norm.  An index that is not an
-        integer in ``[0, n)``, such as a bool, a float or a negative
-        one, raises ``ValueError`` instead of wrapping around.  Shared buffers are written in place
-        where no other model reads the row, and copied otherwise.
+        the carried squared Frobenius norm.  A revisited index starts
+        from its last projection row and evaluates the kernel at the
+        observed points only.  An index that is not an integer in
+        ``[0, n)``, such as a bool, a float or a negative one, raises
+        ``ValueError`` instead of wrapping around.  Shared buffers are
+        written in place where no other model reads the row, and copied
+        otherwise.
         """
         n, integer = self.grid.shape[0], isinstance(index, (int, np.integer))
         if not integer or isinstance(index, bool) or not 0 <= index < n:
@@ -121,18 +129,28 @@ class SurrogateModel:
         if values.shape != (self.n_outputs,) or not np.isfinite(values).all():
             raise ValueError("targets must be finite, one per output")
 
-        t = self.t
+        t, indices = self.t, self.indices
         child = object.__new__(type(self))
         child.__dict__ = self.__dict__.copy()
         child.t = t + 1
-        p_row = pairwise(self.kernel, self.grid[index, None], self.grid)[0]
-        cross = p_row[self.indices]
+        blocks = self._proj_blocks.blocks
+        seen = (indices == index).nonzero()[0]
+        if seen.size:
+            # A revisit: row s, the point's last one, was bordered with
+            # the same w below s, so pivot_s * P_s already is the kernel
+            # row minus rows 0 .. s-1.  A fresh array: blocks are shared.
+            s = int(seen[-1])
+            cross = pairwise(self.kernel, self.grid[index, None], self.grid[indices])[0]
+            p_row = self._obs_rows.data[s, -1] * blocks[s // _GROWTH][s % _GROWTH]
+        else:
+            s = 0
+            p_row = pairwise(self.kernel, self.grid[index, None], self.grid)[0]
+            cross = p_row[indices]
         diag = float(self.kernel.output_scale)
         child._gram_fro_sq = self._gram_fro_sq + 2.0 * float(cross @ cross) + diag * diag
 
         # The column and z are strided; the products read contiguous
         # copies, because BLAS sums a strided operand in another order.
-        blocks = self._proj_blocks.blocks
         w = np.concatenate([block[:, index] for block in blocks])[:t] if t else np.zeros(0)
         # The bordered pivot equals posterior variance plus the
         # regularizer, so it stays strictly positive.
@@ -143,8 +161,9 @@ class SurrogateModel:
         child._obs_rows = self._obs_rows.extended(t)
         child._obs_rows.data[t] = (index, *values, *z_row, pivot)
         # The grid-length rows are updated in place of temporaries.
-        for start, block in zip(range(0, t, _GROWTH), blocks):
-            p_row -= w[start : start + _GROWTH] @ block[: t - start]
+        for start in range(s - s % _GROWTH, t, _GROWTH):
+            skip = max(s - start, 0)
+            p_row -= w[start + skip : start + _GROWTH] @ blocks[start // _GROWTH][skip : t - start]
         p_row /= pivot
         child._proj_blocks = self._proj_blocks.extended(t, p_row)
         means = z_row[:, None] * p_row

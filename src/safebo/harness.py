@@ -489,10 +489,36 @@ def run_single(config: ExperimentConfig, seed: int, beta_mode: str) -> RunTrace:
     """
     if beta_mode not in config.beta_modes:
         raise ConfigError(f"beta mode {beta_mode!r} not enabled in config")
-    streams = SeedSequence(seed).spawn(1 + len(config.beta_modes))
-    problem = build_synthetic_problem(config, default_rng(streams[0]))
-    run_rng = default_rng(streams[1 + config.beta_modes.index(beta_mode)])
+    return _run(config, seed, beta_mode, _ground_truth(config, seed))
 
+
+def _streams(config: ExperimentConfig, seed: int) -> list[SeedSequence]:
+    """A seed's streams: the ground truth's first, then one per mode."""
+    return SeedSequence(seed).spawn(1 + len(config.beta_modes))
+
+
+def _ground_truth(config: ExperimentConfig, seed: int) -> SyntheticProblem:
+    """The seed's ground truth, drawn from its first stream."""
+    return build_synthetic_problem(config, default_rng(_streams(config, seed)[0]))
+
+
+def _battery(config: ExperimentConfig):
+    """``(config, seed, mode, ground truth)`` per run, in (seed, mode) order.
+
+    Each seed's ground truth is built once, when its first run is due,
+    and shared by that seed's modes.
+    """
+    for seed in config.seeds:
+        problem = _ground_truth(config, seed)
+        for mode in config.beta_modes:
+            yield config, seed, mode, problem
+
+
+def _run(
+    config: ExperimentConfig, seed: int, beta_mode: str, problem: SyntheticProblem
+) -> RunTrace:
+    """:func:`run_single` on a seed's ground truth, built once for all its modes."""
+    run_rng = default_rng(_streams(config, seed)[1 + config.beta_modes.index(beta_mode)])
     k = len(problem.functions)
     opt_config = OptimizerConfig(
         norm_bounds=(config.norm_bound,) * k,
@@ -549,17 +575,15 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    seeds = [seed for seed in config.seeds for _ in config.beta_modes]
-    modes = list(config.beta_modes) * len(config.seeds)
-    configs = [config] * len(seeds)
-    if jobs > 1 and len(seeds) > 1:
+    runs = _battery(config)
+    if jobs > 1 and len(config.seeds) * len(config.beta_modes) > 1:
         # Imported here: a one-process run does not pay for the pool.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            traces = tuple(pool.map(run_single, configs, seeds, modes))
+            traces = tuple(pool.map(_run, *zip(*runs)))
     else:
-        traces = tuple(map(run_single, configs, seeds, modes))
+        traces = tuple(_run(*run) for run in runs)
     return ExperimentResult(config=config, traces=traces, summary=_summarize(config, traces))
 
 

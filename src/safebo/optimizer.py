@@ -301,7 +301,11 @@ class OptimizerState:
 
 
 class SafeOptimizer:
-    """Driver binding a kernel, a lattice, and a configuration to the loop."""
+    """Driver binding a kernel, a lattice, and a configuration to the loop.
+
+    It keeps the frontier of the last safe set it saw and the inputs and
+    outputs of its last set stage; both are reused only for bit-equal inputs.
+    """
 
     def __init__(self, kernel: Kernel, domain: Domain, config: OptimizerConfig):
         self.kernel = kernel
@@ -311,6 +315,9 @@ class SafeOptimizer:
             raise ValueError("initial safe indices outside the grid")
         self.index = GridIndex(kernel, domain)
         self._norms = np.asarray(config.norm_bounds, dtype=float)
+        # The last set stage: the bytes of its inputs (lower, upper, previous
+        # safe set) and its outputs (safe set, candidates, safe size, best index).
+        self._last_sets: tuple | None = None
 
     def initial_state(self) -> OptimizerState:
         n = self.domain.n_points
@@ -365,6 +372,30 @@ class SafeOptimizer:
         eps = np.array([noise_model.sample(point, i, rng, 1)[0] for i in range(k)])
         return truth, truth + eps, bound
 
+    def _sets(self, lower: np.ndarray, upper: np.ndarray, previous: np.ndarray) -> tuple:
+        """``(safe, candidates, safe size, best index)`` of this step's intervals.
+
+        All four are pure functions of the intervals and the previous
+        safe set, so a step whose three inputs hold the same bits as the
+        last set stage's, as in a run that no longer moves its intervals,
+        takes that stage's outputs.  The safe set is handed out as a
+        copy, so no state shares the kept one.
+        """
+        # The inputs' bytes: equal bytes are equal bits, -0.0 apart from 0.0.
+        key = (lower.shape, lower.tobytes(), upper.tobytes(), previous.tobytes())
+        if self._last_sets is not None and self._last_sets[0] == key:
+            safe, candidates, safe_size, best = self._last_sets[1]
+            return safe.copy(), candidates, safe_size, best
+        cons = self.config.constraint_indices
+        safe = safe_set(lower, np.isfinite(lower), previous, self._norms, self.index, cons)
+        candidates = maximizers(upper, lower, safe) | expanders(
+            upper, safe, self._norms, self.index, cons
+        )
+        safe_size = int(np.count_nonzero(safe))
+        best = _best_index(safe, lower)
+        self._last_sets = (key, (safe.copy(), candidates, safe_size, best))
+        return safe, candidates, safe_size, best
+
     def step(
         self,
         state: OptimizerState,
@@ -391,11 +422,8 @@ class SafeOptimizer:
         conf = update_intervals(
             state.confidence, means, std, betas, on_collapse=cfg.on_collapse
         )
-        cons, lower, upper = cfg.constraint_indices, conf.lower, conf.upper
-        safe = safe_set(lower, np.isfinite(lower), state.safe, self._norms, self.index, cons)
-        candidates = maximizers(upper, lower, safe) | expanders(
-            upper, safe, self._norms, self.index, cons
-        )
+        lower, upper = conf.lower, conf.upper
+        safe, candidates, safe_size, best = self._sets(lower, upper, state.safe)
 
         model, sums, records = state.model, state.noise_sq_sums, state.records
         widths = upper - lower
@@ -418,9 +446,9 @@ class SafeOptimizer:
                     noise_bound=tuple(bound.magnitudes.tolist()),
                     n_scenarios=bound.n_scenarios,
                     betas=tuple(betas.tolist()),
-                    safe_size=int(np.count_nonzero(safe)),
+                    safe_size=safe_size,
                     acquisition_width=acq_width,
-                    best_lower=float(lower[0, _best_index(safe, conf)]),
+                    best_lower=float(lower[0, best]),
                 ),
             )
             model = model.with_observation(chosen, observed)
@@ -446,10 +474,10 @@ class SafeOptimizer:
         Ties, including the fresh state's all ``-inf`` lower bounds,
         resolve to the lowest safe index.
         """
-        return _best_index(state.safe, state.confidence)
+        return _best_index(state.safe, state.confidence.lower)
 
 
-def _best_index(safe: np.ndarray, conf: ConfidenceState) -> int:
-    """:meth:`SafeOptimizer.best_parameter` of a safe set and its intervals."""
+def _best_index(safe: np.ndarray, lower: np.ndarray) -> int:
+    """:meth:`SafeOptimizer.best_parameter` of a safe set and its lower bounds."""
     safe_idx = safe.nonzero()[0]
-    return int(safe_idx[conf.lower[0, safe_idx].argmax()])
+    return int(safe_idx[lower[0, safe_idx].argmax()])

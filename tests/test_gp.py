@@ -7,7 +7,7 @@ from scipy.linalg import cholesky, solve_triangular
 
 from safebo import ExperimentConfig, Kernel, SurrogateModel
 from safebo.gp import _GROWTH
-from safebo.harness import run_experiment
+from safebo.harness import run_experiment, run_single
 from safebo.kernels import pairwise
 
 
@@ -391,19 +391,25 @@ class TestGridBoundPosterior:
         assert peak <= (math.ceil(appends / _GROWTH) + 1) * _GROWTH * n * 8
 
     def test_one_kernel_row_per_append(self, kernel, rng, monkeypatch):
-        # The Gram border is read off the new kernel row, and the forward
+        # The Gram border is read off one kernel row, and the forward
         # solve off the carried projection: one kernel evaluation each.
+        # A new point's row spans the grid; a revisited point's only the
+        # t observed points, since its grid row is carried in P.
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[1].shape[0])
+            calls.append((args[1].shape[0], args[2].shape[0]))
             return pairwise(*args, **kwargs)
 
         monkeypatch.setattr("safebo.gp.pairwise", counted)
         model = SurrogateModel(kernel, 0.01, 2, grid=grid_points(1, 30))
-        for t in range(1, 41):
-            model = model.with_observation(int(rng.integers(30)), rng.standard_normal(2))
-            assert calls == [1] * t
+        expected = []
+        for t in range(40):
+            index = int(rng.integers(30))
+            expected.append((1, t if index in model.indices else 30))
+            model = model.with_observation(index, rng.standard_normal(2))
+            assert calls == expected
+        assert 0 < sum(cols == 30 for _, cols in calls) < 40
         # Reading the posterior, the loop's spectral ratio and the gain
         # evaluates none; the exact ratio assembles the Gram of the 40.
         model.posterior()
@@ -411,7 +417,29 @@ class TestGridBoundPosterior:
         model.log_det_information_gain()
         assert len(calls) == 40
         model.xi_lambda_max()
-        assert calls[40:] == [40]
+        assert calls[40:] == [(40, 40)]
+
+    def test_a_paper_run_evaluates_one_grid_row_per_distinct_point(self, monkeypatch):
+        # paper-synthetic-2 seed 0 in scenario mode repeats its start
+        # point: its 200 appends evaluate one grid-length row per
+        # distinct point, and short rows for the revisits.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2].shape[0])
+            return pairwise(*args, **kwargs)
+
+        monkeypatch.setattr("safebo.gp.pairwise", counted)
+        config = ExperimentConfig.from_preset(
+            "paper-synthetic-2", {"seeds": [0], "beta_modes": ["scenario"]}
+        )
+        trace = run_single(config, 0, "scenario")
+        n = config.build_domain().n_points
+        distinct = {rec.point for rec in trace.records}
+        assert len(calls) == trace.iterations == 200
+        assert calls.count(n) == len(distinct) < 200
+        # The append at t observations reads a revisit's border off t points.
+        assert all(cols == t for t, cols in enumerate(calls) if cols != n)
 
     def test_rejects_flat_grid(self, kernel):
         with pytest.raises(ValueError, match="grid"):
@@ -477,6 +505,87 @@ class TestGridBoundPosterior:
         assert parent.t == parent_t and parent.xi_lambda_max() == xi_before
         assert first.xi_lambda_max() == first_xi
         assert not np.array_equal(first_post[0], second_post[0])
+
+
+def chain_revisiting(kernel, rng, last_seen, t):
+    """Two-output model of ``t`` appends on a 300-point grid: distinct
+    points other than 0, except that row ``last_seen`` evaluates point 0."""
+    model = SurrogateModel(kernel, 0.01, 2, grid=grid_points(1, 300))
+    order = rng.permutation(np.arange(1, 300))[:t]
+    order[last_seen] = 0
+    for index in order:
+        model = model.with_observation(int(index), rng.standard_normal(2))
+    return model
+
+
+def carried_state(model):
+    """Copies of everything a model reads: posterior, projection, rows, norm."""
+    means, std = model.posterior()
+    rows = model._obs_rows.data[: model.t]
+    return [np.copy(means), np.copy(std), projection_of(model), np.copy(rows)], model._gram_fro_sq
+
+
+def assert_unchanged(model, state):
+    arrays, fro_sq = carried_state(model)
+    assert all(np.array_equal(now, then) for now, then in zip(arrays, state[0]))
+    assert fro_sq == state[1]
+
+
+def assert_matches_fresh_factorization(model):
+    proj, z = fresh_projection(model)
+    assert np.max(np.abs(projection_of(model) - proj)) <= 1e-10
+    carried_z = model._obs_rows.data[: model.t, model._z_cols]
+    assert np.max(np.abs(carried_z - z)) <= 1e-11 * np.max(np.abs(z))
+    means, std = model.posterior()
+    ref_means, ref_std = dense_posterior_reference(
+        model.kernel, model.inputs, model.targets, model.grid, model.regularization
+    )
+    assert np.max(np.abs(means - ref_means)) <= 1e-10
+    assert np.max(np.abs(std - ref_std)) <= 1e-12
+
+
+class TestRevisitAppend:
+    # A revisit of the point last seen at row s starts from pivot_s * P_s
+    # and subtracts rows s .. t-1 of P only.  (s, t): a gap of 1, a gap
+    # within one block, s two blocks before t, and s and t on either side
+    # of the first block boundary.
+    @pytest.mark.parametrize(
+        "last_seen, t", [(9, 10), (10, 40), (10, 2 * _GROWTH + 20), (_GROWTH - 4, _GROWTH + 4)]
+    )
+    def test_sibling_revisits_match_a_fresh_factorization(self, last_seen, t, kernel, rng,
+                                                         monkeypatch):
+        parent = chain_revisiting(kernel, rng, last_seen, t)
+        before = carried_state(parent)
+        columns = []
+
+        def counted(*args, **kwargs):
+            columns.append(args[2].shape[0])
+            return pairwise(*args, **kwargs)
+
+        monkeypatch.setattr("safebo.gp.pairwise", counted)
+        # The first sibling writes row t in place of the parent's free
+        # row; the second copies the partial block, or starts its own.
+        first = parent.with_observation(0, [1.0, -1.0])
+        first_state = carried_state(first)
+        second = parent.with_observation(0, [-2.0, 0.5])
+        # Each border is read off the t observed points, not the grid.
+        assert columns == [t, t]
+        for model in (first, second):
+            assert model.t == t + 1 and model.indices[-1] == 0
+            assert_matches_fresh_factorization(model)
+        assert_unchanged(parent, before)
+        assert_unchanged(first, first_state)
+        # Both siblings carry the same row t: it does not depend on the values.
+        assert np.array_equal(projection_of(first), projection_of(second))
+
+    def test_gram_norm_keeps_the_bits_of_a_grid_row(self, kernel, rng):
+        # The border at the observed points is read off k(x_j, X), which
+        # has the bits of the grid row at those points, so the carried
+        # norm, the Frobenius ratio and the scenario multiplier do too.
+        parent = chain_revisiting(kernel, rng, 7, 30)
+        border = pairwise(kernel, parent.grid[0, None], parent.grid)[0][parent.indices]
+        norm = parent._gram_fro_sq + 2.0 * float(border @ border) + 1.0
+        assert parent.with_observation(0, [0.0, 0.0])._gram_fro_sq == norm
 
 
 def grown_models(kernel, reg, points):

@@ -439,6 +439,26 @@ class TestRunExperiment:
         for a, b in zip(serial.traces, parallel.traces):
             assert a.records == b.records
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_builds_each_seeds_ground_truth_once(self, jobs, monkeypatch):
+        # Three seeds in two modes: three builds, in the calling process,
+        # and every run equal to run_single's, which builds its own.
+        config = tiny_config(
+            seeds=[0, 1, 2], beta_modes=["scenario", "classic_subgaussian"]
+        )
+        built = []
+
+        def counted(config, rng):
+            built.append(rng)
+            return build_synthetic_problem(config, rng)
+
+        monkeypatch.setattr(harness, "build_synthetic_problem", counted)
+        result = run_experiment(config, jobs=jobs)
+        assert len(built) == 3
+        singles = [run_single(config, s, m) for s in (0, 1, 2) for m in config.beta_modes]
+        assert len(built) == 3 + 6
+        assert result.traces == tuple(singles)
+
     @pytest.mark.parametrize("jobs", [0, -5])
     def test_rejects_a_worker_count_below_one(self, jobs):
         # Serial runs are jobs=1; a count below 1 is an error, not a

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -576,6 +577,9 @@ class TestStep:
 
             monkeypatch.setattr("safebo.optimizer.maximizers", nothing)
             monkeypatch.setattr("safebo.optimizer.expanders", nothing)
+            # A fresh optimizer: the one above would reuse the sets it
+            # derived from these very inputs and never call the patched rules.
+            optimizer = SafeOptimizer(optimizer.kernel, optimizer.domain, optimizer.config)
         else:
             wide = SafeOptimizer(
                 optimizer.kernel, optimizer.domain,
@@ -641,6 +645,87 @@ class TestStep:
         )
         assert means == pytest.approx(ref_means, abs=1e-10)
         assert std == pytest.approx(ref_std, abs=1e-10)
+
+
+class TestSetReuse:
+    def test_reused_sets_equal_a_cold_recomputation(self, monkeypatch):
+        # paper-synthetic-2 seed 0 in scenario mode freezes on its start
+        # point: most steps see the last step's intervals and safe set bit
+        # for bit and reuse its sets.  Each reuse is checked against a
+        # fresh optimizer that has never seen those inputs.
+        from safebo.harness import ExperimentConfig, run_single
+
+        sets, reused = SafeOptimizer._sets, []
+
+        def checked(self, lower, upper, previous):
+            kept = self._last_sets
+            outputs = sets(self, lower, upper, previous)
+            if self._last_sets is kept:
+                cold = sets(SafeOptimizer(self.kernel, self.domain, self.config),
+                            lower, upper, previous)
+                assert np.array_equal(outputs[0], cold[0])
+                assert np.array_equal(outputs[1], cold[1])
+                assert outputs[2:] == cold[2:]
+                # The state gets its own safe set, not the kept one.
+                assert outputs[0] is not kept[1][0]
+                reused.append(1)
+            return outputs
+
+        monkeypatch.setattr(SafeOptimizer, "_sets", checked)
+        config = ExperimentConfig.from_preset(
+            "paper-synthetic-2", {"seeds": [0], "beta_modes": ["scenario"]}
+        )
+        trace = run_single(config, 0, "scenario")
+        assert trace.iterations == 200 and len(reused) > 100
+
+    @pytest.mark.parametrize("changed", ["lower", "upper", "previous"])
+    def test_any_changed_input_recomputes(self, changed):
+        # The kept sets answer only the inputs they were derived from: a
+        # change in any one of the three gives a fresh optimizer's sets,
+        # which here differ from the kept ones.
+        optimizer, oracle, noise = toy_setup(max_iterations=40)
+        rng = np.random.default_rng(3)
+        state = optimizer.initial_state()
+        for _ in range(8):
+            state = optimizer.step(state, oracle, noise, rng)
+        inputs = {
+            "lower": state.confidence.lower, "upper": state.confidence.upper, "previous": state.safe
+        }
+        kept = optimizer._sets(**inputs)
+        start = np.zeros_like(state.safe)
+        start[20] = True
+        inputs[changed] = {
+            "lower": inputs["lower"] + 0.05, "upper": inputs["lower"] + 1e-3, "previous": start
+        }[changed]
+        fresh = SafeOptimizer(optimizer.kernel, optimizer.domain, optimizer.config)
+        cold = fresh._sets(**inputs)
+        outputs = optimizer._sets(**inputs)
+        assert np.array_equal(outputs[0], cold[0]) and np.array_equal(outputs[1], cold[1])
+        assert outputs[2:] == cold[2:]
+        assert not (np.array_equal(outputs[0], kept[0]) and np.array_equal(outputs[1], kept[1]))
+
+    def test_unchanged_intervals_with_a_grown_safe_set_recompute(self):
+        # Re-stepping a state with the safe set its step grew keeps the
+        # intervals bit for bit but changes the previous safe set: the
+        # sets are derived again, and equal a fresh optimizer's.  From a
+        # grown set they can grow further, so reusing them would be wrong.
+        optimizer, oracle, noise = toy_setup(max_iterations=40)
+        rng = np.random.default_rng(3)
+        state, grew_again = optimizer.initial_state(), 0
+        while not state.terminated:
+            advanced = optimizer.step(state, oracle, noise, rng)
+            if advanced.safe.sum() > state.safe.sum():
+                moved = dataclasses.replace(state, safe=advanced.safe)
+                again = optimizer.step(moved, oracle, noise, np.random.default_rng(0))
+                fresh = SafeOptimizer(optimizer.kernel, optimizer.domain, optimizer.config)
+                cold = fresh.step(moved, oracle, noise, np.random.default_rng(0))
+                assert np.array_equal(again.confidence.lower, advanced.confidence.lower)
+                assert np.array_equal(again.confidence.upper, advanced.confidence.upper)
+                assert np.array_equal(again.safe, cold.safe)
+                assert again.records == cold.records
+                grew_again += int(again.safe.sum() > advanced.safe.sum())
+            state = advanced
+        assert grew_again > 0
 
 
 def dense_safe_set(lower, bounded, previous, norms, metric, constraints):
