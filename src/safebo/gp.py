@@ -29,11 +29,10 @@ claimed the row, and an append that fills a block starts a new one,
 copying nothing.  So memory peaks at the live ``P`` plus one block, and
 ``w P`` is one matrix-vector product per block, in block order.  One
 row per observation (grid index, targets, ``z`` and the pivot, the
-diagonal of ``L`` kept for the log-determinant) is shared the same way
-in one buffer, which an append that finds it full copies into one with
-64 more rows.  The Gram matrix is not carried, only its squared
-Frobenius norm, which the border updates and which bounds the spectral
-ratio the loop reads.
+diagonal of ``L`` kept for the log-determinant) is held in a second
+store of the same blocks, shared the same way.  The Gram matrix is not
+carried, only its squared Frobenius norm, which the border updates and
+which bounds the spectral ratio the loop reads.
 """
 
 from __future__ import annotations
@@ -46,8 +45,8 @@ from .kernels import Kernel, pairwise
 
 __all__ = ["SurrogateModel"]
 
-# Rows per block of the carried projection, and rows the per-observation
-# buffer grows by when an append finds it full.
+# Rows per block of the carried stores: the projection and the
+# per-observation rows.
 _GROWTH = 64
 
 
@@ -84,7 +83,7 @@ class SurrogateModel:
         self.t = 0
         k, n = self.n_outputs, self.grid.shape[0]
         # One row per observation: [grid index | values | z | pivot], pivots the diagonal of L.
-        self._obs_rows = _Rows(np.zeros((0, 2 * k + 2)))
+        self._obs_blocks = _Blocks(2 * k + 2)
         self._z_cols = slice(k + 1, 2 * k + 1)
         self._gram_fro_sq = 0.0
         self._proj_blocks = _Blocks(n)
@@ -95,7 +94,7 @@ class SurrogateModel:
     @property
     def indices(self) -> np.ndarray:
         """``(t,)`` grid indices of the evaluated points."""
-        return self._obs_rows.data[: self.t, 0].astype(np.intp)
+        return self._obs_blocks.head(self.t)[:, 0].astype(np.intp)
 
     @property
     def inputs(self) -> np.ndarray:
@@ -105,7 +104,7 @@ class SurrogateModel:
     @property
     def targets(self) -> np.ndarray:
         """``(n_outputs, t)`` observed values, read-only."""
-        return _frozen(self._obs_rows.data[: self.t, 1 : self.n_outputs + 1].T)
+        return _frozen(self._obs_blocks.head(self.t)[:, 1 : self.n_outputs + 1].T)
 
     def with_observation(self, index: int, values: np.ndarray) -> "SurrogateModel":
         """New model with grid point ``index`` evaluated, one value per output.
@@ -118,9 +117,9 @@ class SurrogateModel:
         from its last projection row and evaluates the kernel at the
         observed points only.  An index that is not an integer in
         ``[0, n)``, such as a bool, a float or a negative one, raises
-        ``ValueError`` instead of wrapping around.  Shared buffers are
-        written in place where no other model reads the row, and copied
-        otherwise.
+        ``ValueError`` instead of wrapping around.  Shared blocks are
+        written in place where no other model reads the row; otherwise
+        only the partial last block is copied.
         """
         n, integer = self.grid.shape[0], isinstance(index, (int, np.integer))
         if not integer or isinstance(index, bool) or not 0 <= index < n:
@@ -129,7 +128,8 @@ class SurrogateModel:
         if values.shape != (self.n_outputs,) or not np.isfinite(values).all():
             raise ValueError("targets must be finite, one per output")
 
-        t, indices = self.t, self.indices
+        t, rows = self.t, self._obs_blocks.head(self.t)
+        indices = rows[:, 0].astype(np.intp)
         child = object.__new__(type(self))
         child.__dict__ = self.__dict__.copy()
         child.t = t + 1
@@ -141,7 +141,7 @@ class SurrogateModel:
             # row minus rows 0 .. s-1.  A fresh array: blocks are shared.
             s = int(seen[-1])
             cross = pairwise(self.kernel, self.grid[index, None], self.grid[indices])[0]
-            p_row = self._obs_rows.data[s, -1] * blocks[s // _GROWTH][s % _GROWTH]
+            p_row = rows[s, -1] * blocks[s // _GROWTH][s % _GROWTH]
         else:
             s = 0
             p_row = pairwise(self.kernel, self.grid[index, None], self.grid)[0]
@@ -157,9 +157,8 @@ class SurrogateModel:
         pivot = math.sqrt(
             max(diag + self.regularization - float(w @ w), self.regularization * 1e-12)
         )
-        z_row = (values - w @ self._obs_rows.data[:t, self._z_cols].copy()) / pivot
-        child._obs_rows = self._obs_rows.extended(t)
-        child._obs_rows.data[t] = (index, *values, *z_row, pivot)
+        z_row = (values - w @ rows[:, self._z_cols].copy()) / pivot
+        child._obs_blocks = self._obs_blocks.extended(t, (index, *values, *z_row, pivot))
         # The grid-length rows are updated in place of temporaries.
         for start in range(s - s % _GROWTH, t, _GROWTH):
             skip = max(s - start, 0)
@@ -217,38 +216,13 @@ class SurrogateModel:
     def log_det_information_gain(self) -> float:
         """Half log-determinant of ``I + K / reg``, zero on empty history."""
         # log det(K + reg I) from the factor's pivots, then rescale.
-        log_det = 2.0 * float(np.log(self._obs_rows.data[: self.t, -1]).sum())
+        log_det = 2.0 * float(np.log(self._obs_blocks.head(self.t)[:, -1]).sum())
         return 0.5 * (log_det - self.t * np.log(self.regularization))
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
-
-
-class _Rows:
-    """The leading rows of a buffer, shared along a chain of appends.
-
-    A model of ``t`` observations reads ``data[:t]``.  ``used`` counts the
-    rows written so far.  An append writes row ``t`` in place while
-    ``used == t`` and the buffer has room, so no other model reads that
-    row, and otherwise into a fresh buffer with ``_GROWTH`` rows to
-    spare: no model ever sees its rows change (a persistent vector).
-    """
-
-    def __init__(self, rows: np.ndarray):
-        self.used = rows.shape[0]
-        self.data = np.zeros((self.used + _GROWTH, rows.shape[1]))
-        self.data[: self.used] = rows
-
-    def extended(self, t: int) -> "_Rows":
-        """Rows of which the first ``t`` are this buffer's and row ``t`` is
-        the caller's to write."""
-        rows = self
-        if self.used > t or t == self.data.shape[0]:
-            rows = _Rows(self.data[:t])
-        rows.used = t + 1
-        return rows
 
 
 class _Blocks:
@@ -270,7 +244,13 @@ class _Blocks:
         self.blocks = blocks
         self.used = 0
 
-    def extended(self, t: int, row: np.ndarray) -> "_Blocks":
+    def head(self, t: int) -> np.ndarray:
+        """The first ``t`` rows, as one fresh array."""
+        if not self.blocks:
+            return np.zeros((0, self.width))
+        return np.concatenate(self.blocks)[:t]
+
+    def extended(self, t: int, row: np.ndarray | tuple) -> "_Blocks":
         """Blocks of which the first ``t`` rows are this chain's and row
         ``t`` is ``row``."""
         full, filled = divmod(t, _GROWTH)

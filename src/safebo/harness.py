@@ -397,6 +397,11 @@ class SyntheticProblem:
     def oracle(self, index: int) -> np.ndarray:
         return self.values[:, index]
 
+    def __setstate__(self, state: dict) -> None:
+        # Unpickling, as for a ``jobs > 1`` worker, makes arrays writeable.
+        self.__dict__.update(state)
+        self.values.flags.writeable = False
+
     def to_config(self) -> dict:
         return {
             "functions": [f.to_config() for f in self.functions],

@@ -278,19 +278,12 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Snapshot after an iteration; never mutated in place.
-
-    ``xi_lambda`` is the spectral ratio behind ``betas``: in scenario
-    mode the Frobenius bound :meth:`SurrogateModel.xi_frobenius`, which
-    is at least the exact :meth:`SurrogateModel.xi_lambda_max`; the
-    classic baseline leaves it at 0.
-    """
+    """Snapshot after an iteration; never mutated in place."""
 
     model: SurrogateModel
     confidence: ConfidenceState
     safe: np.ndarray
     betas: np.ndarray
-    xi_lambda: float
     noise_sq_sums: np.ndarray
     records: tuple[StepRecord, ...] = ()
     termination_reason: str | None = None
@@ -331,13 +324,12 @@ class SafeOptimizer:
             confidence=ConfidenceState.unbounded(k, n),
             safe=safe,
             betas=np.zeros(k),
-            xi_lambda=0.0,
             noise_sq_sums=np.zeros(k),
             termination_reason="max_iterations" if self.config.max_iterations == 0 else None,
         )
 
-    def _multipliers(self, state: OptimizerState) -> tuple[float, np.ndarray]:
-        """``(xi_lambda, betas)``; the classic baseline leaves ``xi_lambda`` as it is.
+    def _multipliers(self, state: OptimizerState) -> np.ndarray:
+        """One multiplier per output for the step from ``state``.
 
         Scenario mode reads the Frobenius bound ``xi_frobenius`` in place
         of the paper's ``xi = lam / (lam + reg)``, so ``betas`` are at
@@ -349,11 +341,11 @@ class SafeOptimizer:
             gain = state.model.log_det_information_gain()
             nu = cfg.schedule.violation_prob
             betas = [classic_beta(b, cfg.subgaussian_scale, gain, nu) for b in cfg.norm_bounds]
-            return state.xi_lambda, np.array(betas)
-        xi = state.model.xi_frobenius()
-        sums, reg = state.noise_sq_sums.tolist(), cfg.regularization
-        betas = [beta_from_squares(b, reg, xi, s) for b, s in zip(cfg.norm_bounds, sums)]
-        return xi, np.array(betas)
+        else:
+            xi = state.model.xi_frobenius()
+            sums, reg = state.noise_sq_sums.tolist(), cfg.regularization
+            betas = [beta_from_squares(b, reg, xi, s) for b, s in zip(cfg.norm_bounds, sums)]
+        return np.array(betas)
 
     def _experiment(self, index: int, measurement: int, oracle, noise_model: NoiseModel, rng):
         """Scenario batch (scenario mode only), oracle at ``index``, one noise draw per output.
@@ -418,7 +410,7 @@ class SafeOptimizer:
             return state
         cfg = self.config
         means, std = state.model.posterior()
-        xi_lambda, betas = self._multipliers(state)
+        betas = self._multipliers(state)
         conf = update_intervals(
             state.confidence, means, std, betas, on_collapse=cfg.on_collapse
         )
@@ -454,7 +446,7 @@ class SafeOptimizer:
             model = model.with_observation(chosen, observed)
             sums = sums + bound.magnitudes * bound.magnitudes
             reason = "max_iterations" if measurement >= cfg.max_iterations else None
-        return OptimizerState(model, conf, safe, betas, xi_lambda, sums, records, reason)
+        return OptimizerState(model, conf, safe, betas, sums, records, reason)
 
     def run(
         self,

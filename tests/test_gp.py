@@ -18,8 +18,12 @@ def gram_of(model):
 
 def projection_of(model):
     """The model's carried projection ``P``, its blocks stacked."""
-    blocks = model._proj_blocks
-    return np.vstack(blocks.blocks or [np.zeros((0, blocks.width))])[: model.t]
+    return model._proj_blocks.head(model.t)
+
+
+def observation_rows(model):
+    """The model's per-observation rows: grid index, values, ``z``, pivot."""
+    return model._obs_blocks.head(model.t)
 
 
 def dense_posterior_reference(kernel, inputs, targets, queries, reg):
@@ -325,7 +329,7 @@ class TestGridBoundPosterior:
         assert np.max(np.abs(projection_of(model) - proj)) <= 1e-10
         # z = L^{-1} y reaches about 1 / sqrt(reg) in size, so its error
         # is measured relative to it: both paths sit near 2e-12.
-        carried_z = model._obs_rows.data[: model.t, model._z_cols]
+        carried_z = observation_rows(model)[:, model._z_cols]
         assert np.max(np.abs(carried_z - z)) <= 1e-11 * np.max(np.abs(z))
 
     def test_carried_posterior_matches_dense_reference_on_a_long_chain(self, kernel, rng):
@@ -343,25 +347,23 @@ class TestGridBoundPosterior:
         assert np.max(np.abs(std - ref_std)) <= 1e-12
 
     def test_carried_buffers_stay_close_to_the_live_state(self, kernel, rng):
-        # The projection is held in fixed blocks of _GROWTH rows, and the
-        # other buffers grow by _GROWTH rows when full, never more.
+        # The projection and the per-observation rows are held in fixed
+        # blocks of _GROWTH rows, 200 and 2 * 2 + 2 columns wide.
         model = SurrogateModel(kernel, 0.01, 2, grid=rng.uniform(0, 1, (200, 1)))
         chain = [model]
         for index in range(200):
             model = model.with_observation(index, rng.standard_normal(2))
             chain.append(model)
-            blocks = model._proj_blocks.blocks
-            assert len(blocks) == math.ceil(model.t / _GROWTH)
-            assert all(block.shape == (_GROWTH, 200) for block in blocks)
-            assert model.t <= model._obs_rows.data.shape[0] <= model.t + _GROWTH
-        # The chain's models, t = 0 to 200, share its blocks: no block is
-        # ever copied, so 200 rows take ceil(200 / _GROWTH) of them.
-        blocks = {id(block) for m in chain for block in m._proj_blocks.blocks}
-        assert len(blocks) == math.ceil(200 / _GROWTH)
-        # The per-observation buffer fills one buffer per _GROWTH rows.
-        buffers = {id(m._obs_rows.data) for m in chain}
-        assert len(buffers) == math.ceil(len(chain) / _GROWTH)
-        # Every model still reads its own history from the shared buffers.
+            for store, width in ((model._proj_blocks, 200), (model._obs_blocks, 6)):
+                assert len(store.blocks) == math.ceil(model.t / _GROWTH)
+                assert all(block.shape == (_GROWTH, width) for block in store.blocks)
+        # The chain's models, t = 0 to 200, share the blocks of each
+        # store: no block is ever copied, so 200 rows take
+        # ceil(200 / _GROWTH) of them.
+        for store in ("_proj_blocks", "_obs_blocks"):
+            blocks = {id(block) for m in chain for block in getattr(m, store).blocks}
+            assert len(blocks) == math.ceil(200 / _GROWTH)
+        # Every model still reads its own history from the shared blocks.
         proj = projection_of(model)
         for m in chain:
             assert m.inputs.shape == (m.t, 1) and m.targets.shape == (2, m.t)
@@ -452,11 +454,11 @@ class TestGridBoundPosterior:
 
     @pytest.mark.parametrize("parent_t", [5, _GROWTH, _GROWTH + 5])
     def test_sibling_appends_leave_parent_and_each_other_unchanged(self, parent_t, kernel, rng):
-        # A parent of 5 or 69 observations has room in its last block of
-        # the projection: the first child writes in place and the second
-        # copies only that partial block.  A parent of 64 fills its
-        # block, so each child starts a block of its own.  Full blocks
-        # are shared by all three.
+        # A parent of 5 or 69 observations has room in the last block of
+        # each store, the projection and the per-observation rows: the
+        # first child writes in place and the second copies only that
+        # partial block.  A parent of 64 fills its blocks, so each child
+        # starts blocks of its own.  Full blocks are shared by all three.
         grid = grid_points(1, 60)
         parent = SurrogateModel(kernel, 0.01, 2, grid=grid)
         for _ in range(parent_t):
@@ -466,29 +468,28 @@ class TestGridBoundPosterior:
         before = tuple(np.copy(part) for part in parent.posterior())
         var, gram = np.copy(parent._var), np.copy(gram_of(parent))
         inputs, targets = np.copy(parent.inputs), np.copy(parent.targets)
-        proj = projection_of(parent)
+        proj, rows = projection_of(parent), observation_rows(parent)
         xi_before = parent.xi_lambda_max()
 
         first = parent.with_observation(15, [1.0, -1.0])
         first_post = tuple(np.copy(part) for part in first.posterior())
-        first_proj = projection_of(first)
+        first_proj, first_rows = projection_of(first), observation_rows(first)
         first_xi = first.xi_lambda_max()
         second = parent.with_observation(45, [-2.0, 0.5])
         second_post = second.posterior()
         second.xi_lambda_max()
 
         full, filled = divmod(parent_t, _GROWTH)
-        shared = parent._proj_blocks.blocks
-        for child in (first, second):
-            blocks = child._proj_blocks.blocks
-            assert len(blocks) == full + 1
-            assert all(mine is theirs for mine, theirs in zip(blocks[:full], shared))
-        last_first, last_second = (c._proj_blocks.blocks[full] for c in (first, second))
-        assert last_first is not last_second
-        if filled:
-            assert last_first is shared[full] and last_second is not shared[full]
-        assert (first._obs_rows is parent._obs_rows) == bool(filled)
-        assert second._obs_rows is not parent._obs_rows
+        for store in ("_proj_blocks", "_obs_blocks"):
+            shared = getattr(parent, store).blocks
+            for child in (first, second):
+                blocks = getattr(child, store).blocks
+                assert len(blocks) == full + 1
+                assert all(mine is theirs for mine, theirs in zip(blocks[:full], shared))
+            last_first, last_second = (getattr(c, store).blocks[full] for c in (first, second))
+            assert last_first is not last_second
+            if filled:
+                assert last_first is shared[full] and last_second is not shared[full]
 
         for model, (means, std) in ((parent, before), (first, first_post)):
             after_means, after_std = model.posterior()
@@ -496,6 +497,9 @@ class TestGridBoundPosterior:
         assert np.array_equal(projection_of(parent), proj)
         assert np.array_equal(projection_of(first), first_proj)
         assert np.array_equal(projection_of(second)[:parent_t], proj)
+        assert np.array_equal(observation_rows(parent), rows)
+        assert np.array_equal(observation_rows(first), first_rows)
+        assert np.array_equal(observation_rows(second)[:parent_t], rows)
         assert not np.array_equal(first_proj[parent_t], projection_of(second)[parent_t])
         assert np.array_equal(parent._var, var) and np.array_equal(gram_of(parent), gram)
         assert np.array_equal(parent.inputs, inputs) and np.array_equal(parent.targets, targets)
@@ -521,8 +525,8 @@ def chain_revisiting(kernel, rng, last_seen, t):
 def carried_state(model):
     """Copies of everything a model reads: posterior, projection, rows, norm."""
     means, std = model.posterior()
-    rows = model._obs_rows.data[: model.t]
-    return [np.copy(means), np.copy(std), projection_of(model), np.copy(rows)], model._gram_fro_sq
+    arrays = [np.copy(means), np.copy(std), projection_of(model), observation_rows(model)]
+    return arrays, model._gram_fro_sq
 
 
 def assert_unchanged(model, state):
@@ -534,7 +538,7 @@ def assert_unchanged(model, state):
 def assert_matches_fresh_factorization(model):
     proj, z = fresh_projection(model)
     assert np.max(np.abs(projection_of(model) - proj)) <= 1e-10
-    carried_z = model._obs_rows.data[: model.t, model._z_cols]
+    carried_z = observation_rows(model)[:, model._z_cols]
     assert np.max(np.abs(carried_z - z)) <= 1e-11 * np.max(np.abs(z))
     means, std = model.posterior()
     ref_means, ref_std = dense_posterior_reference(

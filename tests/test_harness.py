@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pickle
 import random
 import re
 from pathlib import Path
@@ -388,6 +389,14 @@ class TestSyntheticProblem:
         assert trace.records[0].point == (float(problem.domain.points[91, 0]),)
         assert trace.records[0].true_values == (0.0,)
         assert trace.violations == (False,)
+
+    def test_truth_stays_read_only_through_a_pickle(self, rng):
+        # run_experiment(jobs > 1) pickles each seed's problem to a worker.
+        problem = build_synthetic_problem(tiny_config(), rng)
+        copy = pickle.loads(pickle.dumps(problem))
+        assert np.array_equal(copy.values, problem.values)
+        with pytest.raises(ValueError, match="read-only"):
+            copy.oracle(0)[0] = 1.0
 
     def test_ground_truth_shared_across_modes(self):
         config = tiny_config(beta_modes=["scenario", "classic_subgaussian"])

@@ -595,7 +595,6 @@ class TestStep:
                                   getattr(advanced.confidence, name))
         assert np.array_equal(ended.safe, advanced.safe)
         assert np.array_equal(ended.betas, advanced.betas) and ended.betas.shape == (1,)
-        assert ended.xi_lambda == advanced.xi_lambda > state.xi_lambda
         assert ended.model is state.model and ended.records == state.records
         assert np.array_equal(ended.noise_sq_sums, state.noise_sq_sums)
 
@@ -613,7 +612,7 @@ class TestStep:
         monkeypatch.setattr("safebo.optimizer.scenario_bound", no_batch)
         optimizer, oracle, noise = toy_setup(max_iterations=15, beta_mode="classic_subgaussian")
         state = optimizer.run(oracle, noise, np.random.default_rng(0))
-        assert state.records and state.xi_lambda == 0.0
+        assert state.records
         for rec in state.records:
             assert rec.n_scenarios == 0 and rec.noise_bound == (0.0,)
 

@@ -2,10 +2,13 @@
 
 The benchmark traces the package from outside, by module, attribute and
 argument name, so renaming or re-signing a hooked function silently
-breaks it.  Both checks run in subprocesses, as the benchmark does, and
-only read ``perfbench/``.
+breaks it.  Renaming an argument or attribute that a metric's value
+reads (``bounded``, ``self.t``, ``size``, ``schedule``) only shows when
+a traced battery runs, so one tiny battery runs traced here.  The checks
+run in subprocesses, as the benchmark does, and only read ``perfbench/``.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -40,3 +43,20 @@ def test_every_hook_resolves():
     done = run_python(["-c", code], BENCH)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.strip() == "[]"
+
+
+def test_traced_battery_reports_every_layer(tmp_path):
+    from safebo.harness import PRESETS
+
+    document = json.loads(json.dumps(PRESETS["paper-synthetic-1"]))
+    document.update(seeds=[0], max_iterations=10, beta_modes=["scenario", "classic_subgaussian"])
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "repetition.py"), "--out", str(tmp_path), "--trace", "1"],
+        input=json.dumps(document), cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["missing"] == []
+    code = "from layers import LAYERS\nprint(' '.join(metric.name for metric in LAYERS))\n"
+    names = run_python(["-c", code], BENCH).stdout.split()
+    assert names and [name for name in names if name not in result["figures"]] == []
