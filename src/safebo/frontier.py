@@ -14,7 +14,13 @@ none.  :class:`GridIndex` answers these questions on the lattice of a
   outside point comes from an exact separable Euclidean distance
   transform on the lattice (Maurer et al., IEEE PAMI 2003): one pass
   per axis, with the axes' own coordinates, so the lattice need not be
-  uniform;
+  uniform.  Safe sets only grow, so a mask that adds points to the last
+  one grows its frontier: only the last-axis lines that hold an absorbed
+  point are scanned again, and only the stale points, those absorbed and
+  those whose recorded nearest outside point was absorbed, go through the
+  other axes' passes and get a new metric.  Every other inside point
+  keeps its nearest point, which is still outside and, since the outside
+  only shrank, still a Euclidean-nearest one;
 * bounds below ``L`` times that lower bound are dropped, the remaining
   points enumerate the lattice box around them whose half-width inverts
   the kernel profile, and every outside point of the box inside the
@@ -76,8 +82,12 @@ class Frontier:
 class GridIndex:
     """A domain's lattice under one kernel, with the frontier of the last mask.
 
-    The frontier is rebuilt only when asked for a different mask, so the
-    loop, which asks for each safe set twice, builds one per change.
+    The loop asks for each safe set twice, and each new safe set adds
+    points to the last.  So an equal mask returns the kept frontier, a
+    mask that only adds points grows it, and any other mask is built,
+    which is growth from the mask with no point inside: there every
+    point is outside and its own nearest outside point, so every line
+    holding a point of the mask is scanned and every point of it is stale.
     """
 
     def __init__(self, kernel: Kernel, domain: Domain):
@@ -92,63 +102,130 @@ class GridIndex:
         # Upper bound on every computed metric: the radicand never exceeds
         # 2 * output_scale, since the profile is nonnegative.
         self.metric_sup = float(np.sqrt(2.0 * kernel.output_scale))
+        # The last axis's coordinates, then +inf and -inf: a scan's index
+        # ``m`` (no outside point after) and ``-1`` (none before) read as
+        # infinitely far.
+        self._ends = np.concatenate((self.axes[-1], [np.inf, -np.inf]))
         self._mask: np.ndarray | None = None
         self._frontier: Frontier | None = None
+        # Kept with the frontier, per grid index: the squared distance to
+        # the nearest outside point of its last-axis line and that point's
+        # grid index, and its nearest outside point (itself when outside).
+        self._line_sq = np.zeros(0)
+        self._line_arg = np.zeros(0, dtype=np.intp)
+        self._nearest = np.zeros(0, dtype=np.intp)
 
     def frontier(self, mask: np.ndarray) -> Frontier:
-        """The frontier of ``mask``, rebuilt only if the mask changed."""
+        """The frontier of ``mask``: kept if equal, grown from a subset, built otherwise."""
         last = self._mask
-        if last is None or last.shape != mask.shape or not (last == mask).all():
-            self._frontier = self._build(mask)
-            self._mask = mask.copy()
+        if last is not None and last.shape == mask.shape:
+            absorbed = mask ^ last
+            changed = np.count_nonzero(absorbed)
+            if changed == 0:
+                return self._frontier
+            # Every changed point is a new inside point exactly when the
+            # inside grew by as many points as changed.
+            if changed == np.count_nonzero(mask) - np.count_nonzero(last):
+                kept = self._frontier
+                self._frontier = self._grow(absorbed, mask, kept.near, kept.floor)
+                self._mask = mask.copy()
+                return self._frontier
+        # A build that fails leaves no kept state to grow from.
+        self._mask = None
+        self._frontier = self._build(mask)
+        self._mask = mask.copy()
         return self._frontier
 
     def _build(self, mask: np.ndarray) -> Frontier:
-        outside = (~mask).nonzero()[0]
+        """The frontier of ``mask``, grown from the empty mask."""
+        n = mask.shape[0]
+        self._line_sq = np.zeros(n)
+        self._line_arg = np.arange(n)
+        self._nearest = np.arange(n)
+        return self._grow(mask, mask, np.zeros(n), np.zeros(n))
+
+    def _grow(
+        self, absorbed: np.ndarray, mask: np.ndarray, near: np.ndarray, floor: np.ndarray
+    ) -> Frontier:
+        """The frontier of ``mask`` from ``near`` and ``floor`` of ``mask`` less ``absorbed``.
+
+        Outside and position are read off the mask: one pass over it
+        costs less than selecting from the last outside points.
+        """
+        free = ~mask
+        outside = free.nonzero()[0]
         position = np.full(mask.shape[0], -1, dtype=np.intp)
         position[outside] = np.arange(outside.size)
-        near = np.zeros(mask.shape[0])
-        floor = np.zeros(mask.shape[0])
         if outside.size == 0:
-            return Frontier(outside, position, near, floor)
-        inside = mask.nonzero()[0]
-        nearest = self._nearest_outside(~mask, inside)
-        near[inside] = paired_metric(self.kernel, self.points[inside], self.points[nearest])
+            return Frontier(outside, position, np.zeros(mask.shape[0]), np.zeros(mask.shape[0]))
+        self._scan_lines(absorbed, free)
+        stale = absorbed[self._nearest].nonzero()[0]
+        nearest = self._nearest_outside(stale)
+        self._nearest[stale] = nearest
+        metric = paired_metric(self.kernel, self.points[stale], self.points[nearest])
+        near = near.copy()
+        near[stale] = metric
         # Every other outside point is at least as far in Euclidean
         # distance, up to the transform's roundoff, and the metric grows
         # with the distance; the margins cover that roundoff and the metric's.
         scale = 2.0 * self.kernel.output_scale
-        floor_sq = near[inside] ** 2 * (1.0 - _REL_SLACK) - _ABS_SLACK * scale
-        floor[inside] = np.sqrt(np.maximum(floor_sq, 0.0))
+        floor = floor.copy()
+        floor[stale] = np.sqrt(np.maximum(metric**2 * (1.0 - _REL_SLACK) - _ABS_SLACK * scale, 0.0))
         return Frontier(outside, position, near, floor)
 
-    def _nearest_outside(self, outside: np.ndarray, inside: np.ndarray) -> np.ndarray:
-        """Per index in ``inside``, the grid index of a Euclidean-nearest outside point.
+    def _scan_lines(self, absorbed: np.ndarray, outside: np.ndarray) -> None:
+        """Scan again the last-axis lines that hold an absorbed point.
 
-        The squared distance to the nearest outside point is separable
-        over the axes.  Along the last axis, the nearest outside point of
-        a line lies at the last outside index before or the first after;
-        each earlier axis then takes the minimum of ``(c_i - c_j)**2 + g_j``
-        over the line through a point, carrying the argmin.  The first
-        axis, the last pass, is taken at ``inside`` only.
+        Along a line, the nearest outside point lies at the last outside
+        index before or the first after.  The other lines keep their scan.
         """
-        out = outside.reshape(self.shape)
         coords = self.axes[-1]
         m = coords.size
+        lines = np.logical_or.reduce(absorbed.reshape(-1, m), axis=1)
+        rows = lines.nonzero()[0]
+        # When every line is scanned, as in 1-D or a build, the scan
+        # replaces the kept arrays instead of being written into them.
+        whole = rows.size == lines.size
+        # This reshape fails for a mask that does not fit the lattice.
+        out = outside.reshape(self.shape)
+        if not whole:
+            out = out.reshape(-1, m)[rows]
         idx = np.arange(m)
         left = np.maximum.accumulate(np.where(out, idx, -1), axis=-1)
         right = np.minimum.accumulate(np.where(out, idx, m)[..., ::-1], axis=-1)[..., ::-1]
-        to_left = np.where(left >= 0, (coords - coords[np.maximum(left, 0)]) ** 2, np.inf)
-        to_right = np.where(right < m, (coords[np.minimum(right, m - 1)] - coords) ** 2, np.inf)
+        to_left = (coords - self._ends[left]) ** 2
+        to_right = (self._ends[right] - coords) ** 2
         take_right = to_right < to_left
-        sq = np.where(take_right, to_right, to_left).ravel()
-        arg = np.arange(outside.size) + (np.where(take_right, right, left) - idx).ravel()
+        sq = np.where(take_right, to_right, to_left)
+        arg = np.where(take_right, right, left) + m * rows.reshape(out.shape[:-1] + (1,))
+        if whole:
+            self._line_sq, self._line_arg = sq.ravel(), arg.ravel()
+        else:
+            self._line_sq.reshape(-1, m)[rows] = sq
+            self._line_arg.reshape(-1, m)[rows] = arg
+
+    def _nearest_outside(self, stale: np.ndarray) -> np.ndarray:
+        """Per index in ``stale``, the grid index of a Euclidean-nearest outside point.
+
+        The squared distance to the nearest outside point is separable
+        over the axes.  From the last-axis scan, each earlier axis takes
+        the minimum of ``(c_i - c_j)**2 + g_j`` over the line through a
+        point, carrying the argmin.  The pass for axis ``k > 0`` runs at
+        the points that share their coordinates on axes ``k`` and later
+        with a stale point, the only ones the next pass reads; the first
+        axis, the last pass, runs at ``stale`` only.
+        """
+        sq, arg = self._line_sq, self._line_arg
         if len(self.shape) == 1:
-            return arg[inside]
-        for k in range(len(self.shape) - 2, -1, -1):
-            at = inside if k == 0 else np.arange(outside.size)
-            sq, arg = self._axis_min(sq, arg, k, at)
-        return arg
+            return arg[stale]
+        for k in range(len(self.shape) - 2, 0, -1):
+            tail = np.zeros(self.strides[k - 1], dtype=bool)
+            tail[stale % self.strides[k - 1]] = True
+            at = np.tile(tail, sq.size // tail.size).nonzero()[0]
+            best_sq, best_arg = self._axis_min(sq, arg, k, at)
+            sq, arg = np.empty(sq.size), np.empty(sq.size, dtype=np.intp)
+            sq[at], arg[at] = best_sq, best_arg
+        return self._axis_min(sq, arg, 0, stale)[1]
 
     def _axis_min(self, sq: np.ndarray, arg: np.ndarray, k: int, at: np.ndarray):
         """Per grid index in ``at``: ``min_j (c_i - c_j)**2 + sq_j`` over its axis-``k`` line.

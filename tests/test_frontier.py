@@ -66,44 +66,82 @@ def budget(request, monkeypatch):
         monkeypatch.setattr(frontier_module, "_PAIR_BUDGET", 1)
 
 
+def growth_chain(rng, mask):
+    """``mask``, then masks that each add about 30% of the outside points, to the last."""
+    chain = [mask]
+    while not mask.all():
+        outside = np.flatnonzero(~mask)
+        absorbed = outside[rng.random(outside.size) < 0.3]
+        mask = mask.copy()
+        mask[absorbed] = True
+        mask[outside[int(rng.integers(outside.size))]] = True
+        chain.append(mask)
+    return chain
+
+
+def assert_near_and_floor(kernel, domain, mask, frontier):
+    """``near`` is the metric to a Euclidean-nearest outside point, ``floor`` at most any."""
+    points = domain.points
+    inside, outside = np.flatnonzero(mask), np.flatnonzero(~mask)
+    assert np.array_equal(frontier.outside, outside)
+    anchors = np.repeat(points[inside], outside.size, axis=0)
+    others = np.tile(points[outside], (inside.size, 1))
+    diff = anchors - others
+    squares = diff * diff
+    sq = squares[:, 0].copy()
+    for k in range(1, squares.shape[1]):
+        sq += squares[:, k]
+    sq = sq.reshape(inside.size, outside.size)
+    metric = paired_metric(kernel, anchors, others).reshape(inside.size, outside.size)
+    nearest = sq <= sq.min(axis=1, keepdims=True) * (1.0 + TIE_RTOL)
+    assert ((metric == frontier.near[inside, None]) & nearest).any(axis=1).all()
+    assert (frontier.floor[inside] <= metric.min(axis=1)).all()
+
+
+def assert_covered_and_reaches_match_the_dense_scan(rng, index, mask):
+    # Bounds span below the nearest outside point to past the farthest,
+    # with exact ties L * d for some pairs.
+    frontier = index.frontier(mask)
+    metric = metric_matrix(index.kernel, index.points)
+    anchors = np.flatnonzero(mask)
+    outside = frontier.outside
+    norm = float(rng.uniform(0.5, 2.0))
+    bounds = norm * metric[np.ix_(anchors, outside)].max(axis=1) * rng.uniform(0, 1.2, anchors.size)
+    ties = rng.random(anchors.size) < 0.3
+    picks = rng.integers(outside.size, size=anchors.size)
+    bounds[ties] = norm * metric[anchors[ties], outside[picks[ties]]]
+    reach = bounds[:, None] - norm * metric[np.ix_(anchors, outside)] >= 0.0
+    assert np.array_equal(index.covered(frontier, anchors, bounds, norm), reach.any(axis=0))
+    assert np.array_equal(index.reaches(frontier, anchors, bounds, norm), reach.any(axis=1))
+
+
 def test_near_and_floor_match_bruteforce(budget):
     rng = np.random.default_rng(7)
     for kernel, domain, mask in fixtures(rng, 120):
-        points = domain.points
-        frontier = GridIndex(kernel, domain).frontier(mask)
-        outside = np.flatnonzero(~mask)
-        assert np.array_equal(frontier.outside, outside)
-        for i in np.flatnonzero(mask):
-            anchor = np.repeat(points[i][None, :], outside.size, axis=0)
-            diff = anchor - points[outside]
-            squares = diff * diff
-            sq = squares[:, 0].copy()
-            for k in range(1, squares.shape[1]):
-                sq += squares[:, k]
-            metric = paired_metric(kernel, anchor, points[outside])
-            nearest = sq <= sq.min() * (1.0 + TIE_RTOL)
-            assert frontier.near[i] in metric[nearest]
-            assert frontier.floor[i] <= metric.min()
+        assert_near_and_floor(kernel, domain, mask, GridIndex(kernel, domain).frontier(mask))
 
 
 def test_covered_and_reaches_match_the_dense_scan(budget):
-    # Bounds span below the nearest outside point to past the farthest,
-    # with exact ties L * d for some pairs.
     rng = np.random.default_rng(11)
     for kernel, domain, mask in fixtures(rng, 80):
+        assert_covered_and_reaches_match_the_dense_scan(rng, GridIndex(kernel, domain), mask)
+
+
+def test_a_growth_chain_matches_bruteforce(budget, builds):
+    # Each link grows the frontier of the one before; only the first builds.
+    rng = np.random.default_rng(13)
+    for trial, (kernel, domain, mask) in enumerate(fixtures(rng, 60)):
         index = GridIndex(kernel, domain)
-        frontier = index.frontier(mask)
-        metric = metric_matrix(kernel, domain.points)
-        anchors = np.flatnonzero(mask)
-        outside = frontier.outside
-        norm = float(rng.uniform(0.5, 2.0))
-        bounds = norm * metric[np.ix_(anchors, outside)].max(axis=1) * rng.uniform(0, 1.2, anchors.size)
-        ties = rng.random(anchors.size) < 0.3
-        picks = rng.integers(outside.size, size=anchors.size)
-        bounds[ties] = norm * metric[anchors[ties], outside[picks[ties]]]
-        reach = bounds[:, None] - norm * metric[np.ix_(anchors, outside)] >= 0.0
-        assert np.array_equal(index.covered(frontier, anchors, bounds, norm), reach.any(axis=0))
-        assert np.array_equal(index.reaches(frontier, anchors, bounds, norm), reach.any(axis=1))
+        chain = growth_chain(rng, mask)
+        for mask in chain[:-1]:
+            frontier = index.frontier(mask)
+            assert_near_and_floor(kernel, domain, mask, frontier)
+            position = np.full(domain.n_points, -1)
+            position[frontier.outside] = np.arange(frontier.outside.size)
+            assert np.array_equal(frontier.position, position)
+            assert_covered_and_reaches_match_the_dense_scan(rng, index, mask)
+        assert index.frontier(chain[-1]).outside.size == 0
+        assert len(builds) == trial + 1
 
 
 def test_lattice_with_a_single_point_axis():
@@ -129,20 +167,43 @@ def builds(monkeypatch):
     return seen
 
 
-def test_frontier_is_rebuilt_only_when_the_mask_changes(builds):
+@pytest.fixture
+def grows(monkeypatch):
+    """Every mask ``GridIndex._grow`` is called with, a build's included, in order."""
+    seen = []
+    grow = GridIndex._grow
+
+    def counted(self, absorbed, mask, near, floor):
+        seen.append(mask.copy())
+        return grow(self, absorbed, mask, near, floor)
+
+    monkeypatch.setattr(GridIndex, "_grow", counted)
+    return seen
+
+
+def test_an_equal_mask_is_kept_a_superset_grows_and_any_other_is_built(builds, grows):
     domain = Domain.grid([(0.0, 1.0)] * 2, [6, 5])
-    index = GridIndex(Kernel(lengthscale=0.3), domain)
+    kernel = Kernel(lengthscale=0.3)
+    index = GridIndex(kernel, domain)
     mask = random_mask(np.random.default_rng(3), domain.n_points)
+    # A build grows from the empty mask.
     first = index.frontier(mask)
-    # An equal mask in a fresh array is the same mask.
-    assert index.frontier(mask.copy()) is first and len(builds) == 1
-    flipped = mask.copy()
-    flipped[(~mask).nonzero()[0][0]] = True
-    rebuilt = index.frontier(flipped)
-    assert len(builds) == 2 and rebuilt is not first
-    assert np.array_equal(rebuilt.outside, (~flipped).nonzero()[0])
-    # Only the last mask is kept, so going back rebuilds too.
-    assert index.frontier(mask) is not first and len(builds) == 3
+    assert len(builds) == 1 and len(grows) == 1
+    # An equal mask in a fresh array is the same mask, and does no work.
+    assert index.frontier(mask.copy()) is first and len(builds) == 1 and len(grows) == 1
+    near, floor = first.near.copy(), first.floor.copy()
+    superset = mask.copy()
+    superset[(~mask).nonzero()[0][:2]] = True
+    grown = index.frontier(superset)
+    assert len(builds) == 1 and len(grows) == 2 and grown is not first
+    # Growth leaves the kept frontier as it was.
+    assert np.array_equal(first.near, near) and np.array_equal(first.floor, floor)
+    # A mask that drops a point is built, even the mask grown from.
+    assert index.frontier(mask) is not first and len(builds) == 2 and len(grows) == 3
+    fresh = GridIndex(kernel, domain).frontier(superset)
+    assert np.array_equal(grown.outside, fresh.outside)
+    assert np.array_equal(grown.position, fresh.position)
+    assert_near_and_floor(kernel, domain, superset, grown)
 
 
 def test_a_mask_of_another_length_is_a_changed_mask(builds):

@@ -16,6 +16,7 @@ from safebo import (
     uniform,
 )
 from safebo.frontier import GridIndex
+from safebo.harness import ExperimentConfig, run_single
 from safebo.kernels import FAMILIES
 from safebo.noise import NoiseModel, scenario_bound
 from safebo.optimizer import (
@@ -798,6 +799,54 @@ class TestLocalSetsAlongRuns:
                 dense_expanders(conf.upper, state.safe, norms, metric, cons),
             )
         assert state.safe.sum() > 1
+
+    def test_a_grown_frontier_gives_the_run_a_built_one_gives(self, monkeypatch):
+        # two-output-2d's settings on a 20 x 20 grid: the same records and
+        # final safe set whether each safe-set change grows the frontier or
+        # every call builds it afresh.
+        config = ExperimentConfig.from_dict(
+            {
+                "spec": 1,
+                "domain": {"bounds": [[0.0, 1.0], [0.0, 1.0]], "resolution": [20, 20]},
+                "kernel": {"family": "squared_exponential", "lengthscale": 0.25},
+                "noise": {"family": "gaussian", "variance": 1e-4},
+                "violation_prob": 0.1,
+                "confidence_level": 1e-3,
+                "regularization": 1e-2,
+                "exploration_threshold": 1e-3,
+                "subgaussian_scale": 1e-2,
+                "norm_bound": 1.0,
+                "beta_modes": ["scenario"],
+                "seeds": [0],
+                "max_iterations": 60,
+                "constraint": {"kind": "independent", "quantile": 0.4},
+                "n_centers": 40,
+            }
+        )
+        finals, calls = [], {"build": 0, "grow": 0}
+        run, build, grow = SafeOptimizer.run, GridIndex._build, GridIndex._grow
+
+        def recorded(self, *args):
+            finals.append(run(self, *args))
+            return finals[-1]
+
+        def counted(name, method):
+            def wrapper(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(SafeOptimizer, "run", recorded)
+        monkeypatch.setattr(GridIndex, "_build", counted("build", build))
+        monkeypatch.setattr(GridIndex, "_grow", counted("grow", grow))
+        grown = run_single(config, 0, "scenario")
+        assert calls["build"] == 1 and calls["grow"] > 10
+        monkeypatch.setattr(GridIndex, "frontier", lambda self, mask: self._build(mask))
+        built = run_single(config, 0, "scenario")
+        assert len(grown.records) == 60
+        assert grown.records == built.records
+        assert np.array_equal(finals[0].safe, finals[1].safe)
 
     def test_runs_on_a_non_uniform_lattice(self):
         # Random axes of different sizes: the sets of each step still match
