@@ -8,9 +8,10 @@ a point whose bound does not reach the nearest outside point reaches
 none.  :class:`GridIndex` answers these questions on the lattice of a
 :class:`~safebo.domain.Domain` without the dense ``n x n`` metric:
 
-* a :class:`Frontier` per mask holds the outside points, and for every
-  inside point the metric to a Euclidean-nearest outside point together
-  with a lower bound on its metric to any outside point.  The nearest
+* a :class:`Frontier` per mask holds the mask, and for every inside
+  point the metric to a Euclidean-nearest outside point together with a
+  lower bound on its metric to any outside point.  Its arrays, like every
+  answer of the index, are indexed by grid point.  The nearest
   outside point comes from an exact separable Euclidean distance
   transform on the lattice (Maurer et al., IEEE PAMI 2003): one pass
   per axis, with the axes' own coordinates, so the lattice need not be
@@ -63,18 +64,15 @@ _PAIR_BUDGET = 1 << 17
 
 @dataclass(frozen=True)
 class Frontier:
-    """The outside of one mask, as the set rules query it.
+    """One mask, as the set rules query it; every array is per grid index.
 
-    ``outside`` lists the grid indices outside the mask and ``position``
-    maps each grid index to its place in ``outside`` (-1 inside).
-    ``near`` and ``floor`` are per grid index and meaningful on the mask
-    only: ``near`` is the exact metric to a Euclidean-nearest outside
-    point, ``floor`` a lower bound on the computed metric to any outside
-    point.
+    ``mask`` is a private copy of the inside points.  ``near`` and
+    ``floor`` are meaningful on the mask only: ``near`` is the exact
+    metric to a Euclidean-nearest outside point, ``floor`` a lower bound
+    on the computed metric to any outside point.
     """
 
-    outside: np.ndarray
-    position: np.ndarray
+    mask: np.ndarray
     near: np.ndarray
     floor: np.ndarray
 
@@ -106,7 +104,6 @@ class GridIndex:
         # ``m`` (no outside point after) and ``-1`` (none before) read as
         # infinitely far.
         self._ends = np.concatenate((self.axes[-1], [np.inf, -np.inf]))
-        self._mask: np.ndarray | None = None
         self._frontier: Frontier | None = None
         # Kept with the frontier, per grid index: the squared distance to
         # the nearest outside point of its last-axis line and that point's
@@ -116,24 +113,27 @@ class GridIndex:
         self._nearest = np.zeros(0, dtype=np.intp)
 
     def frontier(self, mask: np.ndarray) -> Frontier:
-        """The frontier of ``mask``: kept if equal, grown from a subset, built otherwise."""
-        last = self._mask
-        if last is not None and last.shape == mask.shape:
-            absorbed = mask ^ last
+        """The frontier of ``mask``: kept if equal, grown from a subset, built otherwise.
+
+        ``mask`` must be a bool array with one entry per grid point.
+        """
+        n = self.points.shape[0]
+        if mask.shape != (n,) or mask.dtype != bool:
+            raise ValueError(f"mask must be bool of shape ({n},), got {mask.dtype} {mask.shape}")
+        kept = self._frontier
+        if kept is not None:
+            absorbed = mask ^ kept.mask
             changed = np.count_nonzero(absorbed)
             if changed == 0:
-                return self._frontier
+                return kept
             # Every changed point is a new inside point exactly when the
             # inside grew by as many points as changed.
-            if changed == np.count_nonzero(mask) - np.count_nonzero(last):
-                kept = self._frontier
+            if changed == np.count_nonzero(mask) - np.count_nonzero(kept.mask):
                 self._frontier = self._grow(absorbed, mask, kept.near, kept.floor)
-                self._mask = mask.copy()
                 return self._frontier
         # A build that fails leaves no kept state to grow from.
-        self._mask = None
+        self._frontier = None
         self._frontier = self._build(mask)
-        self._mask = mask.copy()
         return self._frontier
 
     def _build(self, mask: np.ndarray) -> Frontier:
@@ -147,18 +147,10 @@ class GridIndex:
     def _grow(
         self, absorbed: np.ndarray, mask: np.ndarray, near: np.ndarray, floor: np.ndarray
     ) -> Frontier:
-        """The frontier of ``mask`` from ``near`` and ``floor`` of ``mask`` less ``absorbed``.
-
-        Outside and position are read off the mask: one pass over it
-        costs less than selecting from the last outside points.
-        """
-        free = ~mask
-        outside = free.nonzero()[0]
-        position = np.full(mask.shape[0], -1, dtype=np.intp)
-        position[outside] = np.arange(outside.size)
-        if outside.size == 0:
-            return Frontier(outside, position, np.zeros(mask.shape[0]), np.zeros(mask.shape[0]))
-        self._scan_lines(absorbed, free)
+        """The frontier of ``mask`` from ``near`` and ``floor`` of ``mask`` less ``absorbed``."""
+        if mask.all():
+            return Frontier(mask.copy(), np.zeros(mask.shape[0]), np.zeros(mask.shape[0]))
+        self._scan_lines(absorbed, mask)
         stale = absorbed[self._nearest].nonzero()[0]
         nearest = self._nearest_outside(stale)
         self._nearest[stale] = nearest
@@ -171,9 +163,9 @@ class GridIndex:
         scale = 2.0 * self.kernel.output_scale
         floor = floor.copy()
         floor[stale] = np.sqrt(np.maximum(metric**2 * (1.0 - _REL_SLACK) - _ABS_SLACK * scale, 0.0))
-        return Frontier(outside, position, near, floor)
+        return Frontier(mask.copy(), near, floor)
 
-    def _scan_lines(self, absorbed: np.ndarray, outside: np.ndarray) -> None:
+    def _scan_lines(self, absorbed: np.ndarray, mask: np.ndarray) -> None:
         """Scan again the last-axis lines that hold an absorbed point.
 
         Along a line, the nearest outside point lies at the last outside
@@ -181,15 +173,8 @@ class GridIndex:
         """
         coords = self.axes[-1]
         m = coords.size
-        lines = np.logical_or.reduce(absorbed.reshape(-1, m), axis=1)
-        rows = lines.nonzero()[0]
-        # When every line is scanned, as in 1-D or a build, the scan
-        # replaces the kept arrays instead of being written into them.
-        whole = rows.size == lines.size
-        # This reshape fails for a mask that does not fit the lattice.
-        out = outside.reshape(self.shape)
-        if not whole:
-            out = out.reshape(-1, m)[rows]
+        rows = np.logical_or.reduce(absorbed.reshape(-1, m), axis=1).nonzero()[0]
+        out = ~mask.reshape(-1, m)[rows]
         idx = np.arange(m)
         left = np.maximum.accumulate(np.where(out, idx, -1), axis=-1)
         right = np.minimum.accumulate(np.where(out, idx, m)[..., ::-1], axis=-1)[..., ::-1]
@@ -197,12 +182,9 @@ class GridIndex:
         to_right = (self._ends[right] - coords) ** 2
         take_right = to_right < to_left
         sq = np.where(take_right, to_right, to_left)
-        arg = np.where(take_right, right, left) + m * rows.reshape(out.shape[:-1] + (1,))
-        if whole:
-            self._line_sq, self._line_arg = sq.ravel(), arg.ravel()
-        else:
-            self._line_sq.reshape(-1, m)[rows] = sq
-            self._line_arg.reshape(-1, m)[rows] = arg
+        arg = np.where(take_right, right, left) + m * rows[:, None]
+        self._line_sq.reshape(-1, m)[rows] = sq
+        self._line_arg.reshape(-1, m)[rows] = arg
 
     def _nearest_outside(self, stale: np.ndarray) -> np.ndarray:
         """Per index in ``stale``, the grid index of a Euclidean-nearest outside point.
@@ -253,15 +235,17 @@ class GridIndex:
     def covered(
         self, frontier: Frontier, anchors: np.ndarray, bounds: np.ndarray, norm: float
     ) -> np.ndarray:
-        """Per outside point: does some anchor ``a`` have ``bounds[a] - norm * d >= 0``?"""
-        hit = np.zeros(frontier.outside.size, dtype=bool)
+        """Per grid point: is it outside, with some anchor ``a`` at ``bounds[a] - norm * d >= 0``?
+
+        The answer is False at every point of the frontier's mask.
+        """
+        hit = np.zeros(frontier.mask.shape[0], dtype=bool)
         keep = bounds - norm * frontier.floor[anchors] >= 0.0
         anchors, bounds = anchors[keep], bounds[keep]
         if anchors.size == 0:
             return hit
         if (bounds - norm * self.metric_sup >= 0.0).any():
-            hit[:] = True
-            return hit
+            return ~frontier.mask
         for rows, cols, ok in self._pairs(frontier, anchors, bounds, norm):
             hit[cols[ok]] = True
         return hit
@@ -280,13 +264,13 @@ class GridIndex:
         return found
 
     def _pairs(self, frontier: Frontier, anchors: np.ndarray, bounds: np.ndarray, norm: float):
-        """Chunks of ``(anchor rows, outside positions, reached)`` in reach.
+        """Chunks of ``(anchor rows, grid indices, reached)`` in reach.
 
         The ball around each anchor has the Euclidean radius where the
         metric reaches ``bounds / norm``, widened outward.  Its bounding
         box on the lattice is found per axis by bisecting the axis
-        coordinates; the box's outside points inside the ball are
-        evaluated with the dense expression.
+        coordinates; the box's points outside the frontier's mask and
+        inside the ball are evaluated with the dense expression.
         """
         scale = 2.0 * self.kernel.output_scale
         target_sq = (bounds / norm) ** 2 * (1.0 + _REL_SLACK) + _ABS_SLACK * scale
@@ -311,12 +295,12 @@ class GridIndex:
             for k in range(len(self.axes) - 1, -1, -1):
                 offset, digit = np.divmod(offset, sizes[k][rows])
                 flat += (lows[k][rows] + digit) * self.strides[k]
-            keep = frontier.position[flat] >= 0
+            keep = ~frontier.mask[flat]
             rows, flat = rows[keep], flat[keep]
             diff = centers[rows] - self.points[flat]
             squares = diff * diff
             keep = squares.sum(axis=1) <= radii[rows] ** 2
             rows, flat = rows[keep], flat[keep]
             metric = paired_metric(self.kernel, centers[rows], self.points[flat])
-            yield rows, frontier.position[flat], bounds[rows] - norm * metric >= 0.0
+            yield rows, flat, bounds[rows] - norm * metric >= 0.0
             start = stop

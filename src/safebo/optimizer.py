@@ -79,19 +79,13 @@ def safe_set(
     if not previous.any():
         raise ValueError("previous safe set must be non-empty")
     frontier = index.frontier(previous)
-    if frontier.outside.size == 0:
-        return previous.copy()
-    certified = np.ones(frontier.outside.size, dtype=bool)
+    certified = ~previous
     for i in constraints:
-        anchors = (previous & bounded[i]).nonzero()[0]
-        if anchors.size == 0:
-            return previous.copy()
-        certified &= index.covered(frontier, anchors, lower[i][anchors], norm_bounds[i])
         if not certified.any():
             break
-    result = previous.copy()
-    result[frontier.outside[certified]] = True
-    return result
+        anchors = (previous & bounded[i]).nonzero()[0]
+        certified &= index.covered(frontier, anchors, lower[i][anchors], norm_bounds[i])
+    return previous | certified
 
 
 def maximizers(upper: np.ndarray, lower: np.ndarray, safe: np.ndarray) -> np.ndarray:
@@ -249,10 +243,11 @@ class OptimizerConfig:
         constraints = self.constraint_indices
         if constraints is None:
             constraints = (0,) if n == 1 else tuple(range(1, n))
-        constraints = tuple(int(i) for i in constraints)
+        constraints = _integers(constraints, "constraint indices")
         if not constraints or any(i < 0 or i >= n for i in constraints):
             raise ValueError("constraint indices must name existing outputs")
         object.__setattr__(self, "constraint_indices", constraints)
+        object.__setattr__(self, "initial_safe", _integers(self.initial_safe, "initial safe"))
         object.__setattr__(self, "norm_bounds", tuple(float(b) for b in self.norm_bounds))
 
     @property
@@ -467,6 +462,14 @@ class SafeOptimizer:
         resolve to the lowest safe index.
         """
         return _best_index(state.safe, state.confidence.lower)
+
+
+def _integers(entries, what: str) -> tuple[int, ...]:
+    """``entries`` as Python ints; a bool, float or string entry raises ``ValueError``."""
+    for i in entries:
+        if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+            raise ValueError(f"{what} entries must be integers, got {i!r}")
+    return tuple(int(i) for i in entries)
 
 
 def _best_index(safe: np.ndarray, lower: np.ndarray) -> int:

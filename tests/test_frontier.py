@@ -83,7 +83,7 @@ def assert_near_and_floor(kernel, domain, mask, frontier):
     """``near`` is the metric to a Euclidean-nearest outside point, ``floor`` at most any."""
     points = domain.points
     inside, outside = np.flatnonzero(mask), np.flatnonzero(~mask)
-    assert np.array_equal(frontier.outside, outside)
+    assert np.array_equal(frontier.mask, mask)
     anchors = np.repeat(points[inside], outside.size, axis=0)
     others = np.tile(points[outside], (inside.size, 1))
     diff = anchors - others
@@ -104,14 +104,17 @@ def assert_covered_and_reaches_match_the_dense_scan(rng, index, mask):
     frontier = index.frontier(mask)
     metric = metric_matrix(index.kernel, index.points)
     anchors = np.flatnonzero(mask)
-    outside = frontier.outside
+    outside = np.flatnonzero(~mask)
     norm = float(rng.uniform(0.5, 2.0))
     bounds = norm * metric[np.ix_(anchors, outside)].max(axis=1) * rng.uniform(0, 1.2, anchors.size)
     ties = rng.random(anchors.size) < 0.3
     picks = rng.integers(outside.size, size=anchors.size)
     bounds[ties] = norm * metric[anchors[ties], outside[picks[ties]]]
     reach = bounds[:, None] - norm * metric[np.ix_(anchors, outside)] >= 0.0
-    assert np.array_equal(index.covered(frontier, anchors, bounds, norm), reach.any(axis=0))
+    # Per grid point: False inside, the dense scan's answer outside.
+    covered = index.covered(frontier, anchors, bounds, norm)
+    assert covered.shape == mask.shape and not covered[mask].any()
+    assert np.array_equal(covered[outside], reach.any(axis=0))
     assert np.array_equal(index.reaches(frontier, anchors, bounds, norm), reach.any(axis=1))
 
 
@@ -130,18 +133,19 @@ def test_covered_and_reaches_match_the_dense_scan(budget):
 def test_a_growth_chain_matches_bruteforce(budget, builds):
     # Each link grows the frontier of the one before; only the first builds.
     rng = np.random.default_rng(13)
-    for trial, (kernel, domain, mask) in enumerate(fixtures(rng, 60)):
+    for kernel, domain, mask in fixtures(rng, 60):
         index = GridIndex(kernel, domain)
         chain = growth_chain(rng, mask)
-        for mask in chain[:-1]:
+        for link, mask in enumerate(chain[:-1]):
+            before = len(builds)
             frontier = index.frontier(mask)
+            assert len(builds) == before + (link == 0)
             assert_near_and_floor(kernel, domain, mask, frontier)
-            position = np.full(domain.n_points, -1)
-            position[frontier.outside] = np.arange(frontier.outside.size)
-            assert np.array_equal(frontier.position, position)
+            fresh = GridIndex(kernel, domain).frontier(mask)
+            assert np.array_equal(frontier.mask, fresh.mask)
             assert_covered_and_reaches_match_the_dense_scan(rng, index, mask)
-        assert index.frontier(chain[-1]).outside.size == 0
-        assert len(builds) == trial + 1
+        before = len(builds)
+        assert index.frontier(chain[-1]).mask.all() and len(builds) == before
 
 
 def test_lattice_with_a_single_point_axis():
@@ -201,20 +205,34 @@ def test_an_equal_mask_is_kept_a_superset_grows_and_any_other_is_built(builds, g
     # A mask that drops a point is built, even the mask grown from.
     assert index.frontier(mask) is not first and len(builds) == 2 and len(grows) == 3
     fresh = GridIndex(kernel, domain).frontier(superset)
-    assert np.array_equal(grown.outside, fresh.outside)
-    assert np.array_equal(grown.position, fresh.position)
+    assert np.array_equal(grown.mask, fresh.mask)
     assert_near_and_floor(kernel, domain, superset, grown)
 
 
-def test_a_mask_of_another_length_is_a_changed_mask(builds):
+def test_a_mask_that_does_not_fit_the_lattice_raises(builds):
     domain = Domain.grid([(0.0, 1.0)], 5)
     index = GridIndex(Kernel(lengthscale=0.3), domain)
-    index.frontier(np.ones(5, dtype=bool))
-    # A one-point mask broadcasts against the kept one in an elementwise
-    # comparison; it is another mask all the same.
-    short = index.frontier(np.ones(1, dtype=bool))
-    assert len(builds) == 2 and short.position.shape == (1,) and short.outside.size == 0
-    # One with outside points does not fit the lattice.
-    with pytest.raises(ValueError):
-        index.frontier(np.array([True, False, True]))
-    assert len(builds) == 3
+    mask = np.array([True, True, False, True, True])
+    kept = index.frontier(mask)
+    bad = (np.ones(1, dtype=bool), np.array([True, False, True]), mask.astype(int))
+    for other in bad:
+        with pytest.raises(ValueError, match=r"\(5,\)"):
+            index.frontier(other)
+    # The kept frontier survives: the equal mask is still no work.
+    assert index.frontier(mask.copy()) is kept and len(builds) == 1
+
+
+def test_the_kept_mask_is_a_private_copy(builds, grows):
+    domain = Domain.grid([(0.0, 1.0)] * 2, [6, 5])
+    index = GridIndex(Kernel(lengthscale=0.3), domain)
+    mask = random_mask(np.random.default_rng(5), domain.n_points)
+    before = mask.copy()
+    frontier = index.frontier(mask)
+    # The caller's array is written after the call, into a superset.
+    mask[(~mask).nonzero()[0][0]] = True
+    assert np.array_equal(frontier.mask, before)
+    # So the kept mask is still the one frontier was called with: an
+    # equal mask is kept, and the caller's new superset grows it.
+    assert index.frontier(before) is frontier and len(grows) == 1
+    assert np.array_equal(index.frontier(mask).mask, mask)
+    assert len(builds) == 1 and len(grows) == 2

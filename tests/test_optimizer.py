@@ -976,3 +976,19 @@ class TestOptimizerConfig:
         for bad in (0.0, -1.0):
             with pytest.raises(ValueError, match="norm bounds must be positive"):
                 self.make(norm_bounds=(bad,))
+
+    @pytest.mark.parametrize("field", ["initial_safe", "constraint_indices"])
+    @pytest.mark.parametrize("bad", [1.5, 3.0, True, "1", None], ids=repr)
+    def test_rejects_grid_indices_that_are_not_integers(self, field, bad):
+        with pytest.raises(ValueError, match="must be integers"):
+            self.make(**{field: (bad,)})
+
+    def test_stores_integer_indices_as_python_ints(self):
+        cfg = self.make(
+            norm_bounds=(1.0, 1.0),
+            schedule=ScenarioSchedule(0.1, 1e-3, 2),
+            initial_safe=[np.int64(3)],
+            constraint_indices=(np.int32(1),),
+        )
+        assert cfg.initial_safe == (3,) and cfg.constraint_indices == (1,)
+        assert type(cfg.initial_safe[0]) is int and type(cfg.constraint_indices[0]) is int
