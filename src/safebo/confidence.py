@@ -50,17 +50,17 @@ class ConfidenceCollapse(RuntimeError):
 
 
 def beta_from_squares(
-    norm_bound: float, regularization: float, xi_lambda_max: float, bound_sq_sum: float
+    norm_bound: float, regularization: float, xi: float, bound_sq_sum: float
 ) -> float:
     """Safety multiplier from a pre-accumulated sum of squared noise bounds.
 
-    ``xi_lambda_max`` is the spectral ratio: the exact top eigenvalue of
+    ``xi`` is the spectral ratio, the top eigenvalue of
     ``K (K + reg I)^{-1}``, or any upper bound on it; the loop passes the
     Frobenius bound.  Accumulating the squares in a scalar keeps the
     multiplier exactly non-decreasing across iterations even in floating
     point, as long as the ratio does not decrease.
     """
-    return norm_bound + math.sqrt(xi_lambda_max / regularization) * math.sqrt(bound_sq_sum)
+    return norm_bound + math.sqrt(xi / regularization) * math.sqrt(bound_sq_sum)
 
 
 @dataclass(frozen=True)

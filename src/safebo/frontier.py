@@ -5,8 +5,10 @@ The set rules compare a bound ``b`` at a point ``s`` against
 ``b - L * d(s, j) >= 0``.  For a stationary kernel ``d`` grows with the
 Euclidean distance, so a bound can only reach points inside a ball, and
 a point whose bound does not reach the nearest outside point reaches
-none.  :class:`GridIndex` answers these questions on the lattice of a
-:class:`~safebo.domain.Domain` without the dense ``n x n`` metric:
+none.  :class:`GridIndex` decides both questions the set rules ask, which
+outside points some anchor covers and which anchors reach some outside
+point, on the lattice of a :class:`~safebo.domain.Domain` without the
+dense ``n x n`` metric:
 
 * a :class:`Frontier` per mask holds the mask, and for every inside
   point the metric to a Euclidean-nearest outside point together with a
@@ -18,14 +20,16 @@ none.  :class:`GridIndex` answers these questions on the lattice of a
   uniform.  Safe sets only grow, so a mask that adds points to the last
   one grows its frontier: only the last-axis lines that hold an absorbed
   point are scanned again, and only the stale points, those absorbed and
-  those whose recorded nearest outside point was absorbed, go through the
-  other axes' passes and get a new metric.  Every other inside point
+  those whose recorded nearest outside point was absorbed, take the
+  first axis's pass and get a new metric.  Every other inside point
   keeps its nearest point, which is still outside and, since the outside
   only shrank, still a Euclidean-nearest one;
-* bounds below ``L`` times that lower bound are dropped, the remaining
-  points enumerate the lattice box around them whose half-width inverts
-  the kernel profile, and every outside point of the box inside the
-  ball is decided by the dense expression.
+* an anchor whose bound reaches the metric to its nearest outside point
+  reaches, bounds below ``L`` times the lower bound reach nothing, and
+  only the band between the two goes to a ball query: the anchors
+  enumerate the lattice box around them whose half-width inverts the
+  kernel profile, and every outside point of the box inside the ball is
+  decided by the dense expression.
 
 The metric of a pair is computed by :func:`~safebo.kernels.paired_metric`,
 bit for bit the ``metric_matrix`` entry, and the filters only drop pairs
@@ -192,21 +196,14 @@ class GridIndex:
         The squared distance to the nearest outside point is separable
         over the axes.  From the last-axis scan, each earlier axis takes
         the minimum of ``(c_i - c_j)**2 + g_j`` over the line through a
-        point, carrying the argmin.  The pass for axis ``k > 0`` runs at
-        the points that share their coordinates on axes ``k`` and later
-        with a stale point, the only ones the next pass reads; the first
-        axis, the last pass, runs at ``stale`` only.
+        point, carrying the argmin.  The middle axes' passes run at every
+        point; the first axis, the last pass, runs at ``stale`` only.
         """
         sq, arg = self._line_sq, self._line_arg
         if len(self.shape) == 1:
             return arg[stale]
         for k in range(len(self.shape) - 2, 0, -1):
-            tail = np.zeros(self.strides[k - 1], dtype=bool)
-            tail[stale % self.strides[k - 1]] = True
-            at = np.tile(tail, sq.size // tail.size).nonzero()[0]
-            best_sq, best_arg = self._axis_min(sq, arg, k, at)
-            sq, arg = np.empty(sq.size), np.empty(sq.size, dtype=np.intp)
-            sq[at], arg[at] = best_sq, best_arg
+            sq, arg = self._axis_min(sq, arg, k, np.arange(sq.size))
         return self._axis_min(sq, arg, 0, stale)[1]
 
     def _axis_min(self, sq: np.ndarray, arg: np.ndarray, k: int, at: np.ndarray):
@@ -255,12 +252,17 @@ class GridIndex:
     ) -> np.ndarray:
         """Per anchor: is ``bounds[a] - norm * d >= 0`` for some outside point?
 
-        Meant for anchors whose bound lies between ``norm`` times their
-        ``floor`` and their ``near``, the band the frontier cannot decide.
+        An anchor with ``bounds[a] - norm * near[a] >= 0`` does: that is
+        the dense expression at an outside point.  One with
+        ``bounds[a] - norm * floor[a] < 0`` does not.  Only the band
+        between them goes to the ball query.  The frontier's mask must
+        leave a point outside.
         """
-        found = np.zeros(anchors.size, dtype=bool)
-        for rows, cols, ok in self._pairs(frontier, anchors, bounds, norm):
-            found[rows[ok]] = True
+        found = bounds - norm * frontier.near[anchors] >= 0.0
+        band = (~found & (bounds - norm * frontier.floor[anchors] >= 0.0)).nonzero()[0]
+        if band.size:
+            for rows, cols, ok in self._pairs(frontier, anchors[band], bounds[band], norm):
+                found[band[rows[ok]]] = True
         return found
 
     def _pairs(self, frontier: Frontier, anchors: np.ndarray, bounds: np.ndarray, norm: float):

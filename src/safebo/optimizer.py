@@ -108,10 +108,9 @@ def expanders(
     """Safe points that could certify something outside the safe set.
 
     A safe point expands when, under at least one constraint, its upper
-    bound optimistically reaches an outside point.  An infinite upper
-    bound reaches everything.  Reaching the nearest outside point
-    decides most points; only bounds in the roundoff band between the
-    frontier's ``floor`` and ``near`` need a ball query.
+    bound optimistically reaches an outside point, as
+    :meth:`~safebo.frontier.GridIndex.reaches` decides.  An infinite
+    upper bound reaches everything.
     """
     safe = np.asarray(safe, dtype=bool)
     mask = np.zeros(safe.shape[0], dtype=bool)
@@ -120,12 +119,7 @@ def expanders(
     frontier = index.frontier(safe)
     inside = safe.nonzero()[0]
     for i in constraints:
-        bound = upper[i][inside]
-        found = bound - norm_bounds[i] * frontier.near[inside] >= 0.0
-        band = ~found & (bound - norm_bounds[i] * frontier.floor[inside] >= 0.0)
-        if band.any():
-            found[band] = index.reaches(frontier, inside[band], bound[band], norm_bounds[i])
-        mask[inside[found]] = True
+        mask[inside[index.reaches(frontier, inside, upper[i][inside], norm_bounds[i])]] = True
     return mask
 
 

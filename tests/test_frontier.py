@@ -5,7 +5,7 @@ import pytest
 
 from safebo import Domain, Kernel, metric_matrix
 from safebo import frontier as frontier_module
-from safebo.frontier import GridIndex
+from safebo.frontier import Frontier, GridIndex
 from safebo.kernels import FAMILIES, paired_metric
 
 # Relative slack on squared distances within which two outside points
@@ -128,6 +128,69 @@ def test_covered_and_reaches_match_the_dense_scan(budget):
     rng = np.random.default_rng(11)
     for kernel, domain, mask in fixtures(rng, 80):
         assert_covered_and_reaches_match_the_dense_scan(rng, GridIndex(kernel, domain), mask)
+
+
+def band_edges(frontier, anchors, norm):
+    """Per anchor, ``norm`` times its ``near`` and ``floor``, and one ulp either side of each."""
+    edges = []
+    for edge in (norm * frontier.near[anchors], norm * frontier.floor[anchors]):
+        edges += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+    return edges
+
+
+def test_reaches_at_the_band_edges_matches_the_dense_scan(budget):
+    rng = np.random.default_rng(17)
+    for kernel, domain, mask in fixtures(rng, 80):
+        index = GridIndex(kernel, domain)
+        frontier = index.frontier(mask)
+        metric = metric_matrix(kernel, domain.points)
+        anchors, outside = np.flatnonzero(mask), np.flatnonzero(~mask)
+        norm = float(rng.uniform(0.5, 2.0))
+        # With near raised to the metric's supremum, which only narrows
+        # what it decides, every bound from floor up goes to the ball query.
+        wide = Frontier(mask, np.full(mask.size, index.metric_sup), frontier.floor)
+        for bounds in band_edges(frontier, anchors, norm):
+            reach = bounds[:, None] - norm * metric[np.ix_(anchors, outside)] >= 0.0
+            assert np.array_equal(index.reaches(frontier, anchors, bounds, norm), reach.any(axis=1))
+            assert np.array_equal(index.reaches(wide, anchors, bounds, norm), reach.any(axis=1))
+
+
+@pytest.fixture
+def queries(monkeypatch):
+    """The anchors of every ``GridIndex._pairs`` call, in order."""
+    seen = []
+    pairs = GridIndex._pairs
+
+    def counted(self, frontier, anchors, bounds, norm):
+        seen.append(anchors.copy())
+        return pairs(self, frontier, anchors, bounds, norm)
+
+    monkeypatch.setattr(GridIndex, "_pairs", counted)
+    return seen
+
+
+def test_reaches_queries_only_the_band(queries):
+    rng = np.random.default_rng(19)
+    for kernel, domain, mask in fixtures(rng, 40):
+        index = GridIndex(kernel, domain)
+        frontier = index.frontier(mask)
+        anchors = np.flatnonzero(mask)
+        norm = float(rng.uniform(0.5, 2.0))
+        near, floor = norm * frontier.near[anchors], norm * frontier.floor[anchors]
+        # Each bound reaches its near, or falls an ulp short of its floor:
+        # the frontier decides every anchor, and no ball is queried.
+        decided = np.where(rng.random(anchors.size) < 0.5, near, np.nextafter(floor, -np.inf))
+        assert np.array_equal(index.reaches(frontier, anchors, decided, norm), decided == near)
+        assert queries == []
+        # An ulp short of near is in the band wherever it still reaches
+        # floor; only those anchors are queried, in one call.
+        short = np.nextafter(near, -np.inf)
+        pick = rng.random(anchors.size) < 0.5
+        band = pick & (short - floor >= 0.0)
+        index.reaches(frontier, anchors, np.where(pick, short, decided), norm)
+        assert len(queries) == band.any()
+        if band.any():
+            assert np.array_equal(queries.pop(), anchors[band])
 
 
 def test_a_growth_chain_matches_bruteforce(budget, builds):

@@ -612,7 +612,7 @@ def assert_spectral_ratios(model, parent_bound=0.0, rtol=1e-10):
     return model.xi_frobenius()
 
 
-class TestWarmStartedSpectrum:
+class TestSpectralRatiosAlongGrownHistories:
     """Spectral ratios along histories grown one append at a time, where
     each model's Frobenius bound is its parent's, extended by the border."""
 
