@@ -8,7 +8,8 @@ kernel, the metric, and the Gram matrices everything else consumes.
 
 import numpy as np
 
-from safebo import Domain, Kernel, gram, metric_matrix, pairwise
+from safebo import Domain, Kernel, pairwise
+from safebo.kernels import paired_metric
 
 kernel = Kernel(family="matern32", lengthscale=0.1)
 
@@ -19,7 +20,7 @@ print(f"k at ten lengthscales= {pairwise(kernel, [0.0], [1.0])[0, 0]:.2e}")
 
 print("\n== induced metric ==")
 offsets = np.array([0.0, 0.01, 0.05, 0.1, 0.3, 1.0])
-for r, d in zip(offsets, metric_matrix(kernel, [0.0], offsets[:, None])[0]):
+for r, d in zip(offsets, paired_metric(kernel, np.zeros((offsets.size, 1)), offsets[:, None])):
     print(f"  d(0, {r:4.2f}) = {d:.4f}")
 print("The metric saturates near sqrt(2) =", round(np.sqrt(2), 4),
       "once points decorrelate.")
@@ -29,10 +30,11 @@ print("\n== continuity margin in practice ==")
 # fall below zero past metric distance 0.5; that radius is exactly what
 # the optimizer certifies as safe around a trusted point.
 domain = Domain.grid([(0.0, 1.0)], 101)
-dists = metric_matrix(kernel, domain.points)
 anchor = 50
 radius = 0.5
-certified = dists[anchor] <= radius
+dists = paired_metric(kernel, np.broadcast_to(domain.points[anchor], domain.points.shape),
+                      domain.points)
+certified = dists <= radius
 print(f"anchor x={domain.points[anchor, 0]:.2f}, lower bound {radius}:"
       f" {certified.sum()} of {domain.n_points} grid points certified")
 
@@ -40,7 +42,7 @@ print("\n== Gram matrices stay positive semi-definite ==")
 rng = np.random.default_rng(0)
 for trial in range(3):
     pts = rng.uniform(0, 1, size=(8, 2))
-    g = gram(kernel, pts)
+    g = pairwise(kernel, pts)
     np.linalg.cholesky(g + 1e-10 * np.eye(8))
     eigs = np.linalg.eigvalsh(g)
     print(f"  trial {trial}: eigenvalues in [{eigs.min():.2e}, {eigs.max():.3f}]")

@@ -8,9 +8,10 @@ parameter.  Safety means never evaluating where the truth is negative.
 
 import numpy as np
 
-from safebo import ExperimentConfig, reachable_set, run_single
+from safebo import ExperimentConfig, run_single
 from safebo.harness import build_synthetic_problem
 from safebo.kernels import metric_matrix
+from safebo.optimizer import reachable_set
 
 SEED = 4
 

@@ -8,14 +8,15 @@ noise distribution the application can sample, making the same loop
 usable under uniform, Gaussian, or heteroscedastic heavy-tailed noise.
 
 The top level re-exports the names the README and the demos use;
-everything else is imported from its submodule.
+everything else, the dense O(n²) helpers ``kernels.metric_matrix`` and
+``optimizer.reachable_set`` among them, is imported from its submodule.
 """
 
 from .confidence import ConfidenceState, beta_from_squares, update_intervals
 from .domain import Domain
 from .gp import SurrogateModel
 from .harness import ExperimentConfig, run_single, scaling_study
-from .kernels import Kernel, gram, metric_matrix, pairwise
+from .kernels import Kernel, pairwise
 from .noise import (
     ScenarioSchedule,
     gaussian,
@@ -25,7 +26,7 @@ from .noise import (
     student_t_scaled,
     uniform,
 )
-from .optimizer import OptimizerConfig, SafeOptimizer, reachable_set
+from .optimizer import OptimizerConfig, SafeOptimizer
 
 __version__ = "0.1.0"
 
@@ -40,12 +41,9 @@ __all__ = [
     "SurrogateModel",
     "beta_from_squares",
     "gaussian",
-    "gram",
     "iteration_confidence",
-    "metric_matrix",
     "min_scenarios",
     "pairwise",
-    "reachable_set",
     "run_single",
     "scaling_study",
     "scenario_bound",

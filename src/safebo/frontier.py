@@ -73,7 +73,8 @@ class Frontier:
     ``mask`` is a private copy of the inside points.  ``near`` and
     ``floor`` are meaningful on the mask only: ``near`` is the exact
     metric to a Euclidean-nearest outside point, ``floor`` a lower bound
-    on the computed metric to any outside point.
+    on the computed metric to any outside point.  A full mask has no
+    outside point, so both are ``+inf`` there and no bound reaches.
     """
 
     mask: np.ndarray
@@ -153,7 +154,8 @@ class GridIndex:
     ) -> Frontier:
         """The frontier of ``mask`` from ``near`` and ``floor`` of ``mask`` less ``absorbed``."""
         if mask.all():
-            return Frontier(mask.copy(), np.zeros(mask.shape[0]), np.zeros(mask.shape[0]))
+            far = np.full(mask.shape[0], np.inf)
+            return Frontier(mask.copy(), far, far)
         self._scan_lines(absorbed, mask)
         stale = absorbed[self._nearest].nonzero()[0]
         nearest = self._nearest_outside(stale)
@@ -237,7 +239,9 @@ class GridIndex:
         The answer is False at every point of the frontier's mask.
         """
         hit = np.zeros(frontier.mask.shape[0], dtype=bool)
-        keep = bounds - norm * frontier.floor[anchors] >= 0.0
+        # An infinite bound against a full mask's infinite floor is nan: not kept.
+        with np.errstate(invalid="ignore"):
+            keep = bounds - norm * frontier.floor[anchors] >= 0.0
         anchors, bounds = anchors[keep], bounds[keep]
         if anchors.size == 0:
             return hit
@@ -255,11 +259,13 @@ class GridIndex:
         An anchor with ``bounds[a] - norm * near[a] >= 0`` does: that is
         the dense expression at an outside point.  One with
         ``bounds[a] - norm * floor[a] < 0`` does not.  Only the band
-        between them goes to the ball query.  The frontier's mask must
-        leave a point outside.
+        between them goes to the ball query.  On a full mask, whose
+        ``near`` and ``floor`` are infinite, no anchor reaches, an
+        infinite bound included.
         """
-        found = bounds - norm * frontier.near[anchors] >= 0.0
-        band = (~found & (bounds - norm * frontier.floor[anchors] >= 0.0)).nonzero()[0]
+        with np.errstate(invalid="ignore"):
+            found = bounds - norm * frontier.near[anchors] >= 0.0
+            band = (~found & (bounds - norm * frontier.floor[anchors] >= 0.0)).nonzero()[0]
         if band.size:
             for rows, cols, ok in self._pairs(frontier, anchors[band], bounds[band], norm):
                 found[band[rows[ok]]] = True

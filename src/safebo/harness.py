@@ -497,14 +497,14 @@ def run_single(config: ExperimentConfig, seed: int, beta_mode: str) -> RunTrace:
     return _run(config, seed, beta_mode, _ground_truth(config, seed))
 
 
-def _streams(config: ExperimentConfig, seed: int) -> list[SeedSequence]:
-    """A seed's streams: the ground truth's first, then one per mode."""
-    return SeedSequence(seed).spawn(1 + len(config.beta_modes))
+def _streams(seed: int) -> list[SeedSequence]:
+    """A seed's streams: the ground truth's, then one per ``BETA_MODES`` entry, listed or not."""
+    return SeedSequence(seed).spawn(1 + len(BETA_MODES))
 
 
 def _ground_truth(config: ExperimentConfig, seed: int) -> SyntheticProblem:
     """The seed's ground truth, drawn from its first stream."""
-    return build_synthetic_problem(config, default_rng(_streams(config, seed)[0]))
+    return build_synthetic_problem(config, default_rng(_streams(seed)[0]))
 
 
 def _battery(config: ExperimentConfig):
@@ -523,7 +523,7 @@ def _run(
     config: ExperimentConfig, seed: int, beta_mode: str, problem: SyntheticProblem
 ) -> RunTrace:
     """:func:`run_single` on a seed's ground truth, built once for all its modes."""
-    run_rng = default_rng(_streams(config, seed)[1 + config.beta_modes.index(beta_mode)])
+    run_rng = default_rng(_streams(seed)[1 + BETA_MODES.index(beta_mode)])
     k = len(problem.functions)
     opt_config = OptimizerConfig(
         norm_bounds=(config.norm_bound,) * k,

@@ -1,4 +1,4 @@
-"""Stationary covariance kernels, the induced metric, and Gram matrices.
+"""Stationary covariance kernels, kernel matrices, and the induced metric.
 
 Everything else in this package measures similarity between candidate
 parameters through one of these kernels.  The kernel also induces a
@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "FAMILIES",
     "Kernel",
-    "gram",
     "metric_matrix",
     "paired_metric",
     "pairwise",
@@ -134,21 +133,13 @@ def pairwise(kernel: Kernel, x: np.ndarray, y: np.ndarray | None = None) -> np.n
     return kernel.profile(np.sqrt(total, out=total))
 
 
-def gram(kernel: Kernel, points: np.ndarray) -> np.ndarray:
-    """Symmetric kernel matrix of a point list.
-
-    The result is returned exactly as evaluated; stabilizing jitter is
-    the business of factorization routines, not of the covariance itself.
-    """
-    points = _as_points(points)
-    if points.shape[0] == 0:
-        raise ValueError("point list must be non-empty")
-    # Exactly symmetric: (a - b)**2 and (b - a)**2 round alike.
-    return pairwise(kernel, points)
-
-
 def metric_matrix(kernel: Kernel, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    """Pairwise kernel metric between rows of ``x`` and ``y``."""
+    """Pairwise kernel metric between rows of ``x`` and ``y``.
+
+    Dense and O(n²) in time and memory; the loop never builds it.  It is
+    kept for the benchmark's reachability ceiling and the tests' oracles;
+    :func:`paired_metric` gives the same bits one pair at a time.
+    """
     return _metric(kernel, pairwise(kernel, x, y))
 
 

@@ -110,12 +110,10 @@ def expanders(
     A safe point expands when, under at least one constraint, its upper
     bound optimistically reaches an outside point, as
     :meth:`~safebo.frontier.GridIndex.reaches` decides.  An infinite
-    upper bound reaches everything.
+    upper bound reaches every outside point there is.
     """
     safe = np.asarray(safe, dtype=bool)
     mask = np.zeros(safe.shape[0], dtype=bool)
-    if safe.all() or not safe.any():
-        return mask
     frontier = index.frontier(safe)
     inside = safe.nonzero()[0]
     for i in constraints:
@@ -170,6 +168,8 @@ def reachable_set(
     Only computable for synthetic benchmarks, where the ground-truth
     constraint values are available on the whole grid.  Serves as a
     diagnostic ceiling on what safe exploration could ever certify.
+    Dense and O(n²) on the full ``metric`` matrix: kept for the
+    benchmark's ceiling and the tests' oracles, off the loop's path.
     Each sweep tests only the points added by the previous one, against
     the points not yet in the set; what earlier anchors covered is kept
     per constraint.

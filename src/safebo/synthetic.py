@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Domain
-from .kernels import Kernel, gram, pairwise
+from .kernels import Kernel, pairwise
 
 __all__ = [
     "RkhsFunction",
@@ -116,7 +116,7 @@ def sample_rkhs_function(
         if _has_duplicate_rows(centers):
             continue
         coefficients = rng.standard_normal(n_centers)
-        center_gram = gram(kernel, centers)
+        center_gram = pairwise(kernel, centers)
         sq_norm = float(coefficients @ center_gram @ coefficients)
         if not sq_norm > 0:
             continue

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from safebo import Domain, Kernel, metric_matrix
+from safebo import Domain, Kernel
 from safebo import frontier as frontier_module
 from safebo.frontier import Frontier, GridIndex
-from safebo.kernels import FAMILIES, paired_metric
+from safebo.kernels import FAMILIES, metric_matrix, paired_metric
 
 # Relative slack on squared distances within which two outside points
 # count as equally near: far above the roundoff of a sum of squares, far
@@ -191,6 +191,27 @@ def test_reaches_queries_only_the_band(queries):
         assert len(queries) == band.any()
         if band.any():
             assert np.array_equal(queries.pop(), anchors[band])
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_full_mask_covers_and_reaches_nothing():
+    # No point lies outside a full mask, so no bound reaches one, an
+    # infinite bound included.  The fixtures' full masks are grown from
+    # their masks; the 5 x 4 lattice's is built.
+    rng = np.random.default_rng(23)
+    lattices = [(Kernel(), Domain.grid([(0.0, 1.0)] * 2, [5, 4]), None)]
+    for kernel, domain, mask in lattices + list(fixtures(rng, 60)):
+        index = GridIndex(kernel, domain)
+        if mask is not None:
+            index.frontier(mask)
+        full = np.ones(domain.n_points, dtype=bool)
+        frontier = index.frontier(full)
+        anchors = np.arange(domain.n_points)
+        norm = float(rng.uniform(0.5, 2.0))
+        for bound in (0.0, 5.0, 1e300, np.inf):
+            bounds = np.full(anchors.size, bound)
+            assert not index.covered(frontier, anchors, bounds, norm).any()
+            assert not index.reaches(frontier, anchors, bounds, norm).any()
 
 
 def test_a_growth_chain_matches_bruteforce(budget, builds):

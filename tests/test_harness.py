@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from safebo import ExperimentConfig, metric_matrix, reachable_set, run_single, scaling_study
+from safebo import ExperimentConfig, run_single, scaling_study
 from safebo import harness
 from safebo.harness import (
     CONFIG_SCHEMA,
@@ -22,6 +22,8 @@ from safebo.harness import (
     trace_csv_lines,
     validate_config,
 )
+from safebo.kernels import metric_matrix
+from safebo.optimizer import reachable_set
 from safebo.synthetic import RkhsFunction, ShiftedFunction
 
 
@@ -467,6 +469,23 @@ class TestRunExperiment:
         singles = [run_single(config, s, m) for s in (0, 1, 2) for m in config.beta_modes]
         assert len(built) == 3 + 6
         assert result.traces == tuple(singles)
+
+    def test_a_modes_run_does_not_depend_on_the_battery_listing_it(self):
+        # paper-synthetic-2 seed 13 in classic mode runs 25 steps with one
+        # violation; a battery that lists that mode alone, or first, must
+        # repeat that run, so `safebo run --mode` can reproduce it.
+        def lines(modes):
+            config = ExperimentConfig.from_preset(
+                "paper-synthetic-2", {"seeds": [13], "beta_modes": modes}
+            )
+            return {t.beta_mode: trace_csv_lines(t) for t in run_experiment(config).traces}
+
+        both = lines(["scenario", "classic_subgaussian"])
+        classic = both["classic_subgaussian"]
+        assert len(classic) == 1 + 25
+        assert sum(int(line.rsplit(",", 1)[1]) for line in classic[1:]) == 1
+        assert lines(["classic_subgaussian"]) == {"classic_subgaussian": classic}
+        assert lines(["classic_subgaussian", "scenario"]) == both
 
     @pytest.mark.parametrize("jobs", [0, -5])
     def test_rejects_a_worker_count_below_one(self, jobs):

@@ -5,8 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from safebo import Domain, Kernel, gram, metric_matrix, pairwise
-from safebo.kernels import FAMILIES, paired_metric
+from safebo import Domain, Kernel, pairwise
+from safebo.kernels import FAMILIES, metric_matrix, paired_metric
 
 
 def matern32_reference(r, lengthscale, scale):
@@ -149,21 +149,19 @@ class TestRadius:
 
 
 class TestGram:
+    """The Gram matrix of a point list is ``pairwise(kernel, points)``."""
+
     def test_single_point(self, kernel):
-        assert gram(kernel, [[0.2]]) == pytest.approx(np.ones((1, 1)))
+        assert pairwise(kernel, [[0.2]]) == pytest.approx(np.ones((1, 1)))
 
     def test_duplicate_points(self, kernel):
-        g = gram(kernel, [[0.2], [0.2]])
+        g = pairwise(kernel, [[0.2], [0.2]])
         assert g == pytest.approx(np.ones((2, 2)))
 
     def test_off_diagonal_from_evaluate(self, kernel):
-        g = gram(kernel, [[0.0], [0.1]])
+        g = pairwise(kernel, [[0.0], [0.1]])
         assert g[0, 1] == pytest.approx(0.4833577245965077, abs=1e-15)
         assert g[1, 0] == g[0, 1]
-
-    def test_empty_rejected(self, kernel):
-        with pytest.raises(ValueError):
-            gram(kernel, np.zeros((0, 1)))
 
     def test_psd_on_random_fixtures(self, rng):
         # 100 random point sets; jittered Gram must factorize.
@@ -174,12 +172,8 @@ class TestGram:
             family = "matern32" if trial % 2 == 0 else "squared_exponential"
             k = Kernel(family=family, lengthscale=lengthscale)
             points = rng.uniform(-1, 1, size=(n, dim))
-            g = gram(k, points) + 1e-10 * k.output_scale * np.eye(n)
+            g = pairwise(k, points) + 1e-10 * k.output_scale * np.eye(n)
             np.linalg.cholesky(g)
-
-    def test_matches_pairwise(self, kernel, rng):
-        points = rng.uniform(0, 1, size=(7, 1))
-        assert gram(kernel, points) == pytest.approx(pairwise(kernel, points))
 
 
 def test_domain_grid_shape_and_bounds():

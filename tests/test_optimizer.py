@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -11,13 +12,11 @@ from safebo import (
     OptimizerConfig,
     SafeOptimizer,
     ScenarioSchedule,
-    metric_matrix,
-    reachable_set,
     uniform,
 )
 from safebo.frontier import GridIndex
 from safebo.harness import ExperimentConfig, run_single
-from safebo.kernels import FAMILIES
+from safebo.kernels import FAMILIES, metric_matrix
 from safebo.noise import NoiseModel, scenario_bound
 from safebo.optimizer import (
     EmptyAcquisitionSet,
@@ -25,6 +24,7 @@ from safebo.optimizer import (
     classic_beta,
     expanders,
     maximizers,
+    reachable_set,
     safe_set,
 )
 
@@ -287,6 +287,19 @@ class TestExpanders:
         mask = expanders(upper, np.ones(n, dtype=bool), np.array([1.0]), self.index, (0,))
         assert not mask.any()
 
+    @pytest.mark.filterwarnings("error")
+    def test_full_and_empty_safe_sets_have_no_expanders(self):
+        # Nothing lies outside a full set and an empty one holds no anchor,
+        # whatever the upper bounds, infinite ones included.
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            _, upper, _, norms, index, _, cons = random_fixture(rng)
+            n = upper.shape[1]
+            for safe in (np.ones(n, dtype=bool), np.zeros(n, dtype=bool)):
+                for bounds in (upper, np.full_like(upper, np.inf)):
+                    mask = expanders(bounds, safe, norms, index, cons)
+                    assert mask.shape == (n,) and not mask.any()
+
     def test_unbounded_upper_reaches_everything(self):
         n = self.domain.n_points
         upper = np.full((1, n), np.inf)
@@ -424,6 +437,45 @@ class TestReachableSet:
                     break
                 current = nxt
             assert np.array_equal(fast, current)
+
+    def test_iterated_safe_set_reaches_the_dense_fixpoint(self):
+        # The loop's safe-set rule on the true values less the margin,
+        # applied until the set stops growing, is the dense fixpoint.
+        rng = np.random.default_rng(31)
+        layouts = itertools.product((1, 2, 3), (True, False), (1, 2), (False, True))
+        grew = short = 0
+        for dims, uniform_axes, k, with_margin in list(layouts) * 10:
+            sizes = [int(rng.integers(2, 7)) for _ in range(dims)]
+            if uniform_axes:
+                domain = Domain.grid([(0.0, 1.0)] * dims, sizes)
+            else:
+                domain = random_lattice(rng, sizes)
+            kernel = Kernel(
+                FAMILIES[int(rng.integers(len(FAMILIES)))],
+                lengthscale=float(rng.uniform(0.2, 1.0)),
+                output_scale=float(10 ** rng.uniform(-1, 1)),
+            )
+            n = domain.n_points
+            norms = rng.uniform(0.5, 2.0, size=k)
+            reach = norms[:, None] * math.sqrt(2.0 * kernel.output_scale)
+            values = rng.uniform(-0.5, 1.0, size=(k, n)) * reach
+            margin = float(rng.uniform(0.0, 0.1)) * reach.min() if with_margin else 0.0
+            seed = np.zeros(n, dtype=bool)
+            seed[int(values.min(axis=0).argmax())] = True
+            index = GridIndex(kernel, domain)
+            lower = values - margin
+            current = seed
+            while True:
+                grown = safe_set(lower, np.isfinite(lower), current, norms, index, tuple(range(k)))
+                if np.array_equal(grown, current):
+                    break
+                current = grown
+            metric = metric_matrix(kernel, domain.points)
+            assert np.array_equal(current, reachable_set(values, norms, metric, margin, seed))
+            grew += int(current.sum() > 1)
+            short += int(1 < current.sum() < n)
+        # Most sets grow past the seed, and some stop short of the grid.
+        assert grew > 150 and short > 40
 
     def test_matches_bruteforce_fixpoint_several_constraints(self, rng):
         # Each constraint may be covered by a different anchor, added in a

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from safebo import Domain, Kernel
-from safebo.kernels import gram, paired_metric, pairwise
+from safebo.kernels import paired_metric, pairwise
 from safebo.synthetic import (
     _CHUNK,
     RkhsFunction,
@@ -31,13 +31,13 @@ class TestSampleRkhsFunction:
     def test_unit_norm_by_construction(self, kernel, line_domain, rng):
         f = sample_rkhs_function(kernel, line_domain, 15, rng)
         assert f.rkhs_norm == pytest.approx(1.0, abs=1e-10)
-        quad = float(f.coefficients @ gram(kernel, f.centers) @ f.coefficients)
+        quad = float(f.coefficients @ pairwise(kernel, f.centers) @ f.coefficients)
         assert quad == pytest.approx(1.0, abs=1e-10)
 
     def test_norm_two_ways_agree(self, kernel, line_domain, rng):
         # Quadratic form against the Cholesky whitening route.
         f = sample_rkhs_function(kernel, line_domain, 25, rng)
-        center_gram = gram(kernel, f.centers) + 1e-10 * np.eye(25)
+        center_gram = pairwise(kernel, f.centers) + 1e-10 * np.eye(25)
         chol = np.linalg.cholesky(center_gram)
         whitened = chol.T @ f.coefficients
         assert float(whitened @ whitened) == pytest.approx(
