@@ -9,9 +9,9 @@ parameter.  Safety means never evaluating where the truth is negative.
 import numpy as np
 
 from safebo import ExperimentConfig, run_single
-from safebo.harness import build_synthetic_problem
-from safebo.kernels import metric_matrix
-from safebo.optimizer import reachable_set
+from safebo.frontier import GridIndex
+from safebo.optimizer import safe_set
+from safebo.synthetic import ShiftedFunction
 
 SEED = 4
 
@@ -20,14 +20,15 @@ config = ExperimentConfig.from_preset(
 )
 trace = run_single(config, SEED, "scenario")
 
-streams = np.random.SeedSequence(SEED).spawn(2)
-problem = build_synthetic_problem(config, np.random.default_rng(streams[0]))
-truth = problem.values[0]
+# The run records its ground truth: here one function, the reward shifted
+# so that it constrains itself.
+domain = config.build_domain()
+truth = ShiftedFunction.from_config(trace.ground_truth["functions"][0])(domain.points)
 
 print(f"ground truth: safe share {np.mean(truth >= 0):.0%},"
-      f" best value {truth.max():+.4f} at x={problem.domain.points[truth.argmax(), 0]:.3f}")
-start = problem.initial_safe[0]
-print(f"start: x={problem.domain.points[start, 0]:.3f} with value {truth[start]:+.4f}")
+      f" best value {truth.max():+.4f} at x={domain.points[truth.argmax(), 0]:.3f}")
+start = trace.ground_truth["initial_safe"][0]
+print(f"start: x={domain.points[start, 0]:.3f} with value {truth[start]:+.4f}")
 
 print(f"\nrun: {trace.iterations} experiments, terminated by {trace.termination_reason}")
 print(f"violations: {trace.violation_count} (every evaluation stayed safe)")
@@ -36,13 +37,19 @@ print(f"best safe parameter: x={trace.final_best_point[0]:.3f},"
       f" true value {trace.final_best_true_reward:+.4f},"
       f" certified lower bound {trace.final_best_lower:+.4f}")
 
-# How much was reachable at all?  The diagnostic fixpoint uses the true
-# function, so it is only available on synthetic benchmarks like this.
-metric = metric_matrix(config.build_kernel(), problem.domain.points)
-seed_mask = np.zeros(problem.domain.n_points, dtype=bool)
-seed_mask[start] = True
-ceiling = reachable_set(truth[None, :], np.array([1.0]), metric,
-                        config.exploration_threshold, seed_mask)
+# How much was reachable at all?  The safe-set rule applied to the true
+# function less delta, from the start point until the set stops growing,
+# is the ceiling; it needs the truth, so only synthetic benchmarks have it.
+index = GridIndex(config.build_kernel(), domain)
+lower = (truth - config.exploration_threshold)[None, :]
+norms = np.array([config.norm_bound])
+ceiling = np.zeros(domain.n_points, dtype=bool)
+ceiling[start] = True
+while True:
+    grown = safe_set(lower, np.isfinite(lower), ceiling, norms, index, (0,))
+    if np.array_equal(grown, ceiling):
+        break
+    ceiling = grown
 print(f"\nreachability ceiling at margin delta: {ceiling.sum()} points,"
       f" best value {truth[ceiling].max():+.4f}")
 print("the run's certified optimum meets that ceiling within delta:",

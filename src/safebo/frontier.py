@@ -102,9 +102,6 @@ class GridIndex:
             [math.prod(self.shape[k + 1 :]) for k in range(len(self.shape))], dtype=np.intp
         )
         self._budget = max(_PAIR_BUDGET, len(self.points))
-        # Upper bound on every computed metric: the radicand never exceeds
-        # 2 * output_scale, since the profile is nonnegative.
-        self.metric_sup = float(np.sqrt(2.0 * kernel.output_scale))
         # The last axis's coordinates, then +inf and -inf: a scan's index
         # ``m`` (no outside point after) and ``-1`` (none before) read as
         # infinitely far.
@@ -242,13 +239,9 @@ class GridIndex:
         # An infinite bound against a full mask's infinite floor is nan: not kept.
         with np.errstate(invalid="ignore"):
             keep = bounds - norm * frontier.floor[anchors] >= 0.0
-        anchors, bounds = anchors[keep], bounds[keep]
-        if anchors.size == 0:
-            return hit
-        if (bounds - norm * self.metric_sup >= 0.0).any():
-            return ~frontier.mask
-        for rows, cols, ok in self._pairs(frontier, anchors, bounds, norm):
-            hit[cols[ok]] = True
+        if keep.any():
+            for rows, cols, ok in self._pairs(frontier, anchors[keep], bounds[keep], norm):
+                hit[cols[ok]] = True
         return hit
 
     def reaches(
@@ -281,8 +274,11 @@ class GridIndex:
         inside the ball are evaluated with the dense expression.
         """
         scale = 2.0 * self.kernel.output_scale
-        target_sq = (bounds / norm) ** 2 * (1.0 + _REL_SLACK) + _ABS_SLACK * scale
-        radii = self.kernel.radius(np.sqrt(target_sq)) * (1.0 + _RADIUS_WIDEN)
+        # From norm * sqrt(scale), the metric's supremum, on, the radius is
+        # infinite; a bound near the largest float overflows to it.
+        with np.errstate(over="ignore"):
+            target_sq = (bounds / norm) ** 2 * (1.0 + _REL_SLACK) + _ABS_SLACK * scale
+            radii = self.kernel.radius(np.sqrt(target_sq)) * (1.0 + _RADIUS_WIDEN)
         centers = self.points[anchors]
         lows, sizes = [], []
         for k, axis in enumerate(self.axes):

@@ -113,9 +113,14 @@ CONFIG_SCHEMA = {
             "type": "array",
             "minItems": 1,
             "items": {"enum": list(BETA_MODES)},
+            "uniqueItems": True,
             "default": ["scenario"],
         },
-        "seeds": {"type": "array", "items": {"type": "integer", "minimum": 0}},
+        "seeds": {
+            "type": "array",
+            "items": {"type": "integer", "minimum": 0},
+            "uniqueItems": True,
+        },
         "max_iterations": {"type": "integer", "minimum": 0},
         "constraint": {
             "type": "object",
@@ -214,7 +219,8 @@ class ConfigError(Exception):
 # keywords in ``_KEYWORDS``, and ``CONFIG_SCHEMA`` uses no others.  Bools are
 # not numbers, an integer-valued float is an integer, and ``$schema`` and
 # ``default`` are annotations.  JSON has no NaN or infinity, so the ones
-# Python's parser admits are not numbers either.
+# Python's parser admits are not numbers either.  ``uniqueItems`` compares
+# items with ``_same``, so it marks only arrays whose items are scalars.
 _TYPES = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
@@ -235,12 +241,12 @@ _BOUNDS = {
 }
 _KEYWORDS = frozenset(
     {"$schema", "default", "type", "const", "enum", *_BOUNDS, "minItems", "maxItems", "items",
-     "required", "properties", "additionalProperties"}
+     "uniqueItems", "required", "properties", "additionalProperties"}
 )
 
 
 def _same(value, constant) -> bool:
-    """JSON equality: a bool never equals a number."""
+    """JSON equality of scalars: a bool never equals a number."""
     return value == constant and isinstance(value, bool) == isinstance(constant, bool)
 
 
@@ -267,7 +273,12 @@ def _check(value, schema: dict, path: str):
         if len(value) > schema.get("maxItems", len(value)):
             raise _invalid(path, f"expected at most {schema['maxItems']} items, got {len(value)}")
         items = schema.get("items", {})
-        return tuple(_check(item, items, f"{path}[{i}]") for i, item in enumerate(value))
+        normalized = tuple(_check(item, items, f"{path}[{i}]") for i, item in enumerate(value))
+        if schema.get("uniqueItems"):
+            for i, item in enumerate(value):
+                if any(_same(item, earlier) for earlier in value[:i]):
+                    raise _invalid(path, f"item {i} repeats an earlier one, {item!r}")
+        return normalized
     if isinstance(value, dict):
         properties = schema.get("properties", {})
         prefix = f"{path}." if path else ""

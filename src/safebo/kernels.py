@@ -136,9 +136,9 @@ def pairwise(kernel: Kernel, x: np.ndarray, y: np.ndarray | None = None) -> np.n
 def metric_matrix(kernel: Kernel, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     """Pairwise kernel metric between rows of ``x`` and ``y``.
 
-    Dense and O(n²) in time and memory; the loop never builds it.  It is
-    kept for the benchmark's reachability ceiling and the tests' oracles;
-    :func:`paired_metric` gives the same bits one pair at a time.
+    Dense and O(n²) in time and memory; the loop never builds it.  Its
+    only callers are perfbench's reachability ceiling and the tests'
+    oracles; :func:`paired_metric` gives the same bits one pair at a time.
     """
     return _metric(kernel, pairwise(kernel, x, y))
 

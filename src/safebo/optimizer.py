@@ -54,7 +54,7 @@ BETA_MODES = ("scenario", "classic_subgaussian")
 
 
 class EmptyAcquisitionSet(RuntimeError):
-    """Raised when neither maximizers nor expanders offer a candidate."""
+    """Raised by :func:`acquire` on an empty candidate mask, which the loop never passes."""
 
 
 def safe_set(
@@ -92,7 +92,10 @@ def maximizers(upper: np.ndarray, lower: np.ndarray, safe: np.ndarray) -> np.nda
     """Safe points whose reward upper bound reaches the best safe lower bound.
 
     An infinite upper bound reaches any threshold, and an infinite lower
-    bound raises none; an empty safe set has no maximizers.
+    bound raises none; an empty safe set has no maximizers.  Where
+    ``lower <= upper``, as :func:`~safebo.confidence.update_intervals`
+    leaves every interval, the safe point with the best lower bound is
+    among them, so the loop's acquisition set is never empty.
     """
     safe = np.asarray(safe, dtype=bool)
     return safe & (upper[0] >= lower[0][safe].max(initial=-math.inf))
@@ -168,8 +171,8 @@ def reachable_set(
     Only computable for synthetic benchmarks, where the ground-truth
     constraint values are available on the whole grid.  Serves as a
     diagnostic ceiling on what safe exploration could ever certify.
-    Dense and O(n²) on the full ``metric`` matrix: kept for the
-    benchmark's ceiling and the tests' oracles, off the loop's path.
+    Dense and O(n²) on the full ``metric`` matrix, off the loop's path:
+    its only callers are perfbench's ceiling and the tests' oracles.
     Each sweep tests only the points added by the previous one, against
     the points not yet in the set; what earlier anchors covered is kept
     per constraint.
@@ -223,14 +226,20 @@ class OptimizerConfig:
             raise ValueError("initial safe set must be non-empty")
         if not self.exploration_threshold > 0:
             raise ValueError("exploration threshold must be positive")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be nonnegative")
+        if not 0.0 < self.regularization <= 1.0:
+            raise ValueError("regularization must lie in (0, 1]")
+        if not _is_integer(self.max_iterations) or self.max_iterations < 0:
+            raise ValueError(
+                f"max_iterations must be a nonnegative integer, got {self.max_iterations!r}"
+            )
+        if not 0.0 <= self.subgaussian_scale < math.inf:
+            raise ValueError("subgaussian_scale must be finite and nonnegative")
         if self.beta_mode not in BETA_MODES:
             raise ValueError(f"unknown beta mode {self.beta_mode!r}")
         if self.on_collapse not in ("error", "reset"):
             raise ValueError(f"unknown on_collapse policy {self.on_collapse!r}")
-        if not all(b > 0 for b in self.norm_bounds):
-            raise ValueError("norm bounds must be positive")
+        if not all(0.0 < b < math.inf for b in self.norm_bounds):
+            raise ValueError("norm bounds must be positive and finite")
         n = len(self.norm_bounds)
         if self.schedule.n_outputs != n:
             raise ValueError("schedule output count must match norm bounds")
@@ -408,12 +417,9 @@ class SafeOptimizer:
 
         model, sums, records = state.model, state.noise_sq_sums, state.records
         widths = upper - lower
-        try:
-            chosen = acquire(widths, std, candidates)
-            acq_width = float(widths[:, chosen].max())
-            reason = "width_below_delta" if acq_width < cfg.exploration_threshold else None
-        except EmptyAcquisitionSet:
-            reason = "stalled"
+        chosen = acquire(widths, std, candidates)
+        acq_width = float(widths[:, chosen].max())
+        reason = "width_below_delta" if acq_width < cfg.exploration_threshold else None
         if reason is None:
             point = self.domain.points[chosen]
             measurement = len(records) + 1
@@ -461,9 +467,14 @@ class SafeOptimizer:
 def _integers(entries, what: str) -> tuple[int, ...]:
     """``entries`` as Python ints; a bool, float or string entry raises ``ValueError``."""
     for i in entries:
-        if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+        if not _is_integer(i):
             raise ValueError(f"{what} entries must be integers, got {i!r}")
     return tuple(int(i) for i in entries)
+
+
+def _is_integer(value) -> bool:
+    """Is ``value`` a Python or numpy integer, and not a bool?"""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _best_index(safe: np.ndarray, lower: np.ndarray) -> int:

@@ -100,6 +100,16 @@ def test_run_rejects_a_worker_count_below_one(jobs, tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_run_rejects_a_repeated_seed(tmp_path, capsys):
+    # A repeated seed would run twice and write one CSV over the other.
+    out_dir = tmp_path / "out"
+    argv = ["run", "--preset", "paper-synthetic-1", "--seed", "0", "--seed", "0"]
+    assert main(argv + ["--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: invalid experiment config: seeds: item 1 repeats" in err
+    assert not out_dir.exists()
+
+
 def test_run_with_invalid_config_exits_two(tmp_path):
     config_path = tmp_path / "broken.json"
     config_path.write_text(json.dumps(tiny_document(spec=7)))

@@ -148,11 +148,36 @@ def test_reaches_at_the_band_edges_matches_the_dense_scan(budget):
         norm = float(rng.uniform(0.5, 2.0))
         # With near raised to the metric's supremum, which only narrows
         # what it decides, every bound from floor up goes to the ball query.
-        wide = Frontier(mask, np.full(mask.size, index.metric_sup), frontier.floor)
+        wide = Frontier(mask, np.full(mask.size, np.sqrt(2 * kernel.output_scale)), frontier.floor)
         for bounds in band_edges(frontier, anchors, norm):
             reach = bounds[:, None] - norm * metric[np.ix_(anchors, outside)] >= 0.0
             assert np.array_equal(index.reaches(frontier, anchors, bounds, norm), reach.any(axis=1))
             assert np.array_equal(index.reaches(wide, anchors, bounds, norm), reach.any(axis=1))
+
+
+@pytest.mark.filterwarnings("error")
+def test_covered_from_the_metric_supremum_on_matches_the_dense_scan(budget):
+    # A bound from norm * sqrt(2 * output_scale), the supremum of every
+    # computed metric, on reaches every outside point: its ball is the
+    # whole lattice, and near the largest float its radius overflows to
+    # infinity without a warning.  Half the anchors take such a bound.
+    rng = np.random.default_rng(29)
+    for kernel, domain, mask in fixtures(rng, 60):
+        index = GridIndex(kernel, domain)
+        frontier = index.frontier(mask)
+        metric = metric_matrix(kernel, domain.points)
+        anchors, outside = np.flatnonzero(mask), np.flatnonzero(~mask)
+        norm = float(rng.uniform(0.5, 2.0))
+        top = norm * np.sqrt(2 * kernel.output_scale)
+        for bound in (top, np.nextafter(top, np.inf), 1.5 * top, 1e300, np.inf):
+            high = rng.random(anchors.size) < 0.5
+            bounds = np.where(high, bound, top * rng.uniform(0, 1, anchors.size))
+            reach = bounds[:, None] - norm * metric[np.ix_(anchors, outside)] >= 0.0
+            covered = index.covered(frontier, anchors, bounds, norm)
+            assert not covered[mask].any()
+            assert np.array_equal(covered[outside], reach.any(axis=0))
+            assert covered[outside].all() or not high.any()
+            assert np.array_equal(index.reaches(frontier, anchors, bounds, norm), reach.any(axis=1))
 
 
 @pytest.fixture

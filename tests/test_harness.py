@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import pickle
@@ -301,6 +302,9 @@ class TestConfigValidator:
             assert node.get("type", "object") in harness._TYPES
             assert isinstance(node.get("additionalProperties", False), bool)
             assert isinstance(node.get("items", {}), dict)
+            if node.get("uniqueItems"):
+                items = node["items"]
+                assert items.get("type") in ("integer", "number", "string") or "enum" in items
 
     @pytest.mark.parametrize(
         "path, edit",
@@ -314,6 +318,8 @@ class TestConfigValidator:
             ("seeds[1]", lambda d: d.update(seeds=[0, 1.5])),
             ("norm_bound", lambda d: d.update(norm_bound=10**400)),
             ("kernel.output_scale", lambda d: d["kernel"].update(output_scale=10**400)),
+            ("seeds", lambda d: d.update(seeds=[0, 1, 0.0])),
+            ("beta_modes", lambda d: d.update(beta_modes=["scenario", "scenario"])),
         ],
     )
     def test_error_names_key_path(self, path, edit):
@@ -321,6 +327,32 @@ class TestConfigValidator:
         edit(document)
         with pytest.raises(ConfigError, match=f"^invalid experiment config: {re.escape(path)}: "):
             validate_config(document)
+
+    def test_scalar_equality_agrees_with_jsonschema(self):
+        # uniqueItems compares items by JSON equality: a bool is not a
+        # number, and 0 is 0.0.
+        jsonschema = pytest.importorskip("jsonschema")
+        unique = jsonschema.Draft202012Validator({"uniqueItems": True})
+        scalars = [v for v in REPLACEMENTS if not isinstance(v, (list, dict))] + [3, 3.0, 1e-3]
+        for a, b in itertools.product(scalars, repeat=2):
+            assert harness._same(a, b) == (not unique.is_valid([a, b])), (a, b)
+
+    @pytest.mark.parametrize("key", ["seeds", "beta_modes"])
+    def test_repeated_items_agree_with_jsonschema(self, key):
+        jsonschema = pytest.importorskip("jsonschema")
+        reference = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+        document = json.loads(json.dumps(PRESETS["paper-synthetic-2"]))
+        # Each list, and whether it holds distinct valid items.
+        lists = {
+            "seeds": [([0, 0], False), ([3, 1, 3.0], False), ([0, 1, 2], True),
+                      ([2.0, 1], True), ([1, True], False), ([], True)],
+            "beta_modes": [(["scenario", "scenario"], False),
+                           (["classic_subgaussian", "scenario"], True),
+                           (["scenario", "classic_subgaussian", "scenario"], False)],
+        }
+        for items, valid in lists[key]:
+            document[key] = items
+            assert is_accepted(document) == reference.is_valid(document) == valid, items
 
     def test_json_numbers_follow_draft_2020_12(self):
         assert is_accepted(tiny_config().to_dict() | {"spec": 1.0, "max_iterations": 2.0})

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from safebo import (
+    ConfidenceState,
     Domain,
     Kernel,
     OptimizerConfig,
     SafeOptimizer,
     ScenarioSchedule,
     uniform,
+    update_intervals,
 )
 from safebo.frontier import GridIndex
 from safebo.harness import ExperimentConfig, run_single
@@ -266,6 +268,42 @@ class TestMaximizers:
         upper = np.array([[1.0, np.inf]])
         safe = np.ones(2, dtype=bool)
         assert np.array_equal(maximizers(upper, lower, safe), [True, True])
+
+    def test_holds_the_best_safe_point_of_updated_intervals(self):
+        # update_intervals leaves lower <= upper at every point, reset and
+        # pinned crossings included, so the safe point with the best reward
+        # lower bound is a maximizer: the loop's acquisition set is never
+        # empty.  Each round moves some bands clear of their intervals
+        # (resets) and some just past an endpoint, by under the collapse
+        # tolerance (pinned).
+        rng = np.random.default_rng(37)
+        k, n = 2, 40
+        resets = pinned = 0
+        for _ in range(50):
+            state = ConfidenceState.unbounded(k, n)
+            means = rng.normal(size=(k, n))
+            for _ in range(4):
+                std = rng.uniform(0.0, 1.0, size=n)
+                betas = rng.uniform(0.5, 2.0, size=k)
+                half = betas[:, None] * std
+                pick = rng.random((k, n))
+                clear = state.upper + half + 10.0
+                just_past = state.upper + half + 1e-13
+                means = np.where(pick < 0.2, clear, np.where(pick < 0.4, just_past, means))
+                means = np.where(np.isfinite(means), means, rng.normal(size=(k, n)))
+                before = state
+                state = update_intervals(state, means, std, betas, on_collapse="reset")
+                lower, upper = state.lower, state.upper
+                assert (lower <= upper).all()
+                resets += int((lower > before.upper).sum())
+                pinned += int(((lower == upper) & (std > 0)).sum())
+                for _ in range(5):
+                    safe = rng.random(n) < rng.uniform(0.05, 1.0)
+                    safe[int(rng.integers(n))] = True
+                    inside = safe.nonzero()[0]
+                    best = inside[lower[0, inside].argmax()]
+                    assert maximizers(upper, lower, safe)[best]
+        assert resets > 500 and pinned > 500
 
     def test_empty_safe_set_has_no_maximizers(self):
         lower = np.array([[0.9, 0.0]])
@@ -613,8 +651,8 @@ class TestStep:
         again = optimizer.step(state, oracle, noise, np.random.default_rng(1))
         assert again is state
 
-    @pytest.mark.parametrize("reason", ["stalled", "width_below_delta"])
-    def test_terminal_step_carries_that_steps_intervals_and_sets(self, reason, monkeypatch):
+    @pytest.mark.parametrize("reason", ["width_below_delta"])
+    def test_terminal_step_carries_that_steps_intervals_and_sets(self, reason):
         # A step that ends without an experiment still returns the
         # intervals, safe set and multipliers it computed; the model, the
         # noise sums and the records stay those of the state it was given.
@@ -624,22 +662,11 @@ class TestStep:
         for _ in range(6):
             state = optimizer.step(state, oracle, noise, rng)
         advanced = optimizer.step(state, oracle, noise, np.random.default_rng(5))
-        if reason == "stalled":
-            def nothing(*args):
-                return np.zeros(optimizer.domain.n_points, dtype=bool)
-
-            monkeypatch.setattr("safebo.optimizer.maximizers", nothing)
-            monkeypatch.setattr("safebo.optimizer.expanders", nothing)
-            # A fresh optimizer: the one above would reuse the sets it
-            # derived from these very inputs and never call the patched rules.
-            optimizer = SafeOptimizer(optimizer.kernel, optimizer.domain, optimizer.config)
-        else:
-            wide = SafeOptimizer(
-                optimizer.kernel, optimizer.domain,
-                OptimizerConfig(**{**optimizer.config.__dict__, "exploration_threshold": 10.0}),
-            )
-            optimizer = wide
-        ended = optimizer.step(state, oracle, noise, np.random.default_rng(5))
+        wide = SafeOptimizer(
+            optimizer.kernel, optimizer.domain,
+            OptimizerConfig(**{**optimizer.config.__dict__, "exploration_threshold": 10.0}),
+        )
+        ended = wide.step(state, oracle, noise, np.random.default_rng(5))
 
         assert ended.termination_reason == reason
         assert len(advanced.records) == len(state.records) + 1
@@ -1028,6 +1055,31 @@ class TestOptimizerConfig:
         for bad in (0.0, -1.0):
             with pytest.raises(ValueError, match="norm bounds must be positive"):
                 self.make(norm_bounds=(bad,))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_norm_bounds_that_are_not_finite(self, bad):
+        # An infinite bound would make every beta infinite at the first step.
+        with pytest.raises(ValueError, match="norm bounds must be positive and finite"):
+            self.make(norm_bounds=(1.0, bad), schedule=ScenarioSchedule(0.1, 1e-3, 2))
+
+    @pytest.mark.parametrize("bad", [-1e-3, -math.inf, math.inf, math.nan])
+    def test_rejects_a_subgaussian_scale_that_is_negative_or_not_finite(self, bad):
+        with pytest.raises(ValueError, match="subgaussian_scale must be finite and nonnegative"):
+            self.make(subgaussian_scale=bad, beta_mode="classic_subgaussian")
+        with pytest.raises(ValueError, match="subgaussian_scale"):
+            self.make(subgaussian_scale=bad)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, math.nan, math.inf])
+    def test_rejects_a_regularization_outside_the_unit_interval(self, bad):
+        with pytest.raises(ValueError, match=r"regularization must lie in \(0, 1\]"):
+            self.make(regularization=bad)
+        assert self.make(regularization=1.0).regularization == 1.0
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, False, "3", None, -1], ids=repr)
+    def test_rejects_max_iterations_that_is_not_a_nonnegative_integer(self, bad):
+        with pytest.raises(ValueError, match="max_iterations must be a nonnegative integer"):
+            self.make(max_iterations=bad)
+        assert self.make(max_iterations=np.int64(0)).max_iterations == 0
 
     @pytest.mark.parametrize("field", ["initial_safe", "constraint_indices"])
     @pytest.mark.parametrize("bad", [1.5, 3.0, True, "1", None], ids=repr)
