@@ -113,6 +113,8 @@ def update_intervals(
             raise ValueError(f"{name} must be finite")
     if (std < 0).any():
         raise ValueError("standard deviations must be nonnegative")
+    if (betas < 0).any():
+        raise ValueError("multipliers must be nonnegative")
     k, n = state.lower.shape
     if means.shape != (k, n):
         raise ValueError("means must have shape (n_outputs, n_points)")

@@ -11,24 +11,24 @@ point, on the lattice of a :class:`~safebo.domain.Domain` without the
 dense ``n x n`` metric:
 
 * a :class:`Frontier` per mask holds the mask, and for every inside
-  point the metric to a Euclidean-nearest outside point together with a
-  lower bound on its metric to any outside point.  Its arrays, like every
-  answer of the index, are indexed by grid point.  The nearest
+  point the metric to a Euclidean-nearest outside point.  Its arrays,
+  like every answer of the index, are indexed by grid point.  The nearest
   outside point comes from an exact separable Euclidean distance
   transform on the lattice (Maurer et al., IEEE PAMI 2003): one pass
   per axis, with the axes' own coordinates, so the lattice need not be
-  uniform.  Safe sets only grow, so a mask that adds points to the last
-  one grows its frontier: only the last-axis lines that hold an absorbed
-  point are scanned again, and only the stale points, those absorbed and
-  those whose recorded nearest outside point was absorbed, take the
-  first axis's pass and get a new metric.  Every other inside point
-  keeps its nearest point, which is still outside and, since the outside
-  only shrank, still a Euclidean-nearest one;
+  uniform.  Safe sets only grow, so every frontier is grown from a
+  subset's: only the last-axis lines that hold an absorbed point are
+  scanned again, and only the stale points, those absorbed and those
+  whose recorded nearest outside point was absorbed, take the first
+  axis's pass and get a new metric.  Every other inside point keeps its
+  nearest point, which is still outside and, since the outside only
+  shrank, still a Euclidean-nearest one;
 * an anchor whose bound reaches the metric to its nearest outside point
-  reaches, bounds below ``L`` times the lower bound reach nothing, and
-  only the band between the two goes to a ball query: the anchors
-  enumerate the lattice box around them whose half-width inverts the
-  kernel profile, and every outside point of the box inside the ball is
+  reaches, one whose squared reach, ``(b / L)**2`` widened by a margin,
+  falls short of that metric squared reaches nothing, and only the band
+  between the two goes to a ball query: the anchors enumerate the
+  lattice box around them whose half-width inverts the kernel profile
+  at the reach, and every outside point of the box inside the ball is
   decided by the dense expression.
 
 The metric of a pair is computed by :func:`~safebo.kernels.paired_metric`,
@@ -50,10 +50,10 @@ from .kernels import Kernel, paired_metric
 
 __all__ = ["Frontier", "GridIndex"]
 
-# Margins on the squared metric, relative and in units of 2 * output_scale.
-# A computed squared metric is off by less than 1e-14 in either unit, so
-# bounds widened by these margins, and lower bounds narrowed by them, hold
-# for every computed metric.
+# Margins on the squared reach, relative and in units of 2 * output_scale.
+# A computed squared metric is off by less than 1e-14 in either unit, and
+# the metric to the nearest outside point is at most the metric to any,
+# so a reach widened by these margins holds every outside point it reaches.
 _REL_SLACK = 1e-9
 _ABS_SLACK = 1e-12
 
@@ -70,16 +70,14 @@ _PAIR_BUDGET = 1 << 17
 class Frontier:
     """One mask, as the set rules query it; every array is per grid index.
 
-    ``mask`` is a private copy of the inside points.  ``near`` and
-    ``floor`` are meaningful on the mask only: ``near`` is the exact
-    metric to a Euclidean-nearest outside point, ``floor`` a lower bound
-    on the computed metric to any outside point.  A full mask has no
-    outside point, so both are ``+inf`` there and no bound reaches.
+    ``mask`` is a private copy of the inside points.  ``near`` is
+    meaningful on the mask only: the exact metric to a Euclidean-nearest
+    outside point.  A full mask has no outside point, so ``near`` is
+    ``+inf`` there and no bound reaches.
     """
 
     mask: np.ndarray
     near: np.ndarray
-    floor: np.ndarray
 
 
 class GridIndex:
@@ -87,10 +85,10 @@ class GridIndex:
 
     The loop asks for each safe set twice, and each new safe set adds
     points to the last.  So an equal mask returns the kept frontier, a
-    mask that only adds points grows it, and any other mask is built,
-    which is growth from the mask with no point inside: there every
-    point is outside and its own nearest outside point, so every line
-    holding a point of the mask is scanned and every point of it is stale.
+    mask that only adds points grows it, and any other mask grows from
+    the mask with no point inside: there every point is outside and its
+    own nearest outside point, so every line holding a point of the mask
+    is scanned and every point of it is stale.
     """
 
     def __init__(self, kernel: Kernel, domain: Domain):
@@ -102,71 +100,51 @@ class GridIndex:
             [math.prod(self.shape[k + 1 :]) for k in range(len(self.shape))], dtype=np.intp
         )
         self._budget = max(_PAIR_BUDGET, len(self.points))
-        # The last axis's coordinates, then +inf and -inf: a scan's index
-        # ``m`` (no outside point after) and ``-1`` (none before) read as
-        # infinitely far.
+        # The last axis's coordinates, then +inf and -inf: a scan's index ``m``
+        # (no outside point after) and ``-1`` (none before) read as infinitely far.
         self._ends = np.concatenate((self.axes[-1], [np.inf, -np.inf]))
         self._frontier: Frontier | None = None
-        # Kept with the frontier, per grid index: the squared distance to
-        # the nearest outside point of its last-axis line and that point's
-        # grid index, and its nearest outside point (itself when outside).
-        self._line_sq = np.zeros(0)
-        self._line_arg = np.zeros(0, dtype=np.intp)
-        self._nearest = np.zeros(0, dtype=np.intp)
 
     def frontier(self, mask: np.ndarray) -> Frontier:
-        """The frontier of ``mask``: kept if equal, grown from a subset, built otherwise.
+        """The frontier of ``mask``, grown from the kept one or from the empty mask's.
 
         ``mask`` must be a bool array with one entry per grid point.
         """
         n = self.points.shape[0]
         if mask.shape != (n,) or mask.dtype != bool:
             raise ValueError(f"mask must be bool of shape ({n},), got {mask.dtype} {mask.shape}")
-        kept = self._frontier
-        if kept is not None:
-            absorbed = mask ^ kept.mask
-            changed = np.count_nonzero(absorbed)
-            if changed == 0:
-                return kept
-            # Every changed point is a new inside point exactly when the
-            # inside grew by as many points as changed.
-            if changed == np.count_nonzero(mask) - np.count_nonzero(kept.mask):
-                self._frontier = self._grow(absorbed, mask, kept.near, kept.floor)
-                return self._frontier
-        # A build that fails leaves no kept state to grow from.
-        self._frontier = None
-        self._frontier = self._build(mask)
-        return self._frontier
+        # Out while it changes: a growth that raises leaves nothing to grow from.
+        kept, self._frontier = self._frontier, None
+        if kept is None or np.count_nonzero(kept.mask & ~mask):
+            kept = self._empty(n)
+        absorbed = mask ^ kept.mask
+        if np.count_nonzero(absorbed):
+            kept = self._grow(absorbed, mask, kept.near)
+        self._frontier = kept
+        return kept
 
-    def _build(self, mask: np.ndarray) -> Frontier:
-        """The frontier of ``mask``, grown from the empty mask."""
-        n = mask.shape[0]
+    def _empty(self, n: int) -> Frontier:
+        """The empty mask's frontier; resets the scan kept with the frontier.
+
+        Per grid index: the squared distance to, and the grid index of, the nearest
+        outside point of its last-axis line, and its nearest outside point.
+        """
         self._line_sq = np.zeros(n)
         self._line_arg = np.arange(n)
         self._nearest = np.arange(n)
-        return self._grow(mask, mask, np.zeros(n), np.zeros(n))
+        return Frontier(np.zeros(n, dtype=bool), np.zeros(n))
 
-    def _grow(
-        self, absorbed: np.ndarray, mask: np.ndarray, near: np.ndarray, floor: np.ndarray
-    ) -> Frontier:
-        """The frontier of ``mask`` from ``near`` and ``floor`` of ``mask`` less ``absorbed``."""
+    def _grow(self, absorbed: np.ndarray, mask: np.ndarray, near: np.ndarray) -> Frontier:
+        """The frontier of ``mask`` from ``near`` of ``mask`` less ``absorbed``."""
         if mask.all():
-            far = np.full(mask.shape[0], np.inf)
-            return Frontier(mask.copy(), far, far)
+            return Frontier(mask.copy(), np.full(mask.shape[0], np.inf))
         self._scan_lines(absorbed, mask)
         stale = absorbed[self._nearest].nonzero()[0]
         nearest = self._nearest_outside(stale)
         self._nearest[stale] = nearest
-        metric = paired_metric(self.kernel, self.points[stale], self.points[nearest])
         near = near.copy()
-        near[stale] = metric
-        # Every other outside point is at least as far in Euclidean
-        # distance, up to the transform's roundoff, and the metric grows
-        # with the distance; the margins cover that roundoff and the metric's.
-        scale = 2.0 * self.kernel.output_scale
-        floor = floor.copy()
-        floor[stale] = np.sqrt(np.maximum(metric**2 * (1.0 - _REL_SLACK) - _ABS_SLACK * scale, 0.0))
-        return Frontier(mask.copy(), near, floor)
+        near[stale] = paired_metric(self.kernel, self.points[stale], self.points[nearest])
+        return Frontier(mask.copy(), near)
 
     def _scan_lines(self, absorbed: np.ndarray, mask: np.ndarray) -> None:
         """Scan again the last-axis lines that hold an absorbed point.
@@ -228,6 +206,13 @@ class GridIndex:
             best_arg[chunk] = arg[line[rows, j]]
         return best_sq, best_arg
 
+    def _reach(self, bounds: np.ndarray, norm: float) -> np.ndarray:
+        """Per bound, a squared metric at or above each computed ``d**2`` it reaches."""
+        scale = 2.0 * self.kernel.output_scale
+        # A bound near the largest float overflows to an infinite reach.
+        with np.errstate(over="ignore"):
+            return (np.maximum(bounds, 0.0) / norm) ** 2 * (1.0 + _REL_SLACK) + _ABS_SLACK * scale
+
     def covered(
         self, frontier: Frontier, anchors: np.ndarray, bounds: np.ndarray, norm: float
     ) -> np.ndarray:
@@ -236,12 +221,13 @@ class GridIndex:
         The answer is False at every point of the frontier's mask.
         """
         hit = np.zeros(frontier.mask.shape[0], dtype=bool)
-        # An infinite bound against a full mask's infinite floor is nan: not kept.
+        reach = self._reach(bounds, norm)
+        # An infinite reach against a full mask's infinite near is nan: not kept.
         with np.errstate(invalid="ignore"):
-            keep = bounds - norm * frontier.floor[anchors] >= 0.0
+            keep = reach - frontier.near[anchors] ** 2 >= 0.0
         if keep.any():
-            for rows, cols, ok in self._pairs(frontier, anchors[keep], bounds[keep], norm):
-                hit[cols[ok]] = True
+            for _, j, ok in self._pairs(frontier, anchors[keep], bounds[keep], norm, reach[keep]):
+                hit[j[ok]] = True
         return hit
 
     def reaches(
@@ -250,35 +236,39 @@ class GridIndex:
         """Per anchor: is ``bounds[a] - norm * d >= 0`` for some outside point?
 
         An anchor with ``bounds[a] - norm * near[a] >= 0`` does: that is
-        the dense expression at an outside point.  One with
-        ``bounds[a] - norm * floor[a] < 0`` does not.  Only the band
-        between them goes to the ball query.  On a full mask, whose
-        ``near`` and ``floor`` are infinite, no anchor reaches, an
-        infinite bound included.
+        the dense expression at an outside point.  One whose reach falls
+        short of ``near[a] ** 2`` does not.  Only the band between them
+        goes to the ball query.  On a full mask, whose ``near`` is
+        infinite, no anchor reaches, an infinite bound included.
         """
+        reach = self._reach(bounds, norm)
         with np.errstate(invalid="ignore"):
             found = bounds - norm * frontier.near[anchors] >= 0.0
-            band = (~found & (bounds - norm * frontier.floor[anchors] >= 0.0)).nonzero()[0]
+            band = (~found & (reach - frontier.near[anchors] ** 2 >= 0.0)).nonzero()[0]
         if band.size:
-            for rows, cols, ok in self._pairs(frontier, anchors[band], bounds[band], norm):
+            for rows, cols, ok in self._pairs(
+                frontier, anchors[band], bounds[band], norm, reach[band]
+            ):
                 found[band[rows[ok]]] = True
         return found
 
-    def _pairs(self, frontier: Frontier, anchors: np.ndarray, bounds: np.ndarray, norm: float):
+    def _pairs(
+        self,
+        frontier: Frontier,
+        anchors: np.ndarray,
+        bounds: np.ndarray,
+        norm: float,
+        reach: np.ndarray,
+    ):
         """Chunks of ``(anchor rows, grid indices, reached)`` in reach.
 
         The ball around each anchor has the Euclidean radius where the
-        metric reaches ``bounds / norm``, widened outward.  Its bounding
+        metric reaches ``sqrt(reach)``, widened outward.  Its bounding
         box on the lattice is found per axis by bisecting the axis
         coordinates; the box's points outside the frontier's mask and
         inside the ball are evaluated with the dense expression.
         """
-        scale = 2.0 * self.kernel.output_scale
-        # From norm * sqrt(scale), the metric's supremum, on, the radius is
-        # infinite; a bound near the largest float overflows to it.
-        with np.errstate(over="ignore"):
-            target_sq = (bounds / norm) ** 2 * (1.0 + _REL_SLACK) + _ABS_SLACK * scale
-            radii = self.kernel.radius(np.sqrt(target_sq)) * (1.0 + _RADIUS_WIDEN)
+        radii = self.kernel.radius(np.sqrt(reach)) * (1.0 + _RADIUS_WIDEN)
         centers = self.points[anchors]
         lows, sizes = [], []
         for k, axis in enumerate(self.axes):

@@ -42,6 +42,7 @@ import math
 import numpy as np
 
 from .kernels import Kernel, pairwise
+from .noise import is_integer
 
 __all__ = ["SurrogateModel"]
 
@@ -71,6 +72,8 @@ class SurrogateModel:
     def __init__(self, kernel: Kernel, regularization: float, n_outputs: int, grid: np.ndarray):
         if not 0.0 < regularization <= 1.0:
             raise ValueError("regularization must lie in (0, 1]")
+        if not is_integer(n_outputs):
+            raise ValueError(f"n_outputs must be an integer, got {n_outputs!r}")
         if n_outputs < 1:
             raise ValueError("need at least one output")
         self.kernel = kernel

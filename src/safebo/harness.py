@@ -23,7 +23,13 @@ from numpy.random import SeedSequence, default_rng
 from . import kernels, noise
 from .domain import Domain
 from .kernels import Kernel
-from .noise import ScenarioSchedule, iteration_confidence, min_scenarios, model_from_config
+from .noise import (
+    ScenarioSchedule,
+    is_integer,
+    iteration_confidence,
+    min_scenarios,
+    model_from_config,
+)
 from .optimizer import BETA_MODES, OptimizerConfig, SafeOptimizer, StepRecord
 from .synthetic import sample_rkhs_function, shift_to_quantile
 
@@ -118,6 +124,7 @@ CONFIG_SCHEMA = {
         },
         "seeds": {
             "type": "array",
+            "minItems": 1,
             "items": {"type": "integer", "minimum": 0},
             "uniqueItems": True,
         },
@@ -587,8 +594,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
 
     ``jobs`` > 1 fans runs out to worker processes; results are merged
     back in (seed, mode) order either way, so parallelism never changes
-    the output.  ``jobs`` below 1 raises ``ValueError``.
+    the output.  ``jobs`` that is not an integer, or below 1, raises
+    ``ValueError``.
     """
+    if not is_integer(jobs):
+        raise ValueError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     runs = _battery(config)

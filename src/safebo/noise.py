@@ -72,6 +72,11 @@ class NoiseModel:
         return draws
 
 
+def is_integer(value) -> bool:
+    """Is ``value`` a Python or numpy integer, and not a bool?"""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _reject_bools(**params) -> None:
     """JSON true and false compare as 1 and 0, which pass the range checks."""
     for name, value in params.items():
@@ -181,6 +186,8 @@ class ScenarioSchedule:
             )
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must lie strictly inside (0, 1), got {self.confidence!r}")
+        if not is_integer(self.n_outputs):
+            raise ValueError(f"n_outputs must be an integer, got {self.n_outputs!r}")
         if self.n_outputs < 1:
             raise ValueError(f"need at least one output, got {self.n_outputs!r}")
 

@@ -31,7 +31,7 @@ from .domain import Domain
 from .gp import SurrogateModel
 from .frontier import GridIndex
 from .kernels import Kernel
-from .noise import NoiseModel, ScenarioBound, ScenarioSchedule, scenario_bound
+from .noise import NoiseModel, ScenarioBound, ScenarioSchedule, is_integer, scenario_bound
 
 __all__ = [
     "BETA_MODES",
@@ -228,7 +228,7 @@ class OptimizerConfig:
             raise ValueError("exploration threshold must be positive")
         if not 0.0 < self.regularization <= 1.0:
             raise ValueError("regularization must lie in (0, 1]")
-        if not _is_integer(self.max_iterations) or self.max_iterations < 0:
+        if not is_integer(self.max_iterations) or self.max_iterations < 0:
             raise ValueError(
                 f"max_iterations must be a nonnegative integer, got {self.max_iterations!r}"
             )
@@ -467,14 +467,9 @@ class SafeOptimizer:
 def _integers(entries, what: str) -> tuple[int, ...]:
     """``entries`` as Python ints; a bool, float or string entry raises ``ValueError``."""
     for i in entries:
-        if not _is_integer(i):
+        if not is_integer(i):
             raise ValueError(f"{what} entries must be integers, got {i!r}")
     return tuple(int(i) for i in entries)
-
-
-def _is_integer(value) -> bool:
-    """Is ``value`` a Python or numpy integer, and not a bool?"""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _best_index(safe: np.ndarray, lower: np.ndarray) -> int:

@@ -123,6 +123,17 @@ class TestConfidenceState:
         with pytest.raises(ValueError, match="nonnegative"):
             update_intervals(state, np.array([[0.0]]), np.array([-1.0]), np.array([1.0]))
 
+    @pytest.mark.parametrize("on_collapse", ["error", "reset"])
+    def test_rejects_a_negative_multiplier(self, on_collapse):
+        # A negative multiplier crosses the band itself: the reset policy
+        # would restore the crossed band and the error policy would report
+        # a collapse that no observation caused.
+        state = ConfidenceState.unbounded(1, 3)
+        with pytest.raises(ValueError, match="multipliers must be nonnegative"):
+            update_intervals(
+                state, np.ones((1, 3)), np.ones(3), np.array([-1.0]), on_collapse=on_collapse
+            )
+
     @pytest.mark.parametrize(
         "std, betas, match",
         [

@@ -5,7 +5,7 @@ import pytest
 
 from safebo import Domain, Kernel
 from safebo import frontier as frontier_module
-from safebo.frontier import Frontier, GridIndex
+from safebo.frontier import GridIndex
 from safebo.kernels import FAMILIES, metric_matrix, paired_metric
 
 # Relative slack on squared distances within which two outside points
@@ -79,9 +79,10 @@ def growth_chain(rng, mask):
     return chain
 
 
-def assert_near_and_floor(kernel, domain, mask, frontier):
-    """``near`` is the metric to a Euclidean-nearest outside point, ``floor`` at most any."""
-    points = domain.points
+def assert_near_and_reach(index, mask, frontier):
+    """``near`` is the metric to a Euclidean-nearest outside point, and the reach filter keeps
+    every anchor at the least bound that reaches an outside point, ``norm * d`` of the pair."""
+    points = index.points
     inside, outside = np.flatnonzero(mask), np.flatnonzero(~mask)
     assert np.array_equal(frontier.mask, mask)
     anchors = np.repeat(points[inside], outside.size, axis=0)
@@ -92,10 +93,11 @@ def assert_near_and_floor(kernel, domain, mask, frontier):
     for k in range(1, squares.shape[1]):
         sq += squares[:, k]
     sq = sq.reshape(inside.size, outside.size)
-    metric = paired_metric(kernel, anchors, others).reshape(inside.size, outside.size)
+    metric = paired_metric(index.kernel, anchors, others).reshape(inside.size, outside.size)
     nearest = sq <= sq.min(axis=1, keepdims=True) * (1.0 + TIE_RTOL)
     assert ((metric == frontier.near[inside, None]) & nearest).any(axis=1).all()
-    assert (frontier.floor[inside] <= metric.min(axis=1)).all()
+    for norm in (0.5, 1.0, 3.0):
+        assert (index._reach(norm * metric, norm) - frontier.near[inside, None] ** 2 >= 0.0).all()
 
 
 def assert_covered_and_reaches_match_the_dense_scan(rng, index, mask):
@@ -118,10 +120,11 @@ def assert_covered_and_reaches_match_the_dense_scan(rng, index, mask):
     assert np.array_equal(index.reaches(frontier, anchors, bounds, norm), reach.any(axis=1))
 
 
-def test_near_and_floor_match_bruteforce(budget):
+def test_near_and_the_reach_filter_match_bruteforce(budget):
     rng = np.random.default_rng(7)
     for kernel, domain, mask in fixtures(rng, 120):
-        assert_near_and_floor(kernel, domain, mask, GridIndex(kernel, domain).frontier(mask))
+        index = GridIndex(kernel, domain)
+        assert_near_and_reach(index, mask, index.frontier(mask))
 
 
 def test_covered_and_reaches_match_the_dense_scan(budget):
@@ -130,15 +133,28 @@ def test_covered_and_reaches_match_the_dense_scan(budget):
         assert_covered_and_reaches_match_the_dense_scan(rng, GridIndex(kernel, domain), mask)
 
 
-def band_edges(frontier, anchors, norm):
-    """Per anchor, ``norm`` times its ``near`` and ``floor``, and one ulp either side of each."""
-    edges = []
-    for edge in (norm * frontier.near[anchors], norm * frontier.floor[anchors]):
-        edges += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
-    return edges
+def reach_edges(index, frontier, anchors, norm):
+    """Per anchor, the least nonnegative bound whose reach is at least ``near**2``.
+
+    Zero where a zero bound's reach already is: no bound falls short there.
+    """
+    near_sq = frontier.near[anchors] ** 2
+    slack = frontier_module._ABS_SLACK * 2.0 * index.kernel.output_scale
+    edge = norm * np.sqrt(np.maximum(near_sq - slack, 0.0) / (1.0 + frontier_module._REL_SLACK))
+    # The closed form is off by a few ulps; the reach grows with the bound.
+    while (short := index._reach(edge, norm) < near_sq).any():
+        edge[short] = np.nextafter(edge[short], np.inf)
+    below = np.nextafter(edge, -np.inf)
+    while (past := (edge > 0.0) & (index._reach(below, norm) >= near_sq)).any():
+        edge[past] = below[past]
+        below = np.nextafter(edge, -np.inf)
+    return edge
 
 
-def test_reaches_at_the_band_edges_matches_the_dense_scan(budget):
+def test_the_band_edges_match_the_dense_scan(budget):
+    # The band runs from the least bound the reach filter keeps to
+    # ``norm * near``; at each edge and one ulp either side, covered,
+    # reaches and the ball query alone all give the dense answer.
     rng = np.random.default_rng(17)
     for kernel, domain, mask in fixtures(rng, 80):
         index = GridIndex(kernel, domain)
@@ -146,20 +162,25 @@ def test_reaches_at_the_band_edges_matches_the_dense_scan(budget):
         metric = metric_matrix(kernel, domain.points)
         anchors, outside = np.flatnonzero(mask), np.flatnonzero(~mask)
         norm = float(rng.uniform(0.5, 2.0))
-        # With near raised to the metric's supremum, which only narrows
-        # what it decides, every bound from floor up goes to the ball query.
-        wide = Frontier(mask, np.full(mask.size, np.sqrt(2 * kernel.output_scale)), frontier.floor)
-        for bounds in band_edges(frontier, anchors, norm):
-            reach = bounds[:, None] - norm * metric[np.ix_(anchors, outside)] >= 0.0
-            assert np.array_equal(index.reaches(frontier, anchors, bounds, norm), reach.any(axis=1))
-            assert np.array_equal(index.reaches(wide, anchors, bounds, norm), reach.any(axis=1))
+        for edge in (norm * frontier.near[anchors], reach_edges(index, frontier, anchors, norm)):
+            for bounds in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+                reach = bounds[:, None] - norm * metric[np.ix_(anchors, outside)] >= 0.0
+                covered = index.covered(frontier, anchors, bounds, norm)
+                assert np.array_equal(covered[outside], reach.any(axis=0))
+                found = index.reaches(frontier, anchors, bounds, norm)
+                assert np.array_equal(found, reach.any(axis=1))
+                queried = np.zeros(anchors.size, dtype=bool)
+                target = index._reach(bounds, norm)
+                for rows, _, ok in index._pairs(frontier, anchors, bounds, norm, target):
+                    queried[rows[ok]] = True
+                assert np.array_equal(queried, reach.any(axis=1))
 
 
 @pytest.mark.filterwarnings("error")
 def test_covered_from_the_metric_supremum_on_matches_the_dense_scan(budget):
     # A bound from norm * sqrt(2 * output_scale), the supremum of every
     # computed metric, on reaches every outside point: its ball is the
-    # whole lattice, and near the largest float its radius overflows to
+    # whole lattice, and near the largest float its reach overflows to
     # infinity without a warning.  Half the anchors take such a bound.
     rng = np.random.default_rng(29)
     for kernel, domain, mask in fixtures(rng, 60):
@@ -180,15 +201,37 @@ def test_covered_from_the_metric_supremum_on_matches_the_dense_scan(budget):
             assert np.array_equal(index.reaches(frontier, anchors, bounds, norm), reach.any(axis=1))
 
 
+@pytest.mark.filterwarnings("error")
+def test_negative_bounds_match_the_dense_scan(budget):
+    # A negative bound reaches no outside point a positive metric away;
+    # its reach is the margin alone, so the filter drops it unless the
+    # nearest outside point is within the margin, and then the ball
+    # query decides it.
+    rng = np.random.default_rng(31)
+    for kernel, domain, mask in fixtures(rng, 60):
+        index = GridIndex(kernel, domain)
+        frontier = index.frontier(mask)
+        metric = metric_matrix(kernel, domain.points)
+        anchors, outside = np.flatnonzero(mask), np.flatnonzero(~mask)
+        norm = float(rng.uniform(0.5, 2.0))
+        for bound in (-0.0, -5e-324, -1e-3, -1.0, -1e300, -np.inf):
+            bounds = np.full(anchors.size, bound)
+            reach = bounds[:, None] - norm * metric[np.ix_(anchors, outside)] >= 0.0
+            covered = index.covered(frontier, anchors, bounds, norm)
+            assert not covered[mask].any()
+            assert np.array_equal(covered[outside], reach.any(axis=0))
+            assert np.array_equal(index.reaches(frontier, anchors, bounds, norm), reach.any(axis=1))
+
+
 @pytest.fixture
 def queries(monkeypatch):
     """The anchors of every ``GridIndex._pairs`` call, in order."""
     seen = []
     pairs = GridIndex._pairs
 
-    def counted(self, frontier, anchors, bounds, norm):
+    def counted(self, frontier, anchors, bounds, norm, reach):
         seen.append(anchors.copy())
-        return pairs(self, frontier, anchors, bounds, norm)
+        return pairs(self, frontier, anchors, bounds, norm, reach)
 
     monkeypatch.setattr(GridIndex, "_pairs", counted)
     return seen
@@ -201,17 +244,18 @@ def test_reaches_queries_only_the_band(queries):
         frontier = index.frontier(mask)
         anchors = np.flatnonzero(mask)
         norm = float(rng.uniform(0.5, 2.0))
-        near, floor = norm * frontier.near[anchors], norm * frontier.floor[anchors]
-        # Each bound reaches its near, or falls an ulp short of its floor:
-        # the frontier decides every anchor, and no ball is queried.
-        decided = np.where(rng.random(anchors.size) < 0.5, near, np.nextafter(floor, -np.inf))
-        assert np.array_equal(index.reaches(frontier, anchors, decided, norm), decided == near)
+        near, edge = norm * frontier.near[anchors], reach_edges(index, frontier, anchors, norm)
+        # Each bound reaches its near, or falls an ulp short of the reach
+        # filter: the frontier decides every anchor, and no ball is queried.
+        short_of_edge = (rng.random(anchors.size) < 0.5) & (edge > 0.0)
+        decided = np.where(short_of_edge, np.nextafter(edge, -np.inf), near)
+        assert np.array_equal(index.reaches(frontier, anchors, decided, norm), ~short_of_edge)
         assert queries == []
-        # An ulp short of near is in the band wherever it still reaches
-        # floor; only those anchors are queried, in one call.
+        # An ulp short of near is in the band wherever its reach is at
+        # least near squared; only those anchors are queried, in one call.
         short = np.nextafter(near, -np.inf)
         pick = rng.random(anchors.size) < 0.5
-        band = pick & (short - floor >= 0.0)
+        band = pick & (index._reach(short, norm) - frontier.near[anchors] ** 2 >= 0.0)
         index.reaches(frontier, anchors, np.where(pick, short, decided), norm)
         assert len(queries) == band.any()
         if band.any():
@@ -222,7 +266,7 @@ def test_reaches_queries_only_the_band(queries):
 def test_a_full_mask_covers_and_reaches_nothing():
     # No point lies outside a full mask, so no bound reaches one, an
     # infinite bound included.  The fixtures' full masks are grown from
-    # their masks; the 5 x 4 lattice's is built.
+    # their masks; the 5 x 4 lattice's from the empty mask.
     rng = np.random.default_rng(23)
     lattices = [(Kernel(), Domain.grid([(0.0, 1.0)] * 2, [5, 4]), None)]
     for kernel, domain, mask in lattices + list(fixtures(rng, 60)):
@@ -233,28 +277,57 @@ def test_a_full_mask_covers_and_reaches_nothing():
         frontier = index.frontier(full)
         anchors = np.arange(domain.n_points)
         norm = float(rng.uniform(0.5, 2.0))
-        for bound in (0.0, 5.0, 1e300, np.inf):
+        for bound in (-1.0, 0.0, 5.0, 1e300, np.inf):
             bounds = np.full(anchors.size, bound)
             assert not index.covered(frontier, anchors, bounds, norm).any()
             assert not index.reaches(frontier, anchors, bounds, norm).any()
 
 
-def test_a_growth_chain_matches_bruteforce(budget, builds):
-    # Each link grows the frontier of the one before; only the first builds.
+@pytest.fixture
+def empties(monkeypatch):
+    """Every call of ``GridIndex._empty``, as the lattice size it was given."""
+    seen = []
+    empty = GridIndex._empty
+
+    def counted(self, n):
+        seen.append(n)
+        return empty(self, n)
+
+    monkeypatch.setattr(GridIndex, "_empty", counted)
+    return seen
+
+
+@pytest.fixture
+def grows(monkeypatch):
+    """Every mask ``GridIndex._grow`` is called with, in order."""
+    seen = []
+    grow = GridIndex._grow
+
+    def counted(self, absorbed, mask, near):
+        seen.append(mask.copy())
+        return grow(self, absorbed, mask, near)
+
+    monkeypatch.setattr(GridIndex, "_grow", counted)
+    return seen
+
+
+def test_a_growth_chain_matches_bruteforce(budget, empties):
+    # Each link grows the frontier of the one before; only the first
+    # starts from the empty mask.
     rng = np.random.default_rng(13)
     for kernel, domain, mask in fixtures(rng, 60):
         index = GridIndex(kernel, domain)
         chain = growth_chain(rng, mask)
         for link, mask in enumerate(chain[:-1]):
-            before = len(builds)
+            before = len(empties)
             frontier = index.frontier(mask)
-            assert len(builds) == before + (link == 0)
-            assert_near_and_floor(kernel, domain, mask, frontier)
+            assert len(empties) == before + (link == 0)
+            assert_near_and_reach(index, mask, frontier)
             fresh = GridIndex(kernel, domain).frontier(mask)
             assert np.array_equal(frontier.mask, fresh.mask)
             assert_covered_and_reaches_match_the_dense_scan(rng, index, mask)
-        before = len(builds)
-        assert index.frontier(chain[-1]).mask.all() and len(builds) == before
+        before = len(empties)
+        assert index.frontier(chain[-1]).mask.all() and len(empties) == before
 
 
 def test_lattice_with_a_single_point_axis():
@@ -265,60 +338,55 @@ def test_lattice_with_a_single_point_axis():
     assert np.array_equal(frontier.near[mask], metric[mask, 2])
 
 
-
-@pytest.fixture
-def builds(monkeypatch):
-    """Every mask ``GridIndex._build`` is called with, in order."""
-    seen = []
-    build = GridIndex._build
-
-    def counted(self, mask):
-        seen.append(mask.copy())
-        return build(self, mask)
-
-    monkeypatch.setattr(GridIndex, "_build", counted)
-    return seen
-
-
-@pytest.fixture
-def grows(monkeypatch):
-    """Every mask ``GridIndex._grow`` is called with, a build's included, in order."""
-    seen = []
-    grow = GridIndex._grow
-
-    def counted(self, absorbed, mask, near, floor):
-        seen.append(mask.copy())
-        return grow(self, absorbed, mask, near, floor)
-
-    monkeypatch.setattr(GridIndex, "_grow", counted)
-    return seen
-
-
-def test_an_equal_mask_is_kept_a_superset_grows_and_any_other_is_built(builds, grows):
+def test_an_equal_mask_is_kept_a_superset_grows_and_any_other_grows_from_empty(empties, grows):
     domain = Domain.grid([(0.0, 1.0)] * 2, [6, 5])
     kernel = Kernel(lengthscale=0.3)
     index = GridIndex(kernel, domain)
     mask = random_mask(np.random.default_rng(3), domain.n_points)
-    # A build grows from the empty mask.
+    # The first mask grows from the empty mask.
     first = index.frontier(mask)
-    assert len(builds) == 1 and len(grows) == 1
+    assert len(empties) == 1 and len(grows) == 1
     # An equal mask in a fresh array is the same mask, and does no work.
-    assert index.frontier(mask.copy()) is first and len(builds) == 1 and len(grows) == 1
-    near, floor = first.near.copy(), first.floor.copy()
+    assert index.frontier(mask.copy()) is first and len(empties) == 1 and len(grows) == 1
+    near = first.near.copy()
     superset = mask.copy()
     superset[(~mask).nonzero()[0][:2]] = True
     grown = index.frontier(superset)
-    assert len(builds) == 1 and len(grows) == 2 and grown is not first
+    assert len(empties) == 1 and len(grows) == 2 and grown is not first
     # Growth leaves the kept frontier as it was.
-    assert np.array_equal(first.near, near) and np.array_equal(first.floor, floor)
-    # A mask that drops a point is built, even the mask grown from.
-    assert index.frontier(mask) is not first and len(builds) == 2 and len(grows) == 3
+    assert np.array_equal(first.near, near)
+    # A mask that drops a point grows from the empty mask, even the mask
+    # grown from.
+    assert index.frontier(mask) is not first and len(empties) == 2 and len(grows) == 3
     fresh = GridIndex(kernel, domain).frontier(superset)
     assert np.array_equal(grown.mask, fresh.mask)
-    assert_near_and_floor(kernel, domain, superset, grown)
+    assert_near_and_reach(index, superset, grown)
 
 
-def test_a_mask_that_does_not_fit_the_lattice_raises(builds):
+def test_a_growth_that_raises_leaves_nothing_stale(monkeypatch):
+    # A growth that raises after rescanning its lines leaves rows that
+    # describe no kept mask; the next frontier must not read them.
+    domain = Domain.grid([(0.0, 1.0)] * 2, [6, 6])
+    kernel = Kernel(lengthscale=0.3)
+    index = GridIndex(kernel, domain)
+    index.frontier(np.isin(np.arange(36), [14]))
+    nearest_outside = GridIndex._nearest_outside
+
+    def raises(self, stale):
+        raise MemoryError
+
+    monkeypatch.setattr(GridIndex, "_nearest_outside", raises)
+    with pytest.raises(MemoryError):
+        index.frontier(np.isin(np.arange(36), [14, *range(18, 24)]))
+    monkeypatch.setattr(GridIndex, "_nearest_outside", nearest_outside)
+    mask = np.isin(np.arange(36), range(6, 18))
+    frontier = index.frontier(mask)
+    fresh = GridIndex(kernel, domain).frontier(mask)
+    assert np.array_equal(frontier.near[mask], fresh.near[mask])
+    assert_near_and_reach(index, mask, frontier)
+
+
+def test_a_mask_that_does_not_fit_the_lattice_raises(empties):
     domain = Domain.grid([(0.0, 1.0)], 5)
     index = GridIndex(Kernel(lengthscale=0.3), domain)
     mask = np.array([True, True, False, True, True])
@@ -328,10 +396,10 @@ def test_a_mask_that_does_not_fit_the_lattice_raises(builds):
         with pytest.raises(ValueError, match=r"\(5,\)"):
             index.frontier(other)
     # The kept frontier survives: the equal mask is still no work.
-    assert index.frontier(mask.copy()) is kept and len(builds) == 1
+    assert index.frontier(mask.copy()) is kept and len(empties) == 1
 
 
-def test_the_kept_mask_is_a_private_copy(builds, grows):
+def test_the_kept_mask_is_a_private_copy(empties, grows):
     domain = Domain.grid([(0.0, 1.0)] * 2, [6, 5])
     index = GridIndex(Kernel(lengthscale=0.3), domain)
     mask = random_mask(np.random.default_rng(5), domain.n_points)
@@ -344,4 +412,4 @@ def test_the_kept_mask_is_a_private_copy(builds, grows):
     # equal mask is kept, and the caller's new superset grows it.
     assert index.frontier(before) is frontier and len(grows) == 1
     assert np.array_equal(index.frontier(mask).mask, mask)
-    assert len(builds) == 1 and len(grows) == 2
+    assert len(empties) == 1 and len(grows) == 2

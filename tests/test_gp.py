@@ -136,6 +136,12 @@ class TestPosterior:
             with pytest.raises(ValueError, match="regularization"):
                 SurrogateModel(kernel, reg, 1, grid=ONE_POINT)
 
+    @pytest.mark.parametrize("n_outputs", [2.5, 2.0, True])
+    def test_rejects_an_output_count_that_is_not_an_integer(self, kernel, n_outputs):
+        # int() would build 2 outputs from 2.5, and True would build 1.
+        with pytest.raises(ValueError, match="n_outputs must be an integer"):
+            SurrogateModel(kernel, 0.01, n_outputs, grid=ONE_POINT)
+
     def test_persistent_update(self, kernel):
         base = SurrogateModel(kernel, 0.01, 1, grid=np.array([[0.5]]))
         grown = base.with_observation(0, [1.0])

@@ -345,7 +345,7 @@ class TestConfigValidator:
         # Each list, and whether it holds distinct valid items.
         lists = {
             "seeds": [([0, 0], False), ([3, 1, 3.0], False), ([0, 1, 2], True),
-                      ([2.0, 1], True), ([1, True], False), ([], True)],
+                      ([2.0, 1], True), ([1, True], False), ([], False)],
             "beta_modes": [(["scenario", "scenario"], False),
                            (["classic_subgaussian", "scenario"], True),
                            (["scenario", "classic_subgaussian", "scenario"], False)],
@@ -526,13 +526,17 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
             run_experiment(tiny_config(), jobs=jobs)
 
-    def test_empty_seed_list_gives_empty_battery(self):
-        config = tiny_config(seeds=[])
-        for jobs in (1, 2):
-            result = run_experiment(config, jobs=jobs)
-            assert result.traces == ()
-            assert result.summary["runs"] == []
-            assert result.summary["aggregate"]["scenario"]["runs"] == 0
+    @pytest.mark.parametrize("jobs", [2.5, 2.0, True, "2"])
+    def test_rejects_a_worker_count_that_is_not_an_integer(self, jobs):
+        # A float would reach the process pool and fail there; True would
+        # compare as 1 and run serially.
+        with pytest.raises(ValueError, match=f"jobs must be an integer, got {jobs!r}"):
+            run_experiment(tiny_config(), jobs=jobs)
+
+    def test_an_empty_seed_list_is_a_config_error(self):
+        # A battery of no seeds would emit a summary of no runs and exit 0.
+        with pytest.raises(ConfigError, match="seeds: expected at least 1 items, got 0"):
+            tiny_config(seeds=[])
 
     def test_best_lower_series_nondecreasing(self):
         result = run_experiment(tiny_config(max_iterations=30))

@@ -61,6 +61,17 @@ class TestIterationConfidence:
             iteration_confidence(1.0, 1)
 
 
+class TestScenarioSchedule:
+    @pytest.mark.parametrize("n_outputs", [1.0, 2.5, True, np.True_])
+    def test_rejects_an_output_count_that_is_not_an_integer(self, n_outputs):
+        # A float count would pass construction and fail in min_scenarios.
+        with pytest.raises(ValueError, match="n_outputs must be an integer"):
+            ScenarioSchedule(0.1, 1e-3, n_outputs)
+
+    def test_accepts_a_numpy_integer(self):
+        assert ScenarioSchedule(0.1, 1e-3, np.int64(2)).n_outputs == 2
+
+
 class TestMinScenarios:
     def test_boundary_case_single_scenario(self):
         # (1 - 0.5)^1 = 0.5 meets the target exactly; m = 0 fails.

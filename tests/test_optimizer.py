@@ -879,10 +879,10 @@ class TestLocalSetsAlongRuns:
             )
         assert state.safe.sum() > 1
 
-    def test_a_grown_frontier_gives_the_run_a_built_one_gives(self, monkeypatch):
+    def test_a_grown_frontier_gives_the_run_a_fresh_one_gives(self, monkeypatch):
         # two-output-2d's settings on a 20 x 20 grid: the same records and
         # final safe set whether each safe-set change grows the frontier or
-        # every call builds it afresh.
+        # every call grows it afresh from the empty mask.
         config = ExperimentConfig.from_dict(
             {
                 "spec": 1,
@@ -902,8 +902,9 @@ class TestLocalSetsAlongRuns:
                 "n_centers": 40,
             }
         )
-        finals, calls = [], {"build": 0, "grow": 0}
-        run, build, grow = SafeOptimizer.run, GridIndex._build, GridIndex._grow
+        finals, calls = [], {"empty": 0, "grow": 0}
+        run, empty, grow = SafeOptimizer.run, GridIndex._empty, GridIndex._grow
+        frontier = GridIndex.frontier
 
         def recorded(self, *args):
             finals.append(run(self, *args))
@@ -917,14 +918,21 @@ class TestLocalSetsAlongRuns:
             return wrapper
 
         monkeypatch.setattr(SafeOptimizer, "run", recorded)
-        monkeypatch.setattr(GridIndex, "_build", counted("build", build))
+        monkeypatch.setattr(GridIndex, "_empty", counted("empty", empty))
         monkeypatch.setattr(GridIndex, "_grow", counted("grow", grow))
         grown = run_single(config, 0, "scenario")
-        assert calls["build"] == 1 and calls["grow"] > 10
-        monkeypatch.setattr(GridIndex, "frontier", lambda self, mask: self._build(mask))
-        built = run_single(config, 0, "scenario")
+        assert calls["empty"] == 1 and calls["grow"] > 10
+
+        def fresh(self, mask):
+            self._frontier = None
+            return frontier(self, mask)
+
+        monkeypatch.setattr(GridIndex, "frontier", fresh)
+        calls["empty"] = 0
+        fresh_run = run_single(config, 0, "scenario")
+        assert calls["empty"] > 10
         assert len(grown.records) == 60
-        assert grown.records == built.records
+        assert grown.records == fresh_run.records
         assert np.array_equal(finals[0].safe, finals[1].safe)
 
     def test_runs_on_a_non_uniform_lattice(self):
