@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .noise import is_integer
+
 __all__ = ["Domain"]
 
 
@@ -56,10 +58,15 @@ class Domain:
         bounds: list[tuple[float, float]] | tuple[tuple[float, float], ...],
         resolution: int | list[int] | tuple[int, ...],
     ) -> "Domain":
-        """Uniform grid over a box, ``resolution`` points per dimension."""
+        """Uniform grid over a box, ``resolution`` points per dimension.
+
+        ``resolution`` is one integer, Python or numpy, for every
+        dimension, or a sequence of them; a float or bool raises.
+        """
         bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-        if isinstance(resolution, int):
-            resolution = (resolution,) * len(bounds)
+        resolution = (resolution,) * len(bounds) if np.ndim(resolution) == 0 else tuple(resolution)
+        if not all(is_integer(r) for r in resolution):
+            raise ValueError(f"resolution must be integers, got {resolution!r}")
         resolution = tuple(int(r) for r in resolution)
         if len(resolution) != len(bounds):
             raise ValueError("one resolution per dimension required")

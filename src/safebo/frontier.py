@@ -26,16 +26,19 @@ dense ``n x n`` metric:
 * an anchor whose bound reaches the metric to its nearest outside point
   reaches, one whose squared reach, ``(b / L)**2`` widened by a margin,
   falls short of that metric squared reaches nothing, and only the band
-  between the two goes to a ball query: the anchors enumerate the
-  lattice box around them whose half-width inverts the kernel profile
-  at the reach, and every outside point of the box inside the ball is
-  decided by the dense expression.
+  between the two goes to a box query: each anchor enumerates the
+  lattice box whose half-width is :meth:`~safebo.kernels.Kernel.radius`
+  at the reach, widened outward.
 
-The metric of a pair is computed by :func:`~safebo.kernels.paired_metric`,
-bit for bit the ``metric_matrix`` entry, and the filters only drop pairs
-that are out of reach by a margin far above roundoff, so every decision
-equals the dense one.  Memory is O(n): pairs and candidates are handled in
-batches of at most ``max(_PAIR_BUDGET, n)``.
+Every decision equals the dense one by two facts.  The box holds every
+outside point the dense expression accepts: ``Kernel.radius`` bounds the
+exact inverse of the profile from above (exact for the squared
+exponential, at most 15.2% above it for Matérn-3/2), and the widening
+covers the box's roundoff.  And every outside point in the box is
+decided by that expression itself, on the bits
+:func:`~safebo.kernels.paired_metric` shares with ``metric_matrix``.
+Memory is O(n): pairs and candidates are handled in batches of at most
+``max(_PAIR_BUDGET, n)``.
 """
 
 from __future__ import annotations
@@ -57,8 +60,9 @@ __all__ = ["Frontier", "GridIndex"]
 _REL_SLACK = 1e-9
 _ABS_SLACK = 1e-12
 
-# Relative outward widening of query radii, above the 1e-10 error of
-# Kernel.radius and the roundoff of the distances the box and ball use.
+# Relative outward widening of query radii, far above the roundoff of
+# Kernel.radius's closed form, which is an upper bound on the exact
+# inverse up to a few ulps, and of the box's bounds ``center +- radius``.
 _RADIUS_WIDEN = 1e-6
 
 # Pairs, or transform candidates, handled at once; bounds memory when a
@@ -207,11 +211,13 @@ class GridIndex:
         return best_sq, best_arg
 
     def _reach(self, bounds: np.ndarray, norm: float) -> np.ndarray:
-        """Per bound, a squared metric at or above each computed ``d**2`` it reaches."""
+        """Per bound, a squared metric at or above each computed ``d**2`` it reaches.
+
+        A bound near the largest float overflows to an infinite reach; the
+        callers ignore that warning.
+        """
         scale = 2.0 * self.kernel.output_scale
-        # A bound near the largest float overflows to an infinite reach.
-        with np.errstate(over="ignore"):
-            return (np.maximum(bounds, 0.0) / norm) ** 2 * (1.0 + _REL_SLACK) + _ABS_SLACK * scale
+        return (np.maximum(bounds, 0.0) / norm) ** 2 * (1.0 + _REL_SLACK) + _ABS_SLACK * scale
 
     def covered(
         self, frontier: Frontier, anchors: np.ndarray, bounds: np.ndarray, norm: float
@@ -221,9 +227,9 @@ class GridIndex:
         The answer is False at every point of the frontier's mask.
         """
         hit = np.zeros(frontier.mask.shape[0], dtype=bool)
-        reach = self._reach(bounds, norm)
         # An infinite reach against a full mask's infinite near is nan: not kept.
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            reach = self._reach(bounds, norm)
             keep = reach - frontier.near[anchors] ** 2 >= 0.0
         if keep.any():
             for _, j, ok in self._pairs(frontier, anchors[keep], bounds[keep], norm, reach[keep]):
@@ -237,18 +243,20 @@ class GridIndex:
 
         An anchor with ``bounds[a] - norm * near[a] >= 0`` does: that is
         the dense expression at an outside point.  One whose reach falls
-        short of ``near[a] ** 2`` does not.  Only the band between them
-        goes to the ball query.  On a full mask, whose ``near`` is
+        short of ``near[a] ** 2`` does not; the reach is computed only for
+        the anchors the first test leaves open.  Only the band between them
+        goes to the box query.  On a full mask, whose ``near`` is
         infinite, no anchor reaches, an infinite bound included.
         """
-        reach = self._reach(bounds, norm)
-        with np.errstate(invalid="ignore"):
-            found = bounds - norm * frontier.near[anchors] >= 0.0
-            band = (~found & (reach - frontier.near[anchors] ** 2 >= 0.0)).nonzero()[0]
+        near = frontier.near[anchors]
+        with np.errstate(over="ignore", invalid="ignore"):
+            found = bounds - norm * near >= 0.0
+            undecided = (~found).nonzero()[0]
+            reach = self._reach(bounds[undecided], norm)
+            keep = reach - near[undecided] ** 2 >= 0.0
+        band = undecided[keep]
         if band.size:
-            for rows, cols, ok in self._pairs(
-                frontier, anchors[band], bounds[band], norm, reach[band]
-            ):
+            for rows, _, ok in self._pairs(frontier, anchors[band], bounds[band], norm, reach[keep]):
                 found[band[rows[ok]]] = True
         return found
 
@@ -260,13 +268,13 @@ class GridIndex:
         norm: float,
         reach: np.ndarray,
     ):
-        """Chunks of ``(anchor rows, grid indices, reached)`` in reach.
+        """Chunks of ``(anchor rows, grid indices, reached)`` over each anchor's box.
 
-        The ball around each anchor has the Euclidean radius where the
-        metric reaches ``sqrt(reach)``, widened outward.  Its bounding
-        box on the lattice is found per axis by bisecting the axis
-        coordinates; the box's points outside the frontier's mask and
-        inside the ball are evaluated with the dense expression.
+        The box's half-width, ``Kernel.radius`` at ``sqrt(reach)`` widened
+        outward, bounds the distance of every point the dense expression
+        accepts.  It is found per axis by bisecting the axis coordinates,
+        and the dense expression decides each of its points outside the
+        frontier's mask.
         """
         radii = self.kernel.radius(np.sqrt(reach)) * (1.0 + _RADIUS_WIDEN)
         centers = self.points[anchors]
@@ -289,11 +297,9 @@ class GridIndex:
             for k in range(len(self.axes) - 1, -1, -1):
                 offset, digit = np.divmod(offset, sizes[k][rows])
                 flat += (lows[k][rows] + digit) * self.strides[k]
+            # Freed before the metric's temporaries, which set the peak.
+            del offset, digit
             keep = ~frontier.mask[flat]
-            rows, flat = rows[keep], flat[keep]
-            diff = centers[rows] - self.points[flat]
-            squares = diff * diff
-            keep = squares.sum(axis=1) <= radii[rows] ** 2
             rows, flat = rows[keep], flat[keep]
             metric = paired_metric(self.kernel, centers[rows], self.points[flat])
             yield rows, flat, bounds[rows] - norm * metric >= 0.0

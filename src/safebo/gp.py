@@ -124,8 +124,8 @@ class SurrogateModel:
         written in place where no other model reads the row; otherwise
         only the partial last block is copied.
         """
-        n, integer = self.grid.shape[0], isinstance(index, (int, np.integer))
-        if not integer or isinstance(index, bool) or not 0 <= index < n:
+        n = self.grid.shape[0]
+        if not is_integer(index) or not 0 <= index < n:
             raise ValueError(f"index must be a grid index in [0, {n}), got {index!r}")
         values = np.asarray(values, dtype=float).ravel()
         if values.shape != (self.n_outputs,) or not np.isfinite(values).all():

@@ -154,7 +154,7 @@ def reach_edges(index, frontier, anchors, norm):
 def test_the_band_edges_match_the_dense_scan(budget):
     # The band runs from the least bound the reach filter keeps to
     # ``norm * near``; at each edge and one ulp either side, covered,
-    # reaches and the ball query alone all give the dense answer.
+    # reaches and the box query alone all give the dense answer.
     rng = np.random.default_rng(17)
     for kernel, domain, mask in fixtures(rng, 80):
         index = GridIndex(kernel, domain)
@@ -176,10 +176,48 @@ def test_the_band_edges_match_the_dense_scan(budget):
                 assert np.array_equal(queried, reach.any(axis=1))
 
 
+@pytest.mark.parametrize("x", [0.9959, 1e-11], ids=["loosest", "near-zero"])
+def test_matern_boxes_match_the_dense_scan_at_the_radius_bound_extremes(budget, x):
+    # Kernel.radius bounds the Matérn-3/2 inverse from above, by up to
+    # 15.2% where x = metric**2 / (2 * output_scale) is near 0.996 and by a
+    # margin that vanishes as x goes to 0.  The lattices' gaps put pairs
+    # around the radius at x, and the bounds are the metric at x, L * d of
+    # pairs and an ulp either side, so outside points sit on both sides of
+    # every box's edge.
+    rng = np.random.default_rng(37)
+    for trial in range(30):
+        kernel = Kernel(
+            "matern32",
+            lengthscale=float(10 ** rng.uniform(-2, 0)),
+            output_scale=float(10 ** rng.uniform(-1, 1)),
+        )
+        level = np.sqrt(2.0 * kernel.output_scale * x)
+        radius = float(kernel.radius(np.array([level]))[0])
+        axes = tuple(
+            rng.uniform(-1, 1) + np.cumsum(rng.uniform(0.05, 0.6, int(rng.integers(2, 8)))) * radius
+            for _ in range(1 + trial % 3)
+        )
+        domain = Domain(axes)
+        index = GridIndex(kernel, domain)
+        mask = random_mask(rng, domain.n_points)
+        frontier = index.frontier(mask)
+        metric = metric_matrix(kernel, domain.points)
+        anchors, outside = np.flatnonzero(mask), np.flatnonzero(~mask)
+        norm = float(rng.uniform(0.5, 2.0))
+        ties = norm * metric[anchors, outside[rng.integers(outside.size, size=anchors.size)]]
+        for tie in (ties, np.full(anchors.size, norm * level)):
+            for bounds in (np.nextafter(tie, -np.inf), tie, np.nextafter(tie, np.inf)):
+                reach = bounds[:, None] - norm * metric[np.ix_(anchors, outside)] >= 0.0
+                covered = index.covered(frontier, anchors, bounds, norm)
+                assert np.array_equal(covered[outside], reach.any(axis=0))
+                found = index.reaches(frontier, anchors, bounds, norm)
+                assert np.array_equal(found, reach.any(axis=1))
+
+
 @pytest.mark.filterwarnings("error")
 def test_covered_from_the_metric_supremum_on_matches_the_dense_scan(budget):
     # A bound from norm * sqrt(2 * output_scale), the supremum of every
-    # computed metric, on reaches every outside point: its ball is the
+    # computed metric, on reaches every outside point: its box is the
     # whole lattice, and near the largest float its reach overflows to
     # infinity without a warning.  Half the anchors take such a bound.
     rng = np.random.default_rng(29)
@@ -205,7 +243,7 @@ def test_covered_from_the_metric_supremum_on_matches_the_dense_scan(budget):
 def test_negative_bounds_match_the_dense_scan(budget):
     # A negative bound reaches no outside point a positive metric away;
     # its reach is the margin alone, so the filter drops it unless the
-    # nearest outside point is within the margin, and then the ball
+    # nearest outside point is within the margin, and then the box
     # query decides it.
     rng = np.random.default_rng(31)
     for kernel, domain, mask in fixtures(rng, 60):
@@ -246,7 +284,7 @@ def test_reaches_queries_only_the_band(queries):
         norm = float(rng.uniform(0.5, 2.0))
         near, edge = norm * frontier.near[anchors], reach_edges(index, frontier, anchors, norm)
         # Each bound reaches its near, or falls an ulp short of the reach
-        # filter: the frontier decides every anchor, and no ball is queried.
+        # filter: the frontier decides every anchor, and no box is queried.
         short_of_edge = (rng.random(anchors.size) < 0.5) & (edge > 0.0)
         decided = np.where(short_of_edge, np.nextafter(edge, -np.inf), near)
         assert np.array_equal(index.reaches(frontier, anchors, decided, norm), ~short_of_edge)

@@ -127,17 +127,39 @@ def metric_at_high_precision(kernel, distance):
     return mpmath.sqrt(2 * kernel.output_scale * (1 - value))
 
 
+def matern_radius_at_high_precision(kernel, metric):
+    """The exact inverse of the Matérn-3/2 profile at ``metric``, to 50 digits.
+
+    ``u = sqrt(3) r / lengthscale`` solves ``(1 + u) exp(-u) = 1 - x``, so
+    ``-(1 + u)`` is the lower branch of Lambert W at ``(x - 1) / e``.
+    """
+    with mpmath.workdps(50):
+        x = mpmath.mpf(metric) ** 2 / (2 * kernel.output_scale)
+        u = -1 - mpmath.lambertw((x - 1) / mpmath.e, -1).real
+        return kernel.lengthscale / mpmath.sqrt(3) * u
+
+
 class TestRadius:
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_inverts_the_metric(self, family):
-        # From far below the series threshold to just under the supremum.
+    def test_bounds_the_inverse_from_above(self, family):
+        # From near zero, where the Matérn bound's margin is smallest, past
+        # its loosest point, x = fraction**2 near 0.996, to just under the
+        # supremum.  The squared exponential's closed form is exact up to
+        # roundoff, which may leave its metric an ulp short; the box widens
+        # for that.
         kernel = Kernel(family, lengthscale=0.3, output_scale=2.5)
         top = math.sqrt(2.0 * kernel.output_scale)
-        for fraction in np.concatenate([10.0 ** np.arange(-9, 0), [0.3, 0.7, 0.99, 1 - 1e-9]]):
-            radius = float(kernel.radius(np.array([fraction * top]))[0])
+        fractions = [0.3, 0.7, 0.99, math.sqrt(0.9959), 1 - 1e-12]
+        for fraction in np.concatenate([10.0 ** np.arange(-15, 0), fractions]):
+            metric = fraction * top
+            radius = float(kernel.radius(np.array([metric]))[0])
             with mpmath.workdps(50):
-                recovered = float(metric_at_high_precision(kernel, radius))
-            assert recovered == pytest.approx(fraction * top, rel=1e-9)
+                recovered = metric_at_high_precision(kernel, radius)
+                if family == "matern32":
+                    assert recovered >= mpmath.mpf(metric)
+                    assert radius <= 1.16 * matern_radius_at_high_precision(kernel, metric)
+                else:
+                    assert float(recovered) == pytest.approx(metric, rel=1e-9)
 
     def test_infinite_from_the_supremum_on(self):
         for family in FAMILIES:
@@ -227,8 +249,18 @@ def test_domain_grid_bounds_are_bit_exact(rng):
         ([(0.0, 0.0)], 5, "low < high"),
         ([(0.0, 1.0)], [5, 5], "one resolution per dimension"),
         ([(0.0, 1.0)], 1, "at least 2"),
+        ([(0.0, 1.0)], [2.7], "resolution must be integers"),
+        ([(0.0, 1.0)], 5.0, "resolution must be integers"),
+        ([(0.0, 1.0)], True, "resolution must be integers"),
+        ([(0.0, 1.0)] * 2, [3, np.bool_(True)], "resolution must be integers"),
     ],
 )
 def test_domain_grid_rejects_a_box_it_cannot_span(bounds, resolution, reason):
     with pytest.raises(ValueError, match=reason):
         Domain.grid(bounds, resolution)
+
+
+def test_domain_grid_takes_numpy_integer_resolutions():
+    # A numpy integer works like a Python int, alone or as an entry.
+    assert Domain.grid([(0.0, 1.0)] * 2, np.int64(5)).n_points == 25
+    assert Domain.grid([(0.0, 1.0)] * 2, np.array([3, 4])).n_points == 12

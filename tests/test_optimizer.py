@@ -359,7 +359,7 @@ class TestExpanders:
     def test_roundoff_band_matches_bruteforce(self):
         # Upper bounds one ulp on either side of L times the metric to the
         # nearest outside point: below it the frontier cannot decide and
-        # the ball query must.  The grid's equidistant neighbours put
+        # the box query must.  The grid's equidistant neighbours put
         # other outside points at that metric up to roundoff.
         for family in FAMILIES:
             kernel = Kernel(family, lengthscale=0.3, output_scale=2.5)
