@@ -15,7 +15,16 @@ checkout; run from the repository root:
     PYTHONPATH=/path/to/other/checkout/src python3 scripts/gate_digests.py
 
 Equal output means byte-identical emitted files.  The BLAS thread setting
-is inherited.
+is inherited; the digests do not depend on it.
+
+``gate_digests.json`` beside this script records the expected digests:
+these 36 under ``batteries``, the three ``large_grid.py`` runs' CSV
+digests and final safe-set sizes under ``large_grid``, and the numpy
+version that produced them.  ``tests/test_scripts.py`` compares both
+against fresh runs, the large-grid runs only under ``pytest -m
+large_grid``.  A change that alters emitted bytes re-records the file in
+the same commit, from this script's and ``large_grid.py``'s output, and
+says why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -56,14 +65,19 @@ def batteries():
             yield f"{preset}/s{seed}", document
 
 
-def main() -> None:
-    digests = {}
+def digests() -> dict[str, str]:
+    """sha256 of every gate-battery file, keyed ``<battery>/<file>``."""
+    out = {}
     for name, document in batteries():
         result = harness.run_experiment(harness.ExperimentConfig.from_dict(document), jobs=1)
-        with tempfile.TemporaryDirectory() as out:
-            for path in sorted(harness.emit(result, out)):
-                digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    print(json.dumps(digests, indent=2))
+        with tempfile.TemporaryDirectory() as directory:
+            for path in sorted(harness.emit(result, directory)):
+                out[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def main() -> None:
+    print(json.dumps(digests(), indent=2))
 
 
 if __name__ == "__main__":

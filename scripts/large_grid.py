@@ -69,9 +69,21 @@ print(json.dumps({
 """
 
 
-def main() -> None:
+def results():
+    """Each run's line, parsed, in the order of ``RUNS``."""
     for run in RUNS:
-        subprocess.run([sys.executable, "-c", CHILD, json.dumps(run)], check=True)
+        child = subprocess.run(
+            [sys.executable, "-c", CHILD, json.dumps(run)],
+            check=True,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        yield json.loads(child.stdout)
+
+
+def main() -> None:
+    for result in results():
+        print(json.dumps(result), flush=True)
 
 
 if __name__ == "__main__":

@@ -27,12 +27,14 @@ a chain of appends and never written again; an append writes its row
 into the last block, copying only that partial block when a sibling has
 claimed the row, and an append that fills a block starts a new one,
 copying nothing.  So memory peaks at the live ``P`` plus one block, and
-``w P`` is one matrix-vector product per block, in block order.  One
-row per observation (grid index, targets, ``z`` and the pivot, the
-diagonal of ``L`` kept for the log-determinant) is held in a second
-store of the same blocks, shared the same way.  The Gram matrix is not
-carried, only its squared Frobenius norm, which the border updates and
-which bounds the spectral ratio the loop reads.
+``w P`` is one matrix-vector product per block, in block order.  The
+rows per observation (grid index, targets, ``z`` and the pivot, the
+diagonal of ``L`` kept for the log-determinant) are one small read-only
+array, which an append copies into a new one a row longer, as it does
+the grid posterior; a chain of retained models holds one such array
+each.  The Gram matrix is not carried, only its squared Frobenius norm,
+which the border updates and which bounds the spectral ratio the loop
+reads.
 """
 
 from __future__ import annotations
@@ -46,8 +48,7 @@ from .noise import is_integer
 
 __all__ = ["SurrogateModel"]
 
-# Rows per block of the carried stores: the projection and the
-# per-observation rows.
+# Rows per block of the carried projection.
 _GROWTH = 64
 
 
@@ -86,7 +87,7 @@ class SurrogateModel:
         self.t = 0
         k, n = self.n_outputs, self.grid.shape[0]
         # One row per observation: [grid index | values | z | pivot], pivots the diagonal of L.
-        self._obs_blocks = _Blocks(2 * k + 2)
+        self._obs = _frozen(np.zeros((0, 2 * k + 2)))
         self._z_cols = slice(k + 1, 2 * k + 1)
         self._gram_fro_sq = 0.0
         self._proj_blocks = _Blocks(n)
@@ -97,7 +98,7 @@ class SurrogateModel:
     @property
     def indices(self) -> np.ndarray:
         """``(t,)`` grid indices of the evaluated points."""
-        return self._obs_blocks.head(self.t)[:, 0].astype(np.intp)
+        return self._obs[:, 0].astype(np.intp)
 
     @property
     def inputs(self) -> np.ndarray:
@@ -107,7 +108,7 @@ class SurrogateModel:
     @property
     def targets(self) -> np.ndarray:
         """``(n_outputs, t)`` observed values, read-only."""
-        return _frozen(self._obs_blocks.head(self.t)[:, 1 : self.n_outputs + 1].T)
+        return self._obs[:, 1 : self.n_outputs + 1].T
 
     def with_observation(self, index: int, values: np.ndarray) -> "SurrogateModel":
         """New model with grid point ``index`` evaluated, one value per output.
@@ -120,9 +121,9 @@ class SurrogateModel:
         from its last projection row and evaluates the kernel at the
         observed points only.  An index that is not an integer in
         ``[0, n)``, such as a bool, a float or a negative one, raises
-        ``ValueError`` instead of wrapping around.  Shared blocks are
-        written in place where no other model reads the row; otherwise
-        only the partial last block is copied.
+        ``ValueError`` instead of wrapping around.  Shared projection
+        blocks are written in place where no other model reads the row;
+        otherwise only the partial last block is copied.
         """
         n = self.grid.shape[0]
         if not is_integer(index) or not 0 <= index < n:
@@ -131,7 +132,7 @@ class SurrogateModel:
         if values.shape != (self.n_outputs,) or not np.isfinite(values).all():
             raise ValueError("targets must be finite, one per output")
 
-        t, rows = self.t, self._obs_blocks.head(self.t)
+        t, rows = self.t, self._obs
         indices = rows[:, 0].astype(np.intp)
         child = object.__new__(type(self))
         child.__dict__ = self.__dict__.copy()
@@ -161,7 +162,7 @@ class SurrogateModel:
             max(diag + self.regularization - float(w @ w), self.regularization * 1e-12)
         )
         z_row = (values - w @ rows[:, self._z_cols].copy()) / pivot
-        child._obs_blocks = self._obs_blocks.extended(t, (index, *values, *z_row, pivot))
+        child._obs = _frozen(np.concatenate([rows, [(index, *values, *z_row, pivot)]]))
         # The grid-length rows are updated in place of temporaries.
         for start in range(s - s % _GROWTH, t, _GROWTH):
             skip = max(s - start, 0)
@@ -219,7 +220,7 @@ class SurrogateModel:
     def log_det_information_gain(self) -> float:
         """Half log-determinant of ``I + K / reg``, zero on empty history."""
         # log det(K + reg I) from the factor's pivots, then rescale.
-        log_det = 2.0 * float(np.log(self._obs_blocks.head(self.t)[:, -1]).sum())
+        log_det = 2.0 * float(np.log(self._obs[:, -1]).sum())
         return 0.5 * (log_det - self.t * np.log(self.regularization))
 
 
@@ -230,7 +231,8 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 class _Blocks:
     """The leading rows of a ``(t, width)`` matrix in ``_GROWTH``-row blocks,
-    shared along a chain of appends.
+    shared along a chain of appends: the projection ``P``, the one carried
+    array too large to copy per append.
 
     A model of ``t`` observations reads the first ``t`` rows of the first
     ``ceil(t / _GROWTH)`` blocks.  ``used`` counts the rows written so
@@ -247,13 +249,7 @@ class _Blocks:
         self.blocks = blocks
         self.used = 0
 
-    def head(self, t: int) -> np.ndarray:
-        """The first ``t`` rows, as one fresh array."""
-        if not self.blocks:
-            return np.zeros((0, self.width))
-        return np.concatenate(self.blocks)[:t]
-
-    def extended(self, t: int, row: np.ndarray | tuple) -> "_Blocks":
+    def extended(self, t: int, row: np.ndarray) -> "_Blocks":
         """Blocks of which the first ``t`` rows are this chain's and row
         ``t`` is ``row``."""
         full, filled = divmod(t, _GROWTH)

@@ -17,13 +17,14 @@ def gram_of(model):
 
 
 def projection_of(model):
-    """The model's carried projection ``P``, its blocks stacked."""
-    return model._proj_blocks.head(model.t)
+    """The model's carried projection ``P``, its blocks stacked into a fresh array."""
+    blocks = model._proj_blocks.blocks
+    return np.concatenate(blocks)[: model.t] if blocks else np.zeros((0, model.grid.shape[0]))
 
 
 def observation_rows(model):
-    """The model's per-observation rows: grid index, values, ``z``, pivot."""
-    return model._obs_blocks.head(model.t)
+    """A copy of the model's per-observation rows: grid index, values, ``z``, pivot."""
+    return np.copy(model._obs)
 
 
 def dense_posterior_reference(kernel, inputs, targets, queries, reg):
@@ -353,22 +354,21 @@ class TestGridBoundPosterior:
         assert np.max(np.abs(std - ref_std)) <= 1e-12
 
     def test_carried_buffers_stay_close_to_the_live_state(self, kernel, rng):
-        # The projection and the per-observation rows are held in fixed
-        # blocks of _GROWTH rows, 200 and 2 * 2 + 2 columns wide.
+        # The projection is held in fixed blocks of _GROWTH rows, 200
+        # columns wide.
         model = SurrogateModel(kernel, 0.01, 2, grid=rng.uniform(0, 1, (200, 1)))
         chain = [model]
         for index in range(200):
             model = model.with_observation(index, rng.standard_normal(2))
             chain.append(model)
-            for store, width in ((model._proj_blocks, 200), (model._obs_blocks, 6)):
-                assert len(store.blocks) == math.ceil(model.t / _GROWTH)
-                assert all(block.shape == (_GROWTH, width) for block in store.blocks)
-        # The chain's models, t = 0 to 200, share the blocks of each
-        # store: no block is ever copied, so 200 rows take
+            blocks = model._proj_blocks.blocks
+            assert len(blocks) == math.ceil(model.t / _GROWTH)
+            assert all(block.shape == (_GROWTH, 200) for block in blocks)
+        # The chain's models, t = 0 to 200, share the projection's
+        # blocks: no block is ever copied, so 200 rows take
         # ceil(200 / _GROWTH) of them.
-        for store in ("_proj_blocks", "_obs_blocks"):
-            blocks = {id(block) for m in chain for block in getattr(m, store).blocks}
-            assert len(blocks) == math.ceil(200 / _GROWTH)
+        blocks = {id(block) for m in chain for block in m._proj_blocks.blocks}
+        assert len(blocks) == math.ceil(200 / _GROWTH)
         # Every model still reads its own history from the shared blocks.
         proj = projection_of(model)
         for m in chain:
@@ -461,10 +461,11 @@ class TestGridBoundPosterior:
     @pytest.mark.parametrize("parent_t", [5, _GROWTH, _GROWTH + 5])
     def test_sibling_appends_leave_parent_and_each_other_unchanged(self, parent_t, kernel, rng):
         # A parent of 5 or 69 observations has room in the last block of
-        # each store, the projection and the per-observation rows: the
-        # first child writes in place and the second copies only that
-        # partial block.  A parent of 64 fills its blocks, so each child
-        # starts blocks of its own.  Full blocks are shared by all three.
+        # the projection: the first child writes in place and the second
+        # copies only that partial block.  A parent of 64 fills its
+        # blocks, so each child starts blocks of its own.  Full blocks are
+        # shared by all three.  The per-observation rows are one
+        # read-only array per model, which no append writes.
         grid = grid_points(1, 60)
         parent = SurrogateModel(kernel, 0.01, 2, grid=grid)
         for _ in range(parent_t):
@@ -475,6 +476,7 @@ class TestGridBoundPosterior:
         var, gram = np.copy(parent._var), np.copy(gram_of(parent))
         inputs, targets = np.copy(parent.inputs), np.copy(parent.targets)
         proj, rows = projection_of(parent), observation_rows(parent)
+        obs = parent._obs
         xi_before = parent.xi_lambda_max()
 
         first = parent.with_observation(15, [1.0, -1.0])
@@ -486,16 +488,18 @@ class TestGridBoundPosterior:
         second.xi_lambda_max()
 
         full, filled = divmod(parent_t, _GROWTH)
-        for store in ("_proj_blocks", "_obs_blocks"):
-            shared = getattr(parent, store).blocks
-            for child in (first, second):
-                blocks = getattr(child, store).blocks
-                assert len(blocks) == full + 1
-                assert all(mine is theirs for mine, theirs in zip(blocks[:full], shared))
-            last_first, last_second = (getattr(c, store).blocks[full] for c in (first, second))
-            assert last_first is not last_second
-            if filled:
-                assert last_first is shared[full] and last_second is not shared[full]
+        shared = parent._proj_blocks.blocks
+        for child in (first, second):
+            blocks = child._proj_blocks.blocks
+            assert len(blocks) == full + 1
+            assert all(mine is theirs for mine, theirs in zip(blocks[:full], shared))
+        last_first, last_second = (c._proj_blocks.blocks[full] for c in (first, second))
+        assert last_first is not last_second
+        if filled:
+            assert last_first is shared[full] and last_second is not shared[full]
+        assert parent._obs is obs and np.array_equal(obs, rows)
+        for model in (parent, first, second):
+            assert model._obs.shape == (model.t, 6) and not model._obs.flags.writeable
 
         for model, (means, std) in ((parent, before), (first, first_post)):
             after_means, after_std = model.posterior()

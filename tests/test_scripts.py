@@ -1,16 +1,26 @@
-"""The byte-gate scripts under ``scripts/`` still load what they run, without running it.
+"""The byte-gate scripts under ``scripts/`` and the digests they record.
 
 ``gate_digests.py`` loads ``perfbench/run.py`` by path and reads its
 workloads, so a rename there would break the gate with nothing else
-failing; ``large_grid.py`` runs its child program from a string.
+failing; ``large_grid.py`` runs its child program from a string.  Both
+scripts' output is compared with ``scripts/gate_digests.json``: the 36
+gate files on every run, the three large-grid runs (about 16 s) only
+under ``pytest -m large_grid``.
 """
 
 import importlib.util
+import json
+import os
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+import safebo
 from safebo import harness
 
 ROOT = Path(__file__).resolve().parent.parent
+RECORDED = json.loads((ROOT / "scripts" / "gate_digests.json").read_text(encoding="utf-8"))
 
 
 def load_script(name):
@@ -34,6 +44,38 @@ def test_gate_digests_yields_its_twelve_batteries():
         config = harness.ExperimentConfig.from_dict(document)
         if name in presets:
             assert config.seeds == (int(name[-1]),)
+
+
+def differing_message(differing):
+    return (
+        f"{len(differing)} differ from scripts/gate_digests.json: {', '.join(differing)}; "
+        f"recorded with numpy {RECORDED['numpy']}, run with numpy {np.__version__}"
+    )
+
+
+def test_gate_batteries_emit_the_recorded_bytes():
+    actual, recorded = load_script("gate_digests").digests(), RECORDED["batteries"]
+    assert len(recorded) == 36
+    differing = sorted(
+        name for name in actual.keys() | recorded.keys() if actual.get(name) != recorded.get(name)
+    )
+    assert not differing, differing_message(differing)
+
+
+@pytest.mark.large_grid
+def test_large_grid_runs_emit_the_recorded_bytes(monkeypatch):
+    # The child interpreters import the safebo these tests import.
+    src = str(Path(safebo.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    monkeypatch.setenv("PYTHONPATH", path)
+    keys = ("resolution", "seed", "max_iterations", "final_safe_size", "csv_sha256")
+    actual = [{key: result[key] for key in keys} for result in load_script("large_grid").results()]
+    differing = [
+        f"{run['resolution']}^2 seed {run['seed']}"
+        for run, recorded in zip(actual, RECORDED["large_grid"], strict=True)
+        if run != recorded
+    ]
+    assert not differing, differing_message(differing)
 
 
 def test_large_grid_child_compiles():
