@@ -11,17 +11,18 @@ named by index.  It carries ``P = L^{-1} K(X, grid)`` and
 ``z = L^{-1} y`` for its Cholesky factor ``L`` and adds one row to each
 per append (rank-1 bordering, Rasmussen & Williams 2006, Alg. 2.1).
 For grid point ``j`` the forward solve ``w = L^{-1} k(X, x_j)`` is
-column ``j`` of ``P``, and the border ``k(X, x_j)`` is the new kernel
-row ``k(x_j, grid)`` at the observed indices: an append evaluates one
-kernel row and never forms ``L`` or its inverse.  The grid posterior is
+column ``j`` of ``P``, and for a new point the border ``k(X, x_j)`` is
+the new kernel row ``k(x_j, grid)`` at the observed indices: an append
+evaluates at most one kernel row and never forms ``L`` or its inverse.  The grid posterior is
 carried too: the new rows ``z_t`` and ``p_t`` add ``z_t p_t`` to the
 means and take ``p_t^2`` off the variance, so an append costs one
 ``O(t n)`` product, ``w P``, and reading the posterior ``O(k n)``.  A
 revisit of a point last evaluated at row ``s`` costs less: ``pivot_s
 p_s`` already is ``k(x_j, grid) - w_{<s} P_{<s}``, since the rows below
 ``s`` are shared, so the append subtracts only rows ``s .. t-1``, in
-``O((t - s) n)``, and evaluates the kernel at the ``t`` observed points
-only, for the border.
+``O((t - s) n)``.  Its border ``k(x_j, X)`` is row ``s``'s border, then
+``k(x_j, x_j)``, then the kernel at the ``t - s - 1`` points observed
+since: an immediate repeat evaluates no kernel at all.
 ``P`` is held in fixed blocks of 64 rows.  Full blocks are shared along
 a chain of appends and never written again; an append writes its row
 into the last block, copying only that partial block when a sibling has
@@ -32,9 +33,11 @@ rows per observation (grid index, targets, ``z`` and the pivot, the
 diagonal of ``L`` kept for the log-determinant) are one small read-only
 array, which an append copies into a new one a row longer, as it does
 the grid posterior; a chain of retained models holds one such array
-each.  The Gram matrix is not carried, only its squared Frobenius norm,
-which the border updates and which bounds the spectral ratio the loop
-reads.
+each.  The Gram matrix is carried as its borders, row ``r``'s
+``k(x_r, X_{<r})`` one read-only array per row, shared along a chain as
+the full blocks of ``P`` are: ``t (t - 1) / 2`` floats.  Each border
+updates the squared Frobenius norm, which bounds the spectral ratio the
+loop reads.
 """
 
 from __future__ import annotations
@@ -89,6 +92,8 @@ class SurrogateModel:
         # One row per observation: [grid index | values | z | pivot], pivots the diagonal of L.
         self._obs = _frozen(np.zeros((0, 2 * k + 2)))
         self._z_cols = slice(k + 1, 2 * k + 1)
+        # Row r's Gram border k(x_r, X_{<r}), one read-only array per row.
+        self._borders: tuple[np.ndarray, ...] = ()
         self._gram_fro_sq = 0.0
         self._proj_blocks = _Blocks(n)
         # The grid posterior, shared with callers: never written in place.
@@ -118,10 +123,11 @@ class SurrogateModel:
         extend the carried rows by a rank-1 border and update the grid
         posterior, and the border adds ``2 |border|^2 + k(a, a)^2`` to
         the carried squared Frobenius norm.  A revisited index starts
-        from its last projection row and evaluates the kernel at the
-        observed points only.  An index that is not an integer in
-        ``[0, n)``, such as a bool, a float or a negative one, raises
-        ``ValueError`` instead of wrapping around.  Shared projection
+        from its last projection row and that row's border, and
+        evaluates the kernel only at the points observed since.  An
+        index that is not an integer in ``[0, n)``, such as a bool, a
+        float or a negative one, raises ``ValueError`` instead of
+        wrapping around.  Shared projection
         blocks are written in place where no other model reads the row;
         otherwise only the partial last block is copied.
         """
@@ -139,18 +145,26 @@ class SurrogateModel:
         child.t = t + 1
         blocks = self._proj_blocks.blocks
         seen = (indices == index).nonzero()[0]
+        diag = float(self.kernel.output_scale)
         if seen.size:
             # A revisit: row s, the point's last one, was bordered with
             # the same w below s, so pivot_s * P_s already is the kernel
             # row minus rows 0 .. s-1.  A fresh array: blocks are shared.
+            # Its border is row s's, then k(a, a), then the kernel at the
+            # points observed since: each entry has the bits of pairwise's
+            # row over all t, whose diagonal entry is output_scale.
             s = int(seen[-1])
-            cross = pairwise(self.kernel, self.grid[index, None], self.grid[indices])[0]
+            since = indices[s + 1 :]
+            parts = [self._borders[s], [diag]]
+            if since.size:
+                parts.append(pairwise(self.kernel, self.grid[index, None], self.grid[since])[0])
+            cross = np.concatenate(parts)
             p_row = rows[s, -1] * blocks[s // _GROWTH][s % _GROWTH]
         else:
             s = 0
             p_row = pairwise(self.kernel, self.grid[index, None], self.grid)[0]
             cross = p_row[indices]
-        diag = float(self.kernel.output_scale)
+        child._borders = self._borders + (_frozen(cross),)
         child._gram_fro_sq = self._gram_fro_sq + 2.0 * float(cross @ cross) + diag * diag
 
         # The column and z are strided; the products read contiguous

@@ -9,9 +9,12 @@ can change between two points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .noise import _reject_bools
 
 __all__ = [
     "FAMILIES",
@@ -38,9 +41,12 @@ class Kernel:
     family : str
         ``"matern32"`` (default) or ``"squared_exponential"``.
     lengthscale : float
-        Positive correlation length.
+        Positive, finite correlation length.
     output_scale : float
-        Positive variance scale, the value of ``k(a, a)``.
+        Positive, finite variance scale, the value of ``k(a, a)``.
+
+    A bool for either number raises ``ValueError``, as the config schema
+    does.
     """
 
     family: str = "matern32"
@@ -50,10 +56,11 @@ class Kernel:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if not self.lengthscale > 0.0:
-            raise ValueError("lengthscale must be positive")
-        if not self.output_scale > 0.0:
-            raise ValueError("output_scale must be positive")
+        _reject_bools(lengthscale=self.lengthscale, output_scale=self.output_scale)
+        if not 0.0 < self.lengthscale < math.inf:
+            raise ValueError("lengthscale must be positive and finite")
+        if not 0.0 < self.output_scale < math.inf:
+            raise ValueError("output_scale must be positive and finite")
 
     def profile(self, dists: np.ndarray) -> np.ndarray:
         """Kernel value as a function of Euclidean distance."""

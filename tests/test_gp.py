@@ -8,7 +8,7 @@ from scipy.linalg import cholesky, solve_triangular
 from safebo import ExperimentConfig, Kernel, SurrogateModel
 from safebo.gp import _GROWTH
 from safebo.harness import run_experiment, run_single
-from safebo.kernels import pairwise
+from safebo.kernels import FAMILIES, pairwise
 
 
 def gram_of(model):
@@ -399,10 +399,12 @@ class TestGridBoundPosterior:
         assert peak <= (math.ceil(appends / _GROWTH) + 1) * _GROWTH * n * 8
 
     def test_one_kernel_row_per_append(self, kernel, rng, monkeypatch):
-        # The Gram border is read off one kernel row, and the forward
-        # solve off the carried projection: one kernel evaluation each.
-        # A new point's row spans the grid; a revisited point's only the
-        # t observed points, since its grid row is carried in P.
+        # The forward solve is read off the carried projection.  A new
+        # point evaluates one kernel row over the grid, and its Gram
+        # border is that row at the observed points.  A revisit of the
+        # point last seen at row s evaluates the kernel at the t - s - 1
+        # points observed since only: the rest of its border is row s's,
+        # and k(a, a).  An immediate repeat evaluates nothing.
         calls = []
 
         def counted(*args, **kwargs):
@@ -413,24 +415,30 @@ class TestGridBoundPosterior:
         model = SurrogateModel(kernel, 0.01, 2, grid=grid_points(1, 30))
         expected = []
         for t in range(40):
-            index = int(rng.integers(30))
-            expected.append((1, t if index in model.indices else 30))
+            # Every fourth append repeats the last point.
+            index = model.indices[-1] if t % 4 == 3 else int(rng.integers(30))
+            seen = (model.indices == index).nonzero()[0]
+            if not seen.size:
+                expected.append((1, 30))
+            elif seen[-1] < t - 1:
+                expected.append((1, t - 1 - seen[-1]))
             model = model.with_observation(index, rng.standard_normal(2))
             assert calls == expected
-        assert 0 < sum(cols == 30 for _, cols in calls) < 40
+        assert 0 < sum(cols == 30 for _, cols in calls) < len(calls) <= 40 - 10
         # Reading the posterior, the loop's spectral ratio and the gain
         # evaluates none; the exact ratio assembles the Gram of the 40.
         model.posterior()
         model.xi_frobenius()
         model.log_det_information_gain()
-        assert len(calls) == 40
+        assert calls == expected
         model.xi_lambda_max()
-        assert calls[40:] == [(40, 40)]
+        assert calls[len(expected) :] == [(40, 40)]
 
     def test_a_paper_run_evaluates_one_grid_row_per_distinct_point(self, monkeypatch):
         # paper-synthetic-2 seed 0 in scenario mode repeats its start
         # point: its 200 appends evaluate one grid-length row per
-        # distinct point, and short rows for the revisits.
+        # distinct point and nothing else, since every revisit repeats
+        # the point appended just before and keeps that row's border.
         calls = []
 
         def counted(*args, **kwargs):
@@ -444,10 +452,8 @@ class TestGridBoundPosterior:
         trace = run_single(config, 0, "scenario")
         n = config.build_domain().n_points
         distinct = {rec.point for rec in trace.records}
-        assert len(calls) == trace.iterations == 200
-        assert calls.count(n) == len(distinct) < 200
-        # The append at t observations reads a revisit's border off t points.
-        assert all(cols == t for t, cols in enumerate(calls) if cols != n)
+        assert trace.iterations == 200
+        assert calls == [n] * len(distinct) and len(distinct) < 200
 
     def test_rejects_flat_grid(self, kernel):
         with pytest.raises(ValueError, match="grid"):
@@ -582,8 +588,9 @@ class TestRevisitAppend:
         first = parent.with_observation(0, [1.0, -1.0])
         first_state = carried_state(first)
         second = parent.with_observation(0, [-2.0, 0.5])
-        # Each border is read off the t observed points, not the grid.
-        assert columns == [t, t]
+        # Each border evaluates the kernel at the t - s - 1 points
+        # observed since row s only, and at none for a repeat of row t - 1.
+        assert columns == ([t - last_seen - 1] * 2 if last_seen < t - 1 else [])
         for model in (first, second):
             assert model.t == t + 1 and model.indices[-1] == 0
             assert_matches_fresh_factorization(model)
@@ -591,6 +598,50 @@ class TestRevisitAppend:
         assert_unchanged(first, first_state)
         # Both siblings carry the same row t: it does not depend on the values.
         assert np.array_equal(projection_of(first), projection_of(second))
+
+    @pytest.mark.parametrize(
+        "family, scale",
+        [(family, scale) for family in FAMILIES for scale in (1e-3, 0.37, 1.0, 2.5, 1e4)],
+    )
+    def test_pairwise_diagonal_is_the_output_scale(self, family, scale, rng):
+        # A revisit's border puts output_scale where pairwise(x, x) has
+        # its diagonal: the two must be the same bits.
+        for lengthscale in (0.05, 0.3, 2.0):
+            kernel = Kernel(family=family, lengthscale=lengthscale, output_scale=scale)
+            points = rng.uniform(-1.0, 1.0, (7, 2))
+            assert np.all(np.diag(pairwise(kernel, points, points)) == scale)
+
+    # (s, t) of the revisit appended to a chain of t: gap 0 (s = t - 1),
+    # gap 1, and s and t on either side of the first block boundary.
+    @pytest.mark.parametrize("last_seen, t", [(29, 30), (28, 30), (_GROWTH - 3, _GROWTH + 2)])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_kept_border_keeps_the_bits_of_a_kernel_row(self, last_seen, t, family, rng):
+        # The border composed from row s's, k(a, a) and the points since
+        # gives the carried norm the bits of a border read off one kernel
+        # row at all t observed points.  Two siblings get the same norm,
+        # and a revisit of the revisit keeps the bits too.
+        kernel = Kernel(family=family, lengthscale=0.1, output_scale=2.5)
+        parent = chain_revisiting(kernel, rng, last_seen, t)
+
+        def kernel_row(model):
+            """A revisit's border as one kernel row at all t observed points."""
+            return pairwise(kernel, model.grid[0], model.grid[model.indices])[0]
+
+        def expected_norm(model):
+            border = kernel_row(model)
+            return model._gram_fro_sq + 2.0 * float(border @ border) + 2.5 * 2.5
+
+        siblings = [parent.with_observation(0, values) for values in ([1.0, -1.0], [-2.0, 0.5])]
+        for child in siblings:
+            assert child._gram_fro_sq == expected_norm(parent)
+            assert np.array_equal(child._borders[t], kernel_row(parent))
+            assert len(child._borders) == t + 1 and not child._borders[t].flags.writeable
+        assert siblings[0]._borders[t] is not siblings[1]._borders[t]
+        assert all(mine is theirs for mine, theirs in zip(siblings[0]._borders, parent._borders))
+        middle = siblings[0].with_observation(7, [0.0, 0.0])
+        again = middle.with_observation(0, [0.0, 0.0])
+        assert again._gram_fro_sq == expected_norm(middle)
+        assert np.array_equal(again._borders[-1], kernel_row(middle))
 
     def test_gram_norm_keeps_the_bits_of_a_grid_row(self, kernel, rng):
         # The border at the observed points is read off k(x_j, X), which

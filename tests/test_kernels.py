@@ -68,6 +68,21 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             Kernel(family="brownian")
 
+    def test_infinite_output_scale_is_rejected(self):
+        # An infinite k(a, a) turns the GP posterior into NaN after one append.
+        with pytest.raises(ValueError, match="output_scale must be positive and finite"):
+            Kernel(output_scale=math.inf)
+
+    def test_infinite_lengthscale_is_rejected(self):
+        # An infinite lengthscale makes k constant, so every metric is 0.
+        with pytest.raises(ValueError, match="lengthscale must be positive and finite"):
+            Kernel(lengthscale=math.inf)
+
+    def test_bool_lengthscale_is_rejected(self):
+        # True compares as 1, which the range check alone would accept.
+        with pytest.raises(ValueError, match="lengthscale must be a number"):
+            Kernel(lengthscale=True)
+
 
 class TestKernelMetric:
     def test_identity(self, kernel):

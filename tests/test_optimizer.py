@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ from safebo.optimizer import (
     reachable_set,
     safe_set,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # ---------------------------------------------------------------------------
 # Brute-force references: direct transcriptions of the set definitions as
@@ -407,6 +411,20 @@ class TestAcquire:
         candidates = np.array([True, True, False])
         assert acquire(widths, np.ones(3), candidates) == 1
 
+    def test_width_tie_goes_to_larger_std_then_lowest_index(self):
+        # Six candidates share the largest width over the two outputs,
+        # 0.9 (index 5 is wider but no candidate).  Of those, 2, 4 and 6
+        # share the largest std and the lowest index is taken: 2, then 4
+        # once 2 is no candidate.  With equal stds the lowest index wins.
+        widths = np.array([[0.7, 0.9, 0.1, 0.9, 0.9, 2.0, 0.2, 0.9],
+                           [0.9, 0.3, 0.9, 0.3, 0.2, 0.1, 0.9, 0.1]])
+        std = np.array([0.5, 0.4, 0.6, 0.1, 0.6, 0.9, 0.6, 0.3])
+        candidates = np.array([True, True, True, True, True, False, True, False])
+        assert acquire(widths, std, candidates) == 2
+        candidates[2] = False
+        assert acquire(widths, std, candidates) == 4
+        assert acquire(widths, np.ones(8), candidates) == 0
+
 
 class TestClassicBeta:
     def test_zero_history_value(self):
@@ -756,6 +774,43 @@ class TestSetReuse:
         )
         trace = run_single(config, 0, "scenario")
         assert trace.iterations == 200 and len(reused) > 100
+
+    @pytest.mark.parametrize("workload", ["heavy-tail-1d", "two-output-2d"])
+    def test_each_choice_equals_acquire_on_that_steps_state(self, workload, monkeypatch):
+        # At every step, the chosen point and its width must be what
+        # acquire makes of the step's intervals, its model's std and
+        # candidates derived afresh.  Most heavy-tail steps reuse the kept
+        # set stage while the std keeps moving.
+        if workload == "heavy-tail-1d":
+            config = ExperimentConfig.from_preset(
+                "paper-synthetic-2", {"seeds": [0], "beta_modes": ["scenario"]}
+            )
+        else:
+            path = ROOT / "perfbench" / "configs" / "two-output-2d.json"
+            config = ExperimentConfig.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        step, reused = SafeOptimizer.step, []
+
+        def recomputed(self, state, *args):
+            kept = self._last_sets
+            successor = step(self, state, *args)
+            conf, safe = successor.confidence, successor.safe
+            lower, upper = conf.lower, conf.upper
+            index, cons = GridIndex(self.kernel, self.domain), self.config.constraint_indices
+            norms = np.asarray(self.config.norm_bounds)
+            candidates = maximizers(upper, lower, safe)
+            candidates |= expanders(upper, safe, norms, index, cons)
+            widths = upper - lower
+            chosen = acquire(widths, state.model.posterior()[1], candidates)
+            record = successor.records[-1]
+            assert record.point == tuple(self.domain.points[chosen].tolist())
+            assert record.acquisition_width == float(widths[:, chosen].max())
+            reused.append(self._last_sets is kept)
+            return successor
+
+        monkeypatch.setattr(SafeOptimizer, "step", recomputed)
+        trace = run_single(config, 0, "scenario")
+        assert len(reused) == trace.iterations == 200
+        assert sum(reused) > (100 if workload == "heavy-tail-1d" else 0)
 
     @pytest.mark.parametrize("changed", ["lower", "upper", "previous"])
     def test_any_changed_input_recomputes(self, changed):

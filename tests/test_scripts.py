@@ -82,3 +82,80 @@ def test_large_grid_child_compiles():
     large = load_script("large_grid")
     compile(large.CHILD, "large_grid.CHILD", "exec")
     assert [run["resolution"] for run in large.RUNS] == [300, 300, 150]
+
+
+def perfbench_result(metrics, correct=True, failed=0):
+    """One ``perfbench/run.py`` result holding ``metrics``, six runs attempted."""
+    return {
+        "correct": correct,
+        "attempted": 6,
+        "failed": failed,
+        "metrics": {name: {"value": value, "unit": "-"} for name, value in metrics.items()},
+    }
+
+
+def test_compare_summarizes_pairs_on_fixed_inputs():
+    compare = load_script("compare")
+    assert [compare.order(pair) for pair in (1, 2, 3)] == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change")
+    ]
+    metrics = [
+        {"name": "wall_s", "better": "lower"},
+        {"name": "experiments_per_s", "better": "higher"},
+        {"name": "coverage", "better": "higher"},
+        {"name": "regret", "better": "lower"},
+        {"name": "step_ms_p50", "better": "lower"},
+        {"name": "setup_s", "better": "lower"},
+    ]
+    parent = [
+        {"wall_s": w, "experiments_per_s": 10.0, "coverage": 0.5, "regret": 0.0, "step_ms_p50": 1.0}
+        for w in (1.0, 2.0, 3.0, 4.0)
+    ]
+    change = [
+        {"wall_s": w, "experiments_per_s": e, "coverage": 0.5, "regret": 0.0, "step_ms_p50": s}
+        for w, e, s in ((0.5, 11.0, 0.8), (2.0, 9.0, 0.9), (3.5, 10.0, 1.0), (1.0, 12.0, 2.0))
+    ]
+    # The change's third run failed its checks and reports no step latency.
+    del change[2]["step_ms_p50"]
+    results = {
+        "parent": [perfbench_result(m) for m in parent],
+        "change": [perfbench_result(m, correct=i != 2, failed=int(i == 2))
+                   for i, m in enumerate(change)],
+    }
+    # A fifth pair in which the parent's run crashed.
+    results["parent"].append(
+        {"correct": False, "crashed": True, "attempted": 0, "failed": 0, "metrics": {}}
+    )
+    results["change"].append(perfbench_result({"wall_s": 0.1, "step_ms_p50": 0.1}))
+    entry = compare.summarize(results, metrics)
+
+    assert entry["pairs"] == 5 and entry["correct"] is False
+    assert entry["failed"] == {"parent": 0, "change": 1}
+    assert entry["crashed"] == {"parent": 1, "change": 0}
+    assert entry["attempted"] == {"parent": 24, "change": 30}
+    # Ties count for neither side; lower is better for wall time.  The
+    # crashed pair reports nothing, so wall time is compared over four.
+    assert entry["wall_s"] == {
+        "pairs": 4, "parent_median": 2.5, "change_median": 1.5,
+        "parent_iqr": [1.75, 3.25], "change_iqr": [0.875, 2.375],
+        "change_better_pairs": 2, "rel_change_pct": -40.0,
+    }
+    assert entry["experiments_per_s"]["change_better_pairs"] == 2
+    assert entry["experiments_per_s"]["rel_change_pct"] == 5.0
+    for name in ("coverage", "regret"):
+        assert entry[name]["change_better_pairs"] == 0 and entry[name]["rel_change_pct"] == 0.0
+    # Compared over the three pairs that report it on both sides.
+    assert entry["step_ms_p50"]["pairs"] == 3
+    assert entry["step_ms_p50"]["change_median"] == 0.9
+    assert entry["step_ms_p50"]["change_better_pairs"] == 2
+    assert entry["step_ms_p50"]["rel_change_pct"] == -10.0
+    # No pair reports it: no entry.
+    assert "setup_s" not in entry
+
+
+def test_compare_counts_a_run_that_prints_no_result_as_crashed(tmp_path):
+    # No perfbench/run.py here: the interpreter exits non-zero at once.
+    compare = load_script("compare")
+    assert compare.run_once(tmp_path, "heavy-tail-1d") == {
+        "correct": False, "crashed": True, "attempted": 0, "failed": 0, "metrics": {}
+    }
