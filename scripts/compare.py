@@ -19,7 +19,18 @@ per end-to-end metric the pairs in which both sides report it, both
 sides' medians and interquartile ranges (25th and 75th percentiles) over
 those pairs, ``change_better_pairs`` (pairs the change wins in the
 metric's ``better`` direction; ties count for neither) and
-``rel_change_pct``, ``(change - parent) / parent`` of the medians.
+``rel_change_pct``, ``(change - parent) / parent`` of the medians, and
+a ``verdict``, the first of these that holds:
+
+* ``gain``: the change wins at least 9 of every 10 compared pairs, and
+  its median is better than the parent's by more than the parent's
+  interquartile distance;
+* ``worse``: the change's median is worse than the parent's by more than
+  the metric's ``bound`` in ``BENCHMARK.json``, relative to the parent's;
+* ``unresolved``: the parent's interquartile distance is wider than that
+  bound, relative to its median, so its runs cannot tell such a change;
+* ``within_bound``: any other case.
+
 ``change``, ``claim`` and ``no_regression`` are left to the author.
 
 The BLAS thread setting and the rest of the environment are inherited by
@@ -65,21 +76,37 @@ def run_once(directory: Path, workload: str) -> dict:
     return json.loads(lines[-1])
 
 
-def _quartiles(values: list[float]) -> list[float]:
+def _quartiles(values: list[float]) -> tuple[float, float]:
     """25th and 75th percentiles, interpolated between the sorted values."""
     if len(values) < 2:
-        q1 = q3 = values[0]
-    else:
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return [round(q1, 6), round(q3, 6)]
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def verdict(before: list[float], after: list[float], better: str, bound: float) -> str:
+    """The verdict on one metric's paired runs: ``before[i]`` and ``after[i]``
+    are the parent's and the change's run in pair ``i``."""
+    sign = 1.0 if better == "higher" else -1.0
+    p_med, c_med = statistics.median(before), statistics.median(after)
+    q1, q3 = _quartiles(before)
+    wins = sum(sign * (c - p) > 0 for p, c in zip(before, after))
+    if 10 * wins >= 9 * len(before) and sign * (c_med - p_med) > q3 - q1:
+        return "gain"
+    if sign * (p_med - c_med) > bound * abs(p_med):
+        return "worse"
+    if q3 - q1 > bound * abs(p_med):
+        return "unresolved"
+    return "within_bound"
 
 
 def summarize(results: dict[str, list[dict]], metrics: list[dict]) -> dict:
     """One workload's entry of ``runs`` from each side's results, pair by pair.
 
     ``results[side][i]`` is that side's result in pair ``i``; ``metrics``
-    are ``BENCHMARK.json``'s end-to-end entries.  A metric is compared
-    over the pairs in which both sides report it.
+    are ``BENCHMARK.json``'s end-to-end entries, with their ``better``
+    direction and ``bound``.  A metric is compared over the pairs in
+    which both sides report it.
     """
     parent, change = results["parent"], results["change"]
     entry = {
@@ -108,10 +135,11 @@ def summarize(results: dict[str, list[dict]], metrics: list[dict]) -> dict:
             "pairs": len(pairs),
             "parent_median": round(p_med, 6),
             "change_median": round(c_med, 6),
-            "parent_iqr": _quartiles(before),
-            "change_iqr": _quartiles(after),
+            "parent_iqr": [round(q, 6) for q in _quartiles(before)],
+            "change_iqr": [round(q, 6) for q in _quartiles(after)],
             "change_better_pairs": sum(sign * (c - p) > 0 for p, c in pairs),
             "rel_change_pct": rel,
+            "verdict": verdict(before, after, metric["better"], metric["bound"]),
         }
     return entry
 
@@ -165,7 +193,10 @@ def main(argv: list[str] | None = None) -> int:
             "parent first. Medians over the pairs in which both sides report the metric; "
             "parent_iqr/change_iqr are the 25th and 75th percentiles of each side's runs over "
             "those pairs; change_better_pairs counts pairs the change wins (ties count for "
-            "neither); rel_change_pct is (change - parent) / parent of the medians."
+            "neither); rel_change_pct is (change - parent) / parent of the medians; verdict is "
+            "gain (at least 9/10 pairs won and a median gap wider than the parent's IQR), "
+            "worse (median worse by more than the metric's bound), unresolved (parent IQR "
+            "wider than the bound) or within_bound, the first that holds."
         ),
         "bytes": {
             "gate_digests": len(digests["change"]),

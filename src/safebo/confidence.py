@@ -108,12 +108,13 @@ def update_intervals(
     means = np.asarray(means, dtype=float)
     std = np.asarray(std, dtype=float)
     betas = np.asarray(betas, dtype=float)
+    # Counted, not ``.all()``/``.any()``: those run a Python frame per call.
     for name, values in (("means", means), ("std", std), ("betas", betas)):
-        if not np.isfinite(values).all():
+        if np.count_nonzero(np.isfinite(values)) != values.size:
             raise ValueError(f"{name} must be finite")
-    if (std < 0).any():
+    if np.count_nonzero(std < 0):
         raise ValueError("standard deviations must be nonnegative")
-    if (betas < 0).any():
+    if np.count_nonzero(betas < 0):
         raise ValueError("multipliers must be nonnegative")
     k, n = state.lower.shape
     if means.shape != (k, n):
@@ -130,10 +131,10 @@ def update_intervals(
     np.minimum(state.upper, new_hi, out=new_hi)
 
     crossed = new_lo > new_hi
-    if crossed.any():
+    if np.count_nonzero(crossed):
         gap = new_lo - new_hi
         broken = gap > _COLLAPSE_TOL
-        if broken.any():
+        if np.count_nonzero(broken):
             if on_collapse == "error":
                 i, a = np.argwhere(broken)[0]
                 raise ConfidenceCollapse(int(i), int(a), float(gap[i, a]))
@@ -146,7 +147,7 @@ def update_intervals(
         # Sub-roundoff crossings pin the interval to a point inside the
         # previous one, preserving the nesting guarantee.
         slight = crossed & ~broken
-        if slight.any():
+        if np.count_nonzero(slight):
             mid = 0.5 * (new_lo + new_hi)
             pinned = np.clip(mid, state.lower, state.upper)
             new_lo = np.where(slight, pinned, new_lo)

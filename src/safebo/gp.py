@@ -37,7 +37,9 @@ each.  The Gram matrix is carried as its borders, row ``r``'s
 ``k(x_r, X_{<r})`` one read-only array per row, shared along a chain as
 the full blocks of ``P`` are: ``t (t - 1) / 2`` floats.  Each border
 updates the squared Frobenius norm, which bounds the spectral ratio the
-loop reads.
+loop reads.  A model also keeps column ``j`` of ``P`` for its last
+point ``j``, ``t`` floats, so an immediate repeat reads ``w``
+without gathering it across the blocks.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import math
 import numpy as np
 
 from .kernels import Kernel, pairwise
-from .noise import is_integer
+from .noise import _reject_bools, is_integer
 
 __all__ = ["SurrogateModel"]
 
@@ -74,6 +76,7 @@ class SurrogateModel:
     """
 
     def __init__(self, kernel: Kernel, regularization: float, n_outputs: int, grid: np.ndarray):
+        _reject_bools(regularization=regularization)
         if not 0.0 < regularization <= 1.0:
             raise ValueError("regularization must lie in (0, 1]")
         if not is_integer(n_outputs):
@@ -96,6 +99,8 @@ class SurrogateModel:
         self._borders: tuple[np.ndarray, ...] = ()
         self._gram_fro_sq = 0.0
         self._proj_blocks = _Blocks(n)
+        # Column j of P for the last observed point j.
+        self._last_column = _frozen(np.zeros(0))
         # The grid posterior, shared with callers: never written in place.
         self._means = _frozen(np.zeros((self.n_outputs, n)))
         self._var = _frozen(np.full(n, float(kernel.output_scale)))
@@ -124,68 +129,94 @@ class SurrogateModel:
         posterior, and the border adds ``2 |border|^2 + k(a, a)^2`` to
         the carried squared Frobenius norm.  A revisited index starts
         from its last projection row and that row's border, and
-        evaluates the kernel only at the points observed since.  An
-        index that is not an integer in ``[0, n)``, such as a bool, a
-        float or a negative one, raises ``ValueError`` instead of
-        wrapping around.  Shared projection
-        blocks are written in place where no other model reads the row;
-        otherwise only the partial last block is copied.
+        evaluates the kernel only at the points observed since; an
+        immediate repeat copies its forward solve from the column this
+        model kept for its last point.  An index that is not an integer
+        in ``[0, n)``, such as a bool, a float or a negative one, raises
+        ``ValueError`` instead of wrapping around.  The new projection
+        row is computed in place in the child's blocks: shared blocks
+        are written where no other model reads the row; otherwise only
+        the partial last block is copied first.
         """
-        n = self.grid.shape[0]
+        n, k = self.grid.shape[0], self.n_outputs
         if not is_integer(index) or not 0 <= index < n:
             raise ValueError(f"index must be a grid index in [0, {n}), got {index!r}")
         values = np.asarray(values, dtype=float).ravel()
-        if values.shape != (self.n_outputs,) or not np.isfinite(values).all():
+        if values.shape != (k,) or np.count_nonzero(np.isfinite(values)) != k:
             raise ValueError("targets must be finite, one per output")
 
         t, rows = self.t, self._obs
-        indices = rows[:, 0].astype(np.intp)
         child = object.__new__(type(self))
         child.__dict__ = self.__dict__.copy()
         child.t = t + 1
         blocks = self._proj_blocks.blocks
-        seen = (indices == index).nonzero()[0]
+        # Row t of P is computed in place, in the child's blocks.
+        child._proj_blocks, p_row = self._proj_blocks.extended(t)
         diag = float(self.kernel.output_scale)
-        if seen.size:
+        # The forward solve w is column ``index`` of P, in a buffer one
+        # longer that the child keeps as its last point's column.  An
+        # immediate repeat, read off the last row, copies the column this
+        # model kept; another index scans the rows and gathers it from
+        # the blocks.  Contiguous either way: BLAS sums a strided operand
+        # in another order.
+        column = np.empty(t + 1)
+        w = column[:t]
+        if t and rows[-1, 0] == index:
+            s = t - 1
+            w[:] = self._last_column
+        else:
+            seen = (rows[:, 0] == index).nonzero()[0]
+            s = int(seen[-1]) if seen.size else -1
+            for start in range(0, t, _GROWTH):
+                w[start : start + _GROWTH] = blocks[start // _GROWTH][: t - start, index]
+        cross = np.empty(t)
+        if s >= 0:
             # A revisit: row s, the point's last one, was bordered with
             # the same w below s, so pivot_s * P_s already is the kernel
-            # row minus rows 0 .. s-1.  A fresh array: blocks are shared.
-            # Its border is row s's, then k(a, a), then the kernel at the
-            # points observed since: each entry has the bits of pairwise's
-            # row over all t, whose diagonal entry is output_scale.
-            s = int(seen[-1])
-            since = indices[s + 1 :]
-            parts = [self._borders[s], [diag]]
-            if since.size:
-                parts.append(pairwise(self.kernel, self.grid[index, None], self.grid[since])[0])
-            cross = np.concatenate(parts)
-            p_row = rows[s, -1] * blocks[s // _GROWTH][s % _GROWTH]
+            # row minus rows 0 .. s-1.  Its border is row s's, then
+            # k(a, a), then the kernel at the points observed since: each
+            # entry has the bits of pairwise's row over all t, whose
+            # diagonal entry is output_scale.
+            cross[:s] = self._borders[s]
+            cross[s] = diag
+            if s + 1 < t:
+                since = rows[s + 1 :, 0].astype(np.intp)
+                cross[s + 1 :] = pairwise(self.kernel, self.grid[index, None], self.grid[since])[0]
+            np.multiply(blocks[s // _GROWTH][s % _GROWTH], rows[s, -1], out=p_row)
         else:
             s = 0
-            p_row = pairwise(self.kernel, self.grid[index, None], self.grid)[0]
-            cross = p_row[indices]
+            p_row[:] = pairwise(self.kernel, self.grid[index, None], self.grid)[0]
+            p_row.take(rows[:, 0].astype(np.intp), out=cross)
         child._borders = self._borders + (_frozen(cross),)
         child._gram_fro_sq = self._gram_fro_sq + 2.0 * float(cross @ cross) + diag * diag
 
-        # The column and z are strided; the products read contiguous
-        # copies, because BLAS sums a strided operand in another order.
-        w = np.concatenate([block[:, index] for block in blocks])[:t] if t else np.zeros(0)
         # The bordered pivot equals posterior variance plus the
         # regularizer, so it stays strictly positive.
         pivot = math.sqrt(
             max(diag + self.regularization - float(w @ w), self.regularization * 1e-12)
         )
-        z_row = (values - w @ rows[:, self._z_cols].copy()) / pivot
-        child._obs = _frozen(np.concatenate([rows, [(index, *values, *z_row, pivot)]]))
+        obs = np.empty((t + 1, 2 * k + 2))
+        obs[:t] = rows
+        new = obs[t]
+        new[0], new[-1] = index, pivot
+        new[1 : k + 1] = values
+        z_row = new[self._z_cols]
+        # z is strided too, and read through a contiguous copy.
+        np.subtract(values, w @ rows[:, self._z_cols].copy(), out=z_row)
+        z_row /= pivot
+        child._obs = _frozen(obs)
         # The grid-length rows are updated in place of temporaries.
         for start in range(s - s % _GROWTH, t, _GROWTH):
             skip = max(s - start, 0)
             p_row -= w[start + skip : start + _GROWTH] @ blocks[start // _GROWTH][skip : t - start]
         p_row /= pivot
-        child._proj_blocks = self._proj_blocks.extended(t, p_row)
+        column[t] = p_row[index]
+        child._last_column = _frozen(column)
         means = z_row[:, None] * p_row
         means += self._means
-        child._means, child._var = _frozen(means), _frozen(self._var - p_row * p_row)
+        var = p_row * p_row
+        np.subtract(self._var, var, out=var)
+        child._means, child._var = _frozen(means), _frozen(var)
         return child
 
     def posterior(self) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +227,8 @@ class SurrogateModel:
         With no observations this is the prior: zero mean and
         ``sqrt(k(a, a))``.
         """
-        return self._means, _frozen(np.sqrt(np.maximum(self._var, 0.0)))
+        std = np.maximum(self._var, 0.0)
+        return self._means, _frozen(np.sqrt(std, out=std))
 
     def xi_lambda_max(self) -> float:
         """Largest eigenvalue of ``K (K + reg I)^{-1}``, exactly.
@@ -239,7 +271,7 @@ class SurrogateModel:
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
+    array.setflags(write=False)
     return array
 
 
@@ -263,9 +295,9 @@ class _Blocks:
         self.blocks = blocks
         self.used = 0
 
-    def extended(self, t: int, row: np.ndarray) -> "_Blocks":
-        """Blocks of which the first ``t`` rows are this chain's and row
-        ``t`` is ``row``."""
+    def extended(self, t: int) -> tuple["_Blocks", np.ndarray]:
+        """Blocks of which the first ``t`` rows are this chain's, and their
+        row ``t``, claimed for the caller to write."""
         full, filled = divmod(t, _GROWTH)
         blocks = self
         if filled == 0:
@@ -274,7 +306,5 @@ class _Blocks:
             last = np.zeros((_GROWTH, self.width))
             last[:filled] = self.blocks[full][:filled]
             blocks = _Blocks(self.width, self.blocks[:full] + (last,))
-        blocks.blocks[full][filled] = row
         blocks.used = t + 1
-        return blocks
-
+        return blocks, blocks.blocks[full][filled]

@@ -67,7 +67,7 @@ class NoiseModel:
                 f"noise model {self.family!r} returned draws of shape {draws.shape}, "
                 f"not ({size},)"
             )
-        if not np.isfinite(draws).all():
+        if np.count_nonzero(np.isfinite(draws)) != size:
             raise ValueError(f"noise model {self.family!r} produced non-finite draws")
         return draws
 
@@ -208,6 +208,8 @@ def iteration_confidence(confidence: float, iteration: int) -> float:
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie strictly inside (0, 1), got {confidence!r}")
+    if not is_integer(iteration):
+        raise ValueError(f"iteration must be an integer, got {iteration!r}")
     if iteration < 1:
         raise ValueError(f"iteration counter starts at 1, got {iteration!r}")
     share = 6.0 * confidence / (math.pi**2 * iteration**2)
@@ -294,6 +296,8 @@ def scenario_bound(
     absolute value among its draws.  Draws stream through in chunks and
     only the running maximum is retained.
     """
+    if not is_integer(iteration):
+        raise ValueError(f"iteration must be an integer, got {iteration!r}")
     if iteration < 1:
         raise ValueError("iteration counter starts at 1")
     m = min_scenarios(schedule, iteration_confidence(schedule.confidence, iteration))
@@ -303,5 +307,5 @@ def scenario_bound(
     for i in range(schedule.n_outputs):
         for start in range(0, m, _CHUNK):
             draws = model.sample(location, i, rng, min(_CHUNK, m - start))
-            magnitudes[i] = max(magnitudes[i], np.abs(draws).max())
-    return ScenarioBound(n_scenarios=m, magnitudes=magnitudes)
+            magnitudes[i] = np.maximum.reduce(np.abs(draws), initial=magnitudes[i])
+    return ScenarioBound(m, magnitudes)

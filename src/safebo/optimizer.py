@@ -31,7 +31,14 @@ from .domain import Domain
 from .gp import SurrogateModel
 from .frontier import GridIndex
 from .kernels import Kernel
-from .noise import NoiseModel, ScenarioBound, ScenarioSchedule, is_integer, scenario_bound
+from .noise import (
+    NoiseModel,
+    ScenarioBound,
+    ScenarioSchedule,
+    _reject_bools,
+    is_integer,
+    scenario_bound,
+)
 
 __all__ = [
     "BETA_MODES",
@@ -131,15 +138,18 @@ def acquire(widths: np.ndarray, std: np.ndarray, candidates: np.ndarray) -> int:
     Ties break deterministically: larger posterior standard deviation,
     then the lowest grid index.
     """
-    candidates = np.asarray(candidates, dtype=bool)
-    if not candidates.any():
-        raise EmptyAcquisitionSet("no maximizer or expander candidates")
-    worst = widths.max(axis=0)
-    indices = candidates.nonzero()[0]
-    scores = worst[indices]
-    pool = indices[scores == scores.max()]
-    if pool.shape[0] > 1:
-        pool = pool[std[pool] == std[pool].max()]
+    indices = np.asarray(candidates, dtype=bool).nonzero()[0]
+    if indices.size < 2:
+        # A lone candidate is the choice: no width or std to compare.
+        if not indices.size:
+            raise EmptyAcquisitionSet("no maximizer or expander candidates")
+        return int(indices[0])
+    # ufunc reductions: the ndarray methods run a Python frame per call.
+    scores = np.maximum.reduce(widths.take(indices, axis=1), axis=0)
+    pool = indices[scores == np.maximum.reduce(scores)]
+    if pool.size > 1:
+        spread = std[pool]
+        pool = pool[spread == np.maximum.reduce(spread)]
     return int(pool[0])
 
 
@@ -224,8 +234,17 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if len(self.initial_safe) == 0:
             raise ValueError("initial safe set must be non-empty")
+        _reject_bools(
+            regularization=self.regularization,
+            exploration_threshold=self.exploration_threshold,
+            subgaussian_scale=self.subgaussian_scale,
+        )
+        for bound in self.norm_bounds:
+            _reject_bools(norm_bounds=bound)
         if not self.exploration_threshold > 0:
             raise ValueError("exploration threshold must be positive")
+        if self.exploration_threshold == math.inf:
+            raise ValueError("exploration threshold must be finite")
         if not 0.0 < self.regularization <= 1.0:
             raise ValueError("regularization must lie in (0, 1]")
         if not is_integer(self.max_iterations) or self.max_iterations < 0:
@@ -359,7 +378,9 @@ class SafeOptimizer:
         truth = np.asarray(oracle(index), dtype=float).ravel()
         if truth.shape != (k,):
             raise ValueError("oracle must return one value per output")
-        eps = np.array([noise_model.sample(point, i, rng, 1)[0] for i in range(k)])
+        eps = np.empty(k)
+        for i in range(k):
+            eps[i] = noise_model.sample(point, i, rng, 1)[0]
         return truth, truth + eps, bound
 
     def _sets(self, lower: np.ndarray, upper: np.ndarray, previous: np.ndarray) -> tuple:
@@ -418,14 +439,16 @@ class SafeOptimizer:
         model, sums, records = state.model, state.noise_sq_sums, state.records
         widths = upper - lower
         chosen = acquire(widths, std, candidates)
-        acq_width = float(widths[:, chosen].max())
+        # The chosen column's widest output, read without a numpy reduction.
+        acq_width = max(widths[:, chosen].tolist())
         reason = "width_below_delta" if acq_width < cfg.exploration_threshold else None
         if reason is None:
             point = self.domain.points[chosen]
             measurement = len(records) + 1
             truth, observed, bound = self._experiment(chosen, measurement, oracle, noise_model, rng)
             records += (
-                StepRecord(
+                _frozen_instance(
+                    StepRecord,
                     iteration=measurement,
                     point=tuple(point.tolist()),
                     observed=tuple(observed.tolist()),
@@ -441,7 +464,16 @@ class SafeOptimizer:
             model = model.with_observation(chosen, observed)
             sums = sums + bound.magnitudes * bound.magnitudes
             reason = "max_iterations" if measurement >= cfg.max_iterations else None
-        return OptimizerState(model, conf, safe, betas, sums, records, reason)
+        return _frozen_instance(
+            OptimizerState,
+            model=model,
+            confidence=conf,
+            safe=safe,
+            betas=betas,
+            noise_sq_sums=sums,
+            records=records,
+            termination_reason=reason,
+        )
 
     def run(
         self,
@@ -462,6 +494,21 @@ class SafeOptimizer:
         resolve to the lowest safe index.
         """
         return _best_index(state.safe, state.confidence.lower)
+
+
+def _frozen_instance(cls, **fields):
+    """``cls(**fields)`` for a frozen dataclass whose ``__init__`` only
+    stores its fields, all of which are given.
+
+    A frozen dataclass's generated ``__init__`` stores each field through
+    ``object.__setattr__``, one call per field; this fills the instance's
+    ``__dict__`` in one.  The instance is the same: equal, hashable and
+    frozen, and ``dataclasses.replace`` builds its copies through
+    ``__init__``.
+    """
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
 
 
 def _integers(entries, what: str) -> tuple[int, ...]:

@@ -123,6 +123,12 @@ class TestConfidenceState:
         with pytest.raises(ValueError, match="nonnegative"):
             update_intervals(state, np.array([[0.0]]), np.array([-1.0]), np.array([1.0]))
 
+    def test_rejects_one_negative_std_among_positive_ones(self):
+        state = ConfidenceState.unbounded(1, 4)
+        std = np.array([0.5, 1.0, -1e-300, 2.0])
+        with pytest.raises(ValueError, match="standard deviations must be nonnegative"):
+            update_intervals(state, np.zeros((1, 4)), std, np.array([1.0]))
+
     @pytest.mark.parametrize("on_collapse", ["error", "reset"])
     def test_rejects_a_negative_multiplier(self, on_collapse):
         # A negative multiplier crosses the band itself: the reset policy

@@ -110,6 +110,17 @@ class TestPosterior:
         with pytest.raises(ValueError, match="finite"):
             model.with_observation(0, [np.nan])
 
+    @pytest.mark.parametrize("values", [[1.0, np.nan], [np.nan, 1.0]], ids=["last", "first"])
+    def test_rejects_one_nan_among_two_targets(self, kernel, values):
+        model = SurrogateModel(kernel, 0.01, 2, grid=ONE_POINT)
+        with pytest.raises(ValueError, match="targets must be finite, one per output"):
+            model.with_observation(0, values)
+
+    def test_rejects_a_bool_regularization(self, kernel):
+        # True compares as 1.0, which the range check would let through.
+        with pytest.raises(ValueError, match="regularization must be a number, got True"):
+            SurrogateModel(kernel, True, 1, grid=ONE_POINT)
+
     @pytest.mark.parametrize(
         "bad", [-1, 3, True, np.bool_(False), 1.5, np.float64(1.0), "1"],
         ids=["negative", "n", "bool", "numpy-bool", "float", "integral-float", "str"],
@@ -598,6 +609,42 @@ class TestRevisitAppend:
         assert_unchanged(first, first_state)
         # Both siblings carry the same row t: it does not depend on the values.
         assert np.array_equal(projection_of(first), projection_of(second))
+
+    # t: a repeat inside a block, one that starts a new block, and one
+    # just past the first block boundary.
+    @pytest.mark.parametrize("t", [10, _GROWTH, _GROWTH + 5])
+    def test_immediate_repeat_after_a_sibling_matches_a_fresh_chain_bit_for_bit(
+        self, t, kernel, rng
+    ):
+        # The sibling claims row t of the parent's last block, so the
+        # repeat copies that partial block before it writes its row; a
+        # chain that never branched writes in place.  Both must hold the
+        # same bits.
+        grid = grid_points(1, 60)
+        indices = rng.integers(60, size=t).tolist()
+        values = rng.standard_normal((t + 1, 2))
+        parent = SurrogateModel(kernel, 0.01, 2, grid=grid)
+        for index, value in zip(indices, values):
+            parent = parent.with_observation(index, value)
+        sibling = parent.with_observation((indices[-1] + 1) % 60, [0.5, -0.5])
+        repeat = parent.with_observation(indices[-1], values[t])
+        fresh = SurrogateModel(kernel, 0.01, 2, grid=grid)
+        for index, value in zip(indices + indices[-1:], values):
+            fresh = fresh.with_observation(index, value)
+
+        if t % _GROWTH:
+            assert repeat._proj_blocks.blocks[-1] is not sibling._proj_blocks.blocks[-1]
+        assert np.array_equal(projection_of(repeat), projection_of(fresh))
+        assert np.array_equal(observation_rows(repeat), observation_rows(fresh))
+        for mine, theirs in zip(repeat.posterior(), fresh.posterior()):
+            assert np.array_equal(mine, theirs)
+        assert repeat._gram_fro_sq == fresh._gram_fro_sq
+        assert all(np.array_equal(a, b) for a, b in zip(repeat._borders, fresh._borders))
+        # Each keeps its last point's column of P, which the next repeat reads.
+        for model in (parent, sibling, repeat):
+            last = model.indices[-1]
+            assert np.array_equal(model._last_column, projection_of(model)[:, last])
+        assert_matches_fresh_factorization(repeat)
 
     @pytest.mark.parametrize(
         "family, scale",

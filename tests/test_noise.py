@@ -60,6 +60,13 @@ class TestIterationConfidence:
         with pytest.raises(ValueError):
             iteration_confidence(1.0, 1)
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True], ids=repr)
+    def test_rejects_an_iteration_that_is_not_an_integer(self, bad):
+        # 1.5 would get a share of its own and True would pass as 1.
+        with pytest.raises(ValueError, match="iteration must be an integer"):
+            iteration_confidence(1e-3, bad)
+        assert iteration_confidence(1e-3, np.int64(2)) == iteration_confidence(1e-3, 2)
+
 
 class TestScenarioSchedule:
     @pytest.mark.parametrize("n_outputs", [1.0, 2.5, True, np.True_])
@@ -319,6 +326,27 @@ class TestScenarioBound:
         replay = np.random.default_rng(4)
         draws = [model.sample(np.zeros(1), i, replay, bound.n_scenarios) for i in range(2)]
         assert np.array_equal(bound.magnitudes, np.abs(draws).max(axis=1))
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True], ids=repr)
+    def test_rejects_an_iteration_that_is_not_an_integer(self, bad, rng):
+        # At 2.5 the batch would be sized for a share between t = 2 and 3.
+        sizes = []
+        counted = NoiseModel("counted", lambda a, i, r, n: sizes.append(n) or np.zeros(n))
+        schedule = ScenarioSchedule(0.1, 1e-3, 1)
+        with pytest.raises(ValueError, match="iteration must be an integer"):
+            scenario_bound(counted, schedule, bad, np.zeros(1), rng)
+        assert sizes == []
+        assert scenario_bound(counted, schedule, np.int64(1), np.zeros(1), rng).n_scenarios == 71
+
+    def test_rejects_one_infinite_draw_among_finite_ones(self, rng):
+        def spiked(location, output, rng, size):
+            draws = np.linspace(-1.0, 1.0, size)
+            draws[size // 2] = np.inf
+            return draws
+
+        schedule = ScenarioSchedule(0.1, 1e-3, 1)
+        with pytest.raises(ValueError, match="'spiked' produced non-finite draws"):
+            scenario_bound(NoiseModel("spiked", spiked), schedule, 1, np.zeros(1), rng)
 
     def test_propagates_non_finite_draws(self, rng):
         broken = NoiseModel("broken", lambda a, i, r, n: np.full(n, np.nan))

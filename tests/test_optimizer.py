@@ -662,6 +662,36 @@ class TestStep:
                 assert best >= prev_best
                 prev_best = best
 
+    def test_one_infinite_observation_draw_is_rejected(self):
+        # The scenario batch is finite; only the size-1 draw of the
+        # measurement itself is not.
+        def sampler(location, output, rng, size):
+            return np.full(size, np.inf) if size == 1 else np.zeros(size)
+
+        optimizer, oracle, _ = toy_setup(max_iterations=5)
+        state = optimizer.initial_state()
+        with pytest.raises(ValueError, match="'observed' produced non-finite draws"):
+            optimizer.step(state, oracle, NoiseModel("observed", sampler), np.random.default_rng(0))
+
+    def test_records_and_states_are_what_their_dataclasses_build(self):
+        # The loop fills records and states without their generated
+        # __init__; they must not differ from instances it builds.
+        optimizer, oracle, noise = toy_setup(max_iterations=6)
+        state = optimizer.run(oracle, noise, np.random.default_rng(3))
+        assert len(state.records) == 6
+        for record in state.records:
+            rebuilt = type(record)(**vars(record))
+            assert record == rebuilt and hash(record) == hash(rebuilt)
+            assert repr(record) == repr(rebuilt) and list(vars(record)) == list(vars(rebuilt))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.iteration = 0
+        rebuilt = type(state)(**vars(state))
+        assert list(vars(state)) == list(vars(rebuilt))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.safe = None
+        replaced = dataclasses.replace(state, termination_reason=None)
+        assert replaced.records is state.records and not replaced.terminated
+
     def test_terminated_state_passes_through(self):
         optimizer, oracle, noise = toy_setup(max_iterations=1)
         state = optimizer.run(oracle, noise, np.random.default_rng(0))
@@ -1101,6 +1131,25 @@ class TestOptimizerConfig:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError, match="threshold"):
             self.make(exploration_threshold=0.0)
+
+    def test_rejects_an_infinite_threshold(self):
+        # Every width is below it, so a run would stop before its first experiment.
+        with pytest.raises(ValueError, match="exploration threshold must be finite"):
+            self.make(exploration_threshold=math.inf)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("regularization", True),
+            ("exploration_threshold", True),
+            ("subgaussian_scale", True),
+            ("norm_bounds", (True,)),
+        ],
+    )
+    def test_rejects_a_bool_knob(self, field, value):
+        # True compares as 1 and passes every range check.
+        with pytest.raises(ValueError, match=f"{field} must be a number, got True"):
+            self.make(**{field: value})
 
     def test_rejects_mismatched_schedule(self):
         with pytest.raises(ValueError, match="match"):

@@ -100,20 +100,26 @@ def test_compare_summarizes_pairs_on_fixed_inputs():
         ("parent", "change"), ("change", "parent"), ("parent", "change")
     ]
     metrics = [
-        {"name": "wall_s", "better": "lower"},
-        {"name": "experiments_per_s", "better": "higher"},
-        {"name": "coverage", "better": "higher"},
-        {"name": "regret", "better": "lower"},
-        {"name": "step_ms_p50", "better": "lower"},
-        {"name": "setup_s", "better": "lower"},
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "experiments_per_s", "better": "higher", "bound": 0.25},
+        {"name": "coverage", "better": "higher", "bound": 0.01},
+        {"name": "regret", "better": "lower", "bound": 0.01},
+        {"name": "step_ms_p50", "better": "lower", "bound": 0.25},
+        {"name": "setup_s", "better": "lower", "bound": 0.25},
+        {"name": "step_ms_tail", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.05},
     ]
     parent = [
-        {"wall_s": w, "experiments_per_s": 10.0, "coverage": 0.5, "regret": 0.0, "step_ms_p50": 1.0}
-        for w in (1.0, 2.0, 3.0, 4.0)
+        {"wall_s": w, "experiments_per_s": 10.0, "coverage": 0.5, "regret": 0.0, "step_ms_p50": 1.0,
+         "step_ms_tail": tail, "peak_rss_mb": 40.0}
+        for w, tail in ((1.0, 2.0), (2.0, 2.1), (3.0, 2.2), (4.0, 2.3))
     ]
     change = [
-        {"wall_s": w, "experiments_per_s": e, "coverage": 0.5, "regret": 0.0, "step_ms_p50": s}
-        for w, e, s in ((0.5, 11.0, 0.8), (2.0, 9.0, 0.9), (3.5, 10.0, 1.0), (1.0, 12.0, 2.0))
+        {"wall_s": w, "experiments_per_s": e, "coverage": 0.5, "regret": 0.0, "step_ms_p50": s,
+         "step_ms_tail": tail, "peak_rss_mb": 43.0}
+        for w, e, s, tail in (
+            (0.5, 11.0, 0.8, 1.0), (2.0, 9.0, 0.9, 1.1), (3.5, 10.0, 1.0, 1.2), (1.0, 12.0, 2.0, 1.3)
+        )
     ]
     # The change's third run failed its checks and reports no step latency.
     del change[2]["step_ms_p50"]
@@ -138,7 +144,7 @@ def test_compare_summarizes_pairs_on_fixed_inputs():
     assert entry["wall_s"] == {
         "pairs": 4, "parent_median": 2.5, "change_median": 1.5,
         "parent_iqr": [1.75, 3.25], "change_iqr": [0.875, 2.375],
-        "change_better_pairs": 2, "rel_change_pct": -40.0,
+        "change_better_pairs": 2, "rel_change_pct": -40.0, "verdict": "unresolved",
     }
     assert entry["experiments_per_s"]["change_better_pairs"] == 2
     assert entry["experiments_per_s"]["rel_change_pct"] == 5.0
@@ -151,6 +157,30 @@ def test_compare_summarizes_pairs_on_fixed_inputs():
     assert entry["step_ms_p50"]["rel_change_pct"] == -10.0
     # No pair reports it: no entry.
     assert "setup_s" not in entry
+    # Verdicts: every pair won by more than the parent's IQR of 0.15 ms; 7.5%
+    # more memory against a 5% bound; wall time's IQR (60% of its median) is
+    # wider than its bound; the rest move less than their bounds.
+    assert entry["step_ms_tail"]["verdict"] == "gain"
+    assert entry["peak_rss_mb"]["verdict"] == "worse"
+    for name in ("experiments_per_s", "coverage", "regret", "step_ms_p50"):
+        assert entry[name]["verdict"] == "within_bound", name
+
+    # A gain needs 9 of every 10 pairs and a median gap wider than the
+    # parent's IQR: 8 of 10 or a gap of exactly the IQR is no gain.
+    parent_runs = [1.0 + 0.01 * i for i in range(10)]
+    faster = [p - 0.1 for p in parent_runs]
+    assert compare.verdict(parent_runs, faster, "lower", 0.25) == "gain"
+    assert compare.verdict(parent_runs, faster[:9] + [1.2], "lower", 0.25) == "gain"
+    assert compare.verdict(parent_runs, faster[:8] + [1.2, 1.2], "lower", 0.25) == "within_bound"
+    assert compare.verdict([1.0, 2.0, 3.0], [0.0, 1.0, 2.0], "lower", 1.0) == "within_bound"
+    assert compare.verdict([1.0, 2.0, 3.0], [1.1, 2.1, 3.1], "higher", 1.0) == "within_bound"
+    # Worse by more than the bound, relative to the parent's median, in
+    # either direction; a median that barely moves within a wide IQR is
+    # unresolved.
+    assert compare.verdict([10.0] * 10, [10.6] * 10, "lower", 0.05) == "worse"
+    assert compare.verdict([10.0] * 10, [10.4] * 10, "lower", 0.05) == "within_bound"
+    assert compare.verdict([10.0] * 10, [9.4] * 10, "higher", 0.05) == "worse"
+    assert compare.verdict([8.0, 10.0, 12.0], [10.0] * 3, "lower", 0.05) == "unresolved"
 
 
 def test_compare_counts_a_run_that_prints_no_result_as_crashed(tmp_path):
