@@ -11,16 +11,17 @@ directory so that each side imports its own ``src/``.  Odd pairs
 reports whether the 36 digests are equal.
 
 It prints, or writes to ``--out``, a JSON document in the layout of the
-``BENCH_*.json`` records: ``host``, ``command``, ``method``, ``bytes`` and
-``runs``.  Per workload, ``runs`` gives the pairs, per side the failed
-and attempted experiments and the crashed runs (a run that exits non-zero
-or prints no result), whether every run passed perfbench's checks, and
-per end-to-end metric the pairs in which both sides report it, both
-sides' medians and interquartile ranges (25th and 75th percentiles) over
-those pairs, ``change_better_pairs`` (pairs the change wins in the
-metric's ``better`` direction; ties count for neither) and
-``rel_change_pct``, ``(change - parent) / parent`` of the medians, and
-a ``verdict``, the first of these that holds:
+``BENCH_*.json`` records: ``host``, ``command``, ``method``, ``bytes``
+and ``runs``.  ``host`` names the numpy build by ``gate_digests.py``'s
+``build_fingerprint``.  Per workload, ``runs`` gives the pairs, per side
+the failed and attempted experiments and the crashed runs (a run that
+exits non-zero or prints no result), whether every run passed
+perfbench's checks, and per end-to-end metric the pairs in which both
+sides report it, both sides' medians and interquartile ranges (25th and
+75th percentiles) over those pairs, ``change_better_pairs`` (pairs the
+change wins in the metric's ``better`` direction; ties count for
+neither) and ``rel_change_pct``, ``(change - parent) / parent`` of the
+medians, and a ``verdict``, the first of these that holds:
 
 * ``gain``: the change wins at least 9 of every 10 compared pairs, and
   its median is better than the parent's by more than the parent's
@@ -41,6 +42,7 @@ archive`` makes, not a worktree.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -144,6 +146,15 @@ def summarize(results: dict[str, list[dict]], metrics: list[dict]) -> dict:
     return entry
 
 
+def build_fingerprint() -> dict:
+    """``gate_digests.py``'s fingerprint of this interpreter's numpy build."""
+    path = ROOT / "scripts" / "gate_digests.py"
+    spec = importlib.util.spec_from_file_location("gate_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.build_fingerprint()
+
+
 def gate_digests(directory: Path) -> dict[str, str]:
     """The 36 gate digests of ``directory``'s package."""
     env = {**os.environ, "PYTHONPATH": str(directory / "src")}
@@ -184,6 +195,7 @@ def main(argv: list[str] | None = None) -> int:
             "cores": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "build": build_fingerprint(),
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset (inherited)"),
         },
         "command": command,

@@ -20,15 +20,17 @@ is inherited; the digests do not depend on it.
 ``gate_digests.json`` beside this script records the expected digests:
 these 36 under ``batteries``, the three ``large_grid.py`` runs' CSV
 digests and final safe-set sizes under ``large_grid``, and the numpy
-version that produced them.  ``tests/test_scripts.py`` compares both
-against fresh runs, the large-grid runs only under ``pytest -m
-large_grid``.  A change that alters emitted bytes re-records the file in
-the same commit, from this script's and ``large_grid.py``'s output, and
-says why in CHANGES.md.
+version and :func:`build_fingerprint` of the build that produced them.
+``tests/test_scripts.py`` compares both against fresh runs, the
+large-grid runs only under ``pytest -m large_grid``, and names both
+fingerprints when they differ.  A change that alters emitted bytes
+re-records the file in the same commit, from this script's and
+``large_grid.py``'s output, and says why in CHANGES.md.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import importlib.util
 import json
@@ -36,11 +38,37 @@ import sys
 import tempfile
 from pathlib import Path
 
-from safebo import harness
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ("paper-synthetic-1", "paper-synthetic-2", "synthetic-2d")
 SEEDS = (0, 1, 2)
+
+
+def build_fingerprint() -> dict:
+    """The numpy build's enabled SIMD dispatch targets and its OpenBLAS core.
+
+    Both pick the machine code numpy and its BLAS run, so the same numpy
+    version can round differently on another host.  The core is read from
+    the OpenBLAS bundled in ``numpy.libs``; it is ``"unknown"`` where that
+    library or its ``scipy_openblas_get_corename64_`` is missing.  It
+    needs numpy only: ``safebo`` is imported where the batteries run, so
+    ``compare.py`` loads this script without it.
+    """
+    from numpy._core import _multiarray_umath as umath
+
+    dispatch = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    core = "unknown"
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+        break
+    return {"dispatch": dispatch, "openblas_core": core}
 
 
 def perfbench_run():
@@ -55,6 +83,8 @@ def perfbench_run():
 
 def batteries():
     """``(name, config document)`` of every gate battery."""
+    from safebo import harness
+
     run = perfbench_run()
     for name in run.WORKLOADS:
         yield name, run.workload_document(name, 0)
@@ -67,6 +97,8 @@ def batteries():
 
 def digests() -> dict[str, str]:
     """sha256 of every gate-battery file, keyed ``<battery>/<file>``."""
+    from safebo import harness
+
     out = {}
     for name, document in batteries():
         result = harness.run_experiment(harness.ExperimentConfig.from_dict(document), jobs=1)

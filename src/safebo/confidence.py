@@ -6,9 +6,14 @@ accumulated scenario noise bounds,
     beta_i = norm_bound_i + sqrt(xi / reg) * ||bounds_{i,1:t}||_2,
 
 where the paper's ``xi`` is the top eigenvalue of ``K (K + reg I)^{-1}``.
-The loop passes the Frobenius bound ``xi_F = F / (F + reg)``,
-``F = ||K||_F``, which is at least that eigenvalue, so its multipliers
-are at least the paper's (:meth:`safebo.gp.SurrogateModel.xi_frobenius`).
+The loop passes the trace bound ``xi_tr = T / (T + reg)``,
+``T = tr K = t k(a, a)``.  For the positive semi-definite Gram matrix
+``lam <= ||K||_F <= tr K``, so ``xi_tr`` is at least that eigenvalue and
+the multipliers are at least the paper's
+(:meth:`safebo.gp.SurrogateModel.xi_trace`).  Since ``lam >= k(a, a)``,
+the noise term exceeds the paper's by at most
+``sqrt(1 + reg / k(a, a)) - 1``, relatively: 0.5% at ``reg = 0.01`` and
+``k(a, a) = 1``.
 Intervals start at the whole real line and are intersected across
 iterations, so they can only shrink; an empty intersection means an
 interval assumption failed and is reported as :class:`ConfidenceCollapse`
@@ -56,9 +61,11 @@ def beta_from_squares(
 
     ``xi`` is the spectral ratio, the top eigenvalue of
     ``K (K + reg I)^{-1}``, or any upper bound on it; the loop passes the
-    Frobenius bound.  Accumulating the squares in a scalar keeps the
-    multiplier exactly non-decreasing across iterations even in floating
-    point, as long as the ratio does not decrease.
+    trace bound (``lam <= ||K||_F <= tr K``), whose noise term exceeds
+    the paper's by at most ``sqrt(1 + reg / k(a, a)) - 1``, relatively.
+    Accumulating the squares in a scalar keeps the multiplier exactly
+    non-decreasing across iterations even in floating point, as long as
+    the ratio does not decrease.
     """
     return norm_bound + math.sqrt(xi / regularization) * math.sqrt(bound_sq_sum)
 

@@ -11,18 +11,15 @@ named by index.  It carries ``P = L^{-1} K(X, grid)`` and
 ``z = L^{-1} y`` for its Cholesky factor ``L`` and adds one row to each
 per append (rank-1 bordering, Rasmussen & Williams 2006, Alg. 2.1).
 For grid point ``j`` the forward solve ``w = L^{-1} k(X, x_j)`` is
-column ``j`` of ``P``, and for a new point the border ``k(X, x_j)`` is
-the new kernel row ``k(x_j, grid)`` at the observed indices: an append
-evaluates at most one kernel row and never forms ``L`` or its inverse.  The grid posterior is
-carried too: the new rows ``z_t`` and ``p_t`` add ``z_t p_t`` to the
-means and take ``p_t^2`` off the variance, so an append costs one
-``O(t n)`` product, ``w P``, and reading the posterior ``O(k n)``.  A
-revisit of a point last evaluated at row ``s`` costs less: ``pivot_s
-p_s`` already is ``k(x_j, grid) - w_{<s} P_{<s}``, since the rows below
-``s`` are shared, so the append subtracts only rows ``s .. t-1``, in
-``O((t - s) n)``.  Its border ``k(x_j, X)`` is row ``s``'s border, then
-``k(x_j, x_j)``, then the kernel at the ``t - s - 1`` points observed
-since: an immediate repeat evaluates no kernel at all.
+column ``j`` of ``P``, so an append evaluates at most one kernel row,
+a new point's ``k(x_j, grid)``, and never forms ``L`` or its inverse.
+The grid posterior is carried too: the new rows ``z_t`` and ``p_t``
+add ``z_t p_t`` to the means and take ``p_t^2`` off the variance, so an
+append costs one ``O(t n)`` product, ``w P``, and reading the posterior
+``O(k n)``.  A revisit of a point last evaluated at row ``s`` costs
+less: ``pivot_s p_s`` already is ``k(x_j, grid) - w_{<s} P_{<s}``,
+since the rows below ``s`` are shared, so the append subtracts only rows
+``s .. t-1``, in ``O((t - s) n)``, and evaluates no kernel at all.
 ``P`` is held in fixed blocks of 64 rows.  Full blocks are shared along
 a chain of appends and never written again; an append writes its row
 into the last block, copying only that partial block when a sibling has
@@ -33,12 +30,10 @@ rows per observation (grid index, targets, ``z`` and the pivot, the
 diagonal of ``L`` kept for the log-determinant) are one small read-only
 array, which an append copies into a new one a row longer, as it does
 the grid posterior; a chain of retained models holds one such array
-each.  The Gram matrix is carried as its borders, row ``r``'s
-``k(x_r, X_{<r})`` one read-only array per row, shared along a chain as
-the full blocks of ``P`` are: ``t (t - 1) / 2`` floats.  Each border
-updates the squared Frobenius norm, which bounds the spectral ratio the
-loop reads.  A model also keeps column ``j`` of ``P`` for its last
-point ``j``, ``t`` floats, so an immediate repeat reads ``w``
+each.  The Gram matrix itself is not carried: the spectral ratio the
+loop reads is bounded through ``lam <= ||K||_F <= tr K = t k(a, a)``,
+which needs only ``t``.  A model also keeps column ``j`` of ``P`` for
+its last point ``j``, ``t`` floats, so an immediate repeat reads ``w``
 without gathering it across the blocks.
 """
 
@@ -95,9 +90,6 @@ class SurrogateModel:
         # One row per observation: [grid index | values | z | pivot], pivots the diagonal of L.
         self._obs = _frozen(np.zeros((0, 2 * k + 2)))
         self._z_cols = slice(k + 1, 2 * k + 1)
-        # Row r's Gram border k(x_r, X_{<r}), one read-only array per row.
-        self._borders: tuple[np.ndarray, ...] = ()
-        self._gram_fro_sq = 0.0
         self._proj_blocks = _Blocks(n)
         # Column j of P for the last observed point j.
         self._last_column = _frozen(np.zeros(0))
@@ -123,20 +115,20 @@ class SurrogateModel:
     def with_observation(self, index: int, values: np.ndarray) -> "SurrogateModel":
         """New model with grid point ``index`` evaluated, one value per output.
 
-        The forward solve is column ``index`` of the carried projection
-        and the Gram border is read off the one new kernel row; both
-        extend the carried rows by a rank-1 border and update the grid
-        posterior, and the border adds ``2 |border|^2 + k(a, a)^2`` to
-        the carried squared Frobenius norm.  A revisited index starts
-        from its last projection row and that row's border, and
-        evaluates the kernel only at the points observed since; an
-        immediate repeat copies its forward solve from the column this
-        model kept for its last point.  An index that is not an integer
-        in ``[0, n)``, such as a bool, a float or a negative one, raises
-        ``ValueError`` instead of wrapping around.  The new projection
-        row is computed in place in the child's blocks: shared blocks
-        are written where no other model reads the row; otherwise only
-        the partial last block is copied first.
+        The forward solve is column ``index`` of the carried projection;
+        it extends the carried rows by a rank-1 border and updates the
+        grid posterior.  A new index evaluates one kernel row over the
+        grid.  A revisited index starts from its last projection row and
+        evaluates no kernel; an immediate repeat also copies its forward
+        solve from the column this model kept for its last point.  The
+        Gram matrix is not carried: :meth:`xi_trace` bounds the spectral
+        ratio through ``lam <= ||K||_F <= tr K = t k(a, a)``, from ``t``
+        alone.  An index that is not an integer in ``[0, n)``, such as a
+        bool, a float or a negative one, raises ``ValueError`` instead of
+        wrapping around.  The new projection row is computed in place in
+        the child's blocks: shared blocks are written where no other
+        model reads the row; otherwise only the partial last block is
+        copied first.
         """
         n, k = self.grid.shape[0], self.n_outputs
         if not is_integer(index) or not 0 <= index < n:
@@ -169,27 +161,14 @@ class SurrogateModel:
             s = int(seen[-1]) if seen.size else -1
             for start in range(0, t, _GROWTH):
                 w[start : start + _GROWTH] = blocks[start // _GROWTH][: t - start, index]
-        cross = np.empty(t)
         if s >= 0:
             # A revisit: row s, the point's last one, was bordered with
             # the same w below s, so pivot_s * P_s already is the kernel
-            # row minus rows 0 .. s-1.  Its border is row s's, then
-            # k(a, a), then the kernel at the points observed since: each
-            # entry has the bits of pairwise's row over all t, whose
-            # diagonal entry is output_scale.
-            cross[:s] = self._borders[s]
-            cross[s] = diag
-            if s + 1 < t:
-                since = rows[s + 1 :, 0].astype(np.intp)
-                cross[s + 1 :] = pairwise(self.kernel, self.grid[index, None], self.grid[since])[0]
+            # row minus rows 0 .. s-1.
             np.multiply(blocks[s // _GROWTH][s % _GROWTH], rows[s, -1], out=p_row)
         else:
             s = 0
             p_row[:] = pairwise(self.kernel, self.grid[index, None], self.grid)[0]
-            p_row.take(rows[:, 0].astype(np.intp), out=cross)
-        child._borders = self._borders + (_frozen(cross),)
-        child._gram_fro_sq = self._gram_fro_sq + 2.0 * float(cross @ cross) + diag * diag
-
         # The bordered pivot equals posterior variance plus the
         # regularizer, so it stays strictly positive.
         pivot = math.sqrt(
@@ -238,7 +217,7 @@ class SurrogateModel:
         share eigenvectors, so the spectra map through that scalar
         function.  The Gram matrix is assembled from the evaluated
         points on each call and handed to a dense eigensolver, so this
-        is for inspection; the loop reads :meth:`xi_frobenius`.
+        is for inspection; the loop reads :meth:`xi_trace`.
         Returns 0 with an empty history.
         """
         if self.t == 0:
@@ -247,21 +226,21 @@ class SurrogateModel:
         lam = float(np.linalg.eigvalsh(pairwise(self.kernel, inputs, inputs))[-1])
         return lam / (lam + self.regularization)
 
-    def xi_frobenius(self) -> float:
-        """Upper bound ``F / (F + reg)`` on :meth:`xi_lambda_max`, ``F = ||K||_F``.
+    def xi_trace(self) -> float:
+        """Upper bound ``T / (T + reg)`` on :meth:`xi_lambda_max`, ``T = tr K``.
 
-        ``lam <= ||K||_2 <= ||K||_F`` (Horn & Johnson, *Matrix Analysis*,
-        5.6) and ``x / (x + reg)`` grows with ``x``, so this is at least
-        the exact ratio.  Since ``lam`` is at least the diagonal
-        ``k(a, a)``, the ratio of the two is at most ``1 + reg / k(a, a)``.
-        Read from the carried ``||K||_F^2``, which no append decreases,
-        and written ``1 / (1 + reg / F)``, in which every rounding is
-        monotone in ``F``: the bound never decreases along appends, to
-        the last bit.  Returns 0 with an empty history.
+        For the positive semi-definite Gram matrix ``lam <= ||K||_F <=
+        tr K = t k(a, a)``, and ``x / (x + reg)`` grows with ``x``, so
+        this is at least the exact ratio.  Since ``lam`` is at least the
+        diagonal ``k(a, a)``, the ratio of the two is at most
+        ``1 + reg / k(a, a)``.  Written ``1 / (1 + reg / (t k(a, a)))``,
+        in which every rounding is monotone in ``t``: the bound never
+        decreases along appends, to the last bit.  Returns 0 with an
+        empty history.
         """
         if self.t == 0:
             return 0.0
-        return 1.0 / (1.0 + self.regularization / math.sqrt(self._gram_fro_sq))
+        return 1.0 / (1.0 + self.regularization / (self.t * float(self.kernel.output_scale)))
 
     def log_det_information_gain(self) -> float:
         """Half log-determinant of ``I + K / reg``, zero on empty history."""

@@ -348,10 +348,12 @@ class SafeOptimizer:
     def _multipliers(self, state: OptimizerState) -> np.ndarray:
         """One multiplier per output for the step from ``state``.
 
-        Scenario mode reads the Frobenius bound ``xi_frobenius`` in place
-        of the paper's ``xi = lam / (lam + reg)``, so ``betas`` are at
-        least the paper's.  The bound and the noise sums never decrease
-        along a run, so neither do the multipliers.
+        Scenario mode reads the trace bound ``xi_trace`` in place of the
+        paper's ``xi = lam / (lam + reg)``: ``lam <= ||K||_F <= tr K``, so
+        ``betas`` are at least the paper's, their noise term larger by at
+        most a factor ``sqrt(1 + reg / k(a, a))``.  The bound and the
+        noise sums never decrease along a run, so neither do the
+        multipliers.
         """
         cfg = self.config
         if cfg.beta_mode == "classic_subgaussian":
@@ -359,7 +361,7 @@ class SafeOptimizer:
             nu = cfg.schedule.violation_prob
             betas = [classic_beta(b, cfg.subgaussian_scale, gain, nu) for b in cfg.norm_bounds]
         else:
-            xi = state.model.xi_frobenius()
+            xi = state.model.xi_trace()
             sums, reg = state.noise_sq_sums.tolist(), cfg.regularization
             betas = [beta_from_squares(b, reg, xi, s) for b, s in zip(cfg.norm_bounds, sums)]
         return np.array(betas)

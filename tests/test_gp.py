@@ -199,9 +199,9 @@ class TestXiLambdaMax:
 
 
 def assert_bound_brackets_exact_ratio(model):
-    """The Frobenius ratio is at least the exact one, by no more than the
+    """The trace ratio is at least the exact one, by no more than the
     factor ``1 + reg / k(a, a)`` that ``lam >= k(a, a)`` allows."""
-    exact, bound = model.xi_lambda_max(), model.xi_frobenius()
+    exact, bound = model.xi_lambda_max(), model.xi_trace()
     # On a rank-one Gram (one point evaluated over and over) the two are
     # equal but for the eigensolver's roundoff.
     assert exact <= bound * (1.0 + 1e-12)
@@ -210,20 +210,7 @@ def assert_bound_brackets_exact_ratio(model):
     )
 
 
-class TestFrobeniusBound:
-    def test_carried_norm_matches_assembled_gram(self, kernel, rng):
-        models = []
-        for _ in range(30):
-            t = int(rng.integers(1, 40))
-            k = Kernel(lengthscale=float(rng.uniform(0.05, 1.0)))
-            inputs = rng.uniform(0, 1, size=(t, int(rng.integers(1, 3))))
-            models.append(build_model(k, float(rng.uniform(1e-3, 1.0)), inputs, np.zeros((1, t))))
-        # A long chain that repeats one point every other append.
-        models.append(ill_conditioned_chain(kernel, rng, 300))
-        for model in models:
-            reference = float(np.sum(gram_of(model) ** 2))
-            assert abs(model._gram_fro_sq - reference) <= 1e-12 * reference
-
+class TestTraceBound:
     def test_bound_brackets_exact_ratio(self, kernel, rng):
         for _ in range(30):
             t = int(rng.integers(1, 40))
@@ -239,11 +226,45 @@ class TestFrobeniusBound:
             if model.t % 20 == 0:
                 assert_bound_brackets_exact_ratio(model)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("scale", [0.37, 1.0, 2.5])
+    def test_bound_holds_on_chains_with_revisits(self, family, scale, rng):
+        # Random chains on a small grid, so that most appends revisit a
+        # point, some the one appended just before.  While one point has
+        # been seen the Gram is rank one and the two ratios are equal but
+        # for the eigensolver's roundoff, which the bracket allows.
+        for _ in range(6):
+            kernel = Kernel(
+                family=family, lengthscale=float(rng.uniform(0.05, 0.5)), output_scale=scale
+            )
+            reg = float(rng.uniform(1e-3, 1.0))
+            model = SurrogateModel(kernel, reg, 1, grid=rng.uniform(0, 1, (12, 2)))
+            for step in range(int(rng.integers(2, 60))):
+                repeat = model.t and step % 3 == 2
+                index = model.indices[-1] if repeat else int(rng.integers(12))
+                model = model.with_observation(index, rng.standard_normal(1))
+                if len(set(model.indices.tolist())) > 1:
+                    assert model.xi_trace() >= model.xi_lambda_max()
+                assert_bound_brackets_exact_ratio(model)
+            assert len(set(model.indices.tolist())) < model.t
+
+    @pytest.mark.parametrize("scale, reg", [(1.0, 0.01), (0.37, 1e-3), (2.5, 0.7)])
+    def test_never_decreases_to_the_last_bit(self, scale, reg, rng):
+        # Every rounding in 1 / (1 + reg / (t k(a, a))) is monotone in t.
+        kernel = Kernel(lengthscale=0.3, output_scale=scale)
+        model = SurrogateModel(kernel, reg, 1, grid=grid_points(1, 4))
+        bound = model.xi_trace()
+        for _ in range(2000):
+            model = model.with_observation(int(rng.integers(4)), [0.0])
+            assert model.xi_trace() >= bound
+            bound = model.xi_trace()
+        assert model.t == 2000 and bound < 1.0
+
     def test_empty_and_scalar_history(self, kernel):
         model = SurrogateModel(kernel, 0.01, 1, grid=ONE_POINT)
-        assert model.xi_frobenius() == 0.0
+        assert model.xi_trace() == 0.0
         # One point: the Gram is k(a, a) = 1 and both ratios are 1 / 1.01.
-        assert model.with_observation(0, [0.0]).xi_frobenius() == pytest.approx(
+        assert model.with_observation(0, [0.0]).xi_trace() == pytest.approx(
             1.0 / 1.01, rel=1e-15
         )
 
@@ -411,11 +432,9 @@ class TestGridBoundPosterior:
 
     def test_one_kernel_row_per_append(self, kernel, rng, monkeypatch):
         # The forward solve is read off the carried projection.  A new
-        # point evaluates one kernel row over the grid, and its Gram
-        # border is that row at the observed points.  A revisit of the
-        # point last seen at row s evaluates the kernel at the t - s - 1
-        # points observed since only: the rest of its border is row s's,
-        # and k(a, a).  An immediate repeat evaluates nothing.
+        # point evaluates one kernel row over the grid.  A revisit starts
+        # from the row of its last evaluation and evaluates nothing,
+        # whether it repeats the point appended just before or not.
         calls = []
 
         def counted(*args, **kwargs):
@@ -424,22 +443,21 @@ class TestGridBoundPosterior:
 
         monkeypatch.setattr("safebo.gp.pairwise", counted)
         model = SurrogateModel(kernel, 0.01, 2, grid=grid_points(1, 30))
-        expected = []
+        expected, later_revisits = [], 0
         for t in range(40):
             # Every fourth append repeats the last point.
             index = model.indices[-1] if t % 4 == 3 else int(rng.integers(30))
             seen = (model.indices == index).nonzero()[0]
             if not seen.size:
                 expected.append((1, 30))
-            elif seen[-1] < t - 1:
-                expected.append((1, t - 1 - seen[-1]))
+            later_revisits += bool(seen.size) and seen[-1] < t - 1
             model = model.with_observation(index, rng.standard_normal(2))
             assert calls == expected
-        assert 0 < sum(cols == 30 for _, cols in calls) < len(calls) <= 40 - 10
+        assert later_revisits > 0 and len(calls) == len(set(model.indices.tolist())) < 40 - 10
         # Reading the posterior, the loop's spectral ratio and the gain
         # evaluates none; the exact ratio assembles the Gram of the 40.
         model.posterior()
-        model.xi_frobenius()
+        model.xi_trace()
         model.log_det_information_gain()
         assert calls == expected
         model.xi_lambda_max()
@@ -448,8 +466,8 @@ class TestGridBoundPosterior:
     def test_a_paper_run_evaluates_one_grid_row_per_distinct_point(self, monkeypatch):
         # paper-synthetic-2 seed 0 in scenario mode repeats its start
         # point: its 200 appends evaluate one grid-length row per
-        # distinct point and nothing else, since every revisit repeats
-        # the point appended just before and keeps that row's border.
+        # distinct point and nothing else, since no revisit evaluates the
+        # kernel.
         calls = []
 
         def counted(*args, **kwargs):
@@ -550,16 +568,13 @@ def chain_revisiting(kernel, rng, last_seen, t):
 
 
 def carried_state(model):
-    """Copies of everything a model reads: posterior, projection, rows, norm."""
+    """Copies of everything a model reads: posterior, projection, rows."""
     means, std = model.posterior()
-    arrays = [np.copy(means), np.copy(std), projection_of(model), observation_rows(model)]
-    return arrays, model._gram_fro_sq
+    return [np.copy(means), np.copy(std), projection_of(model), observation_rows(model)]
 
 
 def assert_unchanged(model, state):
-    arrays, fro_sq = carried_state(model)
-    assert all(np.array_equal(now, then) for now, then in zip(arrays, state[0]))
-    assert fro_sq == state[1]
+    assert all(np.array_equal(now, then) for now, then in zip(carried_state(model), state))
 
 
 def assert_matches_fresh_factorization(model):
@@ -599,9 +614,8 @@ class TestRevisitAppend:
         first = parent.with_observation(0, [1.0, -1.0])
         first_state = carried_state(first)
         second = parent.with_observation(0, [-2.0, 0.5])
-        # Each border evaluates the kernel at the t - s - 1 points
-        # observed since row s only, and at none for a repeat of row t - 1.
-        assert columns == ([t - last_seen - 1] * 2 if last_seen < t - 1 else [])
+        # Neither revisit evaluates the kernel, however far back row s is.
+        assert columns == []
         for model in (first, second):
             assert model.t == t + 1 and model.indices[-1] == 0
             assert_matches_fresh_factorization(model)
@@ -638,8 +652,6 @@ class TestRevisitAppend:
         assert np.array_equal(observation_rows(repeat), observation_rows(fresh))
         for mine, theirs in zip(repeat.posterior(), fresh.posterior()):
             assert np.array_equal(mine, theirs)
-        assert repeat._gram_fro_sq == fresh._gram_fro_sq
-        assert all(np.array_equal(a, b) for a, b in zip(repeat._borders, fresh._borders))
         # Each keeps its last point's column of P, which the next repeat reads.
         for model in (parent, sibling, repeat):
             last = model.indices[-1]
@@ -651,53 +663,13 @@ class TestRevisitAppend:
         [(family, scale) for family in FAMILIES for scale in (1e-3, 0.37, 1.0, 2.5, 1e4)],
     )
     def test_pairwise_diagonal_is_the_output_scale(self, family, scale, rng):
-        # A revisit's border puts output_scale where pairwise(x, x) has
-        # its diagonal: the two must be the same bits.
+        # The trace bound reads tr K as t * output_scale, where the Gram
+        # matrix pairwise(x, x) has its diagonal: the two must be the
+        # same bits.
         for lengthscale in (0.05, 0.3, 2.0):
             kernel = Kernel(family=family, lengthscale=lengthscale, output_scale=scale)
             points = rng.uniform(-1.0, 1.0, (7, 2))
             assert np.all(np.diag(pairwise(kernel, points, points)) == scale)
-
-    # (s, t) of the revisit appended to a chain of t: gap 0 (s = t - 1),
-    # gap 1, and s and t on either side of the first block boundary.
-    @pytest.mark.parametrize("last_seen, t", [(29, 30), (28, 30), (_GROWTH - 3, _GROWTH + 2)])
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_kept_border_keeps_the_bits_of_a_kernel_row(self, last_seen, t, family, rng):
-        # The border composed from row s's, k(a, a) and the points since
-        # gives the carried norm the bits of a border read off one kernel
-        # row at all t observed points.  Two siblings get the same norm,
-        # and a revisit of the revisit keeps the bits too.
-        kernel = Kernel(family=family, lengthscale=0.1, output_scale=2.5)
-        parent = chain_revisiting(kernel, rng, last_seen, t)
-
-        def kernel_row(model):
-            """A revisit's border as one kernel row at all t observed points."""
-            return pairwise(kernel, model.grid[0], model.grid[model.indices])[0]
-
-        def expected_norm(model):
-            border = kernel_row(model)
-            return model._gram_fro_sq + 2.0 * float(border @ border) + 2.5 * 2.5
-
-        siblings = [parent.with_observation(0, values) for values in ([1.0, -1.0], [-2.0, 0.5])]
-        for child in siblings:
-            assert child._gram_fro_sq == expected_norm(parent)
-            assert np.array_equal(child._borders[t], kernel_row(parent))
-            assert len(child._borders) == t + 1 and not child._borders[t].flags.writeable
-        assert siblings[0]._borders[t] is not siblings[1]._borders[t]
-        assert all(mine is theirs for mine, theirs in zip(siblings[0]._borders, parent._borders))
-        middle = siblings[0].with_observation(7, [0.0, 0.0])
-        again = middle.with_observation(0, [0.0, 0.0])
-        assert again._gram_fro_sq == expected_norm(middle)
-        assert np.array_equal(again._borders[-1], kernel_row(middle))
-
-    def test_gram_norm_keeps_the_bits_of_a_grid_row(self, kernel, rng):
-        # The border at the observed points is read off k(x_j, X), which
-        # has the bits of the grid row at those points, so the carried
-        # norm, the Frobenius ratio and the scenario multiplier do too.
-        parent = chain_revisiting(kernel, rng, 7, 30)
-        border = pairwise(kernel, parent.grid[0, None], parent.grid)[0][parent.indices]
-        norm = parent._gram_fro_sq + 2.0 * float(border @ border) + 1.0
-        assert parent.with_observation(0, [0.0, 0.0])._gram_fro_sq == norm
 
 
 def grown_models(kernel, reg, points):
@@ -710,19 +682,19 @@ def grown_models(kernel, reg, points):
 
 def assert_spectral_ratios(model, parent_bound=0.0, rtol=1e-10):
     """The exact ratio matches the assembled ``K (K + reg I)^{-1}``, the
-    Frobenius ratio brackets it, and the bound is no less than the parent's."""
+    trace ratio brackets it, and the bound is no less than the parent's."""
     gram = gram_of(model)
     assembled = gram @ np.linalg.inv(gram + model.regularization * np.eye(model.t))
     reference = float(np.max(np.real(np.linalg.eigvals(assembled))))
     assert abs(model.xi_lambda_max() - reference) <= rtol * reference
     assert_bound_brackets_exact_ratio(model)
-    assert model.xi_frobenius() >= parent_bound
-    return model.xi_frobenius()
+    assert model.xi_trace() >= parent_bound
+    return model.xi_trace()
 
 
 class TestSpectralRatiosAlongGrownHistories:
     """Spectral ratios along histories grown one append at a time, where
-    each model's Frobenius bound is its parent's, extended by the border."""
+    each model's trace bound is no less than its parent's."""
 
     def test_random_histories(self, rng):
         for _ in range(8):
@@ -743,15 +715,15 @@ class TestSpectralRatiosAlongGrownHistories:
             bound = assert_spectral_ratios(model, bound)
         *_, stuck = grown_models(kernel, 0.01, points[:40])
         assert stuck.xi_lambda_max() == pytest.approx(40.0 / 40.01, rel=1e-12)
-        assert stuck.xi_frobenius() == pytest.approx(40.0 / 40.01, rel=1e-15)
+        assert stuck.xi_trace() == pytest.approx(40.0 / 40.01, rel=1e-15)
 
     def test_long_history(self, rng):
         kernel = Kernel(lengthscale=0.05)
         points = rng.uniform(0, 1, size=(300, 1))
         bound = 0.0
         for model in grown_models(kernel, 0.01, points):
-            assert model.xi_frobenius() >= bound
-            bound = model.xi_frobenius()
+            assert model.xi_trace() >= bound
+            bound = model.xi_trace()
             if model.t % 25 == 0 or model.t > 290:
                 assert_spectral_ratios(model)
         assert model.t > 256
@@ -786,8 +758,8 @@ class TestSpectralRatiosAlongGrownHistories:
         assert model.xi_lambda_max() == pytest.approx(tight_only.xi_lambda_max(), rel=1e-12)
 
     def test_paper_run_never_reaches_the_dense_eigensolver(self, monkeypatch):
-        # Along a 130-step run the multipliers read the carried Frobenius
-        # bound: no eigensolver runs at all.
+        # Along a 130-step run the multipliers read the trace bound: no
+        # eigensolver runs at all.
         calls = []
 
         def counted(solver):
@@ -810,7 +782,7 @@ class TestSpectralRatiosAlongGrownHistories:
         kernel = Kernel(lengthscale=0.1)
         points = rng.uniform(0, 1, size=(100, 2))
         runs = [
-            [(m.xi_lambda_max(), m.xi_frobenius()) for m in grown_models(kernel, 0.01, points)]
+            [(m.xi_lambda_max(), m.xi_trace()) for m in grown_models(kernel, 0.01, points)]
             for _ in range(2)
         ]
         assert runs[0] == runs[1]

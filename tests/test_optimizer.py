@@ -736,7 +736,7 @@ class TestStep:
             raise AssertionError("classic multiplier draws no scenario batch")
 
         monkeypatch.setattr(SurrogateModel, "xi_lambda_max", unused)
-        monkeypatch.setattr(SurrogateModel, "xi_frobenius", unused)
+        monkeypatch.setattr(SurrogateModel, "xi_trace", unused)
         monkeypatch.setattr("safebo.optimizer.scenario_bound", no_batch)
         optimizer, oracle, noise = toy_setup(max_iterations=15, beta_mode="classic_subgaussian")
         state = optimizer.run(oracle, noise, np.random.default_rng(0))

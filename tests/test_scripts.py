@@ -47,10 +47,29 @@ def test_gate_digests_yields_its_twelve_batteries():
 
 
 def differing_message(differing):
+    running = load_script("gate_digests").build_fingerprint()
     return (
         f"{len(differing)} differ from scripts/gate_digests.json: {', '.join(differing)}; "
-        f"recorded with numpy {RECORDED['numpy']}, run with numpy {np.__version__}"
+        f"recorded with numpy {RECORDED['numpy']} build {RECORDED['build']}, "
+        f"run with numpy {np.__version__} build {running}"
     )
+
+
+def test_build_fingerprint_names_dispatch_targets_and_blas_core(monkeypatch):
+    gate = load_script("gate_digests")
+    fingerprint = gate.build_fingerprint()
+    assert set(fingerprint) == set(RECORDED["build"]) == {"dispatch", "openblas_core"}
+    assert isinstance(fingerprint["openblas_core"], str) and fingerprint["openblas_core"]
+    assert all(isinstance(name, str) for name in fingerprint["dispatch"])
+    assert str(fingerprint) in differing_message(["x"])
+
+    # A library that fails to load, or lacks the symbol, reads "unknown".
+    def missing(path):
+        raise OSError(path)
+
+    for library in (missing, lambda path: object()):
+        monkeypatch.setattr(gate.ctypes, "CDLL", library)
+        assert gate.build_fingerprint()["openblas_core"] == "unknown"
 
 
 def test_gate_batteries_emit_the_recorded_bytes():
