@@ -156,13 +156,14 @@ def build_fingerprint() -> dict:
 
 
 def gate_digests(directory: Path) -> dict[str, str]:
-    """The 36 gate digests of ``directory``'s package."""
+    """The 36 gate digests of ``directory``'s package, from the gate record
+    ``gate_digests.py`` prints."""
     env = {**os.environ, "PYTHONPATH": str(directory / "src")}
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "gate_digests.py")],
         env=env, capture_output=True, text=True, check=True,
     )
-    return json.loads(done.stdout)
+    return json.loads(done.stdout)["batteries"]
 
 
 def main(argv: list[str] | None = None) -> int:

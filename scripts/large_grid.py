@@ -20,7 +20,8 @@ any checkout; run from the repository root:
     PYTHONPATH=src python3 scripts/large_grid.py
     PYTHONPATH=/path/to/other/checkout/src python3 scripts/large_grid.py
 
-The BLAS thread setting and the malloc environment are inherited.
+The BLAS thread setting, the malloc environment and the interpreter's
+``-W`` warning options are inherited.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ def results():
     """Each run's line, parsed, in the order of ``RUNS``."""
     for run in RUNS:
         child = subprocess.run(
-            [sys.executable, "-c", CHILD, json.dumps(run)],
+            [sys.executable, *(f"-W{option}" for option in sys.warnoptions), "-c", CHILD,
+             json.dumps(run)],
             check=True,
             stdout=subprocess.PIPE,
             text=True,

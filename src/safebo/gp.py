@@ -7,34 +7,51 @@ are persistent: appending an observation returns a new model and leaves
 the old one untouched, so snapshots can be queried concurrently.
 
 A model is bound to a fixed query grid and conditions on grid points,
-named by index.  It carries ``P = L^{-1} K(X, grid)`` and
-``z = L^{-1} y`` for its Cholesky factor ``L`` and adds one row to each
-per append (rank-1 bordering, Rasmussen & Williams 2006, Alg. 2.1).
-For grid point ``j`` the forward solve ``w = L^{-1} k(X, x_j)`` is
-column ``j`` of ``P``, so an append evaluates at most one kernel row,
-a new point's ``k(x_j, grid)``, and never forms ``L`` or its inverse.
-The grid posterior is carried too: the new rows ``z_t`` and ``p_t``
-add ``z_t p_t`` to the means and take ``p_t^2`` off the variance, so an
-append costs one ``O(t n)`` product, ``w P``, and reading the posterior
-``O(k n)``.  A revisit of a point last evaluated at row ``s`` costs
-less: ``pivot_s p_s`` already is ``k(x_j, grid) - w_{<s} P_{<s}``,
-since the rows below ``s`` are shared, so the append subtracts only rows
-``s .. t-1``, in ``O((t - s) n)``, and evaluates no kernel at all.
+named by index.  Consecutive observations of one grid point form a run,
+and the model keeps one row per run: ``c`` Gaussian observations at one
+input condition a GP exactly as one observation of their mean with
+noise ``reg / c`` (Binois, Gramacy & Ludkovski, JCGS 2018).  So the
+factored matrix is ``K + reg C^{-1}`` over the ``r <= t`` runs, ``C``
+their counts, and the model carries ``P = L^{-1} K(X, grid)`` and
+``z = L^{-1} ybar`` for its Cholesky factor ``L``, one row per run
+(rank-1 bordering, Rasmussen & Williams 2006, Alg. 2.1).  For grid
+point ``j`` the forward solve ``w = L^{-1} k(X, x_j)`` is column ``j``
+of ``P``, so an append evaluates at most one kernel row, a new point's
+``k(x_j, grid)``, and never forms ``L`` or its inverse.  The grid
+posterior is carried too: the last rows ``z_r`` and ``p_r`` add
+``z_r p_r`` to the means and take ``p_r^2`` off the variance.
+
+An append that starts a run, a new point or a revisit of an earlier
+run's point, borders a row: one ``O(r n)`` product, ``w P``.  A revisit
+of a point last bordered at row ``s`` costs less: ``pivot_s p_s``
+already is ``k(x_j, grid) - w_{<s} P_{<s}``, since the rows below ``s``
+are shared, so the append subtracts only rows ``s .. r-1``, in
+``O((r - s) n)``, and evaluates no kernel at all.  The new row keeps
+what bordering it took that does not depend on its count: ``w w``,
+``w z``, the residual ``rho = k(x_j, grid) - w P`` and the grid
+posterior without the row.  An immediate repeat, which extends the
+last run, rewrites the last row from those alone, in ``O(k n)``: the
+pivot ``sqrt(k(a, a) + reg / c - w w)``, ``z_r`` from the new mean,
+``p_r = rho / pivot`` and the posterior.  It evaluates no kernel, adds
+no row to ``P`` and copies nothing of length ``t``.  A history with no
+immediate repeat borders exactly as one row per observation would.
+
+So the last row is held apart from the rest, which no append changes.
 ``P`` is held in fixed blocks of 64 rows.  Full blocks are shared along
-a chain of appends and never written again; an append writes its row
-into the last block, copying only that partial block when a sibling has
-claimed the row, and an append that fills a block starts a new one,
-copying nothing.  So memory peaks at the live ``P`` plus one block, and
-``w P`` is one matrix-vector product per block, in block order.  The
-rows per observation (grid index, targets, ``z`` and the pivot, the
-diagonal of ``L`` kept for the log-determinant) are one small read-only
-array, which an append copies into a new one a row longer, as it does
-the grid posterior; a chain of retained models holds one such array
-each.  The Gram matrix itself is not carried: the spectral ratio the
-loop reads is bounded through ``lam <= ||K||_F <= tr K = t k(a, a)``,
-which needs only ``t``.  A model also keeps column ``j`` of ``P`` for
-its last point ``j``, ``t`` floats, so an immediate repeat reads ``w``
-without gathering it across the blocks.
+a chain of appends and never written again; an append that starts a
+run writes the previous last row into the last block, copying only that
+partial block when a sibling has claimed the row, and an append that
+fills a block starts a new one, copying nothing.  So memory peaks at
+the live ``P`` plus one block, and ``w P`` is one matrix-vector product
+per block, in block order.  The rows per run (grid index, count, mean
+targets, ``z`` and the pivot, the diagonal of ``L`` kept for the
+log-determinant) are one small read-only array, which an append that
+starts a run copies into a new one a row longer, as it does the grid
+posterior.  The observations themselves, one per append in time order,
+are a linked log that an append extends in ``O(1)``; :attr:`indices`,
+:attr:`inputs` and :attr:`targets` read it.  The Gram matrix is not
+carried: the spectral ratio the loop reads is bounded through
+``lam <= ||K||_F <= tr K = t k(a, a)``, which needs only ``t``.
 """
 
 from __future__ import annotations
@@ -87,20 +104,36 @@ class SurrogateModel:
 
         self.t = 0
         k, n = self.n_outputs, self.grid.shape[0]
-        # One row per observation: [grid index | values | z | pivot], pivots the diagonal of L.
-        self._obs = _frozen(np.zeros((0, 2 * k + 2)))
-        self._z_cols = slice(k + 1, 2 * k + 1)
+        # Observations, newest first: (older log, grid index, values) or None.
+        self._log = None
+        # One row per run but the last: [grid index | count | means | z | pivot],
+        # pivots the diagonal of L.
+        self._rows = _frozen(np.zeros((0, 2 * k + 3)))
+        self._z_cols = slice(k + 2, 2 * k + 2)
         self._proj_blocks = _Blocks(n)
-        # Column j of P for the last observed point j.
-        self._last_column = _frozen(np.zeros(0))
+        # The last run's row, a tuple laid out as the rows, and its row of P;
+        # None with no observations.
+        self._last = self._last_p = None
+        # What bordered the last row, whatever its count: the residual
+        # rho = k(a, grid) - w P, w.w, w z, and the grid posterior without it.
+        self._border = None
         # The grid posterior, shared with callers: never written in place.
         self._means = _frozen(np.zeros((self.n_outputs, n)))
         self._var = _frozen(np.full(n, float(kernel.output_scale)))
 
+    def _observations(self) -> list:
+        """``(grid index, values)`` per observation, oldest first."""
+        out, node = [], self._log
+        while node is not None:
+            node, index, values = node
+            out.append((index, values))
+        out.reverse()
+        return out
+
     @property
     def indices(self) -> np.ndarray:
-        """``(t,)`` grid indices of the evaluated points."""
-        return self._obs[:, 0].astype(np.intp)
+        """``(t,)`` grid indices of the evaluated points, one per observation."""
+        return np.array([index for index, _ in self._observations()], dtype=np.intp)
 
     @property
     def inputs(self) -> np.ndarray:
@@ -110,93 +143,114 @@ class SurrogateModel:
     @property
     def targets(self) -> np.ndarray:
         """``(n_outputs, t)`` observed values, read-only."""
-        return self._obs[:, 1 : self.n_outputs + 1].T
+        values = [values for _, values in self._observations()]
+        return _frozen(np.array(values, dtype=float).reshape(self.t, self.n_outputs).T)
+
+    def _run_rows(self) -> np.ndarray:
+        """The ``(r, 2k+3)`` rows of every run, the last one included."""
+        if self._last is None:
+            return self._rows
+        return np.vstack((self._rows, self._last))
 
     def with_observation(self, index: int, values: np.ndarray) -> "SurrogateModel":
         """New model with grid point ``index`` evaluated, one value per output.
 
-        The forward solve is column ``index`` of the carried projection;
-        it extends the carried rows by a rank-1 border and updates the
-        grid posterior.  A new index evaluates one kernel row over the
-        grid.  A revisited index starts from its last projection row and
-        evaluates no kernel; an immediate repeat also copies its forward
-        solve from the column this model kept for its last point.  The
-        Gram matrix is not carried: :meth:`xi_trace` bounds the spectral
-        ratio through ``lam <= ||K||_F <= tr K = t k(a, a)``, from ``t``
-        alone.  An index that is not an integer in ``[0, n)``, such as a
-        bool, a float or a negative one, raises ``ValueError`` instead of
-        wrapping around.  The new projection row is computed in place in
-        the child's blocks: shared blocks are written where no other
-        model reads the row; otherwise only the partial last block is
-        copied first.
+        The observation is logged, and then one of two cases follows.
+        An ``index`` equal to the last one extends the last run: its row
+        takes count ``c + 1`` and the new mean target, and is rewritten
+        from what bordering it kept, ``w w``, ``w z``, the residual
+        ``rho`` and the grid posterior without the row, in ``O(k n)``.
+        No kernel is evaluated and no row is added to ``P``.  Any other
+        index starts a run of count 1.  It commits the last row to the
+        carried rows and borders a new one with the forward solve, column
+        ``index`` of ``P``, gathered from the blocks.  A new index
+        evaluates one kernel row over the grid.  A revisited index starts
+        from its last run's row and evaluates no kernel.  Either way the
+        pivot is ``sqrt(k(a, a) + reg / c - w w)`` and the grid posterior
+        is updated by the new last row.  The Gram matrix is not carried:
+        :meth:`xi_trace` bounds the spectral ratio through
+        ``lam <= ||K||_F <= tr K = t k(a, a)``, from ``t`` alone.  An
+        index that is not an integer in ``[0, n)``, such as a bool, a
+        float or a negative one, raises ``ValueError`` instead of
+        wrapping around.  The committed row is written in place in the
+        child's blocks: shared blocks are written where no other model
+        reads the row; otherwise only the partial last block is copied
+        first.
         """
         n, k = self.grid.shape[0], self.n_outputs
         if not is_integer(index) or not 0 <= index < n:
             raise ValueError(f"index must be a grid index in [0, {n}), got {index!r}")
+        index = int(index)
         values = np.asarray(values, dtype=float).ravel()
-        if values.shape != (k,) or np.count_nonzero(np.isfinite(values)) != k:
+        targets = values.tolist()
+        if values.shape != (k,) or not all(map(math.isfinite, targets)):
             raise ValueError("targets must be finite, one per output")
 
-        t, rows = self.t, self._obs
+        last = self._last
         child = object.__new__(type(self))
         child.__dict__ = self.__dict__.copy()
-        child.t = t + 1
-        blocks = self._proj_blocks.blocks
-        # Row t of P is computed in place, in the child's blocks.
-        child._proj_blocks, p_row = self._proj_blocks.extended(t)
-        diag = float(self.kernel.output_scale)
-        # The forward solve w is column ``index`` of P, in a buffer one
-        # longer that the child keeps as its last point's column.  An
-        # immediate repeat, read off the last row, copies the column this
-        # model kept; another index scans the rows and gathers it from
-        # the blocks.  Contiguous either way: BLAS sums a strided operand
-        # in another order.
-        column = np.empty(t + 1)
-        w = column[:t]
-        if t and rows[-1, 0] == index:
-            s = t - 1
-            w[:] = self._last_column
+        child.t = self.t + 1
+        child._log = (self._log, index, targets)
+        # Per-output arithmetic is on Python floats, rounded as numpy's.
+        if last is not None and last[0] == index:
+            # An immediate repeat: the last run takes one more observation.
+            count = last[1] + 1.0
+            mean = [m + (y - m) / count for m, y in zip(last[2 : k + 2], targets)]
         else:
-            seen = (rows[:, 0] == index).nonzero()[0]
-            s = int(seen[-1]) if seen.size else -1
-            for start in range(0, t, _GROWTH):
-                w[start : start + _GROWTH] = blocks[start // _GROWTH][: t - start, index]
-        if s >= 0:
-            # A revisit: row s, the point's last one, was bordered with
-            # the same w below s, so pivot_s * P_s already is the kernel
-            # row minus rows 0 .. s-1.
-            np.multiply(blocks[s // _GROWTH][s % _GROWTH], rows[s, -1], out=p_row)
-        else:
-            s = 0
-            p_row[:] = pairwise(self.kernel, self.grid[index, None], self.grid)[0]
-        # The bordered pivot equals posterior variance plus the
-        # regularizer, so it stays strictly positive.
-        pivot = math.sqrt(
-            max(diag + self.regularization - float(w @ w), self.regularization * 1e-12)
-        )
-        obs = np.empty((t + 1, 2 * k + 2))
-        obs[:t] = rows
-        new = obs[t]
-        new[0], new[-1] = index, pivot
-        new[1 : k + 1] = values
-        z_row = new[self._z_cols]
-        # z is strided too, and read through a contiguous copy.
-        np.subtract(values, w @ rows[:, self._z_cols].copy(), out=z_row)
-        z_row /= pivot
-        child._obs = _frozen(obs)
+            count, mean = 1.0, targets
+            child._border = self._bordered(child, index)
+        rho, ww, wz, base_means, base_var = child._border
+        # The bordered pivot equals posterior variance plus the run's
+        # noise, so it stays strictly positive.
+        noise = self.regularization / count
+        pivot = math.sqrt(max(float(self.kernel.output_scale) + noise - ww, noise * 1e-12))
+        z_row = [(m - c) / pivot for m, c in zip(mean, wz)]
+        p_row = rho / pivot
+        child._last, child._last_p = (index, count, *mean, *z_row, pivot), _frozen(p_row)
         # The grid-length rows are updated in place of temporaries.
-        for start in range(s - s % _GROWTH, t, _GROWTH):
-            skip = max(s - start, 0)
-            p_row -= w[start + skip : start + _GROWTH] @ blocks[start // _GROWTH][skip : t - start]
-        p_row /= pivot
-        column[t] = p_row[index]
-        child._last_column = _frozen(column)
-        means = z_row[:, None] * p_row
-        means += self._means
+        means = np.multiply.outer(z_row, p_row)
+        means += base_means
         var = p_row * p_row
-        np.subtract(self._var, var, out=var)
+        np.subtract(base_var, var, out=var)
         child._means, child._var = _frozen(means), _frozen(var)
         return child
+
+    def _bordered(self, child: "SurrogateModel", index: int) -> tuple:
+        """Commit this model's last row into ``child`` and border a run at
+        ``index`` on all ``r`` rows: ``(rho, w w, w z, means, var)``, the
+        last two this model's grid posterior."""
+        rows = self._rows
+        if self._last is not None:
+            r = rows.shape[0] + 1
+            child._proj_blocks, slot = self._proj_blocks.extended(r - 1)
+            slot[:] = self._last_p
+            rows = np.empty((r, rows.shape[1]))
+            rows[: r - 1] = self._rows
+            rows[r - 1] = self._last
+            child._rows = rows = _frozen(rows)
+        r, blocks = rows.shape[0], child._proj_blocks.blocks
+        # The forward solve w is column ``index`` of P, gathered from the
+        # blocks into a contiguous buffer: BLAS sums a strided operand in
+        # another order.
+        w = np.empty(r)
+        for start in range(0, r, _GROWTH):
+            w[start : start + _GROWTH] = blocks[start // _GROWTH][: r - start, index]
+        seen = (rows[:, 0] == index).nonzero()[0]
+        if seen.size:
+            # A revisit: row s, the point's last run, was bordered with
+            # the same w below s, so pivot_s * P_s already is the kernel
+            # row minus rows 0 .. s-1.
+            s = int(seen[-1])
+            rho = np.multiply(blocks[s // _GROWTH][s % _GROWTH], rows[s, -1])
+        else:
+            s = 0
+            rho = pairwise(self.kernel, self.grid[index, None], self.grid)[0]
+        for start in range(s - s % _GROWTH, r, _GROWTH):
+            skip = max(s - start, 0)
+            rho -= w[start + skip : start + _GROWTH] @ blocks[start // _GROWTH][skip : r - start]
+        # z is strided too, and read through a contiguous copy.
+        wz = w @ rows[:, self._z_cols].copy()
+        return _frozen(rho), float(w @ w), wz.tolist(), self._means, self._var
 
     def posterior(self) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and shared standard deviation on the bound grid.
@@ -243,10 +297,17 @@ class SurrogateModel:
         return 1.0 / (1.0 + self.regularization / (self.t * float(self.kernel.output_scale)))
 
     def log_det_information_gain(self) -> float:
-        """Half log-determinant of ``I + K / reg``, zero on empty history."""
-        # log det(K + reg I) from the factor's pivots, then rescale.
-        log_det = 2.0 * float(np.log(self._obs[:, -1]).sum())
-        return 0.5 * (log_det - self.t * np.log(self.regularization))
+        """Half log-determinant of ``I + K / reg`` over all ``t`` observations,
+        zero on empty history.
+
+        With ``r`` runs of counts ``c``, ``det(K_t + reg I) = reg^(t - r)
+        prod(c) det(K_r + reg C^{-1})``, and the last factor is the
+        product of the squared pivots, so the gain is
+        ``(sum log c + 2 sum log pivot - r log reg) / 2``.
+        """
+        rows = self._run_rows()
+        log_det = 2.0 * float(np.log(rows[:, -1]).sum()) + float(np.log(rows[:, 1]).sum())
+        return 0.5 * (log_det - rows.shape[0] * np.log(self.regularization))
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -256,17 +317,17 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 class _Blocks:
     """The leading rows of a ``(t, width)`` matrix in ``_GROWTH``-row blocks,
-    shared along a chain of appends: the projection ``P``, the one carried
-    array too large to copy per append.
+    shared along a chain of appends: the committed rows of the projection
+    ``P``, the one carried array too large to copy per append.
 
-    A model of ``t`` observations reads the first ``t`` rows of the first
-    ``ceil(t / _GROWTH)`` blocks.  ``used`` counts the rows written so
-    far.  Full blocks are never written again, so every model that reads
-    one shares it.  An append writes row ``t`` into the last block in
-    place while ``used == t``, so no other model reads that row, copies
-    only that partial block otherwise, and starts a new block, copying
-    nothing, when the last one is full: no model ever sees its rows
-    change (a persistent vector).
+    A model of ``t`` committed rows reads the first ``t`` rows of the
+    first ``ceil(t / _GROWTH)`` blocks.  ``used`` counts the rows written
+    so far.  Full blocks are never written again, so every model that
+    reads one shares it.  A commit writes row ``t`` into the last block
+    in place while ``used == t``, so no other model reads that row,
+    copies only that partial block otherwise, and starts a new block,
+    copying nothing, when the last one is full: no model ever sees its
+    rows change (a persistent vector).
     """
 
     def __init__(self, width: int, blocks: tuple[np.ndarray, ...] = ()):

@@ -633,6 +633,8 @@ def _summarize(config: ExperimentConfig, traces: tuple[RunTrace, ...]) -> dict:
                 ),
                 "final_best_true_reward": trace.final_best_true_reward,
                 "final_safe_size": trace.final_safe_size,
+                # 1 for a run that never left its start point.
+                "distinct_points": len({rec.point for rec in trace.records}),
                 "initial_safe": list(trace.initial_safe),
                 "beta_bar": list(trace.beta_bar),
                 "best_lower": [rec.best_lower for rec in trace.records],

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from safebo import ExperimentConfig, Kernel, SurrogateModel
 from safebo.gp import _GROWTH
@@ -11,20 +11,26 @@ from safebo.harness import run_experiment, run_single
 from safebo.kernels import FAMILIES, pairwise
 
 
+def gram_of_points(kernel, points):
+    return pairwise(kernel, points, points)
+
+
 def gram_of(model):
-    """The model's Gram matrix, assembled from its evaluated points."""
-    return pairwise(model.kernel, model.inputs, model.inputs)
+    """The model's Gram matrix, assembled from its evaluated points, one per observation."""
+    return gram_of_points(model.kernel, model.inputs)
 
 
 def projection_of(model):
-    """The model's carried projection ``P``, its blocks stacked into a fresh array."""
-    blocks = model._proj_blocks.blocks
-    return np.concatenate(blocks)[: model.t] if blocks else np.zeros((0, model.grid.shape[0]))
+    """The model's carried projection ``P``, one row per run: the committed
+    rows stacked from its blocks into a fresh array, then the last run's."""
+    r, blocks = model._rows.shape[0], model._proj_blocks.blocks
+    committed = np.concatenate(blocks)[:r] if blocks else np.zeros((0, model.grid.shape[0]))
+    return committed if model._last_p is None else np.vstack([committed, model._last_p])
 
 
-def observation_rows(model):
-    """A copy of the model's per-observation rows: grid index, values, ``z``, pivot."""
-    return np.copy(model._obs)
+def run_rows(model):
+    """A copy of the model's rows per run: grid index, count, mean targets, ``z``, pivot."""
+    return np.copy(model._run_rows())
 
 
 def dense_posterior_reference(kernel, inputs, targets, queries, reg):
@@ -319,10 +325,14 @@ def grid_points(dim, per_axis):
 
 
 def fresh_projection(model):
-    """``L^{-1} K(X, grid)`` and ``L^{-1} y`` from a fresh factorization."""
-    chol = cholesky(gram_of(model) + model.regularization * np.eye(model.t), lower=True)
-    proj = solve_triangular(chol, pairwise(model.kernel, model.inputs, model.grid), lower=True)
-    return proj, solve_triangular(chol, model.targets.T, lower=True)
+    """``L^{-1} K(X, grid)`` and ``L^{-1} ybar`` from a fresh factorization
+    of the runs' system ``K + reg C^{-1}``, one row per run of repeats."""
+    rows, k = run_rows(model), model.n_outputs
+    inputs = model.grid[rows[:, 0].astype(np.intp)]
+    shifted = gram_of_points(model.kernel, inputs) + np.diag(model.regularization / rows[:, 1])
+    chol = cholesky(shifted, lower=True)
+    proj = solve_triangular(chol, pairwise(model.kernel, inputs, model.grid), lower=True)
+    return proj, solve_triangular(chol, rows[:, 2 : k + 2], lower=True)
 
 
 def ill_conditioned_chain(kernel, rng, appends):
@@ -368,7 +378,7 @@ class TestGridBoundPosterior:
         assert np.max(np.abs(projection_of(model) - proj)) <= 1e-10
         # z = L^{-1} y reaches about 1 / sqrt(reg) in size, so its error
         # is measured relative to it: both paths sit near 2e-12.
-        carried_z = observation_rows(model)[:, model._z_cols]
+        carried_z = run_rows(model)[:, model._z_cols]
         assert np.max(np.abs(carried_z - z)) <= 1e-11 * np.max(np.abs(z))
 
     def test_carried_posterior_matches_dense_reference_on_a_long_chain(self, kernel, rng):
@@ -387,20 +397,20 @@ class TestGridBoundPosterior:
 
     def test_carried_buffers_stay_close_to_the_live_state(self, kernel, rng):
         # The projection is held in fixed blocks of _GROWTH rows, 200
-        # columns wide.
+        # columns wide, all rows but the last run's, which is held apart.
         model = SurrogateModel(kernel, 0.01, 2, grid=rng.uniform(0, 1, (200, 1)))
         chain = [model]
         for index in range(200):
             model = model.with_observation(index, rng.standard_normal(2))
             chain.append(model)
             blocks = model._proj_blocks.blocks
-            assert len(blocks) == math.ceil(model.t / _GROWTH)
+            assert len(blocks) == math.ceil((model.t - 1) / _GROWTH)
             assert all(block.shape == (_GROWTH, 200) for block in blocks)
         # The chain's models, t = 0 to 200, share the projection's
-        # blocks: no block is ever copied, so 200 rows take
-        # ceil(200 / _GROWTH) of them.
+        # blocks: no block is ever copied, so 199 committed rows take
+        # ceil(199 / _GROWTH) of them.
         blocks = {id(block) for m in chain for block in m._proj_blocks.blocks}
-        assert len(blocks) == math.ceil(200 / _GROWTH)
+        assert len(blocks) == math.ceil(199 / _GROWTH)
         # Every model still reads its own history from the shared blocks.
         proj = projection_of(model)
         for m in chain:
@@ -493,36 +503,42 @@ class TestGridBoundPosterior:
         assert np.array_equal(means, np.zeros((2, 5)))
         assert np.array_equal(std, np.ones(5))
 
-    @pytest.mark.parametrize("parent_t", [5, _GROWTH, _GROWTH + 5])
-    def test_sibling_appends_leave_parent_and_each_other_unchanged(self, parent_t, kernel, rng):
-        # A parent of 5 or 69 observations has room in the last block of
+    @pytest.mark.parametrize("committed", [5, _GROWTH, _GROWTH + 5])
+    def test_sibling_appends_leave_parent_and_each_other_unchanged(self, committed, kernel, rng):
+        # The parent has committed rows 0 .. committed-1 and holds its last
+        # run's row apart; a child that starts a run commits that row.  A
+        # parent of 5 or 69 committed rows has room in the last block of
         # the projection: the first child writes in place and the second
         # copies only that partial block.  A parent of 64 fills its
         # blocks, so each child starts blocks of its own.  Full blocks are
-        # shared by all three.  The per-observation rows are one
-        # read-only array per model, which no append writes.
+        # shared by all three.  The rows per run are one read-only array
+        # per model, which no append writes.
         grid = grid_points(1, 60)
         parent = SurrogateModel(kernel, 0.01, 2, grid=grid)
-        for _ in range(parent_t):
-            parent = parent.with_observation(int(rng.integers(60)), rng.standard_normal(2))
+        index = 0
+        for _ in range(committed + 1):
+            # No immediate repeat, and a last point neither child appends.
+            index = (index + int(rng.integers(1, 14))) % 60
+            parent = parent.with_observation(index, rng.standard_normal(2))
+        assert parent._rows.shape[0] == committed and parent.indices[-1] not in (15, 45)
         # posterior() hands out the carried arrays themselves, so compare
         # against copies.
         before = tuple(np.copy(part) for part in parent.posterior())
         var, gram = np.copy(parent._var), np.copy(gram_of(parent))
         inputs, targets = np.copy(parent.inputs), np.copy(parent.targets)
-        proj, rows = projection_of(parent), observation_rows(parent)
-        obs = parent._obs
+        proj, rows = projection_of(parent), run_rows(parent)
+        committed_rows = parent._rows
         xi_before = parent.xi_lambda_max()
 
         first = parent.with_observation(15, [1.0, -1.0])
         first_post = tuple(np.copy(part) for part in first.posterior())
-        first_proj, first_rows = projection_of(first), observation_rows(first)
+        first_proj, first_rows = projection_of(first), run_rows(first)
         first_xi = first.xi_lambda_max()
         second = parent.with_observation(45, [-2.0, 0.5])
         second_post = second.posterior()
         second.xi_lambda_max()
 
-        full, filled = divmod(parent_t, _GROWTH)
+        full, filled = divmod(committed, _GROWTH)
         shared = parent._proj_blocks.blocks
         for child in (first, second):
             blocks = child._proj_blocks.blocks
@@ -532,26 +548,26 @@ class TestGridBoundPosterior:
         assert last_first is not last_second
         if filled:
             assert last_first is shared[full] and last_second is not shared[full]
-        assert parent._obs is obs and np.array_equal(obs, rows)
+        assert parent._rows is committed_rows and np.array_equal(committed_rows, rows[:-1])
         for model in (parent, first, second):
-            assert model._obs.shape == (model.t, 6) and not model._obs.flags.writeable
+            assert model._rows.shape == (model.t - 1, 7) and not model._rows.flags.writeable
 
         for model, (means, std) in ((parent, before), (first, first_post)):
             after_means, after_std = model.posterior()
             assert np.array_equal(after_means, means) and np.array_equal(after_std, std)
         assert np.array_equal(projection_of(parent), proj)
         assert np.array_equal(projection_of(first), first_proj)
-        assert np.array_equal(projection_of(second)[:parent_t], proj)
-        assert np.array_equal(observation_rows(parent), rows)
-        assert np.array_equal(observation_rows(first), first_rows)
-        assert np.array_equal(observation_rows(second)[:parent_t], rows)
-        assert not np.array_equal(first_proj[parent_t], projection_of(second)[parent_t])
+        assert np.array_equal(projection_of(second)[: committed + 1], proj)
+        assert np.array_equal(run_rows(parent), rows)
+        assert np.array_equal(run_rows(first), first_rows)
+        assert np.array_equal(run_rows(second)[: committed + 1], rows)
+        assert not np.array_equal(first_proj[-1], projection_of(second)[-1])
         assert np.array_equal(parent._var, var) and np.array_equal(gram_of(parent), gram)
         assert np.array_equal(parent.inputs, inputs) and np.array_equal(parent.targets, targets)
         for model, index, values in ((first, 15, [1.0, -1.0]), (second, 45, [-2.0, 0.5])):
             assert np.array_equal(model.inputs, np.vstack((inputs, grid[index])))
             assert np.array_equal(model.targets, np.hstack((targets, np.c_[values])))
-        assert parent.t == parent_t and parent.xi_lambda_max() == xi_before
+        assert parent.t == committed + 1 and parent.xi_lambda_max() == xi_before
         assert first.xi_lambda_max() == first_xi
         assert not np.array_equal(first_post[0], second_post[0])
 
@@ -570,7 +586,7 @@ def chain_revisiting(kernel, rng, last_seen, t):
 def carried_state(model):
     """Copies of everything a model reads: posterior, projection, rows."""
     means, std = model.posterior()
-    return [np.copy(means), np.copy(std), projection_of(model), observation_rows(model)]
+    return [np.copy(means), np.copy(std), projection_of(model), run_rows(model)]
 
 
 def assert_unchanged(model, state):
@@ -580,7 +596,7 @@ def assert_unchanged(model, state):
 def assert_matches_fresh_factorization(model):
     proj, z = fresh_projection(model)
     assert np.max(np.abs(projection_of(model) - proj)) <= 1e-10
-    carried_z = observation_rows(model)[:, model._z_cols]
+    carried_z = run_rows(model)[:, model._z_cols]
     assert np.max(np.abs(carried_z - z)) <= 1e-11 * np.max(np.abs(z))
     means, std = model.posterior()
     ref_means, ref_std = dense_posterior_reference(
@@ -624,39 +640,43 @@ class TestRevisitAppend:
         # Both siblings carry the same row t: it does not depend on the values.
         assert np.array_equal(projection_of(first), projection_of(second))
 
-    # t: a repeat inside a block, one that starts a new block, and one
-    # just past the first block boundary.
-    @pytest.mark.parametrize("t", [10, _GROWTH, _GROWTH + 5])
+    # t: the merged row is committed at row t - 1: inside a block, as the
+    # first row of a new block, and just past the first block boundary.
+    @pytest.mark.parametrize("t", [10, _GROWTH + 1, _GROWTH + 5])
     def test_immediate_repeat_after_a_sibling_matches_a_fresh_chain_bit_for_bit(
         self, t, kernel, rng
     ):
-        # The sibling claims row t of the parent's last block, so the
-        # repeat copies that partial block before it writes its row; a
-        # chain that never branched writes in place.  Both must hold the
-        # same bits.
+        # The sibling commits the parent's last row to row t - 1 of the
+        # parent's last block.  The repeat rewrites that row apart from the
+        # blocks, and its next append commits it, copying that partial
+        # block first; a chain that never branched writes in place.  Both
+        # must hold the same bits.
         grid = grid_points(1, 60)
-        indices = rng.integers(60, size=t).tolist()
-        values = rng.standard_normal((t + 1, 2))
+        indices = np.cumsum(rng.integers(1, 60, size=t)) % 60
+        indices = indices.tolist()
+        values = rng.standard_normal((t + 2, 2))
         parent = SurrogateModel(kernel, 0.01, 2, grid=grid)
         for index, value in zip(indices, values):
             parent = parent.with_observation(index, value)
+        assert parent._rows.shape[0] == t - 1
         sibling = parent.with_observation((indices[-1] + 1) % 60, [0.5, -0.5])
         repeat = parent.with_observation(indices[-1], values[t])
+        after = repeat.with_observation((indices[-1] + 2) % 60, values[t + 1])
         fresh = SurrogateModel(kernel, 0.01, 2, grid=grid)
-        for index, value in zip(indices + indices[-1:], values):
+        for index, value in zip(indices + [indices[-1], (indices[-1] + 2) % 60], values):
             fresh = fresh.with_observation(index, value)
 
-        if t % _GROWTH:
-            assert repeat._proj_blocks.blocks[-1] is not sibling._proj_blocks.blocks[-1]
-        assert np.array_equal(projection_of(repeat), projection_of(fresh))
-        assert np.array_equal(observation_rows(repeat), observation_rows(fresh))
-        for mine, theirs in zip(repeat.posterior(), fresh.posterior()):
+        # The repeat shares the parent's blocks and rows: it adds no row.
+        assert repeat._proj_blocks is parent._proj_blocks and repeat._rows is parent._rows
+        if (t - 1) % _GROWTH:
+            assert after._proj_blocks.blocks[-1] is not sibling._proj_blocks.blocks[-1]
+        assert np.array_equal(projection_of(after), projection_of(fresh))
+        assert np.array_equal(run_rows(after), run_rows(fresh))
+        for mine, theirs in zip(after.posterior(), fresh.posterior()):
             assert np.array_equal(mine, theirs)
-        # Each keeps its last point's column of P, which the next repeat reads.
-        for model in (parent, sibling, repeat):
-            last = model.indices[-1]
-            assert np.array_equal(model._last_column, projection_of(model)[:, last])
+        assert run_rows(after)[-2, 1] == 2.0 and after.t == t + 2
         assert_matches_fresh_factorization(repeat)
+        assert_matches_fresh_factorization(after)
 
     @pytest.mark.parametrize(
         "family, scale",
@@ -786,3 +806,162 @@ class TestSpectralRatiosAlongGrownHistories:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+def mixed_chain(rng, n_outputs, grid, appends):
+    """Indices and targets of a chain that repeats its last point, revisits
+    an earlier one (often a run of repeats) and takes new ones, in turn at
+    random."""
+    indices = [int(rng.integers(len(grid)))]
+    while len(indices) < appends:
+        kind = rng.uniform()
+        if kind < 0.5:
+            indices.append(indices[-1])
+        elif kind < 0.75:
+            earlier = sorted(set(indices) - {indices[-1]})
+            indices.append(int(rng.choice(earlier)) if earlier else indices[-1])
+        else:
+            indices.append(int(rng.integers(len(grid))))
+    return indices, rng.standard_normal((n_outputs, appends))
+
+
+def dense_repeated_input_solve(model):
+    """Posterior means, std and information gain from ``scipy``'s Cholesky
+    of the full ``t x t`` system ``K + reg I``, one row per observation."""
+    t, reg = model.t, model.regularization
+    factor = cho_factor(gram_of(model) + reg * np.eye(t), lower=True)
+    cross = pairwise(model.kernel, model.inputs, model.grid)
+    means = cho_solve(factor, model.targets.T).T @ cross
+    var = model.kernel.output_scale - np.einsum("tn,tn->n", cross, cho_solve(factor, cross))
+    gain = 0.5 * (2.0 * np.log(np.diag(factor[0])).sum() - t * math.log(reg))
+    return means, np.sqrt(np.maximum(var, 0.0)), gain
+
+
+def bordered_per_observation(kernel, reg, grid, indices, targets):
+    """Means, variance, ``P`` and pivots of one bordered row per observation:
+    the layout a model keeps when no observation repeats the one before,
+    with the same products in the same order."""
+    k, t, n = targets.shape[0], len(indices), len(grid)
+    scale = float(kernel.output_scale)
+    proj, z, pivots = np.zeros((t, n)), np.zeros((t, k)), np.zeros(t)
+    means, var = np.zeros((k, n)), np.full(n, scale)
+    for i, index in enumerate(indices):
+        w = proj[:i, index].copy()
+        seen = [s for s in range(i) if indices[s] == index]
+        if seen:
+            s = seen[-1]
+            rho = proj[s] * pivots[s]
+        else:
+            s = 0
+            rho = pairwise(kernel, grid[index, None], grid)[0]
+        for start in range(s - s % _GROWTH, i, _GROWTH):
+            skip = max(s - start, 0)
+            rho -= w[start + skip : start + _GROWTH] @ proj[start + skip : min(start + _GROWTH, i)]
+        pivots[i] = math.sqrt(max(scale + reg - float(w @ w), reg * 1e-12))
+        z[i] = (targets[:, i] - w @ z[:i].copy()) / pivots[i]
+        proj[i] = rho / pivots[i]
+        means = np.multiply.outer(z[i], proj[i]) + means
+        var = var - proj[i] * proj[i]
+    return means, var, proj, pivots
+
+
+class TestRunsOfRepeats:
+    """One row per run of consecutive observations of one grid point."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n_outputs, dim", [(1, 1), (2, 2)])
+    def test_matches_a_fresh_solve_of_the_repeated_input_system(
+        self, family, n_outputs, dim, rng
+    ):
+        # 150 appends, about half of them immediate repeats, make some 75
+        # runs: the committed rows cross a block boundary.
+        kernel = Kernel(family=family, lengthscale=0.3, output_scale=1.7)
+        grid = grid_points(dim, 40 if dim == 1 else 7)
+        indices, targets = mixed_chain(rng, n_outputs, grid, 150)
+        model = SurrogateModel(kernel, 0.02, n_outputs, grid=grid)
+        merged_revisits = new_after_merged = 0
+        for step, (index, values) in enumerate(zip(indices, targets.T)):
+            rows = run_rows(model)
+            if step and index != indices[step - 1]:
+                earlier = rows[rows[:, 0] == index]
+                merged_revisits += bool(len(earlier)) and earlier[-1, 1] > 1
+                new_after_merged += not len(earlier) and rows[-1, 1] > 1
+            model = model.with_observation(index, values)
+            if model.t % 10 and model.t < 140:
+                continue
+            means, std = model.posterior()
+            ref_means, ref_std, ref_gain = dense_repeated_input_solve(model)
+            assert np.max(np.abs(means - ref_means)) <= 1e-10
+            assert np.max(np.abs(std - ref_std)) <= 1e-12
+            assert model.log_det_information_gain() == pytest.approx(ref_gain, rel=1e-10)
+            assert_matches_fresh_factorization(model)
+        rows = run_rows(model)
+        assert rows[:, 1].sum() == model.t == 150 and _GROWTH < len(rows) < 120
+        assert merged_revisits > 0 and new_after_merged > 0
+        assert model.indices.tolist() == indices
+        assert np.array_equal(model.targets, targets)
+
+    def test_sibling_branches_off_a_merged_row_leave_the_parent_unchanged(self, kernel, rng):
+        grid = grid_points(1, 50)
+        parent = SurrogateModel(kernel, 0.01, 2, grid=grid)
+        for index in (3, 7, 7, 3, 12, 12, 12):
+            parent = parent.with_observation(index, rng.standard_normal(2))
+        assert run_rows(parent)[:, 1].tolist() == [1.0, 2.0, 1.0, 3.0]
+        before = carried_state(parent)
+        # A repeat, a revisit of a merged row, a new point, another repeat.
+        branches = [(12, [0.5, -1.0]), (7, [1.0, 2.0]), (30, [-0.5, 0.0]), (12, [2.0, 1.0])]
+        children, states = [], []
+        for index, values in branches:
+            children.append(parent.with_observation(index, values))
+            states.append(carried_state(children[-1]))
+            assert_unchanged(parent, before)
+        # The first repeat's child commits its merged row where a sibling
+        # already committed the parent's.
+        grandchild = children[0].with_observation(40, [0.0, 1.0])
+        assert grandchild._proj_blocks.blocks[0] is not children[2]._proj_blocks.blocks[0]
+        assert_unchanged(parent, before)
+        for child, state in zip(children, states):
+            assert_unchanged(child, state)
+            assert_matches_fresh_factorization(child)
+        assert run_rows(children[0])[-1, 1] == run_rows(children[3])[-1, 1] == 4.0
+        assert run_rows(grandchild)[:, 1].tolist() == [1.0, 2.0, 1.0, 4.0, 1.0]
+        assert_matches_fresh_factorization(grandchild)
+
+    def test_an_immediate_repeat_calls_no_kernel_and_adds_no_row(self, kernel, rng, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2].shape[0])
+            return pairwise(*args, **kwargs)
+
+        monkeypatch.setattr("safebo.gp.pairwise", counted)
+        model = SurrogateModel(kernel, 0.01, 1, grid=grid_points(1, 30))
+        for index in (4, 9):
+            model = model.with_observation(index, rng.standard_normal(1))
+        assert calls == [30, 30]
+        for _ in range(40):
+            repeat = model.with_observation(9, rng.standard_normal(1))
+            assert repeat._proj_blocks is model._proj_blocks and repeat._rows is model._rows
+            assert projection_of(repeat).shape == (2, 30) and repeat.t == model.t + 1
+            model = repeat
+        assert calls == [30, 30] and model.indices.tolist() == [4] + [9] * 41
+
+    @pytest.mark.parametrize("n_outputs", [1, 2])
+    def test_a_chain_without_immediate_repeats_keeps_the_bits_of_a_row_per_observation(
+        self, n_outputs, kernel, rng
+    ):
+        # New points and revisits, never the point just appended: r = t,
+        # and every carried bit is the one-row-per-observation border's.
+        grid = grid_points(1, 40)
+        indices = [int(i) for i in np.cumsum(rng.integers(1, 40, size=150)) % 40]
+        targets = rng.standard_normal((n_outputs, 150))
+        model = SurrogateModel(kernel, 0.01, n_outputs, grid=grid)
+        for index, values in zip(indices, targets.T):
+            model = model.with_observation(index, values)
+        means, var, proj, pivots = bordered_per_observation(kernel, 0.01, grid, indices, targets)
+        assert np.array_equal(model.posterior()[0], means) and np.array_equal(model._var, var)
+        assert np.array_equal(projection_of(model), proj)
+        assert np.array_equal(run_rows(model)[:, -1], pivots)
+        assert model.log_det_information_gain() == 0.5 * (
+            2.0 * float(np.log(pivots).sum()) - 150 * np.log(0.01)
+        )

@@ -473,6 +473,18 @@ class TestRunExperiment:
         text = (tmp_path / "summary.json").read_text(encoding="utf-8")
         summary = json.loads(text, parse_constant=reject)
         assert [run["final_best_lower"] for run in summary["runs"]] == [None, None]
+        assert [run["distinct_points"] for run in summary["runs"]] == [0, 0]
+
+    def test_summary_counts_the_distinct_points_each_run_evaluated(self):
+        # paper-synthetic-2 seed 0 never leaves its start point in scenario
+        # mode; its classic run explores.
+        config = ExperimentConfig.from_preset("paper-synthetic-2", {"seeds": [0]})
+        result = run_experiment(config)
+        counts = {run["beta_mode"]: run["distinct_points"] for run in result.summary["runs"]}
+        for trace in result.traces:
+            distinct = len({record.point for record in trace.records})
+            assert counts[trace.beta_mode] == distinct
+        assert counts["scenario"] == 1 < counts["classic_subgaussian"]
 
     def test_parallel_matches_serial(self):
         config = tiny_config()

@@ -4,8 +4,10 @@
 workloads, so a rename there would break the gate with nothing else
 failing; ``large_grid.py`` runs its child program from a string.  Both
 scripts' output is compared with ``scripts/gate_digests.json``: the 36
-gate files on every run, the three large-grid runs (about 16 s) only
-under ``pytest -m large_grid``.
+gate files and the 24 runs' decisions on every run, from one battery
+run, and the three large-grid runs (about 16 s) only under
+``pytest -m large_grid``.  The bytes hold on the recorded build; the
+decisions on every build.
 """
 
 import importlib.util
@@ -72,13 +74,72 @@ def test_build_fingerprint_names_dispatch_targets_and_blas_core(monkeypatch):
         assert gate.build_fingerprint()["openblas_core"] == "unknown"
 
 
-def test_gate_batteries_emit_the_recorded_bytes():
-    actual, recorded = load_script("gate_digests").digests(), RECORDED["batteries"]
+@pytest.fixture(scope="module")
+def gate_record():
+    """The 24 gate runs' digests and decisions, from one battery run."""
+    return load_script("gate_digests").run_gates()
+
+
+def test_gate_batteries_emit_the_recorded_bytes(gate_record):
+    actual, recorded = gate_record[0], RECORDED["batteries"]
     assert len(recorded) == 36
     differing = sorted(
         name for name in actual.keys() | recorded.keys() if actual.get(name) != recorded.get(name)
     )
     assert not differing, differing_message(differing)
+
+
+def test_gate_batteries_keep_the_recorded_decisions(gate_record):
+    # Unlike the bytes, these hold across BLAS kernels and numpy's SIMD
+    # levels; CI also runs this test under another OpenBLAS kernel.
+    recorded = RECORDED["decisions"]
+    assert len(recorded) == 24
+    differing = load_script("gate_digests").decision_differences(gate_record[1], recorded)
+    assert not differing, differing_message(differing)
+
+
+def test_decision_check_flags_a_changed_step_and_allows_only_the_known_tie():
+    gate = load_script("gate_digests")
+    recorded = RECORDED["decisions"]
+    assert gate.decision_differences(recorded, recorded) == []
+    (tie, step), = gate.KNOWN_TIES.items()
+    for name, index, expected in (
+        ("heavy-tail-1d/run_s0_scenario", 0, ["differs from step 1"]),
+        ("two-output-2d/run_s1_scenario", 150, ["differs from step 151"]),
+        (tie, step - 2, [f"differs from step {step - 1}"]),
+        (tie, step - 1, []),
+        (tie, 150, []),
+    ):
+        changed = json.loads(json.dumps(recorded))
+        changed[name]["points"][index] += 1
+        assert gate.decision_differences(changed, recorded) == [
+            f"{name}: {message}" for message in expected
+        ]
+    # A run cut short differs at the step after its last.
+    changed = json.loads(json.dumps(recorded))
+    run = changed["wide-grid-1d/run_s0_scenario"]
+    run["scenarios"].pop()
+    assert gate.decision_differences(changed, recorded) == [
+        f"wide-grid-1d/run_s0_scenario: differs from step {len(run['scenarios']) + 1}"
+    ]
+    # The floats: within the tolerance, and beyond it.
+    for key, at in (("final_betas", 0), ("final_best_lower", None)):
+        for scale, expected in ((1.0 + gate.DECISION_RTOL / 10, 0), (1.0 + gate.DECISION_RTOL * 10, 1)):
+            changed = json.loads(json.dumps(recorded))
+            run = changed["paper-synthetic-1/s0/run_s0_classic_subgaussian"]
+            if at is None:
+                run[key] *= scale
+            else:
+                run[key][at] *= scale
+            assert len(gate.decision_differences(changed, recorded)) == expected
+    changed = json.loads(json.dumps(recorded))
+    changed["synthetic-2d/s0/run_s0_scenario"]["termination"] = "width_below_delta"
+    del changed["heavy-tail-1d/run_s2_classic_subgaussian"]
+    assert gate.decision_differences(changed, recorded) == [
+        "heavy-tail-1d/run_s2_classic_subgaussian: not run",
+        "synthetic-2d/s0/run_s0_scenario: termination 'width_below_delta', "
+        "recorded 'max_iterations'",
+    ]
 
 
 @pytest.mark.large_grid
@@ -87,8 +148,7 @@ def test_large_grid_runs_emit_the_recorded_bytes(monkeypatch):
     src = str(Path(safebo.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     monkeypatch.setenv("PYTHONPATH", path)
-    keys = ("resolution", "seed", "max_iterations", "final_safe_size", "csv_sha256")
-    actual = [{key: result[key] for key in keys} for result in load_script("large_grid").results()]
+    actual = load_script("gate_digests").large_grid_entries()
     differing = [
         f"{run['resolution']}^2 seed {run['seed']}"
         for run, recorded in zip(actual, RECORDED["large_grid"], strict=True)
