@@ -11,13 +11,9 @@ from safebo.harness import run_experiment, run_single
 from safebo.kernels import FAMILIES, pairwise
 
 
-def gram_of_points(kernel, points):
-    return pairwise(kernel, points, points)
-
-
 def gram_of(model):
     """The model's Gram matrix, assembled from its evaluated points, one per observation."""
-    return gram_of_points(model.kernel, model.inputs)
+    return pairwise(model.kernel, model.inputs, model.inputs)
 
 
 def projection_of(model):
@@ -329,7 +325,7 @@ def fresh_projection(model):
     of the runs' system ``K + reg C^{-1}``, one row per run of repeats."""
     rows, k = run_rows(model), model.n_outputs
     inputs = model.grid[rows[:, 0].astype(np.intp)]
-    shifted = gram_of_points(model.kernel, inputs) + np.diag(model.regularization / rows[:, 1])
+    shifted = pairwise(model.kernel, inputs, inputs) + np.diag(model.regularization / rows[:, 1])
     chol = cholesky(shifted, lower=True)
     proj = solve_triangular(chol, pairwise(model.kernel, inputs, model.grid), lower=True)
     return proj, solve_triangular(chol, rows[:, 2 : k + 2], lower=True)
@@ -652,8 +648,7 @@ class TestRevisitAppend:
         # block first; a chain that never branched writes in place.  Both
         # must hold the same bits.
         grid = grid_points(1, 60)
-        indices = np.cumsum(rng.integers(1, 60, size=t)) % 60
-        indices = indices.tolist()
+        indices = (np.cumsum(rng.integers(1, 60, size=t)) % 60).tolist()
         values = rng.standard_normal((t + 2, 2))
         parent = SurrogateModel(kernel, 0.01, 2, grid=grid)
         for index, value in zip(indices, values):
