@@ -117,9 +117,9 @@ def batteries():
             yield f"{preset}/s{seed}", document
 
 
-def decision(trace, points) -> dict:
-    """What one run decided, with its grid ``points`` to index the acquired ones."""
-    index = {tuple(point): i for i, point in enumerate(points.tolist())}
+def decision(trace, index: dict) -> dict:
+    """What one run decided; ``index`` maps a grid point's coordinates to
+    its grid index."""
     records = trace.records
     return {
         "points": [index[rec.point] for rec in records],
@@ -178,9 +178,10 @@ def run_gates() -> tuple[dict[str, str], dict[str, dict]]:
     for name, document in batteries():
         config = harness.ExperimentConfig.from_dict(document)
         result = harness.run_experiment(config, jobs=1)
-        points = config.build_domain().points
+        points = config.build_domain().points.tolist()
+        index = {tuple(point): i for i, point in enumerate(points)}
         for trace in result.traces:
-            decisions[f"{name}/run_s{trace.seed}_{trace.beta_mode}"] = decision(trace, points)
+            decisions[f"{name}/run_s{trace.seed}_{trace.beta_mode}"] = decision(trace, index)
         with tempfile.TemporaryDirectory() as directory:
             for path in sorted(harness.emit(result, directory)):
                 digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
