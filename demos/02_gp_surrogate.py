@@ -4,7 +4,8 @@ One kernel and one evaluation history serve every output: means differ,
 the posterior standard deviation is shared.  The script also tracks the
 spectral ratio lam_max(K) / (lam_max(K) + reg), the quantity that scales
 the accumulated noise bounds inside the paper's safety multiplier.  The
-loop reads its upper bound F / (F + reg) with F = ||K||_F instead.
+loop reads its upper bound T / (T + reg) instead, with T = tr K =
+t k(a, a), which needs only the number of observations t.
 """
 
 import numpy as np

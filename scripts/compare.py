@@ -7,21 +7,26 @@ For each workload of ``BENCHMARK.json``, in turn, it runs 10 pairs of
 the benchmark's ``run_seconds``, one in each directory, each from that
 directory so that each side imports its own ``src/``.  Odd pairs
 (1-based) run the parent first, even pairs the change.  Then it runs
-``gate_digests.py`` beside this script on each side's ``src/`` and
-reports whether the 36 digests are equal.
+the gate batteries of ``gate_digests.py`` beside this script once per
+side, in a child that imports that side's ``src/``, and reports whether
+the 36 digests are equal and how the change's 24 decision records
+differ from the parent's.
 
 It prints, or writes to ``--out``, a JSON document in the layout of the
-``BENCH_*.json`` records: ``host``, ``command``, ``method``, ``bytes``
-and ``runs``.  ``host`` names the numpy build by ``gate_digests.py``'s
-``build_fingerprint``.  Per workload, ``runs`` gives the pairs, per side
+``BENCH_*.json`` records: ``host``, ``command``, ``method``, ``bytes``,
+``decisions`` and ``runs``.  ``host`` names the numpy build by
+``gate_digests.py``'s ``build_fingerprint``.  Per workload, ``runs`` gives the pairs, per side
 the failed and attempted experiments and the crashed runs (a run that
 exits non-zero or prints no result), whether every run passed
 perfbench's checks, and per end-to-end metric the pairs in which both
 sides report it, both sides' medians and interquartile ranges (25th and
 75th percentiles) over those pairs, ``change_better_pairs`` (pairs the
 change wins in the metric's ``better`` direction; ties count for
-neither) and ``rel_change_pct``, ``(change - parent) / parent`` of the
-medians, and a ``verdict``, the first of these that holds:
+neither), ``rel_change_pct``, ``(change - parent) / parent`` of the
+medians, the median and interquartile range of the same relative change
+taken pair by pair (``pair_rel_change_pct_median`` and ``_iqr``), which
+host load that drifts across the pairs does not widen, and a
+``verdict``, the first of these that holds:
 
 * ``gain``: the change wins at least 9 of every 10 compared pairs, and
   its median is better than the parent's by more than the parent's
@@ -56,11 +61,24 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 SIDES = ("parent", "change")
 PAIRS = 10
 SECONDS = float(BENCHMARK["run_seconds"])
+GATE = ROOT / "scripts" / "gate_digests.py"
 
 
 def order(pair: int) -> tuple[str, str]:
     """The sides of 1-based ``pair`` in the order they run."""
     return SIDES if pair % 2 else SIDES[::-1]
+
+
+# Runs the gate batteries of the gate_digests.py named by argv[1] and
+# prints their record, on the safebo that PYTHONPATH names.
+GATE_CHILD = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("gate_digests", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+digests, decisions = module.run_gates()
+json.dump({"batteries": digests, "decisions": decisions}, sys.stdout)
+"""
 
 
 def run_once(directory: Path, workload: str) -> dict:
@@ -108,7 +126,9 @@ def summarize(results: dict[str, list[dict]], metrics: list[dict]) -> dict:
     ``results[side][i]`` is that side's result in pair ``i``; ``metrics``
     are ``BENCHMARK.json``'s end-to-end entries, with their ``better``
     direction and ``bound``.  A metric is compared over the pairs in
-    which both sides report it.
+    which both sides report it.  A relative change from a parent of 0
+    is 0 when the change is 0 too and undefined otherwise, and a paired
+    figure with an undefined pair is ``None``.
     """
     parent, change = results["parent"], results["change"]
     entry = {
@@ -133,6 +153,12 @@ def summarize(results: dict[str, list[dict]], metrics: list[dict]) -> dict:
             rel = round(100.0 * (c_med - p_med) / p_med, 1)
         else:
             rel = 0.0 if c_med == p_med else None
+        paired = [(c - p) / p if p else 0.0 if c == p else None for p, c in pairs]
+        if None in paired:
+            pair_median = pair_iqr = None
+        else:
+            pair_median = round(100.0 * statistics.median(paired), 2)
+            pair_iqr = [round(100.0 * q, 2) for q in _quartiles(paired)]
         entry[name] = {
             "pairs": len(pairs),
             "parent_median": round(p_med, 6),
@@ -141,29 +167,46 @@ def summarize(results: dict[str, list[dict]], metrics: list[dict]) -> dict:
             "change_iqr": [round(q, 6) for q in _quartiles(after)],
             "change_better_pairs": sum(sign * (c - p) > 0 for p, c in pairs),
             "rel_change_pct": rel,
+            "pair_rel_change_pct_median": pair_median,
+            "pair_rel_change_pct_iqr": pair_iqr,
             "verdict": verdict(before, after, metric["better"], metric["bound"]),
         }
     return entry
 
 
-def build_fingerprint() -> dict:
-    """``gate_digests.py``'s fingerprint of this interpreter's numpy build."""
-    path = ROOT / "scripts" / "gate_digests.py"
-    spec = importlib.util.spec_from_file_location("gate_digests", path)
+def gate_script():
+    """``gate_digests.py`` beside this script, as a module; it needs numpy only."""
+    spec = importlib.util.spec_from_file_location("gate_digests", GATE)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.build_fingerprint()
+    return module
 
 
-def gate_digests(directory: Path) -> dict[str, str]:
-    """The 36 gate digests of ``directory``'s package, from the gate record
-    ``gate_digests.py`` prints."""
+def gate_record(directory: Path) -> dict:
+    """``directory``'s gate batteries, run once in a child that imports its
+    ``src/``: ``{"batteries": digests, "decisions": decision records}``."""
     env = {**os.environ, "PYTHONPATH": str(directory / "src")}
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "gate_digests.py")],
+        [sys.executable, "-c", GATE_CHILD, str(GATE)],
         env=env, capture_output=True, text=True, check=True,
     )
-    return json.loads(done.stdout)["batteries"]
+    return json.loads(done.stdout)
+
+
+def gate_report(parent: dict, change: dict) -> tuple[dict, dict]:
+    """The ``bytes`` and ``decisions`` entries from both sides' gate records:
+    the digests that differ, and the change's decision records against
+    the parent's as ``decision_differences`` reads them, which holds
+    across numpy and BLAS builds where the bytes need not."""
+    digests = parent["batteries"], change["batteries"]
+    differing = sorted(
+        k for k in digests[0].keys() | digests[1].keys() if digests[0].get(k) != digests[1].get(k)
+    )
+    differences = gate_script().decision_differences(change["decisions"], parent["decisions"])
+    return (
+        {"gate_digests": len(digests[1]), "equal": not differing, "differing": differing},
+        {"runs": len(change["decisions"]), "equal": not differences, "differences": differences},
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -186,17 +229,13 @@ def main(argv: list[str] | None = None) -> int:
             print(f"# {workload}: pair {pair} of {PAIRS} done", file=sys.stderr)
         runs[workload] = summarize(results, BENCHMARK["end_to_end"])
 
-    digests = {side: gate_digests(dirs[side]) for side in SIDES}
-    differing = sorted(
-        k for k in set(digests["parent"]) | set(digests["change"])
-        if digests["parent"].get(k) != digests["change"].get(k)
-    )
+    gate_bytes, decisions = gate_report(*(gate_record(dirs[side]) for side in SIDES))
     document = {
         "host": {
             "cores": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "build": build_fingerprint(),
+            "build": gate_script().build_fingerprint(),
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset (inherited)"),
         },
         "command": command,
@@ -206,16 +245,17 @@ def main(argv: list[str] | None = None) -> int:
             "parent first. Medians over the pairs in which both sides report the metric; "
             "parent_iqr/change_iqr are the 25th and 75th percentiles of each side's runs over "
             "those pairs; change_better_pairs counts pairs the change wins (ties count for "
-            "neither); rel_change_pct is (change - parent) / parent of the medians; verdict is "
+            "neither); rel_change_pct is (change - parent) / parent of the medians; "
+            "pair_rel_change_pct_median/_iqr are the median and the 25th and 75th percentiles "
+            "of that relative change taken pair by pair; verdict is "
             "gain (at least 9/10 pairs won and a median gap wider than the parent's IQR), "
             "worse (median worse by more than the metric's bound), unresolved (parent IQR "
-            "wider than the bound) or within_bound, the first that holds."
+            "wider than the bound) or within_bound, the first that holds. The gate batteries "
+            "run once per side; decisions lists the change's decision records that differ "
+            "from the parent's."
         ),
-        "bytes": {
-            "gate_digests": len(digests["change"]),
-            "equal": not differing,
-            "differing": differing,
-        },
+        "bytes": gate_bytes,
+        "decisions": decisions,
         "runs": {f"seconds{SECONDS:g}": runs},
     }
     text = json.dumps(document, indent=2) + "\n"

@@ -141,10 +141,10 @@ def _first_step(mine: list, theirs: list) -> int:
 def decision_differences(actual: dict, recorded: dict) -> list[str]:
     """One line per run whose decisions differ from the record.
 
-    Steps, termination and violations must be equal; the final
-    multipliers and ``final_best_lower`` equal within ``DECISION_RTOL``.
-    A run of ``KNOWN_TIES`` whose steps first differ at its tie step or
-    later is not a difference.
+    Steps, termination, violations and the number of final multipliers
+    must be equal; the final multipliers and ``final_best_lower`` equal
+    within ``DECISION_RTOL``.  A run of ``KNOWN_TIES`` whose steps first
+    differ at its tie step or later is not a difference.
     """
     out = []
     for name in sorted(actual.keys() | recorded.keys()):
@@ -163,9 +163,12 @@ def decision_differences(actual: dict, recorded: dict) -> list[str]:
         for key in ("termination", "violations"):
             if mine[key] != theirs[key]:
                 out.append(f"{name}: {key} {mine[key]!r}, recorded {theirs[key]!r}")
+        counts = len(mine["final_betas"]), len(theirs["final_betas"])
         floats = zip(mine["final_betas"] + [mine["final_best_lower"]],
-                     theirs["final_betas"] + [theirs["final_best_lower"]], strict=True)
-        if not all(math.isclose(a, b, rel_tol=DECISION_RTOL, abs_tol=0.0) for a, b in floats):
+                     theirs["final_betas"] + [theirs["final_best_lower"]])
+        if counts[0] != counts[1]:
+            out.append(f"{name}: {counts[0]} final betas, recorded {counts[1]}")
+        elif not all(math.isclose(a, b, rel_tol=DECISION_RTOL, abs_tol=0.0) for a, b in floats):
             out.append(f"{name}: final betas or best lower beyond a relative {DECISION_RTOL:g}")
     return out
 

@@ -134,7 +134,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     config = _load_config(args)
-    out = args.out or Path("results") / config.name
+    out = args.out
+    if out is None:
+        # The name must stay one directory below results/.
+        if config.name in ("", ".", "..") or Path(config.name).name != config.name:
+            raise ConfigError(
+                f"name {config.name!r} is not a plain directory name under results/;"
+                " pass --out to write elsewhere"
+            )
+        out = Path("results") / config.name
     result = run_experiment(config, jobs=args.jobs)
     paths = emit(result, out)
     for mode, stats in result.summary["aggregate"].items():

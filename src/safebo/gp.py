@@ -36,7 +36,9 @@ pivot ``sqrt(k(a, a) + reg / c - w w)``, ``z_r`` from the new mean,
 no row to ``P`` and copies nothing of length ``t``.  A history with no
 immediate repeat borders exactly as one row per observation would.
 
-So the last row is held apart from the rest, which no append changes.
+So the last run's row is held apart from the rest, which no append
+changes.  Its row of ``P`` is not stored until the next run commits
+it, as ``rho / pivot``: the division its append made for the posterior.
 ``P`` is held in fixed blocks of 64 rows.  Full blocks are shared along
 a chain of appends and never written again; an append that starts a
 run writes the previous last row into the last block, copying only that
@@ -47,11 +49,12 @@ per block, in block order.  The rows per run (grid index, count, mean
 targets, ``z`` and the pivot, the diagonal of ``L`` kept for the
 log-determinant) are one small read-only array, which an append that
 starts a run copies into a new one a row longer, as it does the grid
-posterior.  The observations themselves, one per append in time order,
-are a linked log that an append extends in ``O(1)``; :attr:`indices`,
-:attr:`inputs` and :attr:`targets` read it.  The Gram matrix is not
-carried: the spectral ratio the loop reads is bounded through
-``lam <= ||K||_F <= tr K = t k(a, a)``, which needs only ``t``.
+posterior.  Nothing is kept per observation: the runs are the history.
+:attr:`indices` decodes them, each run's grid index repeated by its
+count, and the observed values stay with the caller.  The Gram matrix
+is not carried: the spectral ratio the loop reads is bounded through
+``lam <= ||K||_F <= tr K = t k(a, a)``, which needs only ``t``, and
+:meth:`xi_lambda_max` solves the ``r x r`` matrix of the runs.
 """
 
 from __future__ import annotations
@@ -104,16 +107,14 @@ class SurrogateModel:
 
         self.t = 0
         k, n = self.n_outputs, self.grid.shape[0]
-        # Observations, newest first: (older log, grid index, values) or None.
-        self._log = None
         # One row per run but the last: [grid index | count | means | z | pivot],
         # pivots the diagonal of L.
         self._rows = _frozen(np.zeros((0, 2 * k + 3)))
         self._z_cols = slice(k + 2, 2 * k + 2)
         self._proj_blocks = _Blocks(n)
-        # The last run's row, a tuple laid out as the rows, and its row of P;
-        # None with no observations.
-        self._last = self._last_p = None
+        # The last run's row, a tuple laid out as the rows; None with no
+        # observations.  Its row of P is written when the next run commits it.
+        self._last = None
         # What bordered the last row, whatever its count: the residual
         # rho = k(a, grid) - w P, w.w, w z, and the grid posterior without it.
         self._border = None
@@ -121,30 +122,17 @@ class SurrogateModel:
         self._means = _frozen(np.zeros((self.n_outputs, n)))
         self._var = _frozen(np.full(n, float(kernel.output_scale)))
 
-    def _observations(self) -> list:
-        """``(grid index, values)`` per observation, oldest first."""
-        out, node = [], self._log
-        while node is not None:
-            node, index, values = node
-            out.append((index, values))
-        out.reverse()
-        return out
-
     @property
     def indices(self) -> np.ndarray:
-        """``(t,)`` grid indices of the evaluated points, one per observation."""
-        return np.array([index for index, _ in self._observations()], dtype=np.intp)
+        """``(t,)`` grid indices of the evaluated points, one per observation
+        in time order: each run's index repeated by its count."""
+        rows = self._run_rows()
+        return np.repeat(rows[:, 0].astype(np.intp), rows[:, 1].astype(np.intp))
 
     @property
     def inputs(self) -> np.ndarray:
         """``(t, d)`` evaluated points, read-only."""
         return _frozen(self.grid[self.indices])
-
-    @property
-    def targets(self) -> np.ndarray:
-        """``(n_outputs, t)`` observed values, read-only."""
-        values = [values for _, values in self._observations()]
-        return _frozen(np.array(values, dtype=float).reshape(self.t, self.n_outputs).T)
 
     def _run_rows(self) -> np.ndarray:
         """The ``(r, 2k+3)`` rows of every run, the last one included."""
@@ -155,7 +143,6 @@ class SurrogateModel:
     def with_observation(self, index: int, values: np.ndarray) -> "SurrogateModel":
         """New model with grid point ``index`` evaluated, one value per output.
 
-        The observation is logged, and then one of two cases follows.
         An ``index`` equal to the last one extends the last run: its row
         takes count ``c + 1`` and the new mean target, and is rewritten
         from what bordering it kept, ``w w``, ``w z``, the residual
@@ -172,10 +159,11 @@ class SurrogateModel:
         ``lam <= ||K||_F <= tr K = t k(a, a)``, from ``t`` alone.  An
         index that is not an integer in ``[0, n)``, such as a bool, a
         float or a negative one, raises ``ValueError`` instead of
-        wrapping around.  The committed row is written in place in the
-        child's blocks: shared blocks are written where no other model
-        reads the row; otherwise only the partial last block is copied
-        first.
+        wrapping around.  The committed row's ``P`` row, ``rho / pivot``,
+        is written in place in the child's blocks: shared blocks are
+        written where no other model reads the row; otherwise only the
+        partial last block is copied first.  Of the values, only the
+        run's mean is kept.
         """
         n, k = self.grid.shape[0], self.n_outputs
         if not is_integer(index) or not 0 <= index < n:
@@ -190,7 +178,6 @@ class SurrogateModel:
         child = object.__new__(type(self))
         child.__dict__ = self.__dict__.copy()
         child.t = self.t + 1
-        child._log = (self._log, index, targets)
         # Per-output arithmetic is on Python floats, rounded as numpy's.
         if last is not None and last[0] == index:
             # An immediate repeat: the last run takes one more observation.
@@ -206,7 +193,7 @@ class SurrogateModel:
         pivot = math.sqrt(max(float(self.kernel.output_scale) + noise - ww, noise * 1e-12))
         z_row = [(m - c) / pivot for m, c in zip(mean, wz)]
         p_row = rho / pivot
-        child._last, child._last_p = (index, count, *mean, *z_row, pivot), _frozen(p_row)
+        child._last = (index, count, *mean, *z_row, pivot)
         # The grid-length rows are updated in place of temporaries.
         means = np.multiply.outer(z_row, p_row)
         means += base_means
@@ -223,7 +210,8 @@ class SurrogateModel:
         if self._last is not None:
             r = rows.shape[0] + 1
             child._proj_blocks, slot = self._proj_blocks.extended(r - 1)
-            slot[:] = self._last_p
+            # The last run's row of P, the division its append made.
+            np.divide(self._border[0], self._last[-1], out=slot)
             rows = np.empty((r, rows.shape[1]))
             rows[: r - 1] = self._rows
             rows[r - 1] = self._last
@@ -267,17 +255,23 @@ class SurrogateModel:
         """Largest eigenvalue of ``K (K + reg I)^{-1}``, exactly.
 
         Computed through the closed form ``lam / (lam + reg)`` where
-        ``lam`` is the top eigenvalue of the Gram matrix; both matrices
-        share eigenvectors, so the spectra map through that scalar
-        function.  The Gram matrix is assembled from the evaluated
-        points on each call and handed to a dense eigensolver, so this
-        is for inspection; the loop reads :meth:`xi_trace`.
-        Returns 0 with an empty history.
+        ``lam`` is the top eigenvalue of the ``t x t`` Gram matrix; both
+        matrices share eigenvectors, so the spectra map through that
+        scalar function.  The observations of a run share an input, so
+        ``K_t = E K_r E^T`` for the runs' ``r x r`` Gram ``K_r`` and the
+        ``t x r`` indicator ``E`` of runs, with ``E^T E = C`` their
+        counts; ``C^(1/2) K_r C^(1/2)`` has the same nonzero spectrum.
+        That matrix is assembled on each call and handed to a dense
+        eigensolver, so this is for inspection; the loop reads
+        :meth:`xi_trace`.  Returns 0 with an empty history.
         """
         if self.t == 0:
             return 0.0
-        inputs = self.inputs
-        lam = float(np.linalg.eigvalsh(pairwise(self.kernel, inputs, inputs))[-1])
+        rows = self._run_rows()
+        runs = self.grid[rows[:, 0].astype(np.intp)]
+        root = np.sqrt(rows[:, 1])
+        scaled = root[:, None] * pairwise(self.kernel, runs, runs) * root
+        lam = float(np.linalg.eigvalsh(scaled)[-1])
         return lam / (lam + self.regularization)
 
     def xi_trace(self) -> float:

@@ -592,21 +592,22 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Run the full seed battery in every enabled multiplier mode.
 
-    ``jobs`` > 1 fans runs out to worker processes; results are merged
-    back in (seed, mode) order either way, so parallelism never changes
-    the output.  ``jobs`` that is not an integer, or below 1, raises
-    ``ValueError``.
+    ``jobs`` > 1 fans runs out to worker processes, no more of them than
+    runs; results are merged back in (seed, mode) order either way, so
+    parallelism never changes the output.  ``jobs`` that is not an
+    integer, or below 1, raises ``ValueError``.
     """
     if not is_integer(jobs):
         raise ValueError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    runs = _battery(config)
-    if jobs > 1 and len(config.seeds) * len(config.beta_modes) > 1:
+    runs, count = _battery(config), len(config.seeds) * len(config.beta_modes)
+    if jobs > 1 and count > 1:
         # Imported here: a one-process run does not pay for the pool.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool forks every worker at the first submit, used or not.
+        with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
             traces = tuple(pool.map(_run, *zip(*runs)))
     else:
         traces = tuple(_run(*run) for run in runs)

@@ -92,6 +92,30 @@ def test_subcommand_rejects_flags_it_does_not_read(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["/tmp/x", "../x", "a/b", "", ".", ".."])
+def test_run_keeps_the_default_output_under_results(name, tmp_path, monkeypatch, capsys):
+    # Without --out a run writes to results/<name>: a name that is not one
+    # plain path component would land elsewhere, so it is a config error.
+    monkeypatch.chdir(tmp_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(tiny_document(name=name)))
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert f"name {name!r} is not a plain directory name" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
+    # With --out the name only labels the run.
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    assert (out_dir / "summary.json").exists()
+
+
+def test_run_writes_under_results_by_default(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(tiny_document()))
+    assert main(["run", "--config", str(config_path)]) == 0
+    assert (tmp_path / "results" / "cli-tiny" / "summary.json").exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_run_rejects_a_worker_count_below_one(jobs, tmp_path, capsys):
     out_dir = tmp_path / "out"

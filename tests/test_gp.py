@@ -11,17 +11,15 @@ from safebo.harness import run_experiment, run_single
 from safebo.kernels import FAMILIES, pairwise
 
 
-def gram_of(model):
-    """The model's Gram matrix, assembled from its evaluated points, one per observation."""
-    return pairwise(model.kernel, model.inputs, model.inputs)
-
-
 def projection_of(model):
     """The model's carried projection ``P``, one row per run: the committed
-    rows stacked from its blocks into a fresh array, then the last run's."""
+    rows stacked from its blocks into a fresh array, then the last run's,
+    ``rho / pivot`` as its commit will write it."""
     r, blocks = model._rows.shape[0], model._proj_blocks.blocks
     committed = np.concatenate(blocks)[:r] if blocks else np.zeros((0, model.grid.shape[0]))
-    return committed if model._last_p is None else np.vstack([committed, model._last_p])
+    if model._last is None:
+        return committed
+    return np.vstack([committed, model._border[0] / model._last[-1]])
 
 
 def run_rows(model):
@@ -99,8 +97,9 @@ class TestPosterior:
     def test_cached_factor_reproduces_shifted_gram(self, kernel, rng):
         # The carried columns W = L^-1 K(X, x_j) at the observed points
         # satisfy W^T W = K (K + reg I)^-1 K.
-        model = build_model(kernel, 0.01, rng.uniform(0, 1, (10, 1)), rng.standard_normal((1, 10)))
-        gram, carried = gram_of(model), projection_of(model)[:, model.indices]
+        inputs = rng.uniform(0, 1, (10, 1))
+        model = build_model(kernel, 0.01, inputs, rng.standard_normal((1, 10)))
+        gram, carried = pairwise(kernel, inputs, inputs), projection_of(model)[:, :10]
         shifted = gram + 0.01 * np.eye(model.t)
         assert np.linalg.norm(carried.T @ carried - gram @ np.linalg.solve(shifted, gram)) < 1e-8
         sign, log_det = np.linalg.slogdet(np.eye(model.t) + gram / 0.01)
@@ -186,7 +185,8 @@ class TestXiLambdaMax:
             reg = float(rng.uniform(1e-3, 1.0))
             inputs = rng.uniform(0, 1, size=(t, 1))
             model = build_model(k, reg, inputs, np.zeros((1, t)))
-            assembled = gram_of(model) @ np.linalg.inv(gram_of(model) + reg * np.eye(t))
+            gram = pairwise(k, inputs, inputs)
+            assembled = gram @ np.linalg.inv(gram + reg * np.eye(t))
             reference = float(np.max(np.real(np.linalg.eigvals(assembled))))
             assert model.xi_lambda_max() == pytest.approx(reference, abs=1e-10)
 
@@ -308,7 +308,7 @@ class TestLogDetInformationGain:
             k = Kernel(lengthscale=float(rng.uniform(0.1, 1.0)))
             inputs = rng.uniform(0, 1, size=(t, 2))
             model = build_model(k, reg, inputs, np.zeros((1, t)))
-            sign, logdet = np.linalg.slogdet(np.eye(t) + gram_of(model) / reg)
+            sign, logdet = np.linalg.slogdet(np.eye(t) + pairwise(k, inputs, inputs) / reg)
             assert sign == 1.0
             assert model.log_det_information_gain() == pytest.approx(
                 0.5 * logdet, abs=1e-8
@@ -334,12 +334,14 @@ def fresh_projection(model):
 def ill_conditioned_chain(kernel, rng, appends):
     """Two-output model on a 200-point grid at reg 1e-3 in which every
     other append repeats one point, so the Gram is far from diagonal and
-    badly conditioned."""
+    badly conditioned; with the history it appended, ``(indices, targets)``."""
     model = SurrogateModel(kernel, 1e-3, 2, grid=grid_points(1, 200))
+    indices, targets = [], []
     for step in range(appends):
-        index = 100 if step % 2 else int(rng.integers(200))
-        model = model.with_observation(index, rng.standard_normal(2))
-    return model
+        indices.append(100 if step % 2 else int(rng.integers(200)))
+        targets.append(rng.standard_normal(2))
+        model = model.with_observation(indices[-1], targets[-1])
+    return model, (indices, np.array(targets).T)
 
 
 class TestGridBoundPosterior:
@@ -369,7 +371,7 @@ class TestGridBoundPosterior:
             assert np.max(np.abs(std[:n] - ref_std)) <= 1e-8
 
     def test_carried_projection_matches_fresh_factorization_on_a_long_chain(self, kernel, rng):
-        model = ill_conditioned_chain(kernel, rng, 400)
+        model, _ = ill_conditioned_chain(kernel, rng, 400)
         proj, z = fresh_projection(model)
         assert np.max(np.abs(projection_of(model) - proj)) <= 1e-10
         # z = L^{-1} y reaches about 1 / sqrt(reg) in size, so its error
@@ -383,10 +385,10 @@ class TestGridBoundPosterior:
         # Against the dense solve, the carried sums and the products they
         # replace are both off by 1.8e-11 in the means and 1.5e-13 in the
         # std, about a fifth of the tolerances below.
-        model = ill_conditioned_chain(kernel, rng, 420)
+        model, (indices, targets) = ill_conditioned_chain(kernel, rng, 420)
         means, std = model.posterior()
         ref_means, ref_std = dense_posterior_reference(
-            kernel, model.inputs, model.targets, model.grid, model.regularization
+            kernel, model.grid[indices], targets, model.grid, model.regularization
         )
         assert np.max(np.abs(means - ref_means)) <= 1e-10
         assert np.max(np.abs(std - ref_std)) <= 1e-12
@@ -410,9 +412,8 @@ class TestGridBoundPosterior:
         # Every model still reads its own history from the shared blocks.
         proj = projection_of(model)
         for m in chain:
-            assert m.inputs.shape == (m.t, 1) and m.targets.shape == (2, m.t)
+            assert m.indices.tolist() == list(range(m.t)) and m.inputs.shape == (m.t, 1)
             assert np.array_equal(m.inputs, model.inputs[: m.t])
-            assert np.array_equal(m.targets, model.targets[:, : m.t])
             assert np.array_equal(projection_of(m), proj[: m.t])
 
     def test_peak_memory_is_the_live_projection_plus_one_block(self, kernel, rng):
@@ -461,13 +462,14 @@ class TestGridBoundPosterior:
             assert calls == expected
         assert later_revisits > 0 and len(calls) == len(set(model.indices.tolist())) < 40 - 10
         # Reading the posterior, the loop's spectral ratio and the gain
-        # evaluates none; the exact ratio assembles the Gram of the 40.
+        # evaluates none; the exact ratio assembles the Gram of the runs.
         model.posterior()
         model.xi_trace()
         model.log_det_information_gain()
         assert calls == expected
         model.xi_lambda_max()
-        assert calls[len(expected) :] == [(40, 40)]
+        runs = len(run_rows(model))
+        assert calls[len(expected) :] == [(runs, runs)] and runs < 40
 
     def test_a_paper_run_evaluates_one_grid_row_per_distinct_point(self, monkeypatch):
         # paper-synthetic-2 seed 0 in scenario mode repeats its start
@@ -520,8 +522,7 @@ class TestGridBoundPosterior:
         # posterior() hands out the carried arrays themselves, so compare
         # against copies.
         before = tuple(np.copy(part) for part in parent.posterior())
-        var, gram = np.copy(parent._var), np.copy(gram_of(parent))
-        inputs, targets = np.copy(parent.inputs), np.copy(parent.targets)
+        var, inputs = np.copy(parent._var), np.copy(parent.inputs)
         proj, rows = projection_of(parent), run_rows(parent)
         committed_rows = parent._rows
         xi_before = parent.xi_lambda_max()
@@ -558,11 +559,9 @@ class TestGridBoundPosterior:
         assert np.array_equal(run_rows(first), first_rows)
         assert np.array_equal(run_rows(second)[: committed + 1], rows)
         assert not np.array_equal(first_proj[-1], projection_of(second)[-1])
-        assert np.array_equal(parent._var, var) and np.array_equal(gram_of(parent), gram)
-        assert np.array_equal(parent.inputs, inputs) and np.array_equal(parent.targets, targets)
-        for model, index, values in ((first, 15, [1.0, -1.0]), (second, 45, [-2.0, 0.5])):
+        assert np.array_equal(parent._var, var) and np.array_equal(parent.inputs, inputs)
+        for model, index in ((first, 15), (second, 45)):
             assert np.array_equal(model.inputs, np.vstack((inputs, grid[index])))
-            assert np.array_equal(model.targets, np.hstack((targets, np.c_[values])))
         assert parent.t == committed + 1 and parent.xi_lambda_max() == xi_before
         assert first.xi_lambda_max() == first_xi
         assert not np.array_equal(first_post[0], second_post[0])
@@ -570,13 +569,22 @@ class TestGridBoundPosterior:
 
 def chain_revisiting(kernel, rng, last_seen, t):
     """Two-output model of ``t`` appends on a 300-point grid: distinct
-    points other than 0, except that row ``last_seen`` evaluates point 0."""
+    points other than 0, except that row ``last_seen`` evaluates point 0;
+    with the history it appended, ``(indices, targets)``."""
     model = SurrogateModel(kernel, 0.01, 2, grid=grid_points(1, 300))
     order = rng.permutation(np.arange(1, 300))[:t]
     order[last_seen] = 0
+    targets = []
     for index in order:
-        model = model.with_observation(int(index), rng.standard_normal(2))
-    return model
+        targets.append(rng.standard_normal(2))
+        model = model.with_observation(int(index), targets[-1])
+    return model, (order.tolist(), np.array(targets).T)
+
+
+def extended(history, index, values):
+    """``(indices, targets)`` of a history with one more observation."""
+    indices, targets = history
+    return indices + [index], np.hstack((targets, np.c_[values]))
 
 
 def carried_state(model):
@@ -589,14 +597,18 @@ def assert_unchanged(model, state):
     assert all(np.array_equal(now, then) for now, then in zip(carried_state(model), state))
 
 
-def assert_matches_fresh_factorization(model):
+def assert_matches_fresh_factorization(model, history):
+    """The carried state against a fresh factorization of the runs, and
+    the posterior against a dense solve of ``history``, the
+    ``(indices, targets)`` the test appended."""
     proj, z = fresh_projection(model)
     assert np.max(np.abs(projection_of(model) - proj)) <= 1e-10
     carried_z = run_rows(model)[:, model._z_cols]
     assert np.max(np.abs(carried_z - z)) <= 1e-11 * np.max(np.abs(z))
     means, std = model.posterior()
+    indices, targets = history
     ref_means, ref_std = dense_posterior_reference(
-        model.kernel, model.inputs, model.targets, model.grid, model.regularization
+        model.kernel, model.grid[indices], targets, model.grid, model.regularization
     )
     assert np.max(np.abs(means - ref_means)) <= 1e-10
     assert np.max(np.abs(std - ref_std)) <= 1e-12
@@ -612,7 +624,7 @@ class TestRevisitAppend:
     )
     def test_sibling_revisits_match_a_fresh_factorization(self, last_seen, t, kernel, rng,
                                                          monkeypatch):
-        parent = chain_revisiting(kernel, rng, last_seen, t)
+        parent, history = chain_revisiting(kernel, rng, last_seen, t)
         before = carried_state(parent)
         columns = []
 
@@ -628,9 +640,9 @@ class TestRevisitAppend:
         second = parent.with_observation(0, [-2.0, 0.5])
         # Neither revisit evaluates the kernel, however far back row s is.
         assert columns == []
-        for model in (first, second):
+        for model, values in ((first, [1.0, -1.0]), (second, [-2.0, 0.5])):
             assert model.t == t + 1 and model.indices[-1] == 0
-            assert_matches_fresh_factorization(model)
+            assert_matches_fresh_factorization(model, extended(history, 0, values))
         assert_unchanged(parent, before)
         assert_unchanged(first, first_state)
         # Both siblings carry the same row t: it does not depend on the values.
@@ -670,8 +682,9 @@ class TestRevisitAppend:
         for mine, theirs in zip(after.posterior(), fresh.posterior()):
             assert np.array_equal(mine, theirs)
         assert run_rows(after)[-2, 1] == 2.0 and after.t == t + 2
-        assert_matches_fresh_factorization(repeat)
-        assert_matches_fresh_factorization(after)
+        history = indices + [indices[-1], (indices[-1] + 2) % 60], values.T
+        assert_matches_fresh_factorization(repeat, (history[0][:-1], history[1][:, :-1]))
+        assert_matches_fresh_factorization(after, history)
 
     @pytest.mark.parametrize(
         "family, scale",
@@ -696,9 +709,11 @@ def grown_models(kernel, reg, points):
 
 
 def assert_spectral_ratios(model, parent_bound=0.0, rtol=1e-10):
-    """The exact ratio matches the assembled ``K (K + reg I)^{-1}``, the
-    trace ratio brackets it, and the bound is no less than the parent's."""
-    gram = gram_of(model)
+    """The exact ratio matches the assembled ``K (K + reg I)^{-1}`` of the
+    points :func:`grown_models` appended, the trace ratio brackets it, and
+    the bound is no less than the parent's."""
+    points = model.grid[: model.t]
+    gram = pairwise(model.kernel, points, points)
     assembled = gram @ np.linalg.inv(gram + model.regularization * np.eye(model.t))
     reference = float(np.max(np.real(np.linalg.eigvals(assembled))))
     assert abs(model.xi_lambda_max() - reference) <= rtol * reference
@@ -820,13 +835,14 @@ def mixed_chain(rng, n_outputs, grid, appends):
     return indices, rng.standard_normal((n_outputs, appends))
 
 
-def dense_repeated_input_solve(model):
+def dense_repeated_input_solve(model, indices, targets):
     """Posterior means, std and information gain from ``scipy``'s Cholesky
-    of the full ``t x t`` system ``K + reg I``, one row per observation."""
-    t, reg = model.t, model.regularization
-    factor = cho_factor(gram_of(model) + reg * np.eye(t), lower=True)
-    cross = pairwise(model.kernel, model.inputs, model.grid)
-    means = cho_solve(factor, model.targets.T).T @ cross
+    of the full ``t x t`` system ``K + reg I`` of the observations
+    ``indices`` and ``targets``, one row per observation."""
+    t, reg, inputs = len(indices), model.regularization, model.grid[indices]
+    factor = cho_factor(pairwise(model.kernel, inputs, inputs) + reg * np.eye(t), lower=True)
+    cross = pairwise(model.kernel, inputs, model.grid)
+    means = cho_solve(factor, targets.T).T @ cross
     var = model.kernel.output_scale - np.einsum("tn,tn->n", cross, cho_solve(factor, cross))
     gain = 0.5 * (2.0 * np.log(np.diag(factor[0])).sum() - t * math.log(reg))
     return means, np.sqrt(np.maximum(var, 0.0)), gain
@@ -884,23 +900,25 @@ class TestRunsOfRepeats:
             model = model.with_observation(index, values)
             if model.t % 10 and model.t < 140:
                 continue
+            history = indices[: model.t], targets[:, : model.t]
             means, std = model.posterior()
-            ref_means, ref_std, ref_gain = dense_repeated_input_solve(model)
+            ref_means, ref_std, ref_gain = dense_repeated_input_solve(model, *history)
             assert np.max(np.abs(means - ref_means)) <= 1e-10
             assert np.max(np.abs(std - ref_std)) <= 1e-12
             assert model.log_det_information_gain() == pytest.approx(ref_gain, rel=1e-10)
-            assert_matches_fresh_factorization(model)
+            assert_matches_fresh_factorization(model, history)
         rows = run_rows(model)
         assert rows[:, 1].sum() == model.t == 150 and _GROWTH < len(rows) < 120
         assert merged_revisits > 0 and new_after_merged > 0
         assert model.indices.tolist() == indices
-        assert np.array_equal(model.targets, targets)
 
     def test_sibling_branches_off_a_merged_row_leave_the_parent_unchanged(self, kernel, rng):
         grid = grid_points(1, 50)
         parent = SurrogateModel(kernel, 0.01, 2, grid=grid)
+        history = [], np.zeros((2, 0))
         for index in (3, 7, 7, 3, 12, 12, 12):
-            parent = parent.with_observation(index, rng.standard_normal(2))
+            history = extended(history, index, rng.standard_normal(2))
+            parent = parent.with_observation(index, history[1][:, -1])
         assert run_rows(parent)[:, 1].tolist() == [1.0, 2.0, 1.0, 3.0]
         before = carried_state(parent)
         # A repeat, a revisit of a merged row, a new point, another repeat.
@@ -915,12 +933,14 @@ class TestRunsOfRepeats:
         grandchild = children[0].with_observation(40, [0.0, 1.0])
         assert grandchild._proj_blocks.blocks[0] is not children[2]._proj_blocks.blocks[0]
         assert_unchanged(parent, before)
-        for child, state in zip(children, states):
+        for child, state, branch in zip(children, states, branches):
             assert_unchanged(child, state)
-            assert_matches_fresh_factorization(child)
+            assert_matches_fresh_factorization(child, extended(history, *branch))
         assert run_rows(children[0])[-1, 1] == run_rows(children[3])[-1, 1] == 4.0
         assert run_rows(grandchild)[:, 1].tolist() == [1.0, 2.0, 1.0, 4.0, 1.0]
-        assert_matches_fresh_factorization(grandchild)
+        assert_matches_fresh_factorization(
+            grandchild, extended(extended(history, *branches[0]), 40, [0.0, 1.0])
+        )
 
     def test_an_immediate_repeat_calls_no_kernel_and_adds_no_row(self, kernel, rng, monkeypatch):
         calls = []
@@ -960,3 +980,73 @@ class TestRunsOfRepeats:
         assert model.log_det_information_gain() == 0.5 * (
             2.0 * float(np.log(pivots).sum()) - 150 * np.log(0.01)
         )
+
+
+def retained_bytes(kernel, appends):
+    """Bytes that a two-output model on a 300-point grid keeps alive after
+    ``appends`` observations of one point, as tracemalloc counts them."""
+    grid, values = grid_points(1, 300), np.zeros(2)
+    tracemalloc.start()
+    try:
+        model = SurrogateModel(kernel, 0.01, 2, grid=grid)
+        for _ in range(appends):
+            model = model.with_observation(150, values)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.t == appends
+    return retained
+
+
+class TestHistoryIsTheRuns:
+    """A model keeps nothing per observation: its indices and its exact
+    spectral ratio are read from its rows per run."""
+
+    def test_a_one_point_chain_retains_no_more_memory_as_it_grows(self, kernel):
+        # A run stuck at its start point, as most heavy-tailed scenario
+        # runs are, is one run whatever t is: it keeps 18 to 22 KiB at 200
+        # appends and at 3000.  A record per observation grows with t
+        # instead: a linked log of the values kept 55 KiB and 541 KiB.
+        retained_bytes(kernel, 10)
+        assert retained_bytes(kernel, 3000) <= retained_bytes(kernel, 200) + 16 * 1024
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n_outputs, dim", [(1, 1), (2, 2)])
+    def test_indices_and_exact_ratio_follow_the_appended_chain(
+        self, family, n_outputs, dim, rng, monkeypatch
+    ):
+        # After every append of a chain of repeats, revisits and new
+        # points, the indices decoded from the runs are the appended ones,
+        # and the exact ratio, from the r x r matrix of the runs, is the
+        # t x t Gram's.  The two eigenvalues differ by 1.2e-16 at most,
+        # relative; 1e-14 allows for other BLAS kernels.
+        shapes = []
+
+        def counted(*args, **kwargs):
+            shapes.append((args[1].shape[0], args[2].shape[0]))
+            return pairwise(*args, **kwargs)
+
+        monkeypatch.setattr("safebo.gp.pairwise", counted)
+        kernel = Kernel(family=family, lengthscale=0.3, output_scale=1.7)
+        grid = grid_points(dim, 40 if dim == 1 else 7)
+        indices, targets = mixed_chain(rng, n_outputs, grid, 150)
+        model = SurrogateModel(kernel, 0.02, n_outputs, grid=grid)
+        kinds = set()
+        for t, (index, values) in enumerate(zip(indices, targets.T), 1):
+            rows = run_rows(model)
+            earlier = rows[rows[:, 0] == index]
+            if t > 1 and index == indices[t - 2]:
+                kinds.add("repeat")
+            elif len(earlier):
+                kinds.add("revisit of a merged row" if earlier[-1, 1] > 1 else "revisit")
+            else:
+                kinds.add("new point")
+            model = model.with_observation(index, values)
+            assert model.indices.tolist() == indices[:t]
+            inputs = grid[indices[:t]]
+            lam = float(np.linalg.eigvalsh(pairwise(kernel, inputs, inputs))[-1])
+            called, r = len(shapes), len(run_rows(model))
+            assert model.xi_lambda_max() == pytest.approx(lam / (lam + 0.02), rel=1e-14)
+            assert shapes[called:] == [(r, r)]
+        assert kinds >= {"repeat", "revisit of a merged row", "new point"}
+        assert len(run_rows(model)) < 120

@@ -494,6 +494,34 @@ class TestRunExperiment:
         for a, b in zip(serial.traces, parallel.traces):
             assert a.records == b.records
 
+    @pytest.mark.parametrize("jobs, seeds, workers", [(64, [0, 1], 2), (2, [0, 1, 2], 2)])
+    def test_the_pool_has_no_more_workers_than_runs(self, jobs, seeds, workers, monkeypatch):
+        # The pool forks all its workers at the first submit, so it is
+        # sized to the battery.  A stand-in records the size asked for and
+        # maps in this process: no worker is started.
+        import concurrent.futures
+
+        sizes = []
+
+        class InProcess:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+        config = tiny_config(seeds=seeds)
+        result = run_experiment(config, jobs=jobs)
+        assert sizes == [workers]
+        assert result.traces == run_experiment(config, jobs=1).traces
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_builds_each_seeds_ground_truth_once(self, jobs, monkeypatch):
         # Three seeds in two modes: three builds, in the calling process,

@@ -766,9 +766,11 @@ class TestStep:
         model = state.model
         assert model.t == 20
         means, std = model.posterior()
+        # The history is the loop's: what each step measured, where.
+        inputs = np.array([rec.point for rec in state.records])
+        targets = np.array([rec.observed for rec in state.records]).T
         ref_means, ref_std = dense_posterior_reference(
-            model.kernel, model.inputs, model.targets, optimizer.domain.points,
-            model.regularization,
+            model.kernel, inputs, targets, optimizer.domain.points, model.regularization
         )
         assert means == pytest.approx(ref_means, abs=1e-10)
         assert std == pytest.approx(ref_std, abs=1e-10)

@@ -132,6 +132,17 @@ def test_decision_check_flags_a_changed_step_and_allows_only_the_known_tie():
             else:
                 run[key][at] *= scale
             assert len(gate.decision_differences(changed, recorded)) == expected
+    # A run with another number of final multipliers is a difference,
+    # whichever side has more.
+    for extra in ("actual", "recorded"):
+        changed = json.loads(json.dumps(recorded))
+        run = changed["two-output-2d/run_s0_scenario"]
+        run["final_betas"].append(run["final_betas"][-1])
+        pair = (changed, recorded) if extra == "actual" else (recorded, changed)
+        counts = (3, 2) if extra == "actual" else (2, 3)
+        assert gate.decision_differences(*pair) == [
+            "two-output-2d/run_s0_scenario: %d final betas, recorded %d" % counts
+        ]
     changed = json.loads(json.dumps(recorded))
     changed["synthetic-2d/s0/run_s0_scenario"]["termination"] = "width_below_delta"
     del changed["heavy-tail-1d/run_s2_classic_subgaussian"]
@@ -223,12 +234,18 @@ def test_compare_summarizes_pairs_on_fixed_inputs():
     assert entry["wall_s"] == {
         "pairs": 4, "parent_median": 2.5, "change_median": 1.5,
         "parent_iqr": [1.75, 3.25], "change_iqr": [0.875, 2.375],
-        "change_better_pairs": 2, "rel_change_pct": -40.0, "verdict": "unresolved",
+        "change_better_pairs": 2, "rel_change_pct": -40.0,
+        # Per pair -50%, 0%, +16.67% and -75%.
+        "pair_rel_change_pct_median": -25.0, "pair_rel_change_pct_iqr": [-56.25, 4.17],
+        "verdict": "unresolved",
     }
     assert entry["experiments_per_s"]["change_better_pairs"] == 2
     assert entry["experiments_per_s"]["rel_change_pct"] == 5.0
     for name in ("coverage", "regret"):
         assert entry[name]["change_better_pairs"] == 0 and entry[name]["rel_change_pct"] == 0.0
+        # Regret is 0 on both sides: no relative change, not an undefined one.
+        assert entry[name]["pair_rel_change_pct_median"] == 0.0
+        assert entry[name]["pair_rel_change_pct_iqr"] == [0.0, 0.0]
     # Compared over the three pairs that report it on both sides.
     assert entry["step_ms_p50"]["pairs"] == 3
     assert entry["step_ms_p50"]["change_median"] == 0.9
@@ -260,6 +277,50 @@ def test_compare_summarizes_pairs_on_fixed_inputs():
     assert compare.verdict([10.0] * 10, [10.4] * 10, "lower", 0.05) == "within_bound"
     assert compare.verdict([10.0] * 10, [9.4] * 10, "higher", 0.05) == "worse"
     assert compare.verdict([8.0, 10.0, 12.0], [10.0] * 3, "lower", 0.05) == "unresolved"
+
+
+def test_compare_pairs_out_load_that_drifts_across_the_pairs():
+    # The host slows down pair by pair, and in each pair the change runs
+    # 3% faster: the sides' medians are 3% apart inside a parent IQR of
+    # 31% of its median, so the verdict cannot tell, while every pair
+    # shows the same 3%.
+    compare = load_script("compare")
+    metrics = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+               {"name": "regret", "better": "lower", "bound": 0.01}]
+    parent = [1.0 + 0.1 * i for i in range(10)]
+    results = {
+        "parent": [perfbench_result({"wall_s": p, "regret": 0.0}) for p in parent],
+        "change": [perfbench_result({"wall_s": 0.97 * p, "regret": 0.0 if i else 0.1})
+                   for i, p in enumerate(parent)],
+    }
+    entry = compare.summarize(results, metrics)["wall_s"]
+    assert entry["change_better_pairs"] == 10 and entry["verdict"] == "unresolved"
+    assert entry["rel_change_pct"] == -3.0
+    assert entry["pair_rel_change_pct_median"] == -3.0
+    assert entry["pair_rel_change_pct_iqr"] == [-3.0, -3.0]
+    # A pair whose parent reads 0 and whose change does not has no
+    # relative change, so neither has the paired figure.
+    regret = compare.summarize(results, metrics)["regret"]
+    assert regret["pair_rel_change_pct_median"] is None is regret["pair_rel_change_pct_iqr"]
+
+
+def test_compare_reports_the_gate_records_bytes_and_decisions():
+    compare = load_script("compare")
+    compile(compare.GATE_CHILD, "compare.GATE_CHILD", "exec")
+    parent = {"batteries": RECORDED["batteries"], "decisions": RECORDED["decisions"]}
+    assert compare.gate_report(parent, parent) == (
+        {"gate_digests": 36, "equal": True, "differing": []},
+        {"runs": 24, "equal": True, "differences": []},
+    )
+    # Another build: one file's bytes differ and one run decides otherwise.
+    change = json.loads(json.dumps(parent))
+    change["batteries"]["heavy-tail-1d/summary.json"] = "0" * 64
+    change["decisions"]["heavy-tail-1d/run_s1_scenario"]["points"][4] += 1
+    assert compare.gate_report(parent, change) == (
+        {"gate_digests": 36, "equal": False, "differing": ["heavy-tail-1d/summary.json"]},
+        {"runs": 24, "equal": False,
+         "differences": ["heavy-tail-1d/run_s1_scenario: differs from step 5"]},
+    )
 
 
 def test_compare_counts_a_run_that_prints_no_result_as_crashed(tmp_path):
